@@ -20,7 +20,11 @@
 #                      package (90% floor on src/repro/planning/);
 #                      skipped cleanly when pytest-cov is not installed
 #   make ci          - the full gate: lint, then test-fast and docs-check,
-#                      then a
+#                      then the wall-clock benchmark's smoke set
+#                      (perfbench --smoke, ~10 s: on all four workloads
+#                      the private day must equal the plaintext oracle
+#                      with zero pool/GC fallbacks; its timings mean
+#                      nothing at that length), then a
 #                      smoke bench run written to a scratch file (so the
 #                      committed BENCH_crypto.json is left untouched),
 #                      then a tiny day-scoped trading day executed over
@@ -66,6 +70,7 @@ coverage:
 	fi
 
 ci: lint test-fast docs-check
+	$(PYTHON) -m perfbench --smoke
 	$(PYTHON) benchmarks/run_crypto_bench.py --scale smoke --workers 2 \
 		--output $(or $(CI_BENCH_OUTPUT),/tmp/BENCH_crypto.ci.json)
 	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 2 --workers 2 \

@@ -72,7 +72,7 @@ def test_paillier_encrypt_fresh(benchmark, keypairs, bits):
 
 @pytest.mark.parametrize("bits", KEY_SIZES)
 def test_paillier_obfuscator_precompute(benchmark, keypairs, bits):
-    """Offline cost of precomputing one pool obfuscator (owner's CRT path)."""
+    """Offline cost of one pool obfuscator (owner's half-exponent lifts)."""
     keypair = keypairs[bits]
     pool = RandomizerPool(
         keypair.public_key, random.Random(2), private_key=keypair.private_key

@@ -217,17 +217,13 @@ class KeyRing:
     determinism.
     """
 
-    def __init__(self, config: ProtocolConfig, rng: Optional[random.Random] = None) -> None:
+    def __init__(self, config: ProtocolConfig) -> None:
         self._config = config
-        #: legacy parameter, retained for call-site compatibility but no
-        #: longer consumed: keys are identity-derived and randomizers come
-        #: from the system CSPRNG (see the class docstring).
-        self._rng = rng
         self._per_agent: Dict[str, PaillierKeyPair] = {}
         self._pool: Dict[int, PaillierKeyPair] = {}
         #: offline randomizer pools, one per distinct public key (keyed by
         #: the modulus ``n``).  The keyring generated every private key, so
-        #: each pool precomputes obfuscators via the owner's fast CRT path.
+        #: each pool samples obfuscators via the owner's half-exponent path.
         self._randomizer_pools: Dict[int, RandomizerPool] = {}
         #: offline garbled-comparison pools, one per circuit bit width.
         #: Like the randomizer pools they draw all label/choice randomness
@@ -239,11 +235,10 @@ class KeyRing:
         digest = hashlib.sha256(agent_id.encode()).digest()
         return int.from_bytes(digest[:8], "big") % self._config.key_pool_size
 
-    def keypair_for(self, agent_id: str, agent_index: int = 0) -> PaillierKeyPair:
+    def keypair_for(self, agent_id: str) -> PaillierKeyPair:
         """Return the (cached) key pair owned by one agent.
 
-        ``agent_index`` is kept for API compatibility; key assignment now
-        depends only on ``agent_id`` (see the class docstring).
+        Key assignment depends only on ``agent_id`` (see the class docstring).
         """
         if agent_id in self._per_agent:
             return self._per_agent[agent_id]
@@ -274,7 +269,7 @@ class KeyRing:
         """Return the (long-lived) randomizer pool for one public key.
 
         Keys minted by :meth:`keypair_for` already have a pool (with the
-        fast CRT precompute path); for a foreign public key one is created
+        owner's half-exponent sampler); for a foreign public key one is created
         lazily, drawing randomizers from the system CSPRNG like every other
         pool.
         """
@@ -410,7 +405,7 @@ class ProtocolContext:
         # replay bit-identically; key material never flows from this stream —
         # KeyRing derivation is SHA-256-based and pool material is CSPRNG-only.
         self.rng = rng or random.Random((config.seed, coalitions.window).__hash__())
-        self.keyring = keyring or KeyRing(config, self.rng)
+        self.keyring = keyring or KeyRing(config)
         #: the aggregation topology Protocols 2-4 collect encrypted sums
         #: along (resolved once so a typo fails at context construction).
         self.topology: AggregationTopology = resolve_topology(config.aggregation_topology)
@@ -429,7 +424,7 @@ class ProtocolContext:
     def _register_agents(self) -> None:
         seller_ids = set(self.coalitions.seller_ids)
         ordered = list(self.coalitions.sellers) + list(self.coalitions.buyers)
-        for index, state in enumerate(ordered):
+        for state in ordered:
             party_id = state.agent_id
             try:
                 party = self.network.party(party_id)
@@ -441,7 +436,7 @@ class ProtocolContext:
             runtime = AgentRuntime(
                 state=state,
                 party=party,
-                keypair=self.keyring.keypair_for(party_id, index),
+                keypair=self.keyring.keypair_for(party_id),
                 nonce=self.rng.getrandbits(NONCE_BITS),
             )
             self._by_id[party_id] = runtime
@@ -643,18 +638,6 @@ class ProtocolContext:
         )
         self.charge_comparison(result.and_gate_count, bits)
         return result
-
-    def charge_chain(self, hop_count: int, bytes_per_hop: int) -> None:
-        """Charge a sequential chain of messages to the critical path.
-
-        Legacy hook from the chain-only era; aggregations now charge
-        themselves through :meth:`charge_aggregation`, which applies the
-        latency-hiding model to whatever topology actually ran.
-        """
-        if self.cost_model is not None:
-            self.network.charge_crypto_time(
-                self.cost_model.chain_cost(hop_count, bytes_per_hop)
-            )
 
     def charge_aggregation(
         self,

@@ -50,11 +50,29 @@ function of the warm/take call sequence and is **independent of the
 reservoir state**.  That is what keeps sharded parallel runs bit-identical
 to serial ones even though their background refill timing differs.
 
+Owner-side sampling: half-exponent lifts
+---------------------------------------
+
 When the key owner's private key is available locally (it is for every
-agent's own pool), the precomputation itself runs ~2x faster via CRT:
-``r^n mod p^2`` and ``r^n mod q^2`` are computed with half-width moduli and
-exponents reduced modulo ``lambda(p^2) = p*(p-1)`` (resp. ``q*(q-1)``),
-then recombined with Garner's formula.
+agent's own pool), an obfuscator costs two half-width pows with
+``|n|/2``-bit exponents instead of one full-width pow with an ``|n|``-bit
+one.  Modulo ``p^2`` the binomial theorem gives ``(s + kp)^p = s^p``, so
+``r^n = (r^q)^p mod p^2`` depends only on ``t = (r mod p)^q mod p`` and
+equals the *lift* ``t^p mod p^2`` (symmetrically ``(r^p mod q)^q mod
+q^2``); Garner's formula recombines the two halves into ``r^n mod n^2``.
+
+Every valid key has ``gcd(n, phi(n)) = 1`` (keygen enforces it, and the
+private key's ``mu`` does not exist otherwise), hence ``gcd(q, p-1) = 1``
+and ``s -> s^q mod p`` is a bijection of ``Z_p^*``.  A uniform ``r`` in
+``Z_n^*`` therefore induces a uniform, independent pair ``(t_p, t_q)`` in
+``Z_p^* x Z_q^*`` — so the pool draws that pair *directly* from the CSPRNG
+(``u_p`` in ``[1, p)``, ``u_q`` in ``[1, q)``) and lifts it, skipping the
+residue step: exactly the uniform distribution over the n-th residues of
+``Z_{n^2}^*`` that drawing ``r`` and computing ``r^n`` yields, at half the
+big-int work.  The r-addressed :func:`precompute_obfuscator` runs the
+cheap residue step ``(r mod p)^(q mod (p-1)) mod p`` first and then the
+same lift, so it stays bit-exact with ``pow(r, n, n^2)``.  A pool for a
+foreign key (no factors) pays the public full-width pow.
 
 Multi-exponentiation toolbox
 ----------------------------
@@ -76,11 +94,11 @@ PR 6 adds the remaining exponentiation levers:
   plus one table lookup per non-zero digit column.
 * :func:`backend` / :func:`set_backend` — the feature-gated fast-bigint
   seam.  When ``gmpy2`` is importable its ``powmod`` is used for every
-  modular exponentiation routed through the seam (pool refills, CRT
-  halves, Paillier encrypt/scalar-multiply); otherwise the pure-Python
-  backend (builtin ``pow``) is used.  The container for this repo has no
-  gmpy2, so the dispatch is exercised with a mock backend in tests and the
-  bench records which backend produced its numbers.
+  modular exponentiation routed through the seam (pool refills, the
+  owner-side lifts, Paillier encrypt/scalar-multiply); otherwise the
+  pure-Python backend (builtin ``pow``) is used.  The container for this
+  repo has no gmpy2, so the dispatch is exercised with a mock backend in
+  tests and the bench records which backend produced its numbers.
 """
 
 from __future__ import annotations
@@ -313,26 +331,42 @@ def simultaneous_powmod(
     return result
 
 
-class _CrtObfuscatorConstants:
-    """Precomputed constants for the owner-side CRT obfuscator path."""
+class _OwnerObfuscatorSampler:
+    """Owner-side obfuscators as half-exponent lifts mod ``p^2`` / ``q^2``.
 
-    __slots__ = ("p_sq", "q_sq", "exp_p", "exp_q", "q_sq_inv")
+    The identity, its ``gcd(n, phi(n)) = 1`` precondition (guaranteed by any
+    constructed private key) and the distribution argument are in the
+    module docstring.
+    """
 
-    def __init__(self, public_key: PaillierPublicKey, private_key: PaillierPrivateKey) -> None:
-        p, q, n = private_key.p, private_key.q, public_key.n
-        self.p_sq = p * p
-        self.q_sq = q * q
-        # Exponents reduced mod lambda(p^2) = p*(p-1) (resp. q*(q-1)).
-        self.exp_p = n % (p * (p - 1))
-        self.exp_q = n % (q * (q - 1))
+    __slots__ = ("p", "q", "p_sq", "q_sq", "q_sq_inv")
+
+    def __init__(self, private_key: PaillierPrivateKey) -> None:
+        self.p = private_key.p
+        self.q = private_key.q
+        self.p_sq = private_key.p_squared
+        self.q_sq = private_key.q_squared
         self.q_sq_inv = pow(self.q_sq % self.p_sq, -1, self.p_sq)
 
-    def obfuscate(self, r: int) -> int:
-        """``r^n mod n^2`` via two half-width pows + Garner recombination."""
+    def _lift(self, t_p: int, t_q: int) -> int:
+        """Garner-combine ``t_p^p mod p^2`` with ``t_q^q mod q^2``."""
         powmod = backend().powmod
-        x_p = powmod(r % self.p_sq, self.exp_p, self.p_sq)
-        x_q = powmod(r % self.q_sq, self.exp_q, self.q_sq)
+        x_p = powmod(t_p, self.p, self.p_sq)
+        x_q = powmod(t_q, self.q, self.q_sq)
         return x_q + self.q_sq * ((x_p - x_q) * self.q_sq_inv % self.p_sq)
+
+    def sample(self, rng: random.Random) -> int:
+        """A uniform n-th residue of ``Z_{n^2}^*`` from two half-width draws."""
+        return self._lift(rng.randrange(1, self.p), rng.randrange(1, self.q))
+
+    def obfuscate(self, r: int) -> int:
+        """Exactly ``r^n mod n^2``: the residue step, then the same lift."""
+        p, q = self.p, self.q
+        powmod = backend().powmod
+        return self._lift(
+            powmod(r % p, q % (p - 1), p),
+            powmod(r % q, p % (q - 1), q),
+        )
 
 
 def precompute_obfuscator(
@@ -342,14 +376,16 @@ def precompute_obfuscator(
 ) -> int:
     """Compute the obfuscator ``r^n mod n^2`` for one randomizer ``r``.
 
-    With the private key available the computation uses CRT on ``p^2`` and
-    ``q^2`` (half-width moduli, exponents reduced mod ``lambda(p^2)`` /
-    ``lambda(q^2)``); otherwise it falls back to the public full-width
-    exponentiation.
+    With the private key available the computation is two cheap residue
+    pows modulo ``p`` and ``q`` followed by the half-exponent lifts modulo
+    ``p^2`` and ``q^2`` (bit-exact with the public formula); otherwise it
+    falls back to the public full-width exponentiation.
     """
     if private_key is None:
         return backend().powmod(r, public_key.n, public_key.n_squared)
-    return _CrtObfuscatorConstants(public_key, private_key).obfuscate(r)
+    if private_key.public_key != public_key:
+        raise ValueError("private key does not match the public key")
+    return _OwnerObfuscatorSampler(private_key).obfuscate(r)
 
 
 class RandomizerPool:
@@ -368,8 +404,9 @@ class RandomizerPool:
         public_key: the key the obfuscators are computed for.
         rng: random source for the randomizers (defaults to the system
             CSPRNG).
-        private_key: when the key owner's private key is local, obfuscator
-            precomputation uses the ~2x faster CRT path.
+        private_key: when the key owner's private key is local, obfuscators
+            are sampled as half-exponent lifts modulo ``p^2`` and ``q^2``
+            (same distribution, about half the big-int work).
 
     Attributes:
         produced: total obfuscators ever precomputed via ``warm``/``refill``
@@ -408,11 +445,10 @@ class RandomizerPool:
         #: must not share the (non-thread-safe) ``rng`` with the protocol
         #: thread, or two encryptions could end up with the same randomizer.
         self._stock_rng = random.SystemRandom()
-        # Cache the CRT constants across refills of the same pool.
-        self._crt: Optional[_CrtObfuscatorConstants] = (
-            None
-            if private_key is None
-            else _CrtObfuscatorConstants(public_key, private_key)
+        # Owner-side sampler (constants cached across refills); ``None``
+        # for a foreign key, which pays the public full-width pow.
+        self._owner: Optional[_OwnerObfuscatorSampler] = (
+            None if private_key is None else _OwnerObfuscatorSampler(private_key)
         )
         self.produced = 0
         self.consumed = 0
@@ -436,20 +472,19 @@ class RandomizerPool:
         with self._reservoir_lock:
             return len(self._reservoir)
 
-    def _obfuscate(self, r: int) -> int:
-        if self._crt is None:
-            return backend().powmod(r, self.public_key.n, self.public_key.n_squared)
-        return self._crt.obfuscate(r)
-
-    def _fresh(self) -> int:
-        return self._obfuscate(self._rng.randrange(1, self.public_key.n))
+    def _sample(self, rng: random.Random) -> int:
+        """One fresh obfuscator drawn from ``rng`` — every producer's source."""
+        if self._owner is not None:
+            return self._owner.sample(rng)
+        n = self.public_key.n
+        return backend().powmod(rng.randrange(1, n), n, self.public_key.n_squared)
 
     def _next_value(self) -> int:
         """A never-used obfuscator: reservoir pop, or inline computation."""
         with self._reservoir_lock:
             if self._reservoir:
                 return self._reservoir.popleft()
-        return self._fresh()
+        return self._sample(self._rng)
 
     # -- background (real idle-time) phase -------------------------------------
 
@@ -458,12 +493,11 @@ class RandomizerPool:
 
         Safe to call concurrently with the online phase; the computed values
         enter the one-shot flow the next time ``warm``/``refill``/``take``
-        needs a value.  Returns ``count``.
+        needs a value.  Returns the number of values stocked.
         """
-        values = [
-            self._obfuscate(self._stock_rng.randrange(1, self.public_key.n))
-            for _ in range(count)
-        ]
+        if count <= 0:
+            return 0
+        values = [self._sample(self._stock_rng) for _ in range(count)]
         with self._reservoir_lock:
             self._reservoir.extend(values)
         self.stocked += count
@@ -482,10 +516,7 @@ class RandomizerPool:
         """
         if count <= 0:
             return 0
-        values = [
-            self._obfuscate(self._stock_rng.randrange(1, self.public_key.n))
-            for _ in range(count)
-        ]
+        values = [self._sample(self._stock_rng) for _ in range(count)]
         with self._reservoir_lock:
             self._reservations.setdefault(window, []).extend(values)
             self.reserved += count
@@ -545,6 +576,8 @@ class RandomizerPool:
 
     def refill(self, count: int) -> int:
         """Precompute ``count`` additional obfuscators (offline work)."""
+        if count <= 0:
+            return 0
         for _ in range(count):
             self._pool.append(self._next_value())
         self.produced += count

@@ -319,8 +319,11 @@ class ComparisonPool:
 
         Instances are built with ``rng=None`` so label/choice randomness
         comes from the (thread-safe) system CSPRNG — the refiller must
-        never share the protocol thread's ``rng``.
+        never share the protocol thread's ``rng``.  Returns the number of
+        instances stocked.
         """
+        if count <= 0:
+            return 0
         instances = [self._build(None) for _ in range(count)]
         with self._reservoir_lock:
             self._reservoir.extend(instances)

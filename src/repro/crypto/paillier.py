@@ -246,8 +246,10 @@ class PaillierPrivateKey:
     lam: int = field(init=False, repr=False, compare=False, default=0)
     #: cached textbook decryption constant mu = (lam mod n)^-1 mod n.
     mu: int = field(init=False, repr=False, compare=False, default=0)
-    _p_sq: int = field(init=False, repr=False, compare=False, default=0)
-    _q_sq: int = field(init=False, repr=False, compare=False, default=0)
+    #: cached half-width moduli ``p^2`` / ``q^2`` (CRT decryption and the
+    #: owner-side obfuscator lifts in :mod:`repro.crypto.accel`).
+    p_squared: int = field(init=False, repr=False, compare=False, default=0)
+    q_squared: int = field(init=False, repr=False, compare=False, default=0)
     _hp: int = field(init=False, repr=False, compare=False, default=0)
     _hq: int = field(init=False, repr=False, compare=False, default=0)
     _q_inv_p: int = field(init=False, repr=False, compare=False, default=0)
@@ -261,8 +263,8 @@ class PaillierPrivateKey:
         set_(self, "lam", math.lcm(p - 1, q - 1))
         # mu = (L(g^lambda mod n^2))^-1 mod n; with g = n+1, L(g^lam) = lam mod n.
         set_(self, "mu", pow(self.lam % n, -1, n))
-        set_(self, "_p_sq", p * p)
-        set_(self, "_q_sq", q * q)
+        set_(self, "p_squared", p * p)
+        set_(self, "q_squared", q * q)
         # With g = n+1: L_p((n+1)^(p-1) mod p^2) = (p-1)*q mod p.
         set_(self, "_hp", pow(((p - 1) * q) % p, -1, p))
         set_(self, "_hq", pow(((q - 1) * p) % q, -1, q))
@@ -285,8 +287,8 @@ class PaillierPrivateKey:
         """
         c = self._check(ciphertext)
         p, q = self.p, self.q
-        m_p = ((pow(c % self._p_sq, p - 1, self._p_sq) - 1) // p) * self._hp % p
-        m_q = ((pow(c % self._q_sq, q - 1, self._q_sq) - 1) // q) * self._hq % q
+        m_p = ((pow(c % self.p_squared, p - 1, self.p_squared) - 1) // p) * self._hp % p
+        m_q = ((pow(c % self.q_squared, q - 1, self.q_squared) - 1) // q) * self._hq % q
         # Garner: m = m_q + q * ((m_p - m_q) * q^-1 mod p)  in [0, n).
         return m_q + q * ((m_p - m_q) * self._q_inv_p % p)
 

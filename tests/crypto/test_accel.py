@@ -1,17 +1,20 @@
 """Tests for the Paillier acceleration layer.
 
-Covers the CRT + randomizer-pool offline split, the multi-exponentiation
+Covers the owner-side half-exponent obfuscator sampler + randomizer-pool
+offline split, the multi-exponentiation
 toolbox (fixed-window, fixed-base comb, Straus simultaneous) against the
 builtin ``pow`` oracle, and the feature-gated bigint backend seam (mocked —
 the container ships no gmpy2).
 """
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import shared_keypair
 from repro.crypto.accel import (
     FixedBaseTable,
     RandomizerPool,
@@ -21,7 +24,12 @@ from repro.crypto.accel import (
     set_backend,
     simultaneous_powmod,
 )
-from repro.crypto.paillier import generate_keypair, homomorphic_sum
+from repro.crypto.paillier import (
+    PaillierPrivateKey,
+    PaillierPublicKey,
+    generate_keypair,
+    homomorphic_sum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +101,8 @@ def test_pool_rejects_mismatched_private_key(pool_keypair):
     other = generate_keypair(128, random.Random(88))
     with pytest.raises(ValueError):
         RandomizerPool(pool_keypair.public_key, private_key=other.private_key)
+    with pytest.raises(ValueError):
+        precompute_obfuscator(pool_keypair.public_key, 5, private_key=other.private_key)
 
 
 def test_encrypt_many_uses_one_obfuscator_each(pool_keypair):
@@ -112,6 +122,127 @@ def test_batched_homomorphic_sum_matches_sequential(pool_keypair):
     for chunk in (1, 2, 8, 64):
         total = homomorphic_sum(ciphertexts, public, chunk_size=chunk)
         assert private.decrypt(total) == sum(values)
+
+
+def test_non_positive_counts_are_noops(pool_keypair):
+    """Regression: refill(-3) used to leave ``produced == -3``."""
+    pool = RandomizerPool(pool_keypair.public_key, private_key=pool_keypair.private_key)
+    for count in (0, -3):
+        assert pool.refill(count) == 0
+        assert pool.stock(count) == 0
+        assert pool.reserve(7, count) == 0
+    assert (pool.produced, pool.stocked, pool.reserved) == (0, 0, 0)
+    assert pool.available == pool.reservoir_available == 0
+    assert pool.reservation_available(7) == 0
+
+
+# -- owner-side half-exponent sampler --------------------------------------------------
+
+
+class _ScriptedRng:
+    """Replays a fixed sequence of ``randrange`` draws (range-checked)."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def randrange(self, start, stop):
+        value = next(self._draws)
+        assert start <= value < stop
+        return value
+
+
+def _toy_keypair(p, q):
+    public = PaillierPublicKey(n=p * q)
+    return public, PaillierPrivateKey(public_key=public, p=p, q=q)
+
+
+@pytest.mark.parametrize("p, q", [(5, 7), (7, 11), (11, 17), (17, 11)])
+def test_sampler_is_bijection_onto_nth_residues(p, q):
+    """The distribution claim by enumeration: a uniform ``(u_p, u_q)`` pair
+    is a uniform n-th residue, i.e. what ``r^n`` of a uniform unit ``r`` is."""
+    public, private = _toy_keypair(p, q)
+    n, n_sq = public.n, public.n_squared
+    residues = {pow(r, n, n_sq) for r in range(1, n) if math.gcd(r, n) == 1}
+    assert len(residues) == (p - 1) * (q - 1)
+
+    pairs = [(u_p, u_q) for u_p in range(1, p) for u_q in range(1, q)]
+    pool = RandomizerPool(
+        public, _ScriptedRng(u for pair in pairs for u in pair), private_key=private
+    )
+    pool.refill(len(pairs))
+    samples = pool.take_many(len(pairs))
+    assert len(set(samples)) == len(pairs)
+    assert set(samples) == residues
+
+    # The r-addressed path is exact for every r, units or not.
+    for r in range(1, n):
+        assert precompute_obfuscator(public, r, private) == pow(r, n, n_sq)
+
+
+def test_private_key_rejects_modulus_sharing_a_factor_with_phi():
+    # gcd(21, phi(21) = 12) = 3: the lift's bijection precondition (and
+    # decryption's mu) fail, so such a key cannot be constructed at all.
+    with pytest.raises(ValueError):
+        _toy_keypair(3, 7)
+
+
+@pytest.mark.parametrize("bits", (128, 256))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_samples_are_nth_residues_and_encrypt_correctly(bits, data):
+    keypair = shared_keypair(bits, bits)
+    public, private = keypair.public_key, keypair.private_key
+    limit = public.max_plaintext
+    plaintext = data.draw(
+        st.one_of(
+            st.sampled_from((0, 1, -1, limit, -limit)),
+            st.integers(min_value=-limit, max_value=limit),
+        )
+    )
+    pool = RandomizerPool(public, private_key=private)
+    pool.warm(1)
+    obfuscator = pool.take()
+    assert 0 < obfuscator < public.n_squared
+    phi = (private.p - 1) * (private.q - 1)
+    assert pow(obfuscator, phi, public.n_squared) == 1
+    assert private.decrypt(public.raw_encrypt(plaintext, obfuscator)) == plaintext
+
+
+class _SpySampler:
+    """Stands in for a pool's owner-side sampler and counts its draws."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.draws = 0
+
+    def sample(self, rng):
+        self.draws += 1
+        return self._inner.sample(rng)
+
+
+def test_every_producer_draws_through_the_one_sampler(pool_keypair):
+    pool = RandomizerPool(pool_keypair.public_key, private_key=pool_keypair.private_key)
+    spy = pool._owner = _SpySampler(pool._owner)
+
+    pool.warm(4)
+    handed_out = pool.take_many(4)
+    assert spy.draws == 4
+    handed_out += pool.take_many(3)  # drained pool: online fallback
+    assert (spy.draws, pool.fallback_count) == (7, 3)
+    pool.stock(5)
+    assert (spy.draws, pool.reservoir_available) == (12, 5)
+    pool.reserve(9, 6)
+    assert (spy.draws, pool.reservation_available(9)) == (18, 6)
+    assert pool.claim_reservation(9) == 6
+
+    # Stocked and claimed values are popped, not recomputed ...
+    pool.warm(11)
+    handed_out += pool.take_many(11)
+    assert spy.draws == 18
+    assert pool.reservoir_available == 0
+    # ... and nothing was ever handed out twice.
+    assert len(set(handed_out)) == len(handed_out) == 18
+    assert pool.fallback_count == 3
 
 
 # -- multi-exponentiation toolbox ------------------------------------------------------
@@ -227,15 +358,15 @@ def test_simultaneous_validation_and_negatives():
 
 
 class _CountingBackend:
-    """Mock fast-bigint backend (gmpy2-shaped): counts powmod dispatches."""
+    """Mock fast-bigint backend (gmpy2-shaped): records powmod dispatches."""
 
     name = "counting-mock"
 
     def __init__(self):
-        self.calls = 0
+        self.seen = []
 
     def powmod(self, base, exponent, modulus):
-        self.calls += 1
+        self.seen.append((exponent, modulus))
         return pow(base, exponent, modulus)
 
 
@@ -250,17 +381,21 @@ def test_mock_backend_receives_obfuscator_dispatch(pool_keypair):
     mock = _CountingBackend()
     previous = set_backend(mock)
     try:
-        # Public path, CRT path, pool refill and ciphertext scalar multiply
+        # Public path, owner path, pool refill and ciphertext scalar multiply
         # all route through the seam.
         assert precompute_obfuscator(public, 12345) == pow(12345, public.n, public.n_squared)
         assert precompute_obfuscator(public, 12345, private_key=private) == pow(
             12345, public.n, public.n_squared
         )
         pool = RandomizerPool(public, random.Random(9), private_key=private)
+        before = len(mock.seen)
         pool.warm(2)
+        # Each owner-side sample is exactly the two half-exponent lifts.
+        lifts = [(private.p, private.p_squared), (private.q, private.q_squared)]
+        assert mock.seen[before:] == lifts * 2
         ciphertext = pool.encrypt(7)
         assert private.decrypt(ciphertext.multiply_plaintext(6)) == 42
-        assert mock.calls >= 5
+        assert len(mock.seen) >= 5
     finally:
         set_backend(previous)
     assert backend() is previous

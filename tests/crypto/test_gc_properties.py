@@ -114,6 +114,18 @@ def test_pool_draws_match_plaintext_over_random_widths(correlation, scheme):
         assert pool.fallback_count == 0
 
 
+def test_non_positive_counts_are_noops():
+    """Regression: stock(-3) used to leave ``stocked == -3``."""
+    pool = small_comparison_pool(8)
+    for count in (0, -3):
+        assert pool.refill(count) == 0
+        assert pool.stock(count) == 0
+        assert pool.reserve(7, count) == 0
+    assert (pool.produced, pool.stocked, pool.reserved) == (0, 0, 0)
+    assert pool.sessions_started == 0
+    assert pool.available == pool.reservoir_available == 0
+
+
 def test_boundary_operands(correlation, scheme):
     for bit_width in (1, 8, 64):
         top = (1 << bit_width) - 1
