@@ -5,9 +5,10 @@ real transport and injects the frame faults a :class:`~repro.chaos.plan.FaultPla
 selects.  The model is an *authenticated, sequenced* channel — the shape of
 the paper prototype's per-container TCP links (and of any TLS deployment):
 
-* a **dropped** frame is detected by the sender — synchronous delivery
-  means the missing acknowledgement surfaces immediately
-  (:class:`FrameDropError`);
+* a **dropped** frame is detected by the sender: the wrapper raises
+  :class:`FrameDropError` from ``deliver`` itself, the moment the frame is
+  lost — it does not wait for the wrapped transport's next cumulative
+  acknowledgement to come up one frame short;
 * a **reordered** frame is detected by the receiver's sequence check: the
   chosen frame is held back, so the protocol's next read finds the inbox
   out of step (and a later flush of the stale frame is rejected as
@@ -24,9 +25,10 @@ transport seam — sender, recipient, frame ordinal and message kind attached
 delta documented in ``docs/CHAOS.md``: the channel detects tampering, it
 does not correct it; recovery is the supervisor's job.
 
-With a zero-fault plan the decorator is bit-transparent: ``deliver`` passes
-straight through to the wrapped transport (``tests/net/test_transport_conformance.py``
-certifies the full transport contract through the wrapper).
+With a zero-fault plan the decorator is bit-transparent: ``deliver`` and
+``flush`` pass straight through to the wrapped transport
+(``tests/net/test_transport_conformance.py`` certifies the full transport
+contract through the wrapper).
 """
 
 from __future__ import annotations
@@ -145,6 +147,9 @@ class FaultyTransport(Transport):
     def register(self, party_id: str, sink: Sink) -> None:
         self.inner.register(party_id, sink)
 
+    def flush(self) -> None:
+        self.inner.flush()
+
     def close(self) -> None:
         self.inner.close()
 
@@ -161,8 +166,8 @@ class FaultyTransport(Transport):
             return
         self._record(fault, message, ordinal)
         if fault == "drop":
-            # Not delivered; the sender's synchronous delivery sees the
-            # missing acknowledgement.
+            # Not delivered; the channel's sequence numbers tell the sender
+            # right here, ahead of the inner transport's next cumulative ack.
             raise self._error("drop", "frame lost in transit (no ack)", message, ordinal)
         if fault == "reorder":
             # Held back: the next frame overtakes it.  The protocol's

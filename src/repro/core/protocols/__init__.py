@@ -15,7 +15,7 @@
   :class:`PrivateTradingEngine`.
 """
 
-from .aggregation import AggregationOutcome, aggregate, chain_aggregate
+from .aggregation import AggregationOutcome, aggregate
 from .context import AgentRuntime, KeyRing, ProtocolConfig, ProtocolContext
 from .distribution import DistributionResult, run_private_distribution
 from .engine import PrivateTradingEngine, PrivateWindowTrace
@@ -37,7 +37,6 @@ __all__ = [
     "ProtocolContext",
     "AggregationOutcome",
     "aggregate",
-    "chain_aggregate",
     "AggregationHop",
     "AggregationSchedule",
     "AggregationTopology",

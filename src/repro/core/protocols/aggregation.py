@@ -37,7 +37,7 @@ from ...net.message import MessageKind
 from .context import AgentRuntime, ProtocolContext
 from .topology import AggregationSchedule, AggregationTopology
 
-__all__ = ["AggregationOutcome", "aggregate", "chain_aggregate"]
+__all__ = ["AggregationOutcome", "aggregate"]
 
 
 @dataclass(frozen=True)
@@ -138,23 +138,3 @@ def aggregate(
         ciphertext=partial[schedule.root], root=root, schedule=schedule
     )
 
-
-def chain_aggregate(
-    context: ProtocolContext,
-    contributors: List[AgentRuntime],
-    values: List[int],
-    public_key,
-    kind: MessageKind,
-    final_recipient: AgentRuntime,
-) -> PaillierCiphertext:
-    """Aggregate along the context's configured topology (legacy entry point).
-
-    Kept for call-site compatibility from the chain-only era; despite the
-    name it honours ``ProtocolConfig.aggregation_topology`` like
-    :func:`aggregate` (the chain is simply the default topology).  New code
-    should call :func:`aggregate`, which also exposes the root and the
-    executed schedule.
-    """
-    return aggregate(
-        context, contributors, values, public_key, kind, final_recipient
-    ).ciphertext

@@ -312,6 +312,8 @@ class PrivateTradingEngine:
             pricing_leader_id=pricing_leader,
             ratio_holder_id=distribution.ratio_holder_id,
         )
+        # A frame error the transport deferred must surface inside the window.
+        network.flush()
         self._attach_measurements(
             trace, network, start_bytes, start_settlement_bytes, start_seconds,
             start_offline, start_gc_offline, start_fallbacks, start_gc_fallbacks,

@@ -20,6 +20,10 @@ __all__ = ["MessageKind", "Message"]
 
 _MESSAGE_COUNTER = itertools.count(1)
 
+#: ``json.dumps(..., sort_keys=True)`` builds a ``JSONEncoder`` per call;
+#: ``byte_size`` runs once per message, so it shares this one.
+_encode_metadata = json.JSONEncoder(sort_keys=True).encode
+
 
 class MessageKind(str, Enum):
     """Protocol-level message types used by the PEM protocols."""
@@ -75,7 +79,7 @@ class Message:
         overhead of a small TCP/JSON envelope, matching the prototype's
         message framing closely enough for the bandwidth study.
         """
-        metadata_bytes = len(json.dumps(self.metadata, sort_keys=True).encode()) if self.metadata else 0
+        metadata_bytes = len(_encode_metadata(self.metadata).encode()) if self.metadata else 0
         return len(self.payload) + metadata_bytes + 64
 
     def is_broadcast(self) -> bool:

@@ -13,8 +13,10 @@ The *mechanism* — how a message physically reaches the recipient — lives in
 an injected :class:`~repro.net.transport.Transport`: synchronous in-process
 delivery by default (:class:`~repro.net.transport.LocalTransport`), or real
 length-prefixed loopback TCP (:class:`~repro.net.transport.SocketTransport`)
-with bit-identical protocol behavior.  Delivery is synchronous either way
-(the protocols are sequential round-based anyway).
+with bit-identical protocol behavior.  A transport may defer delivery until
+its ``flush()`` barrier; every inbox read goes through that barrier first,
+so a party always reads exactly what was sent to it (the protocols are
+sequential and round-based anyway).
 """
 
 from __future__ import annotations
@@ -97,13 +99,15 @@ class Party:
     def receive(self, kind: Optional[MessageKind] = None) -> Message:
         """Pop the next message from the inbox, optionally filtered by kind.
 
-        The kind-filtered path uses the same kept-deque pattern as
+        Like every inbox read, flushes the network first.  The
+        kind-filtered path uses the same kept-deque pattern as
         :meth:`receive_all`: messages scanned before the match are popped
         into a holding deque and spliced back afterwards, so one call
         costs O(match position) instead of the O(inbox) a positional
         ``del`` on a deque would — repeated filtered drains stay linear
         overall rather than quadratic.
         """
+        self._network.flush()
         if kind is None:
             if not self._inbox:
                 raise NetworkError(f"{self.party_id}: inbox empty")
@@ -120,6 +124,7 @@ class Party:
 
     def receive_all(self, kind: Optional[MessageKind] = None) -> List[Message]:
         """Pop all pending messages (optionally of one kind)."""
+        self._network.flush()
         if kind is None:
             drained = list(self._inbox)
             self._inbox.clear()
@@ -136,6 +141,7 @@ class Party:
         return drained
 
     def pending_count(self) -> int:
+        self._network.flush()
         return len(self._inbox)
 
 
@@ -212,6 +218,15 @@ class SimulatedNetwork:
         for hook in self._message_hooks:
             hook(message)
         self.transport.deliver(message)
+
+    def flush(self) -> None:
+        """Block until the transport has delivered every message sent so far.
+
+        Raises the first delivery failure since the previous flush.  Inbox
+        reads call this themselves; the engine calls it once more at the
+        end of a window so no frame error outlives the window it belongs to.
+        """
+        self.transport.flush()
 
     def close(self) -> None:
         """Release the underlying transport's resources (idempotent)."""

@@ -19,6 +19,7 @@ property loop tractable; the full 4-window day is covered by the runtime
 suites and the chaos bench section).
 """
 
+import socket
 from dataclasses import replace
 
 import pytest
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 import helpers
 from repro.chaos import FaultPlan, GcTamper, PoolDrain
+from repro.net import MessageKind
 from repro.runtime import WindowAbortError
 
 WINDOWS = helpers.TINY_MARKET_WINDOWS[:2]
@@ -91,6 +93,44 @@ def test_random_fault_plans_recover_over_socket_fabric(seed):
     report = _chaos_report(market, plan)
     assert report.identical_to(baseline, include_incidents=False)
     assert all(i.recovered for i in report.incidents)
+
+
+def test_frame_error_at_the_end_of_window_flush_is_a_classified_incident():
+    """A deferred socket failure still lands inside the supervised window.
+
+    The first attempt's connection dies as the first PAYMENT frame is
+    queued — after Protocol 4's last inbox read, so nothing but the
+    engine's end-of-window flush can notice.  It must surface there, inside
+    ``run_window``, as a ``transient_transport`` incident the supervisor
+    retries — not as an exception escaping the run.
+    """
+    market, baseline = _baseline(transport="socket")
+    engine = market.engine()
+    engine.config = replace(engine.config, fault_plan=FaultPlan(seed=1, max_attempts=3))
+    build_network = engine.build_network
+    connections = []
+
+    def build_network_losing_the_first_connection():
+        network = build_network()
+        if not connections:
+            connections.append(network.transport._sender)
+
+            def cut(message):
+                if message.kind is MessageKind.PAYMENT and connections[0] is not None:
+                    connections[0].shutdown(socket.SHUT_RDWR)
+                    connections[0] = None
+
+            network.add_message_hook(cut)
+        return network
+
+    engine.build_network = build_network_losing_the_first_connection
+    report = engine.run_windows_report(market.dataset, WINDOWS, workers=1)
+    assert report.identical_to(baseline, include_incidents=False)
+    (incident,) = report.incidents
+    assert incident.fault == "connection-lost"
+    assert incident.classification == "transient_transport"
+    assert incident.action == "retry" and incident.recovered
+    assert "frame=" in incident.detail  # names the oldest unacknowledged frame
 
 
 # -- one pinned scenario per fault family ---------------------------------------

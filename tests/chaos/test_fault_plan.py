@@ -30,7 +30,8 @@ from repro.chaos import (
 )
 from repro.crypto.accel import RandomizerPool
 from repro.net import LocalTransport, MessageKind, SimulatedNetwork
-from repro.net.transport import ConnectionLostError, FrameError
+from repro.net.transport import AckTimeoutError, ConnectionLostError, FrameError
+from repro.runtime.supervisor import WindowSupervisor
 
 
 # -- FaultPlan ------------------------------------------------------------------
@@ -175,6 +176,21 @@ def test_frame_error_carries_and_pickles_context():
         assert copy_.ordinal == 42
         assert copy_.kind == "generic"
         assert "home-003" in str(copy_) and "frame=42" in str(copy_)
+
+
+def test_overdue_ack_is_a_classified_transient_incident():
+    err = AckTimeoutError(
+        "no cumulative ack within 30.0 s",
+        sender="home-001",
+        recipient="home-002",
+        ordinal=7,
+        kind="payment",
+    )
+    (incident,) = WindowSupervisor(FaultPlan())._classify_failure([], err, attempt=0)
+    assert incident.fault == "ack-timeout"
+    assert incident.classification == "transient_transport"
+    assert incident.action == "retry"
+    assert "home-001" in incident.detail and "frame=7" in incident.detail
 
 
 # -- pool force_drain hooks -----------------------------------------------------

@@ -1,5 +1,10 @@
 """Unit tests for protocol messages."""
 
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.net import Message, MessageKind
 
 
@@ -15,6 +20,36 @@ def test_byte_size_includes_metadata():
         sender="a", recipient="b", kind=MessageKind.PRICE_BROADCAST, metadata={"price": 97.5}
     )
     assert message.byte_size() > 64
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    payload=st.binary(max_size=64),
+    metadata=st.dictionaries(st.text(max_size=8), _json_values, max_size=5),
+)
+def test_byte_size_matches_the_json_dumps_definition(payload, metadata):
+    """Accounted bytes are pinned to ``json.dumps(..., sort_keys=True)``.
+
+    ``byte_size`` encodes through a shared module-level encoder; whatever
+    the metadata, it must charge what the spelled-out expression charges.
+    """
+    message = Message(
+        sender="a", recipient="b", kind=MessageKind.GENERIC, payload=payload, metadata=metadata
+    )
+    metadata_bytes = len(json.dumps(metadata, sort_keys=True).encode()) if metadata else 0
+    assert message.byte_size() == len(payload) + metadata_bytes + 64
 
 
 def test_message_ids_increase():

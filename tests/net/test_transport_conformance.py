@@ -11,13 +11,26 @@ The chaos decorator rides the same contract: a :class:`FaultyTransport`
 wrapping either base transport under a **zero-fault plan** must be
 bit-transparent — it runs through every conformance case here as
 ``faulty-local`` / ``faulty-socket``.
+
+The second half pins the flush contract of windowed acknowledgements: a
+transport may defer delivery, but everything accepted is in the sinks, in
+order, before the next ``flush()`` returns; the first delivery failure
+since the previous flush surfaces there and nothing after it is delivered.
 """
 
+import pickle
+import sys
+import threading
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import FaultPlan, FaultyTransport
 from repro.net import (
     LocalTransport,
+    Message,
     MessageKind,
     NetworkError,
     SimulatedNetwork,
@@ -25,6 +38,8 @@ from repro.net import (
     TransportError,
     make_transport,
 )
+from repro.net import transport as transport_module
+from repro.net.transport import AckTimeoutError, FrameError
 
 TRANSPORT_NAMES = ("local", "socket", "faulty-local", "faulty-socket")
 
@@ -41,6 +56,18 @@ def network(request):
     net = SimulatedNetwork(transport=make_conformance_transport(request.param))
     yield net
     net.close()
+
+
+@pytest.fixture(params=TRANSPORT_NAMES)
+def transport(request):
+    """A bare transport, for the raw ``deliver`` / ``flush`` contract."""
+    built = make_conformance_transport(request.param)
+    yield built
+    built.close()
+
+
+def _generic(payload, recipient="bob"):
+    return Message(sender="alice", recipient=recipient, kind=MessageKind.GENERIC, payload=payload)
 
 
 def test_make_transport_names():
@@ -96,8 +123,6 @@ def test_unknown_recipient_raises_network_error(network):
 
 def test_unknown_sender_raises_network_error(network):
     network.register("bob")
-    from repro.net import Message
-
     message = Message(sender="ghost", recipient="bob", kind=MessageKind.GENERIC)
     with pytest.raises(NetworkError):
         network.deliver(message)
@@ -160,8 +185,6 @@ def test_duplicate_registration_rejected_at_transport_level():
 
 
 def test_transport_deliver_to_unregistered_endpoint():
-    from repro.net import Message
-
     for name in TRANSPORT_NAMES:
         transport = make_conformance_transport(name)
         try:
@@ -180,14 +203,240 @@ def test_close_is_idempotent():
 
 
 def test_socket_transport_rejects_delivery_after_close():
-    from repro.net import Message
-
     transport = make_transport("socket")
     received = []
     transport.register("bob", received.append)
     message = Message(sender="a", recipient="bob", kind=MessageKind.GENERIC)
     transport.deliver(message)
+    transport.flush()
     assert len(received) == 1
     transport.close()
     with pytest.raises(TransportError):
         transport.deliver(message)
+
+
+# -- the flush contract -----------------------------------------------------------
+
+
+def test_raw_delivers_reach_the_sinks_in_order_by_the_next_flush(transport):
+    received = []
+    transport.register("bob", received.append)
+    payloads = [index.to_bytes(2, "big") for index in range(300)]
+    for payload in payloads:
+        transport.deliver(_generic(payload))
+    transport.flush()
+    assert [message.payload for message in received] == payloads
+    transport.flush()  # nothing pending: returns at once, delivers nothing twice
+    assert len(received) == len(payloads)
+
+
+class _SinkFailure(Exception):
+    pass
+
+
+def _failing_sink(delivered, poison):
+    def sink(message):
+        if message.payload == poison:
+            raise _SinkFailure(f"sink rejected {poison!r}")
+        delivered.append(message.payload)
+
+    return sink
+
+
+def test_sink_failure_mid_burst_fails_closed_and_the_next_flush_is_clean(transport):
+    delivered = []
+    payloads = [bytes([index]) for index in range(12)]
+    failing = 5
+    transport.register("bob", _failing_sink(delivered, payloads[failing]))
+    with pytest.raises(_SinkFailure):
+        # In-process delivery raises from deliver(failing) itself; a
+        # deferring transport accepts the whole burst and raises at flush.
+        for payload in payloads:
+            transport.deliver(_generic(payload))
+        transport.flush()
+    # Fail closed: nothing past the failed frame ever reached the sink.
+    assert delivered == payloads[:failing]
+    transport.flush()  # the failure was reported once; the barrier is clean again
+    transport.deliver(_generic(b"after"))
+    transport.flush()
+    assert delivered == payloads[:failing] + [b"after"]
+
+
+def test_socket_sink_failure_names_the_failed_frame():
+    transport = make_transport("socket")
+    try:
+        delivered = []
+        transport.register("bob", _failing_sink(delivered, b"\x03"))
+        for index in range(6):
+            transport.deliver(_generic(bytes([index])))
+        with pytest.raises(_SinkFailure) as excinfo:
+            transport.flush()
+        where = excinfo.value.__cause__
+        assert isinstance(where, FrameError)
+        assert (where.sender, where.recipient, where.ordinal, where.kind) == (
+            "alice", "bob", 3, MessageKind.GENERIC.value
+        )
+    finally:
+        transport.close()
+
+
+def test_burst_beyond_the_kernel_socket_buffer_neither_deadlocks_nor_reorders(transport):
+    received = []
+    transport.register("bob", received.append)
+    chunk = 64 * 1024
+    count = 72  # 4.5 MiB: more than loopback's send + receive buffers hold
+    for index in range(count):
+        transport.deliver(_generic(index.to_bytes(4, "big") * (chunk // 4)))
+    transport.flush()
+    assert [int.from_bytes(message.payload[:4], "big") for message in received] == list(
+        range(count)
+    )
+    assert all(len(message.payload) == chunk for message in received)
+
+
+def test_close_with_unflushed_frames_returns_promptly():
+    for name in TRANSPORT_NAMES:
+        transport = make_conformance_transport(name)
+        transport.register("bob", lambda message: None)
+        for index in range(200):
+            transport.deliver(_generic(bytes([index])))
+        started = time.perf_counter()
+        transport.close()  # must neither block on the missing ack nor raise
+        assert time.perf_counter() - started < 2.0, name
+        transport.close()
+
+
+def test_socket_register_mid_burst_drains_the_receiver_first():
+    transport = make_transport("socket")
+    try:
+        bob, carol = [], []
+        transport.register("bob", bob.append)
+        for index in range(500):
+            transport.deliver(_generic(index.to_bytes(2, "big")))
+        # The receiver thread reads the sink table as it dispatches, so
+        # register() is a barrier: the burst is delivered before it returns.
+        transport.register("carol", carol.append)
+        assert [message.payload for message in bob] == [
+            index.to_bytes(2, "big") for index in range(500)
+        ]
+        transport.deliver(_generic(b"c", recipient="carol"))
+        transport.deliver(_generic(b"b"))
+        transport.flush()
+        assert [message.payload for message in carol] == [b"c"]
+        assert bob[-1].payload == b"b"
+    finally:
+        transport.close()
+
+
+def test_socket_concurrent_senders_and_registrations_lose_and_reorder_nothing():
+    """More sender threads than cores, preempted often, registering as they go."""
+    senders, frames = 6, 400
+    transport = make_transport("socket")
+    sinks = {f"home-{index}": [] for index in range(senders)}
+    failures = []
+
+    def run(name):
+        try:
+            transport.register(name, sinks[name].append)
+            for index in range(frames):
+                transport.deliver(_generic(index.to_bytes(2, "big"), recipient=name))
+                if index % 97 == 0:
+                    transport.flush()
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(name,)) for name in sinks]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        transport.flush()
+    finally:
+        sys.setswitchinterval(interval)
+        transport.close()
+    assert failures == []
+    for name, received in sinks.items():
+        assert [message.payload for message in received] == [
+            index.to_bytes(2, "big") for index in range(frames)
+        ], name
+
+
+def test_socket_ack_wait_has_a_deadline(monkeypatch):
+    monkeypatch.setattr(transport_module, "_ACK_TIMEOUT_S", 0.2)
+    transport = make_transport("socket")
+    release = threading.Event()
+    try:
+        transport.register("bob", lambda message: release.wait(10))
+        transport.deliver(_generic(b"stuck"))
+        with pytest.raises(AckTimeoutError) as excinfo:
+            transport.flush()
+        for error in (excinfo.value, pickle.loads(pickle.dumps(excinfo.value))):
+            assert error.fault == "ack-timeout"
+            assert (error.sender, error.recipient, error.ordinal, error.kind) == (
+                "alice", "bob", 0, MessageKind.GENERIC.value
+            )
+        # A late ack could be mistaken for the next one: the transport is shut.
+        with pytest.raises(TransportError):
+            transport.deliver(_generic(b"next"))
+    finally:
+        release.set()
+        transport.close()
+
+
+_PARTIES = ("alice", "bob", "carol")
+_KINDS = (MessageKind.GENERIC, MessageKind.PAYMENT, MessageKind.ENERGY_ROUTE)
+_party = st.integers(min_value=0, max_value=len(_PARTIES) - 1)
+_kind_filter = st.sampled_from((None,) + _KINDS)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("send"), _party, _party, st.sampled_from(_KINDS), st.binary(max_size=24)
+        ),
+        st.tuples(st.just("receive"), _party, _kind_filter),
+        st.tuples(st.just("receive_all"), _party, _kind_filter),
+        st.tuples(st.just("pending_count"), _party),
+    ),
+    max_size=40,
+)
+
+
+def _observe(transport_name, operations):
+    """Run ``operations``; everything a party could observe, plus the stats."""
+
+    def seen(message):
+        return (message.sender, message.kind, message.payload, message.metadata)
+
+    network = SimulatedNetwork(transport=make_conformance_transport(transport_name))
+    try:
+        parties = [network.register(party_id) for party_id in _PARTIES]
+        observed = []
+        for operation, who, *rest in operations:
+            party = parties[who]
+            if operation == "send":
+                recipient, kind, payload = rest
+                party.send(_PARTIES[recipient], kind, payload, {"n": len(observed)})
+            elif operation == "receive":
+                try:
+                    observed.append(seen(party.receive(*rest)))
+                except NetworkError:
+                    observed.append("nothing to receive")
+            elif operation == "receive_all":
+                observed.append([seen(message) for message in party.receive_all(*rest)])
+            else:
+                observed.append(party.pending_count())
+        leftovers = [[seen(message) for message in party.receive_all()] for party in parties]
+        return observed, leftovers, network.stats.snapshot()
+    finally:
+        network.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(operations=_operations)
+def test_any_interleaving_of_sends_and_reads_is_transport_invariant(operations):
+    reference = _observe("local", operations)
+    for name in TRANSPORT_NAMES[1:]:
+        assert _observe(name, operations) == reference, name
