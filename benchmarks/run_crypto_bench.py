@@ -23,12 +23,10 @@ pre-acceleration baseline so the perf trajectory is tracked PR over PR:
   operands; labels and tables necessarily differ), and a sharding
   certificate (each scheme's sampled day stays bit-identical at workers
   1/2/4 and the schemes stay *economically* identical to each other),
-* ``multiexp``: the multi-exponentiation toolbox certified against the
-  builtin ``pow`` oracle — fixed-window, fixed-base comb (the Protocol 4
-  ratio-phase shape: one base, many small exponents) and Straus
-  simultaneous exponentiation, plus the identity of the active bigint
-  backend (pure Python in this container; gmpy2 is picked up
-  automatically when present),
+* ``multiexp``: the fixed-base comb (the Protocol 4 ratio-phase shape:
+  one base, many small exponents) certified against the builtin ``pow``
+  oracle, plus the identity of the active bigint backend (pure Python in
+  this container; gmpy2 is picked up automatically when present),
 * ``parallel_runner``: a Fig. 5-style sampled day executed serially and
   sharded across ``--workers`` processes — certifies the sharded run is
   bit-identical and records the day-runtime speedup on both the simulated
@@ -141,8 +139,6 @@ MULTIEXP_MODULUS_BITS = 512
 #: Protocol 4 ratio phase raises ONE ciphertext to many small multipliers.
 MULTIEXP_SMALL_EXPONENT_BITS = 64
 MULTIEXP_BATCH = 16
-#: bases per Straus simultaneous-exponentiation certificate.
-MULTIEXP_SIMULTANEOUS_BASES = 8
 
 #: requester counts covered by the ``aggregation_topology`` section.
 TOPOLOGY_REQUESTER_COUNTS = (8, 32, 128)
@@ -424,24 +420,17 @@ def run_garbling_section(scale: str) -> dict:
 def run_multiexp_section() -> dict:
     """Build the ``multiexp`` report section.
 
-    Every primitive is certified against the builtin ``pow`` oracle (the
-    ``matches_pow`` flags — the script exits non-zero if any is false) and
-    timed against it.  The speedups are *recorded, not gated*: pure-Python
-    windowing cannot beat the C builtin on a single exponentiation — the
-    wins come from amortization (the fixed-base comb squares zero times
-    per exponentiation) and from a faster bigint backend when one is
-    installed, which is why the active backend's identity is part of the
-    report.
+    The fixed-base comb is certified against the builtin ``pow`` oracle
+    (the ``matches_pow`` flag — the script exits non-zero if it is false)
+    and timed against it.  The speedup is *recorded, not gated*: it comes
+    from amortization (the comb squares zero times per exponentiation) and
+    from a faster bigint backend when one is installed, which is why the
+    active backend's identity is part of the report.
     """
     import random
     import time
 
-    from repro.crypto.accel import (
-        FixedBaseTable,
-        backend,
-        fixed_window_powmod,
-        simultaneous_powmod,
-    )
+    from repro.crypto.accel import FixedBaseTable, backend
 
     rng = random.Random(0xC0FFEE)
     modulus = rng.getrandbits(MULTIEXP_MODULUS_BITS) | (
@@ -453,25 +442,6 @@ def run_multiexp_section() -> dict:
         start = time.perf_counter()
         result = thunk()
         return result, time.perf_counter() - start
-
-    # Fixed-window vs. pow on full-width exponents.
-    wide_exponents = [rng.getrandbits(MULTIEXP_MODULUS_BITS) for _ in range(4)]
-    oracle, pow_seconds = timed(
-        lambda: [pow(base, e, modulus) for e in wide_exponents]
-    )
-    windowed, window_seconds = timed(
-        lambda: [fixed_window_powmod(base, e, modulus) for e in wide_exponents]
-    )
-    fixed_window_entry = {
-        "matches_pow": windowed == oracle,
-        "exponent_bits": MULTIEXP_MODULUS_BITS,
-        "batch": len(wide_exponents),
-        "pow_seconds": round(pow_seconds, 9),
-        "seconds": round(window_seconds, 9),
-        "speedup_vs_pow": round(pow_seconds / window_seconds, 2)
-        if window_seconds > 0
-        else None,
-    }
 
     # Fixed-base comb, amortized over a batch of small exponents (the
     # Protocol 4 ratio-phase shape).  The table build is charged to the
@@ -501,40 +471,10 @@ def run_multiexp_section() -> dict:
         else None,
     }
 
-    # Straus simultaneous exponentiation vs. a product of pows.
-    bases = [rng.randrange(2, modulus) for _ in range(MULTIEXP_SIMULTANEOUS_BASES)]
-    exponents = [
-        rng.getrandbits(MULTIEXP_MODULUS_BITS // 2)
-        for _ in range(MULTIEXP_SIMULTANEOUS_BASES)
-    ]
-
-    def pow_product():
-        product = 1
-        for b, e in zip(bases, exponents):
-            product = product * pow(b, e, modulus) % modulus
-        return product
-
-    oracle_product, pow_seconds = timed(pow_product)
-    simultaneous, straus_seconds = timed(
-        lambda: simultaneous_powmod(bases, exponents, modulus)
-    )
-    simultaneous_entry = {
-        "matches_pow": simultaneous == oracle_product,
-        "exponent_bits": MULTIEXP_MODULUS_BITS // 2,
-        "bases": MULTIEXP_SIMULTANEOUS_BASES,
-        "pow_seconds": round(pow_seconds, 9),
-        "seconds": round(straus_seconds, 9),
-        "speedup_vs_pow": round(pow_seconds / straus_seconds, 2)
-        if straus_seconds > 0
-        else None,
-    }
-
     return {
         "backend": backend().name,
         "modulus_bits": MULTIEXP_MODULUS_BITS,
-        "fixed_window": fixed_window_entry,
         "fixed_base_comb": fixed_base_entry,
-        "simultaneous": simultaneous_entry,
     }
 
 
@@ -921,7 +861,7 @@ def main() -> int:
         )
         failed = True
     multiexp = report["multiexp"]
-    for name in ("fixed_window", "fixed_base_comb", "simultaneous"):
+    for name in ("fixed_base_comb",):
         entry = multiexp[name]
         print(
             f"  multiexp[{name}]: matches_pow={entry['matches_pow']}, "

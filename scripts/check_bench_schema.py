@@ -17,14 +17,14 @@ a regenerated file honest:
   must exist, certify ``outcomes_match`` per bit width and per-scheme
   shard invariance at workers 1/2/4 plus cross-scheme economic identity,
   and show halfgates beating classic by at least 1.8x on garbled-table
-  bytes and 1.5x on measured garble wall-clock (the measured values are
-  ~2.6x and ~2x);
-* the ``multiexp`` section (added with the multi-exponentiation toolbox)
-  must exist, certify ``matches_pow`` for every primitive against the
-  builtin ``pow`` oracle, and name the active bigint backend — speedups
-  are recorded but deliberately not gated (pure-Python windowing cannot
-  beat the C builtin on one exponentiation; the wins are amortization
-  and, when installed, a faster backend);
+  bytes (measured ~2.6x); the measured garble wall-clock ratio is
+  recorded but not gated — since PR 16 classic rows are one big-int XOR
+  each, so the ratio is the schemes' hash-count ratio (~1.2x), which is
+  inside this host's run-to-run noise;
+* the ``multiexp`` section must exist, certify ``matches_pow`` for the
+  fixed-base comb against the builtin ``pow`` oracle, and name the active
+  bigint backend — the speedup is recorded but deliberately not gated
+  (the win is amortization and, when installed, a faster backend);
 * the ``aggregation_topology`` section (added with the topology
   subsystem) must exist, certify ``sums_identical`` per requester count
   and shard invariance per topology at workers 1/2/4, and show the
@@ -124,10 +124,6 @@ _SESSION_REQUIRED = (
 #: conservative acceptance floor).
 MIN_TABLE_BYTES_REDUCTION = 1.8
 
-#: Minimum halfgates-vs-classic measured garble wall-clock reduction
-#: (free gates hash nothing; the measured value is ~2x).
-MIN_GARBLE_TIME_REDUCTION = 1.5
-
 _GARBLING_SCHEME_REQUIRED = (
     "table_bytes",
     "garble_wall_seconds",
@@ -143,7 +139,7 @@ _GARBLING_WIDTH_REQUIRED = (
     "garble_time_reduction",
 )
 
-_MULTIEXP_PRIMITIVES = ("fixed_window", "fixed_base_comb", "simultaneous")
+_MULTIEXP_PRIMITIVES = ("fixed_base_comb",)
 
 _MULTIEXP_ENTRY_REQUIRED = (
     "matches_pow",
@@ -241,15 +237,6 @@ def _check_garbling(report: dict, problems: list) -> None:
                 problems.append(
                     f"{prefix} table-bytes reduction {bytes_reduction!r} is below "
                     f"the documented {MIN_TABLE_BYTES_REDUCTION}x floor"
-                )
-            time_reduction = entry.get("garble_time_reduction", 0.0)
-            if (
-                not isinstance(time_reduction, (int, float))
-                or time_reduction < MIN_GARBLE_TIME_REDUCTION
-            ):
-                problems.append(
-                    f"{prefix} garble-time reduction {time_reduction!r} is below "
-                    f"the documented {MIN_GARBLE_TIME_REDUCTION}x floor"
                 )
     invariance = section.get("shard_invariance")
     if not isinstance(invariance, dict) or not invariance:

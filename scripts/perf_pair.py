@@ -1,0 +1,191 @@
+#!/usr/bin/env python
+"""Paired parent/change perfbench runs: the standing perf-claim protocol.
+
+A speedup claim in this repo is a paired measurement (ROADMAP, "A perf
+claim is a paired measurement"): the parent commit and the change, each in
+a pycache-free copy, alternate ``python -m perfbench`` runs on one workload
+and the change must win at least nine tenths of the pairs by more than the
+parent's own quartile spread, with ``bytes_per_window`` identical per seed.
+This script is that protocol as one command::
+
+    python scripts/perf_pair.py --workload live_gc_128 --pairs 10 \\
+        --seeds 11,12,13,14,15,16,17,18,19,20
+
+It exports ``--parent`` (default ``HEAD~1``; use ``HEAD`` to compare an
+uncommitted working tree against its base) with ``git archive`` and copies
+the working tree's tracked and untracked-but-not-ignored files into two
+temporary directories, runs the benchmark in each — alternating which side
+goes first — and prints every run, then per-side median and quartiles,
+pairs won and the per-seed ``bytes_per_window`` match for each end-to-end
+metric.  It only *calls* perfbench: nothing is recorded
+(``perfbench/history.jsonl`` is never written; each copy's
+``perfbench/out/`` dies with its temporary directory).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: The metric whose per-seed equality certifies "same protocol, same bytes".
+BYTES_METRIC = "bytes_per_window"
+
+
+def export_parent(rev: str, target: Path) -> None:
+    """Unpack commit ``rev`` into ``target`` (committed files only)."""
+    target.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", rev], cwd=REPO_ROOT, check=True, stdout=subprocess.PIPE
+    )
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive.stdout, check=True)
+
+
+def export_working_tree(target: Path) -> None:
+    """Copy tracked + untracked-not-ignored files, so no ``__pycache__``."""
+    listing = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=REPO_ROOT,
+        check=True,
+        stdout=subprocess.PIPE,
+    )
+    for name in filter(None, listing.stdout.decode().split("\0")):
+        source = REPO_ROOT / name
+        if source.is_file():  # a tracked file deleted in the working tree is skipped
+            destination = target / name
+            destination.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, destination)
+
+
+def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``python -m perfbench`` run in ``tree``; returns its JSON last line."""
+    command = [
+        sys.executable, "-m", "perfbench", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]  # fmt: skip
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"perfbench failed in {tree} (exit {done.returncode}):\n{done.stdout}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)``; a single run is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def pairs_won(
+    parent: Sequence[float], change: Sequence[float], better: str
+) -> Tuple[int, int]:
+    """``(pairs the change won, pairs tied)``; a tie counts for neither side."""
+    sign = 1 if better == "higher" else -1
+    won = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    tied = sum(1 for p, c in zip(parent, change) if c == p)
+    return won, tied
+
+
+def summarize(runs: List[Dict[str, dict]], better: Dict[str, str]) -> List[str]:
+    """The per-metric table over all pairs (``runs[i]`` maps side → result)."""
+    lines = []
+    for name in runs[0]["parent"]["metrics"]:
+        parent = [run["parent"]["metrics"][name]["value"] for run in runs]
+        change = [run["change"]["metrics"][name]["value"] for run in runs]
+        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+        won, tied = pairs_won(parent, change, better.get(name, "lower"))
+        ratio = f"{cm / pm:.3f}x" if pm else "n/a"
+        lines.append(
+            f"{name:18s} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
+            f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  change/parent {ratio}  "
+            f"won {won}/{len(runs)} (tied {tied})  "
+            f"beyond parent IQR: {'yes' if abs(cm - pm) > p3 - p1 else 'no'}"
+        )
+    return lines
+
+
+def bytes_mismatches(runs: List[Dict[str, dict]]) -> List[int]:
+    """Seeds on which the two sides' ``bytes_per_window`` differ."""
+    return sorted(
+        {
+            run["seed"]
+            for run in runs
+            if run["parent"]["metrics"][BYTES_METRIC] != run["change"]["metrics"][BYTES_METRIC]
+        }
+    )
+
+
+def _describe(result: dict) -> str:
+    rate = result["metrics"].get("windows_per_s", {}).get("value", float("nan"))
+    return f"{rate:.2f} w/s ({result['failed']}/{result['attempted']} failed)"
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--seeds",
+        default="",
+        help="comma-separated, cycled over the pairs (default: 11, 12, ... one per pair)",
+    )
+    parser.add_argument("--parent", default="HEAD~1", help="git revision of the parent side")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, help="also write every run's JSON here")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",") if s] or list(range(11, 11 + args.pairs))
+
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+
+    runs: List[Dict[str, dict]] = []
+    with tempfile.TemporaryDirectory(prefix="perf_pair.") as scratch:
+        trees = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
+        export_parent(args.parent, trees["parent"])
+        export_working_tree(trees["change"])
+        for pair in range(args.pairs):
+            seed = seeds[pair % len(seeds)]
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            results = {
+                side: run_benchmark(trees[side], args.workload, seed, args.seconds, args.trace)
+                for side in order
+            }
+            runs.append({"seed": seed, "first": order[0], **results})
+            print(
+                f"pair {pair + 1:2d} seed {seed:3d} first={order[0]:6s}  "
+                f"parent {_describe(results['parent'])}  change {_describe(results['change'])}",
+                flush=True,
+            )
+
+    print(f"\n{args.workload}: {len(runs)} pairs, parent={args.parent}, {args.seconds:g} s runs")
+    print("\n".join(summarize(runs, better)))
+    if BYTES_METRIC in runs[0]["parent"]["metrics"]:
+        mismatched = bytes_mismatches(runs)
+        verdict = "yes" if not mismatched else f"NO, seeds {mismatched}"
+        print(f"{BYTES_METRIC} identical per seed: {verdict}")
+    sides = [run[side] for run in runs for side in ("parent", "change")]
+    print(
+        f"failed windows: {sum(r['failed'] for r in sides)}; "
+        f"runs failing the correctness gate: {sum(not r['correct'] for r in sides)}"
+    )
+    if args.out:
+        args.out.write_text(json.dumps(runs, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,8 +9,7 @@ Python standard library:
   serialization).
 * :mod:`repro.crypto.accel` — offline acceleration (precomputed randomizer
   pools that make online encryption a single modular multiplication, plus
-  the fixed-window/fixed-base/simultaneous multi-exponentiation toolbox and
-  the feature-gated fast-bigint backend seam).
+  the fixed-base comb table and the feature-gated fast-bigint backend seam).
 * :mod:`repro.crypto.fixedpoint` — fixed-point encoding of reals for
   encryption.
 * :mod:`repro.crypto.circuits` — boolean circuit builders (comparator, adder).
@@ -30,10 +29,8 @@ from .accel import (
     FixedBaseTable,
     RandomizerPool,
     backend,
-    fixed_window_powmod,
     precompute_obfuscator,
     set_backend,
-    simultaneous_powmod,
 )
 from .fixedpoint import DEFAULT_PRECISION, FixedPointCodec
 from .garbled import GARBLING_SCHEMES, GarblingScheme, get_scheme
@@ -67,8 +64,6 @@ __all__ = [
     "PreparedComparison",
     "precompute_obfuscator",
     "FixedBaseTable",
-    "fixed_window_powmod",
-    "simultaneous_powmod",
     "backend",
     "set_backend",
     "GARBLING_SCHEMES",

@@ -74,24 +74,14 @@ cheap residue step ``(r mod p)^(q mod (p-1)) mod p`` first and then the
 same lift, so it stays bit-exact with ``pow(r, n, n^2)``.  A pool for a
 foreign key (no factors) pays the public full-width pow.
 
-Multi-exponentiation toolbox
-----------------------------
+Fixed-base exponentiation and the bigint seam
+---------------------------------------------
 
-PR 6 adds the remaining exponentiation levers:
-
-* :func:`fixed_window_powmod` — fixed 2^w-ary windowing with explicit
-  table precomputation, ``pow()``-exact including negative exponents (via
-  modular inverse) and zero.  CPython's builtin ``pow`` already windows in
-  C, so this is the *reference implementation* of the recoding the
-  fixed-base and simultaneous paths build on, not a drop-in speedup.
 * :class:`FixedBaseTable` — Brickell–Gordon–McCurley–Wilson fixed-base
   comb: when one base is raised to many exponents (Protocol 4's ratio
   phase raises the *same* aggregate ciphertext to one multiplier per
   requester), precomputing ``base^(d·2^(w·i))`` makes every subsequent
   exponentiation squaring-free (~t/w mulmods for t-bit exponents).
-* :func:`simultaneous_powmod` — Straus/Shamir interleaving for products
-  ``Π b_i^{e_i} mod m``: one shared squaring chain for the whole batch
-  plus one table lookup per non-zero digit column.
 * :func:`backend` / :func:`set_backend` — the feature-gated fast-bigint
   seam.  When ``gmpy2`` is importable its ``powmod`` is used for every
   modular exponentiation routed through the seam (pool refills, the
@@ -117,9 +107,7 @@ from .paillier import (
 __all__ = [
     "RandomizerPool",
     "precompute_obfuscator",
-    "fixed_window_powmod",
     "FixedBaseTable",
-    "simultaneous_powmod",
     "backend",
     "set_backend",
 ]
@@ -177,39 +165,7 @@ def set_backend(new_backend: Optional[object]) -> object:
     return previous
 
 
-# -- multi-exponentiation ----------------------------------------------------------------
-
-
-def fixed_window_powmod(base: int, exponent: int, modulus: int, window_bits: int = 4) -> int:
-    """``base^exponent mod modulus`` via fixed 2^w-ary windowing.
-
-    Semantics match the 3-argument builtin ``pow`` exactly: ``exponent == 0``
-    returns ``1 % modulus`` and a negative exponent inverts the base modulo
-    ``modulus`` first (raising ``ValueError`` when no inverse exists).
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    if window_bits < 1:
-        raise ValueError("window_bits must be >= 1")
-    if exponent < 0:
-        base = pow(base, -1, modulus)
-        exponent = -exponent
-    base %= modulus
-    if exponent == 0:
-        return 1 % modulus
-    size = 1 << window_bits
-    table = [1 % modulus] * size
-    for digit in range(1, size):
-        table[digit] = table[digit - 1] * base % modulus
-    windows = (exponent.bit_length() + window_bits - 1) // window_bits
-    result = 1 % modulus
-    for position in range(windows - 1, -1, -1):
-        for _ in range(window_bits):
-            result = result * result % modulus
-        digit = (exponent >> (position * window_bits)) & (size - 1)
-        if digit:
-            result = result * table[digit] % modulus
-    return result
+# -- fixed-base exponentiation ------------------------------------------------------------
 
 
 class FixedBaseTable:
@@ -278,57 +234,6 @@ class FixedBaseTable:
             exponent >>= self.window_bits
             position += 1
         return result
-
-
-def simultaneous_powmod(
-    bases: Sequence[int],
-    exponents: Sequence[int],
-    modulus: int,
-    chunk_size: int = 4,
-) -> int:
-    """``Π bases[i]^exponents[i] mod modulus`` via Straus/Shamir interleaving.
-
-    All bases in a chunk share one squaring chain: per exponent bit the
-    product is squared once and multiplied by a precomputed subset product
-    selected by that bit column — versus one full squaring chain *per base*
-    for the naive ``pow``-and-multiply.  Batches larger than ``chunk_size``
-    are split so subset tables stay at ``2^chunk_size`` entries.
-
-    Negative exponents invert their base first (``pow`` semantics).
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    if len(bases) != len(exponents):
-        raise ValueError("bases and exponents must have equal length")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    normalized: List[tuple[int, int]] = []
-    for base, exponent in zip(bases, exponents):
-        if exponent < 0:
-            base = pow(base, -1, modulus)
-            exponent = -exponent
-        normalized.append((base % modulus, exponent))
-    result = 1 % modulus
-    for start in range(0, len(normalized), chunk_size):
-        chunk = normalized[start : start + chunk_size]
-        k = len(chunk)
-        table = [1 % modulus] * (1 << k)
-        for i, (base, _) in enumerate(chunk):
-            low = 1 << i
-            for subset in range(low, low << 1):
-                table[subset] = table[subset ^ low] * base % modulus
-        top = max(exponent.bit_length() for _, exponent in chunk)
-        partial = 1 % modulus
-        for bit in range(top - 1, -1, -1):
-            partial = partial * partial % modulus
-            column = 0
-            for i, (_, exponent) in enumerate(chunk):
-                if (exponent >> bit) & 1:
-                    column |= 1 << i
-            if column:
-                partial = partial * table[column] % modulus
-        result = result * partial % modulus
-    return result
 
 
 class _OwnerObfuscatorSampler:

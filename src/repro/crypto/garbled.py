@@ -35,6 +35,18 @@ cross-scheme certificate (see ``BENCH_crypto.json``'s ``garbling`` section).
 The evaluator obtains the garbler's input labels directly and its own input
 labels through 1-out-of-2 oblivious transfer (:mod:`repro.crypto.ot`), so
 neither party learns the other's input.
+
+Word-wide representation: inside both garblers and both evaluators a label
+is a raw key (``bytes`` under ``classic``, an ``int`` under ``halfgates``),
+never a :class:`WireLabel` object, and a serialized label — 16 key bytes
+followed by the external bit — is the big-endian int ``key << 8 | bit``.  A
+classic row is therefore one SHA-256 and one big-int XOR of that int with the
+first 17 pad bytes.  Hashing was never the bottleneck (~4 % of a comparison
+while rows were XORed a byte at a time; see ``docs/ARCHITECTURE.md`` §4.5) —
+Python object traffic is, so it is kept off the per-gate path
+(:class:`_LazyLabelDict` materializes :class:`WireLabel` pairs on demand).
+``tests/crypto/gc_oracles.py`` keeps the byte-at-a-time originals as the
+oracle both garblers must match byte for byte under a seeded ``rng``.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ import hashlib
 import random
 import secrets
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .circuits import Circuit, Gate, GateType, TRUTH_TABLES, lower_to_xor_and
 from .ot import OTGroup, run_oblivious_transfer
@@ -67,6 +79,16 @@ __all__ = [
 
 #: Length of a wire label in bytes (128-bit labels, as in Fairplay).
 LABEL_BYTES = 16
+
+#: Length of a serialized label / classic table row: key + external bit.
+ROW_BYTES = LABEL_BYTES + 1
+
+#: Domain-separated SHA-256 state every half-gates hash starts from (copied
+#: per call, so the prefix is absorbed once instead of concatenated each time).
+_HG_BASE = hashlib.sha256(b"halfgates")
+
+#: Raw per-wire garbler material a :class:`_LazyLabelDict` builds pairs from.
+_M = TypeVar("_M")
 
 
 class GarblingError(Exception):
@@ -128,6 +150,7 @@ class GarbledCircuit:
     output_decoding: Dict[int, Tuple[bytes, bytes]]
     #: garbling scheme that produced the tables; evaluation dispatches on it.
     scheme: str = "classic"
+    _serialized_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def serialized_size(self) -> int:
         """Wire-format size in bytes (for bandwidth accounting).
@@ -137,14 +160,18 @@ class GarbledCircuit:
         gates (XOR/NOT, no rows) ship *nothing* — the evaluator recomputes
         them from the circuit description it already holds — so only AND
         tables (2×16 bytes + header) and the output decoding cross the wire.
+
+        Computed on first call and kept: a prepared comparison asks at
+        build time and again at evaluation, and the tables it describes are
+        one-shot material that never changes size.
         """
-        total = 0
-        for gate in self.gates:
-            if self.scheme == "halfgates" and not gate.rows:
-                continue
-            total += sum(len(row) for row in gate.rows) + 8
-        total += len(self.output_decoding) * 2 * 32
-        return total
+        if self._serialized_size is None:
+            total = len(self.output_decoding) * 2 * 32
+            for gate in self.gates:
+                if gate.rows or self.scheme != "halfgates":
+                    total += sum(map(len, gate.rows)) + 8
+            self._serialized_size = total
+        return self._serialized_size
 
 
 @dataclass
@@ -170,26 +197,92 @@ class GarblerOutput:
         return pairs
 
 
-def _encrypt_row(key_a: bytes, key_b: bytes, gate_index: int, payload: bytes) -> bytes:
-    """Dual-key one-time-pad encryption via SHA-256 (random-oracle style)."""
-    pad = hashlib.sha256(key_a + key_b + gate_index.to_bytes(4, "big")).digest()
-    if len(payload) > len(pad):
-        raise GarblingError("payload longer than pad")
-    return bytes(p ^ q for p, q in zip(payload, pad[: len(payload)]))
+def _row_pad(key_a: bytes, key_b: bytes, gate_tag: bytes) -> int:
+    """Dual-key one-time pad for one table row (SHA-256, random-oracle style).
+
+    Returned as an int so a row is encrypted — and decrypted — with a single
+    big-int XOR against the serialized output label.
+    """
+    return int.from_bytes(hashlib.sha256(key_a + key_b + gate_tag).digest()[:ROW_BYTES], "big")
 
 
-def _label_digest(label: WireLabel) -> bytes:
-    return hashlib.sha256(b"output-decode" + label.key).digest()
+def _label_digest(key: bytes) -> bytes:
+    return hashlib.sha256(b"output-decode" + key).digest()
 
 
-def _random_label(rng: Optional[random.Random]) -> bytes:
+def _decode_outputs(garbled: GarbledCircuit, active_keys: Sequence[bytes]) -> List[int]:
+    """Map the output wires' active keys to bits; an unrecognized key fails closed."""
+    outputs: List[int] = []
+    for wire, key in zip(garbled.circuit.output_wires, active_keys):
+        digest = _label_digest(key)
+        zero_digest, one_digest = garbled.output_decoding[wire]
+        if digest == zero_digest:
+            outputs.append(0)
+        elif digest == one_digest:
+            outputs.append(1)
+        else:
+            raise GarblingError(f"output wire {wire} produced an unrecognized label")
+    return outputs
+
+
+#: One wire's secret material under ``classic``: ``(zero key, one key,
+#: permute bit)``; the label for truth value ``v`` has external bit ``v ^ permute``.
+_WireMaterial = Tuple[bytes, bytes, int]
+
+
+def _label_material(rng: Optional[random.Random]) -> _WireMaterial:
+    """Draw one wire's two label keys and its permute bit.
+
+    The CSPRNG path is a single ``token_bytes`` draw per wire; the seeded
+    path (tests, benches) keeps the historical draw order — permute bit,
+    zero key, one key — so seeded garblings stay byte-identical.
+    """
     if rng is None:
-        return secrets.token_bytes(LABEL_BYTES)
-    return rng.getrandbits(8 * LABEL_BYTES).to_bytes(LABEL_BYTES, "big")
+        raw = secrets.token_bytes(2 * LABEL_BYTES + 1)
+        return raw[:LABEL_BYTES], raw[LABEL_BYTES : 2 * LABEL_BYTES], raw[-1] & 1
+    permute = rng.getrandbits(1)
+    zero = rng.getrandbits(8 * LABEL_BYTES).to_bytes(LABEL_BYTES, "big")
+    one = rng.getrandbits(8 * LABEL_BYTES).to_bytes(LABEL_BYTES, "big")
+    return zero, one, permute
+
+
+def _pair_from_material(material: _WireMaterial) -> _WirePair:
+    zero, one, permute = material
+    return _WirePair(
+        zero=WireLabel(key=zero, external_bit=permute),
+        one=WireLabel(key=one, external_bit=1 - permute),
+    )
+
+
+class _LazyLabelDict(Dict[int, _WirePair]):
+    """Wire → label pair, materialized from the garbler's raw material on access.
+
+    Only the input wires are materialized eagerly (the protocol needs them
+    on every run); internal-wire pairs are built on first lookup.  This
+    keeps the garbling hot path free of per-wire ``WireLabel`` construction
+    — at 64 bits that construction would otherwise cost as much as the
+    row hashing itself.
+    """
+
+    def __init__(self, material: Dict[int, _M], build: Callable[[_M], _WirePair], eager: Sequence[int]):
+        super().__init__()
+        self._material = material
+        self._build = build
+        for wire in eager:
+            self[wire]  # noqa: B018 - triggers __missing__
+
+    def __missing__(self, wire: int) -> _WirePair:
+        pair = self[wire] = self._build(self._material[wire])
+        return pair
 
 
 def garble_circuit(circuit: Circuit, rng: Optional[random.Random] = None) -> GarblerOutput:
     """Garble a boolean circuit.
+
+    Labels are handled as raw ``(zero key, one key, permute)`` triples and
+    each row is one SHA-256 plus one big-int XOR against the pre-serialized
+    output label; :class:`WireLabel` pairs are materialized lazily for the
+    protocol interface.
 
     Args:
         circuit: the plain circuit to garble.
@@ -199,107 +292,87 @@ def garble_circuit(circuit: Circuit, rng: Optional[random.Random] = None) -> Gar
     Returns:
         the garbler's output (garbled tables plus all wire-label pairs).
     """
-    labels: Dict[int, _WirePair] = {}
+    material: Dict[int, _WireMaterial] = {}
 
-    def ensure_labels(wire: int) -> _WirePair:
-        if wire not in labels:
-            permute = (rng.getrandbits(1) if rng is not None else secrets.randbelow(2))
-            labels[wire] = _WirePair(
-                zero=WireLabel(key=_random_label(rng), external_bit=permute),
-                one=WireLabel(key=_random_label(rng), external_bit=1 - permute),
-            )
-        return labels[wire]
+    def ensure_material(wire: int) -> _WireMaterial:
+        if wire not in material:
+            material[wire] = _label_material(rng)
+        return material[wire]
 
-    for wire in list(circuit.garbler_inputs) + list(circuit.evaluator_inputs):
-        ensure_labels(wire)
+    inputs = list(circuit.garbler_inputs) + list(circuit.evaluator_inputs)
+    for wire in inputs:
+        ensure_material(wire)
 
     garbled_gates: List[GarbledGate] = []
     for gate_index, gate in enumerate(circuit.gates):
         if gate.gate_type == GateType.NOT:
             # Free NOT: the output wire reuses the input labels with truth
             # values swapped, so no garbled table is required.
-            in_pair = ensure_labels(gate.input_wires[0])
-            labels[gate.output_wire] = _WirePair(zero=in_pair.one, one=in_pair.zero)
-            garbled_gates.append(
-                GarbledGate(
-                    gate_type=gate.gate_type,
-                    input_wires=gate.input_wires,
-                    output_wire=gate.output_wire,
-                    rows=(),
-                )
+            zero, one, permute = ensure_material(gate.input_wires[0])
+            material[gate.output_wire] = (one, zero, 1 - permute)
+            rows: Tuple[bytes, ...] = ()
+        else:
+            keys_a = ensure_material(gate.input_wires[0])
+            keys_b = ensure_material(gate.input_wires[1])
+            out_zero, out_one, out_permute = ensure_material(gate.output_wire)
+            # The two serialized output labels (key + external bit), as ints.
+            out_labels = (
+                (int.from_bytes(out_zero, "big") << 8) | out_permute,
+                (int.from_bytes(out_one, "big") << 8) | (1 - out_permute),
             )
-            continue
-
-        pair_a = ensure_labels(gate.input_wires[0])
-        pair_b = ensure_labels(gate.input_wires[1])
-        pair_out = ensure_labels(gate.output_wire)
-        table = TRUTH_TABLES[gate.gate_type]
-
-        rows: List[bytes] = [b""] * 4
-        for bit_a in (0, 1):
-            for bit_b in (0, 1):
-                label_a = pair_a.for_value(bit_a)
-                label_b = pair_b.for_value(bit_b)
-                out_label = pair_out.for_value(table[(bit_a, bit_b)])
-                row_index = label_a.external_bit * 2 + label_b.external_bit
-                rows[row_index] = _encrypt_row(
-                    label_a.key, label_b.key, gate_index, out_label.to_bytes()
-                )
+            table = TRUTH_TABLES[gate.gate_type]
+            gate_tag = gate_index.to_bytes(4, "big")
+            permute_a, permute_b = keys_a[2], keys_b[2]
+            slots = [b""] * 4
+            for bit_a in (0, 1):
+                for bit_b in (0, 1):
+                    # Rows are ordered by the inputs' external bits.
+                    slot = ((bit_a ^ permute_a) << 1) | (bit_b ^ permute_b)
+                    pad = _row_pad(keys_a[bit_a], keys_b[bit_b], gate_tag)
+                    slots[slot] = (pad ^ out_labels[table[bit_a, bit_b]]).to_bytes(
+                        ROW_BYTES, "big"
+                    )
+            rows = tuple(slots)
         garbled_gates.append(
             GarbledGate(
                 gate_type=gate.gate_type,
                 input_wires=gate.input_wires,
                 output_wire=gate.output_wire,
-                rows=tuple(rows),
+                rows=rows,
             )
         )
 
     output_decoding = {
-        wire: (_label_digest(labels[wire].zero), _label_digest(labels[wire].one))
+        wire: (_label_digest(material[wire][0]), _label_digest(material[wire][1]))
         for wire in circuit.output_wires
     }
     garbled = GarbledCircuit(circuit=circuit, gates=garbled_gates, output_decoding=output_decoding)
+    labels = _LazyLabelDict(material, _pair_from_material, eager=inputs)
     return GarblerOutput(garbled=garbled, wire_labels=labels)
 
 
 # -- free-XOR + half-gates ---------------------------------------------------------------
 
 
-def _hg_hash(key_int: int, tweak: int) -> int:
-    """Half-gates hash ``H(W, t)``: SHA-256 truncated to one label, as an int."""
-    digest = hashlib.sha256(
-        b"halfgates" + key_int.to_bytes(LABEL_BYTES, "big") + tweak.to_bytes(8, "big")
-    ).digest()
-    return int.from_bytes(digest[:LABEL_BYTES], "big")
+def _hg_hash(key_int: int, tweak: bytes) -> int:
+    """Half-gates hash ``H(W, t)``: SHA-256 truncated to one label, as an int.
+
+    ``tweak`` is the 8-byte big-endian gate tweak, serialized once per gate
+    by the caller rather than once per hash.
+    """
+    state = _HG_BASE.copy()
+    state.update(key_int.to_bytes(LABEL_BYTES, "big") + tweak)
+    return int.from_bytes(state.digest()[:LABEL_BYTES], "big")
+
+
+def _hg_tweaks(gate_index: int) -> Tuple[bytes, bytes]:
+    """The generator-half and evaluator-half tweaks ``2j`` and ``2j+1``."""
+    return (2 * gate_index).to_bytes(8, "big"), (2 * gate_index + 1).to_bytes(8, "big")
 
 
 def _label_from_int(key_int: int) -> WireLabel:
     """Materialize a half-gates label; its external bit is the key's lsb."""
     return WireLabel(key=key_int.to_bytes(LABEL_BYTES, "big"), external_bit=key_int & 1)
-
-
-class _LazyLabelDict(Dict[int, _WirePair]):
-    """Wire → label pair, materialized from the integer zero-labels on access.
-
-    Only the input wires are materialized eagerly (the protocol needs them
-    on every run); internal-wire pairs are built on first lookup.  This
-    keeps the garbling hot path free of per-wire ``WireLabel`` construction
-    — at 64 bits that construction would otherwise cost as much as the
-    half-gate hashing itself.
-    """
-
-    def __init__(self, zero_ints: Dict[int, int], delta: int, eager: Sequence[int]):
-        super().__init__()
-        self._zero_ints = zero_ints
-        self._delta = delta
-        for wire in eager:
-            self[wire]  # noqa: B018 - triggers __missing__
-
-    def __missing__(self, wire: int) -> _WirePair:
-        z = self._zero_ints[wire]
-        pair = _WirePair(zero=_label_from_int(z), one=_label_from_int(z ^ self._delta))
-        self[wire] = pair
-        return pair
 
 
 def garble_circuit_halfgates(
@@ -338,7 +411,8 @@ def garble_circuit_halfgates(
             zero[wire] = rand_key()
         return zero[wire]
 
-    for wire in list(circuit.garbler_inputs) + list(circuit.evaluator_inputs):
+    inputs = list(circuit.garbler_inputs) + list(circuit.evaluator_inputs)
+    for wire in inputs:
         ensure_zero(wire)
 
     garbled_gates: List[GarbledGate] = []
@@ -357,10 +431,11 @@ def garble_circuit_halfgates(
             a0 = ensure_zero(gate.input_wires[0])
             b0 = ensure_zero(gate.input_wires[1])
             p_a, p_b = a0 & 1, b0 & 1
-            h_a0 = _hg_hash(a0, 2 * gate_index)
-            h_a1 = _hg_hash(a0 ^ delta, 2 * gate_index)
-            h_b0 = _hg_hash(b0, 2 * gate_index + 1)
-            h_b1 = _hg_hash(b0 ^ delta, 2 * gate_index + 1)
+            tweak_g, tweak_e = _hg_tweaks(gate_index)
+            h_a0 = _hg_hash(a0, tweak_g)
+            h_a1 = _hg_hash(a0 ^ delta, tweak_g)
+            h_b0 = _hg_hash(b0, tweak_e)
+            h_b1 = _hg_hash(b0 ^ delta, tweak_e)
             t_g = h_a0 ^ h_a1 ^ (delta if p_b else 0)
             t_e = h_b0 ^ h_b1 ^ a0
             w_g0 = h_a0 ^ (t_g if p_a else 0)
@@ -383,11 +458,11 @@ def garble_circuit_halfgates(
 
     labels = _LazyLabelDict(
         zero,
-        delta,
-        eager=list(circuit.garbler_inputs) + list(circuit.evaluator_inputs),
+        lambda z: _WirePair(zero=_label_from_int(z), one=_label_from_int(z ^ delta)),
+        eager=inputs,
     )
     output_decoding = {
-        wire: (_label_digest(labels[wire].zero), _label_digest(labels[wire].one))
+        wire: (_label_digest(labels[wire].zero.key), _label_digest(labels[wire].one.key))
         for wire in circuit.output_wires
     }
     garbled = GarbledCircuit(
@@ -484,35 +559,30 @@ def evaluate_garbled_circuit(
     if garbled.scheme == "halfgates":
         return _evaluate_halfgates(garbled, garbler_labels, evaluator_labels)
 
-    active: Dict[int, WireLabel] = {}
+    # Active labels as (key, external bit); each row is decrypted with one
+    # big-int XOR and re-validated exactly like ``WireLabel.from_bytes``.
+    active: Dict[int, Tuple[bytes, int]] = {}
     for wire, label in zip(circuit.garbler_inputs, garbler_labels):
-        active[wire] = label
+        active[wire] = (label.key, label.external_bit)
     for wire, label in zip(circuit.evaluator_inputs, evaluator_labels):
-        active[wire] = label
+        active[wire] = (label.key, label.external_bit)
 
     for gate_index, ggate in enumerate(garbled.gates):
         if ggate.gate_type == GateType.NOT:
             active[ggate.output_wire] = active[ggate.input_wires[0]]
             continue
-        label_a = active[ggate.input_wires[0]]
-        label_b = active[ggate.input_wires[1]]
-        row_index = label_a.external_bit * 2 + label_b.external_bit
-        row = ggate.rows[row_index]
-        plaintext = _encrypt_row(label_a.key, label_b.key, gate_index, row)
-        active[ggate.output_wire] = WireLabel.from_bytes(plaintext)
+        key_a, external_a = active[ggate.input_wires[0]]
+        key_b, external_b = active[ggate.input_wires[1]]
+        row = ggate.rows[external_a * 2 + external_b]
+        if len(row) != ROW_BYTES:
+            raise GarblingError("serialized wire label has wrong length")
+        pad = _row_pad(key_a, key_b, gate_index.to_bytes(4, "big"))
+        plaintext = (pad ^ int.from_bytes(row, "big")).to_bytes(ROW_BYTES, "big")
+        if plaintext[LABEL_BYTES] > 1:
+            raise GarblingError("external bit must be 0 or 1")
+        active[ggate.output_wire] = (plaintext[:LABEL_BYTES], plaintext[LABEL_BYTES])
 
-    outputs: List[int] = []
-    for wire in circuit.output_wires:
-        label = active[wire]
-        digest = _label_digest(label)
-        zero_digest, one_digest = garbled.output_decoding[wire]
-        if digest == zero_digest:
-            outputs.append(0)
-        elif digest == one_digest:
-            outputs.append(1)
-        else:
-            raise GarblingError(f"output wire {wire} produced an unrecognized label")
-    return outputs
+    return _decode_outputs(garbled, [active[wire][0] for wire in circuit.output_wires])
 
 
 def _evaluate_halfgates(
@@ -558,23 +628,14 @@ def _evaluate_halfgates(
         w_b = active[ggate.input_wires[1]]
         t_g = int.from_bytes(ggate.rows[0], "big")
         t_e = int.from_bytes(ggate.rows[1], "big")
-        w_g = _hg_hash(w_a, 2 * gate_index) ^ (t_g if w_a & 1 else 0)
-        w_e = _hg_hash(w_b, 2 * gate_index + 1) ^ ((t_e ^ w_a) if w_b & 1 else 0)
+        tweak_g, tweak_e = _hg_tweaks(gate_index)
+        w_g = _hg_hash(w_a, tweak_g) ^ (t_g if w_a & 1 else 0)
+        w_e = _hg_hash(w_b, tweak_e) ^ ((t_e ^ w_a) if w_b & 1 else 0)
         active[ggate.output_wire] = w_g ^ w_e
 
-    outputs: List[int] = []
-    for wire in circuit.output_wires:
-        digest = hashlib.sha256(
-            b"output-decode" + active[wire].to_bytes(LABEL_BYTES, "big")
-        ).digest()
-        zero_digest, one_digest = garbled.output_decoding[wire]
-        if digest == zero_digest:
-            outputs.append(0)
-        elif digest == one_digest:
-            outputs.append(1)
-        else:
-            raise GarblingError(f"output wire {wire} produced an unrecognized label")
-    return outputs
+    return _decode_outputs(
+        garbled, [active[wire].to_bytes(LABEL_BYTES, "big") for wire in circuit.output_wires]
+    )
 
 
 @dataclass

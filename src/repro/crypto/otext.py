@@ -36,6 +36,15 @@ Security model: semi-honest, like every other protocol in this
 reproduction.  Hash outputs are modeled as a random oracle (SHA-256), the
 PRG is the same SHA-256 stream used elsewhere in the crypto package.
 
+Matrix layout: the ``count x kappa`` bit matrix is held as one Python
+``int`` per *column* — bit ``j`` of column ``i`` is bit ``j % 8`` of byte
+``j // 8`` of ``G(k_i)``, i.e. ``int.from_bytes(G(k_i), "little")`` masked to
+``count`` bits — so ``u_i`` and ``q_i`` are single big-int XORs.  Each side's
+matrix is transposed once (:func:`_transpose`, via binary strings) into one
+int per *row*, serialized little-endian (bit ``i`` of row ``j`` is column
+``i``) before hashing.  ``tests/crypto/gc_oracles.py`` keeps the bit-list
+original as the oracle this layout must match byte for byte.
+
 One-shot discipline: a :class:`PreparedOTBatch` masks each message pair
 with pads that are used **exactly once** — :meth:`transfer` refuses to run
 twice, mirroring the obfuscator one-shot invariant of
@@ -78,16 +87,12 @@ class OTExtensionError(Exception):
 
 def _prg(seed: bytes, tag: bytes, length: int) -> bytes:
     """SHA-256 based PRG stream: expand ``seed`` to ``length`` bytes."""
-    out = b""
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(seed + tag + counter.to_bytes(4, "big")).digest()
-        counter += 1
-    return out[:length]
-
-
-def _bits_from_bytes(data: bytes, count: int) -> List[int]:
-    return [(data[i // 8] >> (i % 8)) & 1 for i in range(count)]
+    prefix = seed + tag
+    blocks = [
+        hashlib.sha256(prefix + counter.to_bytes(4, "big")).digest()
+        for counter in range((length + 31) // 32)
+    ]
+    return b"".join(blocks)[:length]
 
 
 def _hash_pad(row: bytes, tag: bytes, index: int, length: int) -> bytes:
@@ -100,7 +105,36 @@ def _hash_pad(row: bytes, tag: bytes, index: int, length: int) -> bytes:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """XOR two equal-length byte strings as one big-int operation.
+
+    Fails closed on a length mismatch: a short pad or message must never
+    yield a silently truncated label.
+    """
+    if len(a) != len(b):
+        raise OTExtensionError(f"cannot XOR {len(a)} bytes with {len(b)} bytes")
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
+        len(a), "little"
+    )
+
+
+def _pack_bits(bits: Sequence[int]) -> int:
+    """The int whose bit ``i`` is ``bits[i]`` (the matrix's bit layout)."""
+    return int("".join(map(str, reversed(bits))), 2)
+
+
+def _transpose(columns: Sequence[int], height: int) -> List[int]:
+    """Transpose a bit matrix held as one int per column into one per row.
+
+    Bit ``j`` of ``columns[i]`` becomes bit ``i`` of ``rows[j]``, for
+    ``j < height``.  One ``format`` per column and one ``int(..., 2)`` per
+    row: binary strings are most-significant-bit first, so the columns are
+    zipped in reverse (column 0 lands in the least significant bit) and the
+    rows come out last-first.
+    """
+    strings = [format(column, f"0{height}b") for column in reversed(columns)]
+    rows = [int("".join(chars), 2) for chars in zip(*strings)]
+    rows.reverse()
+    return rows
 
 
 @dataclass(frozen=True)
@@ -282,56 +316,44 @@ def derive_batch(
     draw = choice_rng or random.SystemRandom()
     kappa = correlation.kappa
     choices = tuple(draw.getrandbits(1) for _ in range(count))
-    choice_bytes = bytes(
-        sum(choices[i + k] << k for k in range(min(8, count - i)))
-        for i in range(0, count, 8)
-    )
+    c = _pack_bits(choices)
+    column_len = (count + 7) // 8
+    row_len = (kappa + 7) // 8
+    mask = (1 << count) - 1
+
+    def column(seed: bytes, i: int) -> int:
+        tag = b"col" + instance + i.to_bytes(4, "big")
+        return int.from_bytes(_prg(seed, tag, column_len), "little") & mask
 
     # Receiver side: columns t_i = G(k_i^0); corrections u_i = t_i XOR
     # G(k_i^1) XOR c.  (Transmitting u_i is the extension's offline traffic.)
-    column_len = (count + 7) // 8
-    t_columns: List[List[int]] = []
-    u_columns: List[bytes] = []
+    t_columns: List[int] = []
+    u_columns: List[int] = []
     for i, (k0, k1) in enumerate(correlation.receiver_seed_pairs):
-        tag = b"col" + instance + i.to_bytes(4, "big")
-        g0 = _prg(k0, tag, column_len)
-        g1 = _prg(k1, tag, column_len)
-        t_columns.append(_bits_from_bytes(g0, count))
-        u_columns.append(_xor(_xor(g0, g1), choice_bytes.ljust(column_len, b"\x00")))
+        t_columns.append(column(k0, i))
+        u_columns.append(t_columns[i] ^ column(k1, i) ^ c)
 
     # Sender side: q_i = G(k_i^{s_i}) XOR (s_i ? u_i : 0)  =>  row_j =
-    # t_j XOR (c_j & s).  Simulated in-process directly from the columns.
-    q_columns: List[List[int]] = []
-    for i in range(kappa):
-        s_i = correlation.sender_choice[i]
-        tag = b"col" + instance + i.to_bytes(4, "big")
-        g = _bits_from_bytes(_prg(correlation.sender_seeds[i], tag, column_len), count)
-        if s_i:
-            u_bits = _bits_from_bytes(u_columns[i], count)
-            g = [g_bit ^ u_bit for g_bit, u_bit in zip(g, u_bits)]
-        q_columns.append(g)
-
-    def row_bytes(columns: List[List[int]], j: int) -> bytes:
-        return bytes(
-            sum(columns[i + k][j] << k for k in range(min(8, kappa - i)))
-            for i in range(0, kappa, 8)
+    # t_j XOR (c_j & s).  Simulated in-process, but from the sender's own
+    # seeds: a broken correlation must surface as mismatched pads.
+    q_columns = [
+        column(seed, i) ^ (u if s_i else 0)
+        for i, (seed, s_i, u) in enumerate(
+            zip(correlation.sender_seeds, correlation.sender_choice, u_columns)
         )
-
-    s_row = bytes(
-        sum(correlation.sender_choice[i + k] << k for k in range(min(8, kappa - i)))
-        for i in range(0, kappa, 8)
-    )
+    ]
+    s = _pack_bits(correlation.sender_choice)
 
     receiver_pads: List[bytes] = []
     sender_pad_pairs: List[Tuple[bytes, bytes]] = []
-    for j in range(count):
-        q_j = row_bytes(q_columns, j)
-        t_j = row_bytes(t_columns, j)
-        pad0 = _hash_pad(q_j, instance, j, msg_len)
-        pad1 = _hash_pad(_xor(q_j, s_row), instance, j, msg_len)
+    rows = zip(_transpose(q_columns, count), _transpose(t_columns, count))
+    for j, (q_j, t_j) in enumerate(rows):
+        pad0 = _hash_pad(q_j.to_bytes(row_len, "little"), instance, j, msg_len)
+        pad1 = _hash_pad((q_j ^ s).to_bytes(row_len, "little"), instance, j, msg_len)
         sender_pad_pairs.append((pad0, pad1))
-        # Receiver knows t_j = q_j XOR (c_j & s): its pad is pad_{c_j}.
-        receiver_pads.append(_hash_pad(t_j, instance, j, msg_len))
+        # Receiver knows t_j = q_j XOR (c_j & s): its pad is pad_{c_j}, but
+        # hashed from its own row, never copied from the sender's.
+        receiver_pads.append(_hash_pad(t_j.to_bytes(row_len, "little"), instance, j, msg_len))
 
     return PreparedOTBatch(
         count=count,

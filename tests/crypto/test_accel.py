@@ -1,10 +1,9 @@
 """Tests for the Paillier acceleration layer.
 
 Covers the owner-side half-exponent obfuscator sampler + randomizer-pool
-offline split, the multi-exponentiation
-toolbox (fixed-window, fixed-base comb, Straus simultaneous) against the
-builtin ``pow`` oracle, and the feature-gated bigint backend seam (mocked —
-the container ships no gmpy2).
+offline split, the fixed-base comb table against the builtin ``pow``
+oracle, and the feature-gated bigint backend seam (mocked — the container
+ships no gmpy2).
 """
 
 import math
@@ -19,10 +18,8 @@ from repro.crypto.accel import (
     FixedBaseTable,
     RandomizerPool,
     backend,
-    fixed_window_powmod,
     precompute_obfuscator,
     set_backend,
-    simultaneous_powmod,
 )
 from repro.crypto.paillier import (
     PaillierPrivateKey,
@@ -245,37 +242,7 @@ def test_every_producer_draws_through_the_one_sampler(pool_keypair):
     assert pool.fallback_count == 3
 
 
-# -- multi-exponentiation toolbox ------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    base=st.integers(min_value=0, max_value=2**96),
-    exponent=st.integers(min_value=-(2**64), max_value=2**64),
-    modulus=st.integers(min_value=1, max_value=2**96),
-    window_bits=st.integers(min_value=1, max_value=6),
-)
-def test_fixed_window_matches_pow(base, exponent, modulus, window_bits):
-    try:
-        expected = pow(base, exponent, modulus)
-    except ValueError:  # negative exponent, base not invertible
-        with pytest.raises(ValueError):
-            fixed_window_powmod(base, exponent, modulus, window_bits=window_bits)
-        return
-    assert fixed_window_powmod(base, exponent, modulus, window_bits=window_bits) == expected
-
-
-def test_fixed_window_edge_cases():
-    assert fixed_window_powmod(5, 0, 7) == 1
-    assert fixed_window_powmod(5, 1, 7) == 5
-    assert fixed_window_powmod(5, 0, 1) == 0  # pow(5, 0, 1) == 0
-    assert fixed_window_powmod(0, 5, 7) == 0
-    # Negative exponents invert like pow().
-    assert fixed_window_powmod(3, -4, 7) == pow(3, -4, 7)
-    with pytest.raises(ValueError):
-        fixed_window_powmod(2, 3, 0)
-    with pytest.raises(ValueError):
-        fixed_window_powmod(2, 3, 17, window_bits=0)
+# -- fixed-base comb table -------------------------------------------------------------
 
 
 @settings(max_examples=30, deadline=None)
@@ -319,39 +286,6 @@ def test_fixed_base_table_matches_multiply_plaintext(pool_keypair):
     )
     for scalar, enc in zip(scalars, encoded):
         assert table.powmod(enc) == ciphertext.multiply_plaintext(scalar).value
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    pairs=st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=2**64),
-            st.integers(min_value=0, max_value=2**48),
-        ),
-        min_size=0,
-        max_size=9,
-    ),
-    modulus=st.integers(min_value=1, max_value=2**64),
-    chunk_size=st.integers(min_value=1, max_value=5),
-)
-def test_simultaneous_matches_pow_product(pairs, modulus, chunk_size):
-    bases = [b for b, _ in pairs]
-    exponents = [e for _, e in pairs]
-    expected = 1 % modulus
-    for b, e in pairs:
-        expected = expected * pow(b, e, modulus) % modulus
-    assert simultaneous_powmod(bases, exponents, modulus, chunk_size=chunk_size) == expected
-
-
-def test_simultaneous_validation_and_negatives():
-    assert simultaneous_powmod([], [], 17) == 1
-    assert simultaneous_powmod([3], [-4], 7) == pow(3, -4, 7)
-    with pytest.raises(ValueError):
-        simultaneous_powmod([2, 3], [1], 17)
-    with pytest.raises(ValueError):
-        simultaneous_powmod([2], [1], 0)
-    with pytest.raises(ValueError):
-        simultaneous_powmod([2], [1], 17, chunk_size=0)
 
 
 # -- bigint backend seam ---------------------------------------------------------------

@@ -161,7 +161,7 @@ MUTATIONS = [
     ),
     (
         "multiexp-oracle-false",
-        lambda r: r["multiexp"]["fixed_window"].update(matches_pow=False),
+        lambda r: r["multiexp"]["fixed_base_comb"].update(matches_pow=False),
         "matches_pow is not true",
     ),
     (
