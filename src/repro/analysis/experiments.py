@@ -25,6 +25,7 @@ from ..core.params import PAPER_PARAMETERS, MarketParameters
 from ..core.pem import PlainTradingEngine
 from ..core.protocols import PrivateTradingEngine, ProtocolConfig
 from ..core.results import TradingDayResult
+from ..crypto.otext import shared_correlation
 from ..data.profiles import ProfilePopulation
 from ..data.traces import TraceConfig, TraceDataset, generate_dataset
 from ..net.costmodel import CostModel
@@ -313,7 +314,9 @@ class ParallelDayObservation:
         simulated_speedup: ratio of the two (near-linear in ``workers``
             since windows are independent).
         serial_wall_seconds / parallel_wall_seconds: host wall-clock of the
-            two runs — bounded by the machine's real core count.
+            two runs — bounded by the machine's real core count; both are
+            timed with the process-wide base-OT correlation already
+            established, so neither side carries that one-time cost.
         pool_fallbacks: merged drained-pool fallback count (0 means the
             offline warm-up fully covered the online encryptions).
         gc_fallbacks: merged drained-comparison-pool fallback count (0
@@ -353,20 +356,27 @@ def experiment_parallel_day(
     (the sharding certificate must hold for every topology).
     """
 
+    config = ProtocolConfig(
+        key_size=crypto_key_size,
+        key_pool_size=4,
+        seed=7,
+        aggregation_topology=aggregation_topology,
+    )
+
     def build_engine() -> PrivateTradingEngine:
         return PrivateTradingEngine(
             params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                aggregation_topology=aggregation_topology,
-            ),
+            config=config,
             cost_model=CostModel.for_key_size(key_size),
         )
 
     dataset = default_dataset(max(home_count, 300), window_count, seed)
     windows = sample_market_windows(dataset, home_count, sample_count)
+    # Like with like: the once-per-process base OTs (~0.6 s at kappa 128)
+    # happen before either wall is timed.  Left lazy, a cold process would
+    # charge them to the serial side only — the sharded side's workers
+    # inherit the correlation through fork.
+    shared_correlation(config.ot_extension_kappa)
     serial = build_engine().run_windows_report(
         dataset, windows, home_count=home_count, workers=1
     )

@@ -8,6 +8,15 @@ plans), and merges the per-window results back deterministically:
   pickled :class:`EngineSpec` — key material is derived from stable
   identities (see :class:`repro.core.protocols.context.KeyRing`), so the
   worker reconstructs exactly the keys/pools a serial run would use;
+* a forked worker *inherits* only what is safe to share — the code, the
+  dataset and the process-wide base-OT correlation, which the parent
+  establishes once before it fans a multi-shard plan out
+  (:func:`repro.crypto.otext.shared_correlation`; instance tags are
+  CSPRNG-drawn, so workers extending one correlation derive disjoint
+  pads) — and *rebuilds* everything else: the engine, the key slots and
+  every pool, which start empty because pool contents are one-shot and
+  must never cross a fork.  Under a non-``fork`` start method nothing is
+  inherited and a worker establishes its own correlation lazily;
 * battery state is advanced from window 0 inside each worker, so shard
   windows see the same agent states as a full-day serial run;
 * traces are re-assembled in ascending window order, and the merged
@@ -37,9 +46,10 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from ..crypto.otext import shared_correlation
 from ..net.costmodel import pipelined_day_cost, unpipelined_day_cost
 from ..net.stats import TrafficStats
-from ..net.transport import recv_frame, send_frame
+from ..net.transport import _ACK_TIMEOUT_S, recv_frame, send_frame
 from .pipeline import WindowPipeline
 from .plan import ExecutionPlan
 from .refill import BackgroundRefiller
@@ -188,8 +198,9 @@ def _socket_shard_worker(host: str, port: int) -> None:
     """Socket-mode worker entry point.
 
     Connects back to the parent's shard server, reads one pickled
-    :class:`_ShardPayload` frame (dataset included — socket workers share
-    nothing with the parent), executes it, and ships the pickled
+    :class:`_ShardPayload` frame (dataset included — the only thing a
+    socket worker takes from a forking parent is the standing base-OT
+    correlation), executes it, and ships the pickled
     :class:`_ShardOutcome` back over the same connection.  The wire format
     is the same length-prefixed framing the message-level
     :class:`~repro.net.transport.SocketTransport` speaks.
@@ -505,6 +516,11 @@ class ParallelRunner:
         ]
 
         worker_incidents: List[Incident] = []
+        if not inline and engine.config.use_comparison_pool:
+            # Establish once, fork after: every worker forked below (and any
+            # respawned replacement) inherits the standing base-OT
+            # correlation instead of running its own kappa public-key OTs.
+            shared_correlation(engine.config.ot_extension_kappa)
         if inline:
             outcomes = [_run_payload(engine, payloads[0])]
         elif self.transport == "socket":
@@ -536,7 +552,7 @@ class ParallelRunner:
 
         The parent opens one listening socket; every worker process
         connects back, receives its pickled payload (dataset included —
-        nothing is shared through fork-inherited state or pipes), executes
+        no work travels through fork-inherited state or pipes), executes
         the shard, and returns the pickled outcome over the same
         connection.  Workers are matched to payloads by arrival order —
         payloads carry their ``shard_index``, so the merge stays
@@ -563,6 +579,13 @@ class ParallelRunner:
         instead *ships an exception* (a fail-closed ``WindowAbortError``)
         has that exception re-raised here — deliberate aborts propagate,
         they are never retried at the shard level.
+
+        Deadline: the selector waits for a shard as long as it takes, but
+        once a connection is writable/readable every ``send``/``recv`` on
+        it is bounded by the transport's ack deadline — a worker that
+        stops reading its payload or stalls mid-frame is treated exactly
+        like one that died (same incident, same respawn cap), and a worker
+        still alive that long after its connection closed is terminated.
         """
         context = multiprocessing.get_context(self.start_method)
         outcomes: List[_ShardOutcome] = []
@@ -597,68 +620,84 @@ class ParallelRunner:
                                 )
                             continue
                         for key, _ in events:
+                            # A send/recv that misses the deadline reads
+                            # as EOF: the worker is lost (see docstring).
                             if key.fileobj is server:
                                 conn, _ = server.accept()
-                                conn.settimeout(None)  # shards take a while
+                                conn.settimeout(_ACK_TIMEOUT_S)
                                 payload = pending.pop(0)
-                                send_frame(
-                                    conn,
-                                    pickle.dumps(replace(payload, dataset=dataset)),
-                                )
                                 connections.append(conn)
                                 conn_payloads[conn] = payload
-                                selector.register(conn, selectors.EVENT_READ)
+                                try:
+                                    send_frame(
+                                        conn,
+                                        pickle.dumps(replace(payload, dataset=dataset)),
+                                    )
+                                except socket.timeout:
+                                    frame = None
+                                else:
+                                    selector.register(conn, selectors.EVENT_READ)
+                                    continue
                             else:
                                 conn = key.fileobj
                                 selector.unregister(conn)
-                                frame = recv_frame(conn)
-                                if frame is None:
-                                    # The worker died mid-shard with no
-                                    # outcome: respawn and re-run the shard.
-                                    lost = conn_payloads.pop(conn)
-                                    shard = lost.shard_index
-                                    respawns[shard] = respawns.get(shard, 0) + 1
-                                    if respawns[shard] > self.MAX_RESPAWNS_PER_SHARD:
-                                        raise RuntimeError(
-                                            f"socket shard worker for shard {shard} "
-                                            f"died {respawns[shard]} times; "
-                                            "giving up (see worker stderr)"
-                                        )
-                                    worker_incidents.append(
-                                        Incident(
-                                            window=None,
-                                            fault="worker_kill",
-                                            classification="worker_loss",
-                                            action="respawn",
-                                            attempt=respawns[shard] - 1,
-                                            recovered=True,
-                                            detail=(
-                                                f"shard {shard} worker connection hit "
-                                                "EOF before returning an outcome; "
-                                                "shard re-enqueued on a fresh worker"
-                                            ),
-                                            shard_index=shard,
-                                        )
+                                try:
+                                    frame = recv_frame(conn)
+                                except socket.timeout:
+                                    frame = None
+                            if frame is None:
+                                # The worker died (or stalled) mid-shard with
+                                # no outcome: respawn and re-run the shard.
+                                lost = conn_payloads.pop(conn)
+                                shard = lost.shard_index
+                                respawns[shard] = respawns.get(shard, 0) + 1
+                                if respawns[shard] > self.MAX_RESPAWNS_PER_SHARD:
+                                    raise RuntimeError(
+                                        f"socket shard worker for shard {shard} "
+                                        f"died {respawns[shard]} times; "
+                                        "giving up (see worker stderr)"
                                     )
-                                    pending.append(replace(lost, chaos_kill=False))
-                                    spawn_worker()
-                                    continue
-                                result = pickle.loads(frame)
-                                if isinstance(result, BaseException):
-                                    # A deliberate fail-closed abort from a
-                                    # supervised window — propagate, never
-                                    # retry an integrity violation here.
-                                    raise result
-                                conn_payloads.pop(conn, None)
-                                outcomes.append(result)
+                                worker_incidents.append(
+                                    Incident(
+                                        window=None,
+                                        fault="worker_kill",
+                                        classification="worker_loss",
+                                        action="respawn",
+                                        attempt=respawns[shard] - 1,
+                                        recovered=True,
+                                        detail=(
+                                            f"shard {shard} worker connection hit "
+                                            "EOF or its deadline before returning "
+                                            "an outcome; shard re-enqueued on a "
+                                            "fresh worker"
+                                        ),
+                                        shard_index=shard,
+                                    )
+                                )
+                                pending.append(replace(lost, chaos_kill=False))
+                                spawn_worker()
+                                continue
+                            result = pickle.loads(frame)
+                            if isinstance(result, BaseException):
+                                # A deliberate fail-closed abort from a
+                                # supervised window — propagate, never
+                                # retry an integrity violation here.
+                                raise result
+                            conn_payloads.pop(conn, None)
+                            outcomes.append(result)
         finally:
             for conn in connections:
                 conn.close()
             # The server and every accepted connection are closed by now,
             # so a worker still blocked on its socket sees EOF/reset and
-            # exits — joining here cannot deadlock on the error path.
+            # exits — joining here cannot deadlock on the error path.  A
+            # stalled worker that never touches its socket again is killed
+            # once the same deadline passes.
             for process in processes:
-                process.join()
+                process.join(_ACK_TIMEOUT_S)
+                if process.is_alive():
+                    process.terminate()
+                    process.join()
         return outcomes
 
     # -- deterministic merge -----------------------------------------------------

@@ -9,13 +9,18 @@ baseline bit for bit (``RunReport.identical_to``); only host wall-clock
 may differ, which on the 1-core CI box is deliberately not asserted.
 """
 
+import multiprocessing
+import os
+import socket
+import time
 from dataclasses import replace
 
 import pytest
 
 import helpers
 from repro.chaos import FaultPlan
-from repro.runtime import ExecutionPlan, ParallelRunner
+from repro.net.transport import recv_frame
+from repro.runtime import ExecutionPlan, ParallelRunner, runner
 
 
 def test_runner_rejects_unknown_transport():
@@ -92,3 +97,40 @@ def test_socket_everything_day_scope():
         market.dataset, market.windows, workers=2
     )
     assert baseline.identical_to(sharded)
+
+
+def test_worker_stalled_mid_frame_is_lost_at_the_deadline_not_waited_for(
+    monkeypatch, tmp_path
+):
+    # The first worker to connect reads its payload, sends only the 4-byte
+    # header of an outcome and goes to sleep.  The parent must not block in
+    # that half-read frame: the shard connection's deadline turns the stall
+    # into a worker loss (same incident, same respawn) and the sleeper is
+    # killed on the way out.
+    real_worker = runner._socket_shard_worker
+    marker = tmp_path / "stalled"
+
+    def first_worker_stalls(host, port):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return real_worker(host, port)
+        with socket.create_connection((host, port)) as conn:
+            recv_frame(conn)
+            conn.sendall((1 << 20).to_bytes(4, "big"))
+            time.sleep(600)
+
+    monkeypatch.setattr(runner, "_socket_shard_worker", first_worker_stalls)
+    monkeypatch.setattr(runner, "_ACK_TIMEOUT_S", 0.3)
+    baseline = helpers.tiny_market_serial_report()
+    market = helpers.tiny_market()
+    started = time.perf_counter()
+    report = market.engine().run_windows_report(
+        market.dataset, market.windows, workers=2, runner_transport="socket"
+    )
+    assert time.perf_counter() - started < 60
+    assert report.identical_to(baseline, include_incidents=False)
+    assert [(i.classification, i.action) for i in report.incidents] == [
+        ("worker_loss", "respawn")
+    ]
+    assert multiprocessing.active_children() == []
