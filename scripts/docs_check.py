@@ -13,6 +13,8 @@ Keeps README.md and the ``docs/`` set honest as the tree grows:
   existing script;
 * every documented ``make`` target must exist in the Makefile;
 * dotted ``repro.*`` module references must import;
+* the ``struct`` formats, version and frame cap ``docs/WIRE.md`` prints
+  must be the ones the codec uses;
 * the whole source tree must byte-compile.
 
 Exits non-zero with a list of problems, so it can gate CI.
@@ -38,6 +40,7 @@ DOCS = (
     "docs/PLANNER.md",
     "docs/BENCHMARKS.md",
     "docs/STATIC_ANALYSIS.md",
+    "docs/WIRE.md",
 )
 
 #: repo-relative path patterns worth existence-checking when mentioned.
@@ -102,6 +105,27 @@ def check_document(doc: str, problems: list) -> None:
             problems.append(f"{doc}: references unimportable module {module!r}")
 
 
+def check_wire_format(text: str, problems: list) -> None:
+    """``docs/WIRE.md`` must state the wire constants the codec declares."""
+    from repro.net import message, transport
+
+    documented = {
+        "header format": (r"Header `struct` format: `([^`]+)`", message.WIRE_HEADER_FORMAT),
+        "ack format": (r"Ack `struct` format: `([^`]+)`", transport._ACK.format),
+        "length prefix": (r"\| length \| `([^`]+)` \|", transport._HEADER.format),
+        "version": (r"`WIRE_VERSION` = (\d+)", str(message.WIRE_VERSION)),
+        "frame cap": (r"`MAX_FRAME_BYTES` = (\d+)", str(transport.MAX_FRAME_BYTES)),
+    }
+    for label, (pattern, actual) in documented.items():
+        found = re.search(pattern, text)
+        if found is None:
+            problems.append(f"docs/WIRE.md: does not state the {label}")
+        elif found.group(1) != actual:
+            problems.append(
+                f"docs/WIRE.md: documents {label} {found.group(1)!r}, the code uses {actual!r}"
+            )
+
+
 def main() -> int:
     problems: list = []
     for doc in DOCS:
@@ -109,6 +133,9 @@ def main() -> int:
             problems.append(f"missing document {doc}")
         else:
             check_document(doc, problems)
+    wire_doc = REPO_ROOT / "docs" / "WIRE.md"
+    if wire_doc.exists():
+        check_wire_format(wire_doc.read_text(), problems)
 
     if not compileall.compile_dir(str(REPO_ROOT / "src"), quiet=2, force=False):
         problems.append("source tree does not byte-compile (see compileall output)")

@@ -22,7 +22,7 @@ convergence within ``max_attempts``.  Raising ``persist_attempts`` models a
 hard fault that survives retries and exercises the supervisor's fail-closed
 abort path.
 
-The plan is a frozen dataclass of immutable fields, so it pickles cleanly
+The plan is a frozen dataclass of immutable fields, so it ships cleanly
 into sharded worker processes as part of ``ProtocolConfig`` and is safe to
 share between threads.
 """

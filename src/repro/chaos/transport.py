@@ -15,9 +15,9 @@ the paper prototype's per-container TCP links (and of any TLS deployment):
   out-of-order, :class:`FrameReorderError`);
 * a **duplicated** frame is delivered once and its replay rejected by the
   same sequence discipline (:class:`FrameDuplicateError`);
-* a **corrupted** frame has a real byte flipped in its serialized form and
-  is caught by the frame digest before the payload is ever deserialized
-  (:class:`FrameCorruptionError`).
+* a **corrupted** frame has a real byte flipped in its encoded wire form
+  (:meth:`~repro.net.message.Message.encode`) and is caught by the frame
+  digest before the frame is ever decoded (:class:`FrameCorruptionError`).
 
 Every fault therefore surfaces as a *typed, attributable error* at the
 transport seam — sender, recipient, frame ordinal and message kind attached
@@ -34,7 +34,6 @@ contract through the wrapper).
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -181,9 +180,9 @@ class FaultyTransport(Transport):
             raise self._error(
                 "duplicate", "replayed frame rejected by sequence check", message, ordinal
             )
-        # corrupt: flip a real byte in the serialized frame and let the
-        # digest check catch it before deserialization.
-        frame = pickle.dumps(message)
+        # corrupt: flip a real byte in the wire frame and let the digest
+        # check catch it before anything is decoded.
+        frame = message.encode()
         digest = hashlib.sha256(frame).digest()
         position = self.plan.corrupt_position(window, ordinal, len(frame))
         corrupted = bytearray(frame)

@@ -31,6 +31,7 @@ from typing import Dict, List
 from ...crypto.accel import FixedBaseTable
 from ...crypto.paillier import PaillierCiphertext
 from ...net.message import MessageKind
+from ...net.network import NetworkError
 from ..market import MarketCase, MarketClearing, Trade
 from .aggregation import aggregate
 from .context import AgentRuntime, ProtocolContext
@@ -154,6 +155,13 @@ def _run_ratio_phase(
     # The holder decrypts the submissions in one batch (CRT fast path) and
     # recovers the share ratios.
     submissions = ratio_holder.party.receive_all(MessageKind.RATIO_SUBMISSION)
+    if len(submissions) != len(requesters):
+        # A withheld submission must not shift the rest onto the wrong
+        # requesters (the zip below pairs them by position).
+        raise NetworkError(
+            f"{ratio_holder.agent_id}: {len(submissions)} of {len(requesters)} "
+            "ratio submissions arrived"
+        )
     decrypted_values = ratio_holder.private_key.decrypt_many(
         PaillierCiphertext.from_bytes(message.payload, ratio_holder.public_key)
         for message in submissions

@@ -12,17 +12,30 @@ from __future__ import annotations
 
 import itertools
 import json
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Optional
 
-__all__ = ["MessageKind", "Message"]
+from .errors import FrameError
+
+__all__ = ["MessageKind", "Message", "WIRE_VERSION", "WIRE_HEADER_FORMAT"]
 
 _MESSAGE_COUNTER = itertools.count(1)
 
 #: ``json.dumps(..., sort_keys=True)`` builds a ``JSONEncoder`` per call;
-#: ``byte_size`` runs once per message, so it shares this one.
+#: the metadata is encoded once per message, through this one.
 _encode_metadata = json.JSONEncoder(sort_keys=True).encode
+
+#: Version byte of the binary frame :meth:`Message.encode` writes
+#: (``docs/WIRE.md``); :meth:`Message.decode` rejects any other.
+WIRE_VERSION = 1
+
+#: Fixed frame header: version, :class:`MessageKind` index, ``message_id``,
+#: then the byte lengths of sender, recipient and metadata JSON.  The
+#: payload is whatever follows them, so its length is the frame's.
+WIRE_HEADER_FORMAT = ">BBQHHI"
+_WIRE_HEADER = struct.Struct(WIRE_HEADER_FORMAT)
 
 
 class MessageKind(str, Enum):
@@ -51,6 +64,13 @@ class MessageKind(str, Enum):
     GENERIC = "generic"
 
 
+#: Wire index of every kind: its position in the enum, so new kinds are
+#: appended, never inserted (an insertion renumbers the frames of a
+#: mixed-version deployment without changing :data:`WIRE_VERSION`).
+_KINDS = tuple(MessageKind)
+_KIND_INDEX = {kind: index for index, kind in enumerate(_KINDS)}
+
+
 @dataclass
 class Message:
     """A single protocol message.
@@ -62,6 +82,8 @@ class Message:
         payload: opaque bytes (e.g. a serialized Paillier ciphertext).
         metadata: small JSON-serializable dictionary of auxiliary fields
             (window index, plaintext integers that are public, etc.).
+            Fixed once the message is sized or encoded: its JSON form is
+            computed once and kept.
         message_id: monotonically increasing id (assigned automatically).
     """
 
@@ -71,16 +93,117 @@ class Message:
     payload: bytes = b""
     metadata: Dict[str, Any] = field(default_factory=dict)
     message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
+    _metadata_json: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _metadata_bytes(self) -> bytes:
+        """The sorted-key metadata JSON (empty for no metadata), encoded once.
+
+        The bytes :meth:`byte_size` counts are the bytes :meth:`encode`
+        puts on the wire.
+        """
+        encoded = self._metadata_json
+        if encoded is None:
+            encoded = _encode_metadata(self.metadata).encode() if self.metadata else b""
+            self._metadata_json = encoded
+        return encoded
 
     def byte_size(self) -> int:
-        """Wire size of the message: payload + serialized metadata + header.
+        """Accounted size of the message: payload + serialized metadata + header.
 
         The 64-byte header approximates sender/recipient/kind/framing
         overhead of a small TCP/JSON envelope, matching the prototype's
-        message framing closely enough for the bandwidth study.
+        message framing closely enough for the bandwidth study; it is an
+        upper bound on the real frame (``docs/WIRE.md``).
         """
-        metadata_bytes = len(_encode_metadata(self.metadata).encode()) if self.metadata else 0
-        return len(self.payload) + metadata_bytes + 64
+        return len(self.payload) + len(self._metadata_bytes()) + 64
+
+    def encode(self) -> bytes:
+        """The message's binary wire frame (layout in ``docs/WIRE.md``).
+
+        Raises:
+            FrameError: a field does not fit its header slot.
+        """
+        metadata = self._metadata_bytes()
+        try:
+            sender = self.sender.encode()
+            recipient = self.recipient.encode()
+            header = _WIRE_HEADER.pack(
+                WIRE_VERSION,
+                _KIND_INDEX[self.kind],
+                self.message_id,
+                len(sender),
+                len(recipient),
+                len(metadata),
+            )
+        except (struct.error, UnicodeEncodeError) as exc:
+            raise FrameError(
+                f"message does not fit the wire header: {exc}",
+                sender=self.sender,
+                recipient=self.recipient,
+                kind=self.kind.value,
+            ) from None
+        return b"".join((header, sender, recipient, metadata, self.payload))
+
+    @classmethod
+    def decode(cls, frame: bytes) -> "Message":
+        """Rebuild the message :meth:`encode` framed.
+
+        Every declared length is checked against the frame before anything
+        is sliced, so decoding allocates no more than the frame holds.
+
+        Raises:
+            FrameError: for *any* frame that is not a well-formed message
+                (short, unknown version or kind, lengths past the end,
+                ids that are not UTF-8, metadata that is not a JSON
+                object), carrying the fields parsed up to that point.
+        """
+        if len(frame) < _WIRE_HEADER.size:
+            raise FrameError(f"frame of {len(frame)} bytes is shorter than the wire header")
+        version, kind_index, message_id, sender_len, recipient_len, metadata_len = (
+            _WIRE_HEADER.unpack_from(frame)
+        )
+        if version != WIRE_VERSION:
+            raise FrameError(f"unknown wire version {version}")
+        if kind_index >= len(_KINDS):
+            raise FrameError(f"unknown message kind index {kind_index}")
+        kind = _KINDS[kind_index]
+        recipient_start = _WIRE_HEADER.size + sender_len
+        metadata_start = recipient_start + recipient_len
+        payload_start = metadata_start + metadata_len
+        if payload_start > len(frame):
+            raise FrameError(
+                f"declared field lengths ({payload_start} bytes) exceed the "
+                f"{len(frame)}-byte frame",
+                kind=kind.value,
+            )
+        try:
+            sender = frame[_WIRE_HEADER.size:recipient_start].decode()
+            recipient = frame[recipient_start:metadata_start].decode()
+        except UnicodeDecodeError:
+            raise FrameError("party id is not UTF-8", kind=kind.value) from None
+        metadata: Dict[str, Any] = {}
+        if metadata_len:
+            try:
+                metadata = json.loads(frame[metadata_start:payload_start].decode())
+            except (ValueError, RecursionError):
+                metadata = None
+            if not isinstance(metadata, dict):
+                raise FrameError(
+                    "metadata is not a JSON object",
+                    sender=sender,
+                    recipient=recipient,
+                    kind=kind.value,
+                )
+        return cls(
+            sender=sender,
+            recipient=recipient,
+            kind=kind,
+            payload=frame[payload_start:],
+            metadata=metadata,
+            message_id=message_id,
+        )
 
     def is_broadcast(self) -> bool:
         return self.recipient == "*"

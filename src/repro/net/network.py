@@ -21,6 +21,7 @@ sequential and round-based anyway).
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict, deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional
 
@@ -47,7 +48,10 @@ class Party:
 
     def __init__(self, party_id: str, network: "SimulatedNetwork") -> None:
         self.party_id = party_id
-        self._network = network
+        # Weak: the network owns its parties.  A strong back-reference
+        # would make every dropped window network (and each message its
+        # parties logged) cyclic garbage only a full collection frees.
+        self._network = weakref.proxy(network)
         self._inbox: Deque[Message] = deque()
         #: full log of messages this party received (its protocol "view").
         self.received_log: List[Message] = []

@@ -15,10 +15,11 @@ Two implementations are provided:
   synchronous in-process delivery into the recipient's inbox sink.  Zero
   overhead, and the default everywhere.
 * :class:`SocketTransport` — length-prefixed frames over a real loopback
-  TCP connection.  Every message is serialized (pickle — the
-  :class:`Message` dataclass is pickle-clean by construction, the same
-  property the parallel runtime relies on), shipped through the kernel's
-  TCP stack and deserialized by a receiver thread.  Acknowledgements are
+  TCP connection.  Every message is encoded once into its versioned binary
+  frame (:meth:`Message.encode`, ``docs/WIRE.md``), shipped through the
+  kernel's TCP stack and decoded by a receiver thread; a frame that does
+  not decode is a :class:`FrameError`, never arbitrary code or an
+  arbitrary exception.  Acknowledgements are
   *windowed*: :meth:`Transport.deliver` only queues the frame, and
   :meth:`Transport.flush` — called by every inbox read and once at the end
   of a window — writes what is queued and waits for **one** cumulative
@@ -30,20 +31,21 @@ Two implementations are provided:
 
 The module also exposes the framing helpers (:func:`send_frame` /
 :func:`recv_frame`) reused by the runtime's socket shard fan-out
-(:mod:`repro.runtime.runner`), so both socket paths speak the same wire
-format: a 4-byte big-endian length followed by the pickled payload.  On
-the message connection a zero-length frame is the sync marker that asks
-for the cumulative acknowledgement.
+(:mod:`repro.runtime.runner`), so both socket paths speak the same
+framing: a 4-byte big-endian length, at most :data:`MAX_FRAME_BYTES`,
+followed by that many payload bytes.  On the message connection a
+zero-length frame is the sync marker that asks for the cumulative
+acknowledgement.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 import threading
 from typing import BinaryIO, Callable, Dict, Optional, Type
 
+from .errors import AckTimeoutError, ConnectionLostError, FrameError, TransportError
 from .message import Message
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "SocketTransport",
     "make_transport",
     "TRANSPORTS",
+    "MAX_FRAME_BYTES",
     "send_frame",
     "recv_frame",
 ]
@@ -65,6 +68,11 @@ TRANSPORTS = ("local", "socket")
 
 #: Frame header: 4-byte big-endian payload length.
 _HEADER = struct.Struct(">I")
+
+#: Largest frame either end accepts.  The length prefix could claim 4 GiB
+#: and the reader would allocate it; nothing real comes close to this cap
+#: (a 64 KiB burst frame, a ~21 KB garbled table, a shard's dataset).
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Sender-side frames are queued until this many bytes are pending, then
 #: written out in one ``sendall`` (the receiver reads through a buffer of
@@ -81,85 +89,6 @@ _ACK_TIMEOUT_S = 30.0
 Sink = Callable[[Message], None]
 
 
-class TransportError(Exception):
-    """Raised on transport-level misuse (unknown endpoint, closed transport)."""
-
-
-class FrameError(TransportError):
-    """A transport failure attributable to one specific frame.
-
-    Where a plain :class:`TransportError` says "the channel broke", a
-    ``FrameError`` says *which* frame broke it: it carries the sender, the
-    recipient, the frame's per-transport ordinal and the message kind, so
-    the runtime's incident classification (see
-    :mod:`repro.runtime.supervisor`) can attribute the failure to a party
-    pair and a protocol step instead of a bare string.  The chaos
-    engine's injected fault errors subclass this with a ``fault`` tag.
-
-    Attributes:
-        sender: message sender id (``None`` when unknown).
-        recipient: message recipient id.
-        ordinal: 0-based index of the frame on this transport connection.
-        kind: the protocol message kind, as a string.
-        fault: short machine-readable failure tag (``"connection-lost"``
-            for a half-closed socket, ``"ack-timeout"`` for an overdue
-            acknowledgement; the chaos faults use their kind).
-    """
-
-    fault = "frame-error"
-
-    def __init__(
-        self,
-        detail: str,
-        *,
-        sender: Optional[str] = None,
-        recipient: Optional[str] = None,
-        ordinal: Optional[int] = None,
-        kind: Optional[str] = None,
-    ) -> None:
-        context = ", ".join(
-            f"{label}={value!r}"
-            for label, value in (
-                ("sender", sender),
-                ("recipient", recipient),
-                ("frame", ordinal),
-                ("kind", kind),
-            )
-            if value is not None
-        )
-        super().__init__(f"{detail} [{context}]" if context else detail)
-        self._detail = detail
-        self.sender = sender
-        self.recipient = recipient
-        self.ordinal = ordinal
-        self.kind = kind
-
-    def __reduce__(self):
-        # Keyword-only context would be dropped by the default exception
-        # pickling (args-only); these errors cross socket acks and shard
-        # connections, so preserve the attribution.
-        return (
-            _rebuild_frame_error,
-            (type(self), self._detail, self.sender, self.recipient, self.ordinal, self.kind),
-        )
-
-
-def _rebuild_frame_error(cls, detail, sender, recipient, ordinal, kind):
-    return cls(detail, sender=sender, recipient=recipient, ordinal=ordinal, kind=kind)
-
-
-class ConnectionLostError(FrameError):
-    """The socket half-closed with frames unacknowledged (names the oldest)."""
-
-    fault = "connection-lost"
-
-
-class AckTimeoutError(FrameError):
-    """The cumulative ack missed its deadline (names the oldest unacked frame)."""
-
-    fault = "ack-timeout"
-
-
 def _frame_context(message: Message) -> Dict[str, object]:
     """The :class:`FrameError` keywords that say whose frame it was."""
     return {
@@ -174,9 +103,16 @@ def _frame_context(message: Message) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
+def _frame_length(length: int) -> int:
+    """``length`` if a frame may be that long, else :class:`FrameError`."""
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte limit")
+    return length
+
+
 def send_frame(sock: socket.socket, payload: bytes) -> None:
     """Write one length-prefixed frame to ``sock``."""
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
+    sock.sendall(_HEADER.pack(_frame_length(len(payload))) + payload)
 
 
 def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
@@ -193,12 +129,17 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
 
 
 def recv_frame(sock: socket.socket) -> Optional[bytes]:
-    """Read one length-prefixed frame, or ``None`` on a clean EOF."""
+    """Read one length-prefixed frame, or ``None`` on a clean EOF.
+
+    Raises:
+        FrameError: the length prefix exceeds :data:`MAX_FRAME_BYTES`
+            (nothing of the frame is read; the stream is out of step).
+    """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)
-    return _recv_exact(sock, length)
+    return _recv_exact(sock, _frame_length(length))
 
 
 def _read_frame(reader: BinaryIO) -> Optional[bytes]:
@@ -207,8 +148,53 @@ def _read_frame(reader: BinaryIO) -> Optional[bytes]:
     if len(header) < _HEADER.size:
         return None
     (length,) = _HEADER.unpack(header)
-    payload = reader.read(length)
+    payload = reader.read(_frame_length(length))
     return payload if len(payload) == length else None
+
+
+# The cumulative acknowledgement: status, ordinal of the first failed frame,
+# then the byte lengths of its sender, recipient and kind (UTF-8, empty when
+# the frame did not decode that far), which follow the header.
+_ACK = struct.Struct(">BIHHH")
+_ACK_OK, _ACK_FAILED = 0, 1
+
+
+def _encode_ack(where: Optional[FrameError]) -> bytes:
+    """The ack frame: all clear, or which frame failed first."""
+    if where is None:
+        return _ACK.pack(_ACK_OK, 0, 0, 0, 0)
+    fields = [(value or "").encode() for value in (where.sender, where.recipient, where.kind)]
+    return _ACK.pack(_ACK_FAILED, where.ordinal, *map(len, fields)) + b"".join(fields)
+
+
+def _decode_ack(reply: bytes) -> Optional[FrameError]:
+    """``None`` for an all-clear ack, else the :class:`FrameError` it names.
+
+    Raises:
+        FrameError: the reply is not a well-formed ack.
+    """
+    if len(reply) < _ACK.size:
+        raise FrameError(f"ack of {len(reply)} bytes is shorter than its header")
+    status, ordinal, *lengths = _ACK.unpack_from(reply)
+    if status == _ACK_OK and len(reply) == _ACK.size:
+        return None
+    if status != _ACK_FAILED or _ACK.size + sum(lengths) != len(reply):
+        raise FrameError(f"malformed ack (status {status}, {len(reply)} bytes)")
+    fields, start = [], _ACK.size
+    try:
+        for length in lengths:
+            fields.append(reply[start:start + length].decode() or None)
+            start += length
+    except UnicodeDecodeError:
+        raise FrameError("ack context is not UTF-8") from None
+    sender, recipient, kind = fields
+    return FrameError(
+        "frame failed at the receiver",
+        sender=sender,
+        recipient=recipient,
+        ordinal=ordinal,
+        kind=kind,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +269,24 @@ class SocketTransport(Transport):
     bit-identical to local ones.
 
     The receiver fails closed: after a frame fails (the sink raised, the
-    frame did not deserialize) it delivers nothing further until the sync
-    frame, whose acknowledgement carries that first failure back.
-    :meth:`flush` re-raises it in the sender, chained ``from`` a
-    :class:`FrameError` naming the failed frame's sender, recipient,
-    ordinal and kind.  A lost connection or an overdue acknowledgement
-    raises :class:`ConnectionLostError` / :class:`AckTimeoutError` naming
-    the oldest unacknowledged frame, and shuts the transport.
+    frame did not decode) it delivers nothing further until the sync
+    frame, whose acknowledgement names that first failed frame — sender,
+    recipient, ordinal and kind, as plain fields.  The exception itself
+    never crosses the socket: the receiver thread leaves it on the
+    transport and :meth:`flush` re-raises that very object in the sender,
+    chained ``from`` the :class:`FrameError` the ack described — the same
+    exception type :class:`LocalTransport` raises.  A lost connection or
+    an overdue acknowledgement raises :class:`ConnectionLostError` /
+    :class:`AckTimeoutError` naming the oldest unacknowledged frame, and
+    shuts the transport.
     """
-
-    _ACK_OK = b"\x00"
 
     def __init__(self, host: str = "127.0.0.1") -> None:
         self._sinks: Dict[str, Sink] = {}
         self._closed = False
+        #: What the first failed frame since the last sync raised: left by
+        #: the receiver thread before it acks, taken by :meth:`flush` after.
+        self._failure: Optional[Exception] = None
         self._frames_sent = 0
         self._pending = bytearray()
         #: :class:`FrameError` context of the oldest frame no acknowledgement
@@ -321,35 +311,53 @@ class SocketTransport(Transport):
             return
         with conn, conn.makefile("rb", buffering=_SEND_BUFFER_BYTES) as reader:
             ordinal = 0
-            failure: Optional[bytes] = None  # first since the last sync frame
+            where: Optional[FrameError] = None  # first failure since the last sync frame
             while True:
                 try:
                     frame = _read_frame(reader)
-                except OSError:
+                except (OSError, FrameError):
+                    # An over-long frame leaves the stream out of step: hang
+                    # up, and the sender's flush sees the connection lost.
                     return
                 if frame is None:
                     return
                 if frame:
-                    if failure is None:
-                        failure = self._dispatch(frame, ordinal)
+                    if where is None:
+                        where = self._dispatch(frame, ordinal)
                     ordinal += 1
                     continue
                 try:
-                    send_frame(conn, failure or self._ACK_OK)
+                    send_frame(conn, _encode_ack(where))
                 except OSError:
                     return
-                failure = None
+                where = None
 
-    def _dispatch(self, frame: bytes, ordinal: int) -> Optional[bytes]:
-        """Hand one frame to its sink; the pickled failure if that raised."""
-        message = None
+    def _dispatch(self, frame: bytes, ordinal: int) -> Optional[FrameError]:
+        """Hand one frame to its sink; which frame failed, if that raised."""
         try:
-            message = pickle.loads(frame)
-            self._sinks[message.recipient](message)
-        except Exception as exc:  # travels back in the cumulative ack
-            context = {} if message is None else _frame_context(message)
-            where = FrameError("frame failed at the receiver", ordinal=ordinal, **context)
-            return pickle.dumps((exc, where))
+            message = Message.decode(frame)
+            sink = self._sinks.get(message.recipient)
+            if sink is None:
+                raise FrameError(
+                    "frame addressed to an unregistered endpoint", **_frame_context(message)
+                )
+        except FrameError as exc:
+            where = FrameError(
+                exc.detail,
+                sender=exc.sender,
+                recipient=exc.recipient,
+                ordinal=ordinal,
+                kind=exc.kind,
+            )
+            self._failure = where
+            return where
+        try:
+            sink(message)
+        except Exception as exc:  # re-raised by the sender's flush()
+            self._failure = exc
+            return FrameError(
+                "frame failed at the receiver", ordinal=ordinal, **_frame_context(message)
+            )
         return None
 
     # -- sender side -----------------------------------------------------------
@@ -370,13 +378,14 @@ class SocketTransport(Transport):
                 raise TransportError("transport is closed")
             if message.recipient not in self._sinks:
                 raise TransportError(f"no endpoint registered for {message.recipient!r}")
-            frame = pickle.dumps(message)
+            frame = message.encode()
+            header = _HEADER.pack(_frame_length(len(frame)))
             if self._oldest_unacked is None:
                 self._oldest_unacked = dict(
                     _frame_context(message), ordinal=self._frames_sent
                 )
             self._frames_sent += 1
-            self._pending += _HEADER.pack(len(frame))
+            self._pending += header
             self._pending += frame
             if len(self._pending) >= _SEND_BUFFER_BYTES:
                 self._write_pending()
@@ -394,19 +403,22 @@ class SocketTransport(Transport):
         self._write_pending()
         try:
             reply = recv_frame(self._sender)
+            where = None if reply is None else _decode_ack(reply)
         except socket.timeout:
             raise self._shut(
                 AckTimeoutError, f"no cumulative ack within {_ACK_TIMEOUT_S} s"
             ) from None
         except OSError:
             reply = None
+        except FrameError as exc:
+            raise self._shut(FrameError, f"unreadable cumulative ack: {exc.detail}") from None
         if reply is None:
             raise self._shut(
                 ConnectionLostError, "socket transport connection lost awaiting ack"
             )
         self._oldest_unacked = None
-        if reply != self._ACK_OK:
-            failure, where = pickle.loads(reply)
+        if where is not None:
+            failure, self._failure = self._failure, None
             raise failure from where
 
     def _write_pending(self) -> None:

@@ -656,6 +656,48 @@ flagged; content hashing routes through hashlib.sha256."""
         )
 
 
+class NoPickleOnWireRule(Rule):
+    id = "no-pickle-on-wire"
+    summary = "no pickle import or call in the network and chaos layers"
+    rationale = """\
+ROADMAP aim: no byte from a socket reaches pickle.loads.  Unpickling runs
+whatever the bytes say, so a peer that can write to a message connection
+could execute code, and a corrupted frame raises whatever pickle feels
+like instead of a FrameError the supervisor can classify.  Messages and
+acknowledgements have a binary codec (Message.encode / Message.decode,
+docs/WIRE.md); nothing under src/repro/net/ or src/repro/chaos/ may import
+or call the pickle family again.
+
+Scoped to those two packages on purpose: runtime/runner.py still pickles
+shard payloads and outcomes between a parent and the workers it forked
+itself, which is ROADMAP item 3's documented next step, not a finding."""
+    node_types = (ast.Import, ast.ImportFrom, ast.Call)
+
+    SCOPE = ("src/repro/net/", "src/repro/chaos/")
+    #: stdlib modules that rebuild arbitrary objects from bytes.
+    PICKLE_MODULES = frozenset({"pickle", "_pickle", "shelve", "marshal"})
+
+    def applies_to(self, ctx: ModuleContext) -> bool:
+        return ctx.in_dir(*self.SCOPE)
+
+    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            assert isinstance(node, ast.Call)
+            modules = [ctx.qualname(node.func) or ""]
+        for module in modules:
+            if module.split(".")[0] in self.PICKLE_MODULES:
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"{module} in the wire layers: frames and acks go through "
+                    "the binary codec (Message.encode/decode), never pickle",
+                )
+
+
 class _EngineRule(Rule):
     """Doc-only registration for findings the engine emits itself."""
 
@@ -699,6 +741,7 @@ DEFAULT_RULES: Tuple[type, ...] = (
     SilentExceptRule,
     FrozenMutationRule,
     HashSeedDeterminismRule,
+    NoPickleOnWireRule,
     BadSuppressionRule,
     UnusedSuppressionRule,
     ParseErrorRule,

@@ -133,6 +133,24 @@ def test_frame_error_at_the_end_of_window_flush_is_a_classified_incident():
     assert "frame=" in incident.detail  # names the oldest unacknowledged frame
 
 
+def test_ratio_submission_withheld_before_the_holders_read_is_a_transient_fault(local_baseline):
+    """A reorder that holds back the *last* ratio submission fails closed.
+
+    No later send flushes the held frame before the ratio holder reads, so
+    the holder sees one submission too few.  That must be a retried
+    ``transient_transport`` incident, not a ``KeyError`` out of the
+    protocol (plan found by the random property above).
+    """
+    market, baseline = local_baseline
+    plan = FaultPlan(seed=792, reorder_rate=0.01, max_faults_per_window=1, max_attempts=4)
+    report = _chaos_report(market, plan)
+    assert report.identical_to(baseline, include_incidents=False)
+    assert report.incidents and all(
+        (i.fault, i.classification, i.recovered) == ("reorder", "transient_transport", True)
+        for i in report.incidents
+    )
+
+
 # -- one pinned scenario per fault family ---------------------------------------
 
 

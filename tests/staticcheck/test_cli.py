@@ -163,6 +163,7 @@ def test_list_rules_covers_all_six(capsys):
         "silent-except",
         "frozen-mutation",
         "hash-seed-determinism",
+        "no-pickle-on-wire",
     ):
         assert rule_id in out
 
