@@ -20,6 +20,10 @@
 #                      package (90% floor on src/repro/planning/);
 #                      skipped cleanly when pytest-cov is not installed
 #   make ci          - the full gate: lint, then test-fast and docs-check,
+#                      then a check that the bigint seam autodetected
+#                      libcrypto (on any host whose own hashlib is linked
+#                      against it, so a broken loader cannot silently
+#                      run the day on the builtin-pow fallback),
 #                      then the wall-clock benchmark's smoke set
 #                      (perfbench --smoke, ~10 s: on all four workloads
 #                      the private day must equal the plaintext oracle
@@ -70,6 +74,9 @@ coverage:
 	fi
 
 ci: lint test-fast docs-check
+	@if $(PYTHON) -c "import _hashlib" 2>/dev/null; then \
+		$(PYTHON) -c "from repro.crypto.bigint import backend; assert backend().name == 'libcrypto', backend().name"; \
+	fi
 	$(PYTHON) -m perfbench --smoke
 	$(PYTHON) benchmarks/run_crypto_bench.py --scale smoke --workers 2 \
 		--output $(or $(CI_BENCH_OUTPUT),/tmp/BENCH_crypto.ci.json)

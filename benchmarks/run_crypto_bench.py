@@ -23,10 +23,12 @@ pre-acceleration baseline so the perf trajectory is tracked PR over PR:
   operands; labels and tables necessarily differ), and a sharding
   certificate (each scheme's sampled day stays bit-identical at workers
   1/2/4 and the schemes stay *economically* identical to each other),
-* ``multiexp``: the fixed-base comb (the Protocol 4 ratio-phase shape:
-  one base, many small exponents) certified against the builtin ``pow``
-  oracle, plus the identity of the active bigint backend (pure Python in
-  this container; gmpy2 is picked up automatically when present),
+* ``multiexp``: the fixed-base comb (one base, many small exponents)
+  certified against the builtin ``pow`` oracle, plus the identity of the
+  active bigint backend (``libcrypto`` — OpenSSL's ``BN_mod_exp`` over
+  ``ctypes`` for odd moduli of 128 bits and up — or ``python``, builtin
+  ``pow``, when the library cannot be bound; the oracle itself stays on
+  builtin ``pow`` so that it never shares the library it cross-checks),
 * ``parallel_runner``: a Fig. 5-style sampled day executed serially and
   sharded across ``--workers`` processes — certifies the sharded run is
   bit-identical and records the day-runtime speedup on both the simulated
@@ -135,8 +137,8 @@ GARBLING_WORKER_COUNTS = (1, 2, 4)
 #: modulus size of the multiexp certificates (Paillier n² at the 256-bit
 #: bench key size is 1024 bits; 512 keeps the oracle comparisons fast).
 MULTIEXP_MODULUS_BITS = 512
-#: small-exponent batch shape of the fixed-base comb certificate — the
-#: Protocol 4 ratio phase raises ONE ciphertext to many small multipliers.
+#: small-exponent batch shape of the fixed-base comb certificate: ONE base
+#: raised to many small multipliers.
 MULTIEXP_SMALL_EXPONENT_BITS = 64
 MULTIEXP_BATCH = 16
 
@@ -423,9 +425,9 @@ def run_multiexp_section() -> dict:
     The fixed-base comb is certified against the builtin ``pow`` oracle
     (the ``matches_pow`` flag — the script exits non-zero if it is false)
     and timed against it.  The speedup is *recorded, not gated*: it comes
-    from amortization (the comb squares zero times per exponentiation) and
-    from a faster bigint backend when one is installed, which is why the
-    active backend's identity is part of the report.
+    from amortization (the comb squares zero times per exponentiation).
+    The active bigint backend's identity is part of the report because it
+    decides every other wall-clock number in the file.
     """
     import random
     import time
@@ -443,9 +445,9 @@ def run_multiexp_section() -> dict:
         result = thunk()
         return result, time.perf_counter() - start
 
-    # Fixed-base comb, amortized over a batch of small exponents (the
-    # Protocol 4 ratio-phase shape).  The table build is charged to the
-    # batch: the certificate times build + every exponentiation.
+    # Fixed-base comb, amortized over a batch of small exponents.  The
+    # table build is charged to the batch: the certificate times build +
+    # every exponentiation.
     small_exponents = [
         rng.getrandbits(MULTIEXP_SMALL_EXPONENT_BITS) for _ in range(MULTIEXP_BATCH)
     ]

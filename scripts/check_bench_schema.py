@@ -24,7 +24,7 @@ a regenerated file honest:
 * the ``multiexp`` section must exist, certify ``matches_pow`` for the
   fixed-base comb against the builtin ``pow`` oracle, and name the active
   bigint backend — the speedup is recorded but deliberately not gated
-  (the win is amortization and, when installed, a faster backend);
+  (the win is amortization);
 * the ``aggregation_topology`` section (added with the topology
   subsystem) must exist, certify ``sums_identical`` per requester count
   and shard invariance per topology at workers 1/2/4, and show the

@@ -28,7 +28,6 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ...crypto.accel import FixedBaseTable
 from ...crypto.paillier import PaillierCiphertext
 from ...net.message import MessageKind
 from ...net.network import NetworkError
@@ -116,32 +115,8 @@ def _run_ratio_phase(
     # ciphertext (sending the exact multiplier would leak |sn_j|).
     ratios: Dict[str, float] = {}
     multipliers = [max(1, round(scale / own)) for own in encoded]
-    # Every requester raises the *same* aggregate ciphertext to its own
-    # multiplier, so a fixed-base comb (precompute once, then squaring-free
-    # exponentiations) amortizes across the coalition.  The result integers
-    # are identical to multiply_plaintext's, so accounting and bit-identity
-    # are untouched; tiny coalitions skip the table (it would cost more to
-    # build than it saves).
-    n = ratio_holder.public_key.n
-    encoded_multipliers = [m % n for m in multipliers]
-    table = None
-    if len(encoded_multipliers) >= 3:
-        table = FixedBaseTable(
-            aggregated.value,
-            ratio_holder.public_key.n_squared,
-            max_exponent_bits=max(
-                (e.bit_length() for e in encoded_multipliers if e), default=1
-            ),
-        )
-    for requester, multiplier, encoded_multiplier in zip(
-        requesters, multipliers, encoded_multipliers
-    ):
-        if table is not None:
-            scaled = PaillierCiphertext(
-                table.powmod(encoded_multiplier), ratio_holder.public_key
-            )
-        else:
-            scaled = aggregated.multiply_plaintext(multiplier)
+    for requester, multiplier in zip(requesters, multipliers):
+        scaled = aggregated.multiply_plaintext(multiplier)
         context.charge_homomorphic_ops(1)
         requester.party.send(
             ratio_holder.agent_id,

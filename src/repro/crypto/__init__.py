@@ -3,13 +3,16 @@
 Contains everything the PEM protocols need, implemented from scratch on the
 Python standard library:
 
+* :mod:`repro.crypto.bigint` — the bigint seam: ``powmod`` backed by
+  libcrypto's ``BN_mod_exp`` (builtin ``pow`` as the fallback) behind every
+  hot modular exponentiation below.
 * :mod:`repro.crypto.primes` — Miller--Rabin primality and prime generation.
 * :mod:`repro.crypto.paillier` — the Paillier additively homomorphic
   cryptosystem (keygen, CRT-accelerated encrypt/decrypt, homomorphic ops,
   serialization).
 * :mod:`repro.crypto.accel` — offline acceleration (precomputed randomizer
   pools that make online encryption a single modular multiplication, plus
-  the fixed-base comb table and the feature-gated fast-bigint backend seam).
+  the fixed-base comb table).
 * :mod:`repro.crypto.fixedpoint` — fixed-point encoding of reals for
   encryption.
 * :mod:`repro.crypto.circuits` — boolean circuit builders (comparator, adder).

@@ -77,18 +77,18 @@ foreign key (no factors) pays the public full-width pow.
 Fixed-base exponentiation and the bigint seam
 ---------------------------------------------
 
+* :func:`backend` / :func:`set_backend` / :func:`powmod` — re-exported from
+  :mod:`repro.crypto.bigint`, the seam every modular exponentiation in this
+  module (pool refills, the owner-side lifts, the foreign-key pow) goes
+  through: libcrypto's ``BN_mod_exp`` when the library loads, builtin
+  ``pow`` otherwise — same integers either way.
 * :class:`FixedBaseTable` — Brickell–Gordon–McCurley–Wilson fixed-base
-  comb: when one base is raised to many exponents (Protocol 4's ratio
-  phase raises the *same* aggregate ciphertext to one multiplier per
-  requester), precomputing ``base^(d·2^(w·i))`` makes every subsequent
-  exponentiation squaring-free (~t/w mulmods for t-bit exponents).
-* :func:`backend` / :func:`set_backend` — the feature-gated fast-bigint
-  seam.  When ``gmpy2`` is importable its ``powmod`` is used for every
-  modular exponentiation routed through the seam (pool refills, the
-  owner-side lifts, Paillier encrypt/scalar-multiply); otherwise the
-  pure-Python backend (builtin ``pow``) is used.  The container for this
-  repo has no gmpy2, so the dispatch is exercised with a mock backend in
-  tests and the bench records which backend produced its numbers.
+  comb: precomputing ``base^(d·2^(w·i))`` makes every later exponentiation
+  of the same base squaring-free (~t/w mulmods for t-bit exponents).  It
+  has no product call site: through the seam, one ``multiply_plaintext``
+  per requester beats it (at a 1024-bit key, table build plus five
+  lookups 4.4 ms against 0.57 ms), so only the multiexp bench row and the
+  tracer's patch table name it.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ import threading
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
+from .bigint import backend, powmod, set_backend
 from .paillier import (
     PaillierCiphertext,
     PaillierPrivateKey,
@@ -110,59 +111,8 @@ __all__ = [
     "FixedBaseTable",
     "backend",
     "set_backend",
+    "powmod",
 ]
-
-
-# -- fast-bigint backend seam ------------------------------------------------------------
-
-
-class _PurePythonBackend:
-    """Default backend: CPython's builtin ``pow`` (C sliding-window)."""
-
-    name = "python"
-
-    @staticmethod
-    def powmod(base: int, exponent: int, modulus: int) -> int:
-        return pow(base, exponent, modulus)
-
-
-def _detect_backend() -> object:
-    """Prefer gmpy2 when present; fall back to pure Python."""
-    try:  # pragma: no cover - the repro container ships no gmpy2
-        import gmpy2  # type: ignore
-
-        class _Gmpy2Backend:
-            name = "gmpy2"
-
-            @staticmethod
-            def powmod(base: int, exponent: int, modulus: int) -> int:
-                return int(gmpy2.powmod(base, exponent, modulus))
-
-        return _Gmpy2Backend()
-    except ImportError:
-        return _PurePythonBackend()
-
-
-_backend: Optional[object] = None
-
-
-def backend() -> object:
-    """The active bigint backend (an object with ``name`` and ``powmod``)."""
-    global _backend
-    if _backend is None:
-        _backend = _detect_backend()
-    return _backend
-
-
-def set_backend(new_backend: Optional[object]) -> object:
-    """Install a bigint backend (tests/mocks); ``None`` re-runs autodetect.
-
-    Returns the previously active backend so callers can restore it.
-    """
-    global _backend
-    previous = backend()
-    _backend = new_backend if new_backend is not None else _detect_backend()
-    return previous
 
 
 # -- fixed-base exponentiation ------------------------------------------------------------
@@ -255,7 +205,6 @@ class _OwnerObfuscatorSampler:
 
     def _lift(self, t_p: int, t_q: int) -> int:
         """Garner-combine ``t_p^p mod p^2`` with ``t_q^q mod q^2``."""
-        powmod = backend().powmod
         x_p = powmod(t_p, self.p, self.p_sq)
         x_q = powmod(t_q, self.q, self.q_sq)
         return x_q + self.q_sq * ((x_p - x_q) * self.q_sq_inv % self.p_sq)
@@ -267,7 +216,6 @@ class _OwnerObfuscatorSampler:
     def obfuscate(self, r: int) -> int:
         """Exactly ``r^n mod n^2``: the residue step, then the same lift."""
         p, q = self.p, self.q
-        powmod = backend().powmod
         return self._lift(
             powmod(r % p, q % (p - 1), p),
             powmod(r % q, p % (q - 1), q),
@@ -287,7 +235,7 @@ def precompute_obfuscator(
     falls back to the public full-width exponentiation.
     """
     if private_key is None:
-        return backend().powmod(r, public_key.n, public_key.n_squared)
+        return powmod(r, public_key.n, public_key.n_squared)
     if private_key.public_key != public_key:
         raise ValueError("private key does not match the public key")
     return _OwnerObfuscatorSampler(private_key).obfuscate(r)
@@ -382,7 +330,7 @@ class RandomizerPool:
         if self._owner is not None:
             return self._owner.sample(rng)
         n = self.public_key.n
-        return backend().powmod(rng.randrange(1, n), n, self.public_key.n_squared)
+        return powmod(rng.randrange(1, n), n, self.public_key.n_squared)
 
     def _next_value(self) -> int:
         """A never-used obfuscator: reservoir pop, or inline computation."""

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from .bigint import powmod
 from .primes import generate_safe_prime, is_probable_prime
 
 __all__ = [
@@ -174,7 +175,7 @@ class OTSender:
         # C = g^z for random z; the sender immediately forgets z, so neither
         # party knows log_g(C) — the standard Bellare–Micali trick.
         z = self._group.random_exponent(self._rng)
-        self._c = pow(self._group.g, z, self._group.p)
+        self._c = powmod(self._group.g, z, self._group.p)
         return OTSenderSetup(group=self._group, c=self._c)
 
     def respond(self, choice: OTReceiverChoice) -> OTCiphertextPair:
@@ -189,10 +190,10 @@ class OTSender:
 
         r0 = group.random_exponent(self._rng)
         r1 = group.random_exponent(self._rng)
-        eph0 = pow(group.g, r0, group.p)
-        eph1 = pow(group.g, r1, group.p)
-        pad0 = _hash_to_pad(group, pow(pk0, r0, group.p), 0, len(self._messages[0]))
-        pad1 = _hash_to_pad(group, pow(pk1, r1, group.p), 1, len(self._messages[1]))
+        eph0 = powmod(group.g, r0, group.p)
+        eph1 = powmod(group.g, r1, group.p)
+        pad0 = _hash_to_pad(group, powmod(pk0, r0, group.p), 0, len(self._messages[0]))
+        pad1 = _hash_to_pad(group, powmod(pk1, r1, group.p), 1, len(self._messages[1]))
         return OTCiphertextPair(
             ephemeral_zero=eph0,
             ciphertext_zero=_xor_bytes(self._messages[0], pad0),
@@ -217,7 +218,7 @@ class OTReceiver:
         group = setup.group
         self._group = group
         self._secret = group.random_exponent(self._rng)
-        my_pk = pow(group.g, self._secret, group.p)
+        my_pk = powmod(group.g, self._secret, group.p)
         if self._choice == 0:
             pk_for_zero = my_pk
         else:
@@ -230,10 +231,10 @@ class OTReceiver:
             raise OTError("choose() must be called before recover()")
         group = self._group
         if self._choice == 0:
-            shared = pow(pair.ephemeral_zero, self._secret, group.p)
+            shared = powmod(pair.ephemeral_zero, self._secret, group.p)
             pad = _hash_to_pad(group, shared, 0, len(pair.ciphertext_zero))
             return _xor_bytes(pair.ciphertext_zero, pad)
-        shared = pow(pair.ephemeral_one, self._secret, group.p)
+        shared = powmod(pair.ephemeral_one, self._secret, group.p)
         pad = _hash_to_pad(group, shared, 1, len(pair.ciphertext_one))
         return _xor_bytes(pair.ciphertext_one, pad)
 

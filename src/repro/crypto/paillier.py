@@ -59,6 +59,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
+from .bigint import powmod
 from .primes import generate_prime
 
 __all__ = [
@@ -80,18 +81,6 @@ _SUM_CHUNK = 8
 
 class PaillierError(Exception):
     """Raised for malformed Paillier operations (wrong key, bad ciphertext)."""
-
-
-def _powmod(base: int, exponent: int, modulus: int) -> int:
-    """Modular exponentiation through the accel backend seam.
-
-    Imported lazily because :mod:`repro.crypto.accel` imports this module;
-    the pure-Python backend is the builtin ``pow``, so results are identical
-    whichever backend is active.
-    """
-    from .accel import backend
-
-    return backend().powmod(base, exponent, modulus)
 
 
 @dataclass(frozen=True)
@@ -179,7 +168,7 @@ class PaillierPublicKey:
         if strict and math.gcd(r, n) != 1:
             raise PaillierError("randomizer shares a factor with the modulus")
         # g = n + 1  =>  g^m = 1 + m*n (mod n^2)
-        c = ((1 + m * n) % n_sq) * _powmod(r, n, n_sq) % n_sq
+        c = ((1 + m * n) % n_sq) * powmod(r, n, n_sq) % n_sq
         return PaillierCiphertext(value=c, public_key=self)
 
     def encrypt_many(
@@ -287,8 +276,8 @@ class PaillierPrivateKey:
         """
         c = self._check(ciphertext)
         p, q = self.p, self.q
-        m_p = ((pow(c % self.p_squared, p - 1, self.p_squared) - 1) // p) * self._hp % p
-        m_q = ((pow(c % self.q_squared, q - 1, self.q_squared) - 1) // q) * self._hq % q
+        m_p = ((powmod(c % self.p_squared, p - 1, self.p_squared) - 1) // p) * self._hp % p
+        m_q = ((powmod(c % self.q_squared, q - 1, self.q_squared) - 1) // q) * self._hq % q
         # Garner: m = m_q + q * ((m_p - m_q) * q^-1 mod p)  in [0, n).
         return m_q + q * ((m_p - m_q) * self._q_inv_p % p)
 
@@ -297,10 +286,13 @@ class PaillierPrivateKey:
 
         Kept as the independent cross-check for the CRT fast path (the
         equivalence is asserted by the property-test suite) and as the
-        "before" measurement of the crypto micro-benchmarks.
+        "before" measurement of the crypto micro-benchmarks.  It stays on
+        builtin ``pow`` on purpose: the oracle must not share the bigint
+        library (:mod:`repro.crypto.bigint`) it cross-checks.
         """
         c = self._check(ciphertext)
         n = self.public_key.n
+        # staticcheck: ignore[powmod-through-seam] -- independent oracle
         u = pow(c, self.lam, self.public_key.n_squared)
         return ((u - 1) // n) * self.mu % n
 
@@ -380,7 +372,7 @@ class PaillierCiphertext:
         n = self.public_key.n
         n_sq = self.public_key.n_squared
         encoded = scalar % n
-        return PaillierCiphertext(_powmod(self.value, encoded, n_sq), self.public_key)
+        return PaillierCiphertext(powmod(self.value, encoded, n_sq), self.public_key)
 
     def __add__(self, other):
         if isinstance(other, PaillierCiphertext):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from .bigint import powmod
+
 __all__ = [
     "is_probable_prime",
     "generate_prime",
@@ -36,7 +38,7 @@ _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     """Return True if ``a`` is *not* a witness for the compositeness of ``n``."""
-    x = pow(a, d, n)
+    x = powmod(a, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(r - 1):

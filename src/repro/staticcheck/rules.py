@@ -698,6 +698,58 @@ itself, which is ROADMAP item 3's documented next step, not a finding."""
                 )
 
 
+class PowmodThroughSeamRule(Rule):
+    id = "powmod-through-seam"
+    summary = "crypto modular exponentiation goes through bigint.powmod"
+    rationale = """\
+ROADMAP aim: performance that is measured.  Paillier lifts and decryption,
+Miller-Rabin rounds and the base-OT group operations are PEM's wall-clock
+cost, and repro.crypto.bigint.powmod is the one seam that puts libcrypto's
+BN_mod_exp (about ten times faster than builtin pow at 1024-bit moduli,
+same integers) behind all of them.  A three-argument builtin pow written
+beside the seam silently returns that call site to long division, and no
+test can notice: the answer is identical, only the day gets slower.
+
+Flags, under src/repro/crypto/ outside bigint.py itself: a call to builtin
+pow with a modulus (three positional arguments or mod=) unless the
+exponent is the literal -1 — a modular inverse, which BN_mod_exp does not
+compute.  The independent decryption oracle (decrypt_raw_textbook) stays
+on pow on purpose and carries the one waiver: it must not share the
+library it cross-checks."""
+    node_types = (ast.Call,)
+
+    SCOPE = "src/repro/crypto/"
+    SEAM = "src/repro/crypto/bigint.py"
+
+    def applies_to(self, ctx: ModuleContext) -> bool:
+        return ctx.in_dir(self.SCOPE) and ctx.rel_path != self.SEAM
+
+    def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
+        assert isinstance(node, ast.Call)
+        if ctx.qualname(node.func) != "pow":
+            return
+        has_modulus = len(node.args) == 3 or any(
+            keyword.arg == "mod" for keyword in node.keywords
+        )
+        if not has_modulus or (len(node.args) >= 2 and self._is_minus_one(node.args[1])):
+            return
+        yield ctx.finding(
+            self,
+            node,
+            "three-argument builtin pow in a crypto module; route it through "
+            "repro.crypto.bigint.powmod",
+        )
+
+    @staticmethod
+    def _is_minus_one(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant)
+            and node.operand.value == 1
+        )
+
+
 class _EngineRule(Rule):
     """Doc-only registration for findings the engine emits itself."""
 
@@ -742,6 +794,7 @@ DEFAULT_RULES: Tuple[type, ...] = (
     FrozenMutationRule,
     HashSeedDeterminismRule,
     NoPickleOnWireRule,
+    PowmodThroughSeamRule,
     BadSuppressionRule,
     UnusedSuppressionRule,
     ParseErrorRule,

@@ -164,6 +164,7 @@ def test_list_rules_covers_all_six(capsys):
         "frozen-mutation",
         "hash-seed-determinism",
         "no-pickle-on-wire",
+        "powmod-through-seam",
     ):
         assert rule_id in out
 

@@ -76,6 +76,7 @@ def test_every_rule_has_violating_and_clean_fixture():
         "frozen-mutation",
         "hash-seed",
         "no-pickle-on-wire",
+        "powmod-through-seam",
     ):
         assert any(c.startswith(stem_rule) for c in cleared), (
             f"no clean fixture for {stem_rule}"
