@@ -6,10 +6,18 @@ claim is a paired measurement"): the parent commit and the change, each in
 a pycache-free copy, alternate ``python -m perfbench`` runs on one workload
 and the change must win at least nine tenths of the pairs by more than the
 parent's own quartile spread, with ``bytes_per_window`` identical per seed.
-This script is that protocol as one command::
+This script is that protocol as one command, claim and controls together::
 
     python scripts/perf_pair.py --workload live_gc_128 --pairs 10 \\
         --seeds 11,12,13,14,15,16,17,18,19,20
+    python scripts/perf_pair.py --workload all --claim live_socket_128 \\
+        --pairs 10 --control-pairs 4
+
+``--workload`` takes one name, a comma-separated list or ``all`` (every
+workload ``BENCHMARK.json`` declares); each workload gets its own series
+of alternating pairs and its own table, and a final verdict line reads the
+claim off ``--claim`` (default: the first workload listed) and holds every
+other workload to its ``BENCHMARK.json`` bounds.
 
 It exports ``--parent`` (default ``HEAD~1``; use ``HEAD`` to compare an
 uncommitted working tree against its base) with ``git archive`` and copies
@@ -39,6 +47,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The metric whose per-seed equality certifies "same protocol, same bytes".
 BYTES_METRIC = "bytes_per_window"
+
+#: The metric a claim is made on (every perfbench claim so far).
+CLAIM_METRIC = "windows_per_s"
 
 
 def export_parent(rev: str, target: Path) -> None:
@@ -128,6 +139,65 @@ def bytes_mismatches(runs: List[Dict[str, dict]]) -> List[int]:
     )
 
 
+def claim_verdict(runs: List[Dict[str, dict]], metric: str, better: str) -> Tuple[bool, str]:
+    """Whether ``metric`` meets the claim rule, and the sentence that says so.
+
+    The rule: the change wins at least nine tenths of the pairs, and its
+    median is better than the parent's by more than the parent's own
+    quartile distance.
+    """
+    parent = [run["parent"]["metrics"][metric]["value"] for run in runs]
+    change = [run["change"]["metrics"][metric]["value"] for run in runs]
+    (p1, pm, p3), (_, cm, _) = quartiles(parent), quartiles(change)
+    won, _ = pairs_won(parent, change, better)
+    gap = (cm - pm) if better == "higher" else (pm - cm)
+    met = 10 * won >= 9 * len(runs) and gap > p3 - p1
+    ratio = f"{cm / pm:.3f}x" if pm else "n/a"
+    return met, (
+        f"{metric} won {won}/{len(runs)}, median {pm:.6g} -> {cm:.6g} ({ratio}), "
+        f"gap {gap:.3g} vs parent IQR {p3 - p1:.3g}: {'met' if met else 'NOT met'}"
+    )
+
+
+def outside_bounds(runs: List[Dict[str, dict]], end_to_end: Sequence[dict]) -> List[str]:
+    """End-to-end metrics whose median is worse than the parent's by more than its bound."""
+    outside = []
+    for metric in end_to_end:
+        name = metric["name"]
+        if name not in runs[0]["parent"]["metrics"]:
+            continue
+        _, pm, _ = quartiles([run["parent"]["metrics"][name]["value"] for run in runs])
+        _, cm, _ = quartiles([run["change"]["metrics"][name]["value"] for run in runs])
+        worse = (pm - cm) if metric["better"] == "higher" else (cm - pm)
+        if worse > metric["bound"] * abs(pm):
+            outside.append(name)
+    return outside
+
+
+def verdict(
+    runs: Dict[str, List[Dict[str, dict]]], claim: str, metric: str, declared: dict
+) -> str:
+    """The one line a claim is read from: the claim, the controls, the bytes."""
+    direction = next(
+        (m["better"] for m in declared["end_to_end"] if m["name"] == metric), "lower"
+    )
+    _, claimed = claim_verdict(runs[claim], metric, direction)
+    controls, mismatched = [], []
+    for workload, series in runs.items():
+        if workload != claim:
+            outside = outside_bounds(series, declared["end_to_end"])
+            controls.append(f"{workload} {'NO (' + ', '.join(outside) + ')' if outside else 'yes'}")
+        seeds_off = BYTES_METRIC in series[0]["parent"]["metrics"] and bytes_mismatches(series)
+        if seeds_off:
+            mismatched.append(f"{workload} seeds {seeds_off}")
+    return (
+        f"verdict: claim {claim} {claimed}; "
+        f"controls inside bound: {', '.join(controls) or 'none run'}; "
+        f"{BYTES_METRIC} identical per seed: "
+        f"{'NO, ' + '; '.join(mismatched) if mismatched else 'yes'}"
+    )
+
+
 def _describe(result: dict) -> str:
     rate = result["metrics"].get("windows_per_s", {}).get("value", float("nan"))
     return f"{rate:.2f} w/s ({result['failed']}/{result['attempted']} failed)"
@@ -135,8 +205,14 @@ def _describe(result: dict) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, help="a name, a comma-separated list, or 'all'"
+    )
+    parser.add_argument("--claim", help="the claimed workload (default: the first listed)")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--control-pairs", type=int, help="pairs on the other workloads (default: --pairs)"
+    )
     parser.add_argument(
         "--seeds",
         default="",
@@ -151,37 +227,56 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    workloads = (
+        [w["name"] for w in declared["workloads"]]
+        if args.workload == "all"
+        else [name for name in args.workload.split(",") if name]
+    )
+    claim = args.claim or workloads[0]
+    if claim not in workloads:
+        parser.error(f"--claim {claim} is not among the workloads {workloads}")
 
-    runs: List[Dict[str, dict]] = []
+    runs: Dict[str, List[Dict[str, dict]]] = {workload: [] for workload in workloads}
     with tempfile.TemporaryDirectory(prefix="perf_pair.") as scratch:
         trees = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
         export_parent(args.parent, trees["parent"])
         export_working_tree(trees["change"])
-        for pair in range(args.pairs):
-            seed = seeds[pair % len(seeds)]
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            results = {
-                side: run_benchmark(trees[side], args.workload, seed, args.seconds, args.trace)
-                for side in order
-            }
-            runs.append({"seed": seed, "first": order[0], **results})
+        for workload in workloads:
+            pairs = args.control_pairs if workload != claim and args.control_pairs else args.pairs
+            for pair in range(pairs):
+                seed = seeds[pair % len(seeds)]
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                results = {
+                    side: run_benchmark(trees[side], workload, seed, args.seconds, args.trace)
+                    for side in order
+                }
+                runs[workload].append({"seed": seed, "first": order[0], **results})
+                print(
+                    f"{workload} pair {pair + 1:2d} seed {seed:3d} first={order[0]:6s}  "
+                    f"parent {_describe(results['parent'])}  "
+                    f"change {_describe(results['change'])}",
+                    flush=True,
+                )
+            series = runs[workload]
             print(
-                f"pair {pair + 1:2d} seed {seed:3d} first={order[0]:6s}  "
-                f"parent {_describe(results['parent'])}  change {_describe(results['change'])}",
-                flush=True,
+                f"\n{workload}: {len(series)} pairs, parent={args.parent}, "
+                f"{args.seconds:g} s runs"
+            )
+            print("\n".join(summarize(series, better)))
+            if BYTES_METRIC in series[0]["parent"]["metrics"]:
+                seeds_off = bytes_mismatches(series)
+                print(
+                    f"{BYTES_METRIC} identical per seed: "
+                    f"{'yes' if not seeds_off else f'NO, seeds {seeds_off}'}"
+                )
+            sides = [run[side] for run in series for side in ("parent", "change")]
+            print(
+                f"failed windows: {sum(r['failed'] for r in sides)}; "
+                f"runs failing the correctness gate: {sum(not r['correct'] for r in sides)}"
             )
 
-    print(f"\n{args.workload}: {len(runs)} pairs, parent={args.parent}, {args.seconds:g} s runs")
-    print("\n".join(summarize(runs, better)))
-    if BYTES_METRIC in runs[0]["parent"]["metrics"]:
-        mismatched = bytes_mismatches(runs)
-        verdict = "yes" if not mismatched else f"NO, seeds {mismatched}"
-        print(f"{BYTES_METRIC} identical per seed: {verdict}")
-    sides = [run[side] for run in runs for side in ("parent", "change")]
-    print(
-        f"failed windows: {sum(r['failed'] for r in sides)}; "
-        f"runs failing the correctness gate: {sum(not r['correct'] for r in sides)}"
-    )
+    if CLAIM_METRIC in runs[claim][0]["parent"]["metrics"]:  # a traced pair has no end-to-end metrics
+        print("\n" + verdict(runs, claim, CLAIM_METRIC, declared))
     if args.out:
         args.out.write_text(json.dumps(runs, indent=1) + "\n")
     return 0

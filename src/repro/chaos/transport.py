@@ -7,8 +7,9 @@ the paper prototype's per-container TCP links (and of any TLS deployment):
 
 * a **dropped** frame is detected by the sender: the wrapper raises
   :class:`FrameDropError` from ``deliver`` itself, the moment the frame is
-  lost — it does not wait for the wrapped transport's next cumulative
-  acknowledgement to come up one frame short;
+  lost (the rest of its run is never sent) — it does not wait for the
+  wrapped transport's next cumulative acknowledgement to come up one
+  frame short;
 * a **reordered** frame is detected by the receiver's sequence check: the
   chosen frame is held back, so the protocol's next read finds the inbox
   out of step (and a later flush of the stale frame is rejected as
@@ -25,8 +26,8 @@ transport seam — sender, recipient, frame ordinal and message kind attached
 delta documented in ``docs/CHAOS.md``: the channel detects tampering, it
 does not correct it; recovery is the supervisor's job.
 
-With a zero-fault plan the decorator is bit-transparent: ``deliver`` and
-``flush`` pass straight through to the wrapped transport
+With a zero-fault plan the decorator is bit-transparent: every message of
+a run and every ``flush`` pass straight through to the wrapped transport
 (``tests/net/test_transport_conformance.py`` certifies the full transport
 contract through the wrapper).
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..net.message import Message
 from ..net.transport import FrameError, Sink, Transport
@@ -152,51 +153,61 @@ class FaultyTransport(Transport):
     def close(self) -> None:
         self.inner.close()
 
-    def deliver(self, message: Message) -> None:
-        ordinal = self._ordinal
-        self._ordinal += 1
+    def deliver(self, run: Iterable[Message]) -> None:
+        self.inner.deliver(self._faulted(run))
+
+    def _faulted(self, run: Iterable[Message]) -> Iterator[Message]:
+        """``run`` as the wrapped transport sees it: one fault decision per frame.
+
+        A fault raises from inside the wrapped transport's own loop, at the
+        frame it hit — what was handed over before it stays delivered, the
+        rest of the run is never pulled.
+        """
         window = self.window if self.window is not None else -1
-        fault = self.plan.frame_fault(
-            window, self.attempt, ordinal, injected=len(self.injected)
-        )
-        if fault is None:
-            self.inner.deliver(message)
-            self._flush_held()
-            return
-        self._record(fault, message, ordinal)
-        if fault == "drop":
-            # Not delivered; the channel's sequence numbers tell the sender
-            # right here, ahead of the inner transport's next cumulative ack.
-            raise self._error("drop", "frame lost in transit (no ack)", message, ordinal)
-        if fault == "reorder":
-            # Held back: the next frame overtakes it.  The protocol's
-            # lock-step read discipline notices the gap immediately; if a
-            # later delivery flushes the stale frame first, the sequence
-            # check below rejects it.
-            self._held = (message, ordinal)
-            return
-        if fault == "duplicate":
-            self.inner.deliver(message)
-            raise self._error(
-                "duplicate", "replayed frame rejected by sequence check", message, ordinal
+        for message in run:
+            ordinal = self._ordinal
+            self._ordinal += 1
+            fault = self.plan.frame_fault(
+                window, self.attempt, ordinal, injected=len(self.injected)
             )
-        # corrupt: flip a real byte in the wire frame and let the digest
-        # check catch it before anything is decoded.
-        frame = message.encode()
-        digest = hashlib.sha256(frame).digest()
-        position = self.plan.corrupt_position(window, ordinal, len(frame))
-        corrupted = bytearray(frame)
-        corrupted[position] ^= 0x01
-        if hashlib.sha256(bytes(corrupted)).digest() != digest:
-            raise self._error(
-                "corrupt",
-                f"frame digest mismatch (byte {position} corrupted in transit)",
-                message,
-                ordinal,
-            )
-        # Unreachable (a flipped byte always changes the digest) but keeps
-        # the fail-closed contract explicit: never deliver unverified bytes.
-        raise self._error("corrupt", "frame corruption undetectable", message, ordinal)
+            if fault is None:
+                yield message
+                self._flush_held()
+                continue
+            self._record(fault, message, ordinal)
+            if fault == "drop":
+                # Not delivered; the channel's sequence numbers tell the sender
+                # right here, ahead of the inner transport's next cumulative ack.
+                raise self._error("drop", "frame lost in transit (no ack)", message, ordinal)
+            if fault == "reorder":
+                # Held back: the next frame overtakes it.  The protocol's
+                # lock-step read discipline notices the gap immediately; if a
+                # later delivery flushes the stale frame first, the sequence
+                # check below rejects it.
+                self._held = (message, ordinal)
+                continue
+            if fault == "duplicate":
+                yield message
+                raise self._error(
+                    "duplicate", "replayed frame rejected by sequence check", message, ordinal
+                )
+            # corrupt: flip a real byte in the wire frame and let the digest
+            # check catch it before anything is decoded.
+            frame = message.encode()
+            digest = hashlib.sha256(frame).digest()
+            position = self.plan.corrupt_position(window, ordinal, len(frame))
+            corrupted = bytearray(frame)
+            corrupted[position] ^= 0x01
+            if hashlib.sha256(bytes(corrupted)).digest() != digest:
+                raise self._error(
+                    "corrupt",
+                    f"frame digest mismatch (byte {position} corrupted in transit)",
+                    message,
+                    ordinal,
+                )
+            # Unreachable (a flipped byte always changes the digest) but keeps
+            # the fail-closed contract explicit: never deliver unverified bytes.
+            raise self._error("corrupt", "frame corruption undetectable", message, ordinal)
 
     # -- helpers -----------------------------------------------------------------
 

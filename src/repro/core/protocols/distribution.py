@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from ...crypto.paillier import PaillierCiphertext
-from ...net.message import MessageKind
+from ...net.message import Message, MessageKind
 from ...net.network import NetworkError
 from ..market import MarketCase, MarketClearing, Trade
 from .aggregation import aggregate
@@ -193,65 +193,72 @@ def run_private_distribution(
     # parallel rounds on the critical path regardless of the pair count.
     context.charge_round(96)
     context.charge_round(96)
-
-    def record_trade(seller: AgentRuntime, buyer: AgentRuntime, energy: float) -> None:
-        """Create the trade, route the energy and the payment messages."""
-        payment = clearing_price * energy
-        clearing.trades.append(
-            Trade(
-                seller_id=seller.agent_id,
-                buyer_id=buyer.agent_id,
-                energy_kwh=energy,
-                payment=payment,
-            )
-        )
-        sold_totals[seller.agent_id] = sold_totals.get(seller.agent_id, 0.0) + energy
-        bought_totals[buyer.agent_id] = bought_totals.get(buyer.agent_id, 0.0) + energy
-        seller.party.send(
-            buyer.agent_id,
-            MessageKind.ENERGY_ROUTE,
-            metadata={"window": coalitions.window, "kwh": round(energy, 9)},
-        )
-        buyer.party.send(
-            seller.agent_id,
-            MessageKind.PAYMENT,
-            metadata={"window": coalitions.window, "amount": round(payment, 6)},
-        )
+    # ``agent_id`` is a property; the pair loops below read it ~20 000 times.
+    sellers = [(seller, seller.agent_id) for seller in context.sellers]
+    buyers = [(buyer, buyer.agent_id) for buyer in context.buyers]
 
     if case == MarketCase.GENERAL:
         ratio_holder = context.choose_seller()
         ratios = _run_ratio_phase(context, context.buyers, ratio_holder)
-        # Every seller ships its whole surplus, split by the demand ratios.
-        for seller in context.sellers:
-            surplus = seller.state.net_energy_kwh
-            clearing.seller_sold_kwh[seller.agent_id] = surplus
-            clearing.seller_grid_export_kwh[seller.agent_id] = 0.0
-            for buyer in context.buyers:
-                energy = surplus * ratios[buyer.agent_id]
-                if energy > 0:
-                    record_trade(seller, buyer, energy)
-        for buyer in context.buyers:
-            demand = -buyer.state.net_energy_kwh
-            bought = bought_totals.get(buyer.agent_id, 0.0)
-            clearing.buyer_bought_kwh[buyer.agent_id] = bought
-            clearing.buyer_grid_import_kwh[buyer.agent_id] = max(0.0, demand - bought)
     else:
         ratio_holder = context.choose_buyer()
         ratios = _run_ratio_phase(context, context.sellers, ratio_holder)
-        # Every buyer is fully served, split across sellers by supply ratios.
-        for buyer in context.buyers:
+
+    def allocations() -> Iterator[Tuple[str, str, float]]:
+        """``(seller id, buyer id, e_ij)`` for every seller-buyer pair, in trade order."""
+        if case == MarketCase.GENERAL:
+            # Every seller ships its whole surplus, split by the demand ratios.
+            for seller, seller_id in sellers:
+                surplus = seller.state.net_energy_kwh
+                clearing.seller_sold_kwh[seller_id] = surplus
+                clearing.seller_grid_export_kwh[seller_id] = 0.0
+                for _, buyer_id in buyers:
+                    yield seller_id, buyer_id, surplus * ratios[buyer_id]
+        else:
+            # Every buyer is fully served, split across sellers by supply ratios.
+            for buyer, buyer_id in buyers:
+                demand = -buyer.state.net_energy_kwh
+                clearing.buyer_bought_kwh[buyer_id] = demand
+                clearing.buyer_grid_import_kwh[buyer_id] = 0.0
+                for _, seller_id in sellers:
+                    yield seller_id, buyer_id, demand * ratios[seller_id]
+
+    def exchange() -> Iterator[Message]:
+        """The phase's messages: each trade's energy route, then its payment."""
+        window = coalitions.window
+        trades = clearing.trades
+        energy_route, payment_kind = MessageKind.ENERGY_ROUTE, MessageKind.PAYMENT
+        for seller_id, buyer_id, energy in allocations():
+            if energy <= 0:
+                continue
+            payment = clearing_price * energy
+            trades.append(Trade(seller_id, buyer_id, energy, payment))
+            sold_totals[seller_id] = sold_totals.get(seller_id, 0.0) + energy
+            bought_totals[buyer_id] = bought_totals.get(buyer_id, 0.0) + energy
+            # Positional: a keyword call costs the constructor twice over.
+            yield Message(
+                seller_id, buyer_id, energy_route, b"", {"window": window, "kwh": round(energy, 9)}
+            )
+            yield Message(
+                buyer_id, seller_id, payment_kind, b"", {"window": window, "amount": round(payment, 6)}
+            )
+
+    # One run for the whole seller x buyer phase; the network pulls it
+    # message by message, so ids, accounting and hooks keep trade order.
+    context.network.deliver(exchange())
+
+    if case == MarketCase.GENERAL:
+        for buyer, buyer_id in buyers:
             demand = -buyer.state.net_energy_kwh
-            clearing.buyer_bought_kwh[buyer.agent_id] = demand
-            clearing.buyer_grid_import_kwh[buyer.agent_id] = 0.0
-            for seller in context.sellers:
-                energy = demand * ratios[seller.agent_id]
-                if energy > 0:
-                    record_trade(seller, buyer, energy)
-        for seller in context.sellers:
+            bought = bought_totals.get(buyer_id, 0.0)
+            clearing.buyer_bought_kwh[buyer_id] = bought
+            clearing.buyer_grid_import_kwh[buyer_id] = max(0.0, demand - bought)
+    else:
+        for seller, seller_id in sellers:
             surplus = seller.state.net_energy_kwh
-            sold = sold_totals.get(seller.agent_id, 0.0)
-            clearing.seller_sold_kwh[seller.agent_id] = sold
-            clearing.seller_grid_export_kwh[seller.agent_id] = max(0.0, surplus - sold)
+            sold = sold_totals.get(seller_id, 0.0)
+            clearing.seller_sold_kwh[seller_id] = sold
+            clearing.seller_grid_export_kwh[seller_id] = max(0.0, surplus - sold)
 
     return DistributionResult(
         clearing=clearing, ratio_holder_id=ratio_holder.agent_id, ratios=ratios

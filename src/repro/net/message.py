@@ -15,17 +15,47 @@ import json
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, Dict, Iterable, Iterator, Optional
 
 from .errors import FrameError
 
-__all__ = ["MessageKind", "Message", "WIRE_VERSION", "WIRE_HEADER_FORMAT"]
+__all__ = [
+    "MessageKind",
+    "Message",
+    "encode_metadata",
+    "WIRE_VERSION",
+    "WIRE_HEADER_FORMAT",
+]
 
 _MESSAGE_COUNTER = itertools.count(1)
 
-#: ``json.dumps(..., sort_keys=True)`` builds a ``JSONEncoder`` per call;
-#: the metadata is encoded once per message, through this one.
-_encode_metadata = json.JSONEncoder(sort_keys=True).encode
+_METADATA_ENCODER = json.JSONEncoder(sort_keys=True)
+#: ``JSONEncoder.encode`` builds a C encoder object per call; this is that
+#: object, built once with the arguments ``json.dumps(sort_keys=True)``
+#: passes — except the table of containers being encoded, so a cyclic
+#: metadata dict ends in ``RecursionError`` instead of ``ValueError`` and
+#: an encoding that raises leaves nothing behind for the next one.
+_iterencode = c_make_encoder and c_make_encoder(
+    None, _METADATA_ENCODER.default, encode_basestring_ascii, None, ": ", ", ", True, False, True
+)
+
+
+def encode_metadata(metadata: Dict[str, Any]) -> bytes:
+    """``json.dumps(metadata, sort_keys=True).encode()``, byte for byte.
+
+    The one place metadata becomes bytes: what :meth:`Message.byte_size`
+    counts and :meth:`Message.encode` ships.  A broadcast calls it once
+    and hands the result to every copy (:meth:`Message.to`).
+    """
+    if _iterencode is None:  # no C accelerator: the stock encoder
+        return _METADATA_ENCODER.encode(metadata).encode()
+    return "".join(_iterencode(metadata, 0)).encode()
+
+
+#: The C scanner ``json.loads`` ends up in, without the two whitespace
+#: regex passes ``JSONDecoder.decode`` makes around it.
+_scan_metadata = json.JSONDecoder().scan_once
 
 #: Version byte of the binary frame :meth:`Message.encode` writes
 #: (``docs/WIRE.md``); :meth:`Message.decode` rejects any other.
@@ -68,10 +98,11 @@ class MessageKind(str, Enum):
 #: appended, never inserted (an insertion renumbers the frames of a
 #: mixed-version deployment without changing :data:`WIRE_VERSION`).
 _KINDS = tuple(MessageKind)
-_KIND_INDEX = {kind: index for index, kind in enumerate(_KINDS)}
+#: Keyed by the plain value: hashing an enum member is a Python call.
+_KIND_INDEX = {kind.value: index for index, kind in enumerate(_KINDS)}
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class Message:
     """A single protocol message.
 
@@ -92,10 +123,30 @@ class Message:
     kind: MessageKind
     payload: bytes = b""
     metadata: Dict[str, Any] = field(default_factory=dict)
-    message_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
+    message_id: int = field(default_factory=_MESSAGE_COUNTER.__next__)
     _metadata_json: Optional[bytes] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @classmethod
+    def to_each(
+        cls,
+        sender: str,
+        recipients: Iterable[str],
+        kind: MessageKind,
+        payload: bytes = b"",
+        metadata: Optional[Dict[str, Any]] = None,
+    ) -> Iterator["Message"]:
+        """The same message for every recipient, its metadata encoded once.
+
+        Each copy is created (and takes its id) when the consumer pulls
+        it, so a run that fails part-way has used no id past the failure.
+        """
+        encoded = encode_metadata(metadata) if metadata else b""
+        for recipient in recipients:
+            message = cls(sender, recipient, kind, payload, metadata or {})
+            message._metadata_json = encoded
+            yield message
 
     def _metadata_bytes(self) -> bytes:
         """The sorted-key metadata JSON (empty for no metadata), encoded once.
@@ -105,7 +156,7 @@ class Message:
         """
         encoded = self._metadata_json
         if encoded is None:
-            encoded = _encode_metadata(self.metadata).encode() if self.metadata else b""
+            encoded = encode_metadata(self.metadata) if self.metadata else b""
             self._metadata_json = encoded
         return encoded
 
@@ -131,7 +182,7 @@ class Message:
             recipient = self.recipient.encode()
             header = _WIRE_HEADER.pack(
                 WIRE_VERSION,
-                _KIND_INDEX[self.kind],
+                _KIND_INDEX[self.kind._value_],
                 self.message_id,
                 len(sender),
                 len(recipient),
@@ -144,7 +195,7 @@ class Message:
                 recipient=self.recipient,
                 kind=self.kind.value,
             ) from None
-        return b"".join((header, sender, recipient, metadata, self.payload))
+        return header + sender + recipient + metadata + self.payload
 
     @classmethod
     def decode(cls, frame: bytes) -> "Message":
@@ -183,27 +234,22 @@ class Message:
             recipient = frame[recipient_start:metadata_start].decode()
         except UnicodeDecodeError:
             raise FrameError("party id is not UTF-8", kind=kind.value) from None
-        metadata: Dict[str, Any] = {}
+        metadata: Any = {}
         if metadata_len:
+            # Exactly one JSON object, nothing before or after it.
             try:
-                metadata = json.loads(frame[metadata_start:payload_start].decode())
-            except (ValueError, RecursionError):
+                text = frame[metadata_start:payload_start].decode()
+                metadata, end = _scan_metadata(text, 0)
+            except (ValueError, RecursionError, StopIteration):
                 metadata = None
-            if not isinstance(metadata, dict):
+            if type(metadata) is not dict or end != len(text):
                 raise FrameError(
                     "metadata is not a JSON object",
                     sender=sender,
                     recipient=recipient,
                     kind=kind.value,
                 )
-        return cls(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            payload=frame[payload_start:],
-            metadata=metadata,
-            message_id=message_id,
-        )
+        return cls(sender, recipient, kind, frame[payload_start:], metadata, message_id)
 
     def is_broadcast(self) -> bool:
         return self.recipient == "*"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict, deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
 
 from .costmodel import CostModel
 from .message import Message, MessageKind
@@ -67,16 +67,9 @@ class Party:
         payload: bytes = b"",
         metadata: Optional[dict] = None,
     ) -> Message:
-        """Send a unicast message to ``recipient``."""
-        message = Message(
-            sender=self.party_id,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            metadata=metadata or {},
-        )
-        self._network.deliver(message)
-        self.sent_log.append(message)
+        """Send a unicast message to ``recipient``: a run of one."""
+        message = Message(self.party_id, recipient, kind, payload, metadata or {})
+        self._network.deliver((message,))
         return message
 
     def broadcast(
@@ -86,13 +79,14 @@ class Party:
         payload: bytes = b"",
         metadata: Optional[dict] = None,
     ) -> List[Message]:
-        """Send the same message to every party in ``recipients`` (except self)."""
-        sent = []
-        for recipient in recipients:
-            if recipient == self.party_id:
-                continue
-            sent.append(self.send(recipient, kind, payload, metadata))
-        return sent
+        """Send the same message to every party in ``recipients`` (except self).
+
+        One run: the metadata is encoded once, whatever the audience.
+        """
+        already_sent = len(self.sent_log)
+        others = (recipient for recipient in recipients if recipient != self.party_id)
+        self._network.deliver(Message.to_each(self.party_id, others, kind, payload, metadata))
+        return self.sent_log[already_sent:]
 
     # -- receiving -------------------------------------------------------------
 
@@ -205,23 +199,61 @@ class SimulatedNetwork:
 
     # -- delivery ----------------------------------------------------------------
 
-    def deliver(self, message: Message) -> None:
-        """Deliver a unicast message, updating the traffic statistics.
+    def deliver(self, run: Iterable[Message]) -> None:
+        """Deliver a run of messages — a send, a broadcast, a whole phase — in order.
+
+        The run may be lazy: each message is pulled, validated, accounted,
+        shown to the hooks and framed before the next one exists, so a run
+        that fails at message *k* leaves exactly what *k* sequential sends
+        would have: *k* messages in the senders' ``sent_log``, message *k*
+        accounted if it got as far as the transport, nothing of the rest.
 
         Bandwidth is charged per message; *time* is charged explicitly by
         the protocols through :meth:`charge_crypto_time`, because the
         critical-path runtime depends on whether messages are sequential
         (chain hops) or concurrent (broadcasts, pairwise routing).
         """
-        if message.sender not in self._parties:
-            raise NetworkError(f"unknown sender {message.sender!r}")
-        if message.recipient not in self._parties:
-            raise NetworkError(f"unknown recipient {message.recipient!r}")
-        size = message.byte_size()
-        self.stats.record_send(message.sender, message.recipient, size, kind=message.kind.value)
-        for hook in self._message_hooks:
-            hook(message)
-        self.transport.deliver(message)
+        accounted = self._accounted(run)
+        try:
+            self.transport.deliver(accounted)
+        finally:
+            # A transport that raised left the generator parked on the
+            # message it failed at; closing it books the run's totals now.
+            accounted.close()
+
+    def _accounted(self, run: Iterable[Message]) -> Iterator[Message]:
+        """``run``, each message validated, accounted and hooked as it is pulled."""
+        parties = self._parties
+        hooks = self._message_hooks
+        stats = self.stats
+        traffic = stats.per_party
+        bytes_by_kind = stats.bytes_by_kind
+        messages = volume = 0
+        try:
+            for message in run:
+                sender = parties.get(message.sender)
+                if sender is None:
+                    raise NetworkError(f"unknown sender {message.sender!r}")
+                if message.recipient not in parties:
+                    raise NetworkError(f"unknown recipient {message.recipient!r}")
+                size = message.byte_size()
+                messages += 1
+                volume += size
+                sent = traffic[message.sender]
+                sent.messages_sent += 1
+                sent.bytes_sent += size
+                received = traffic[message.recipient]
+                received.messages_received += 1
+                received.bytes_received += size
+                bytes_by_kind[message.kind._value_] += size
+                for hook in hooks:
+                    hook(message)
+                yield message
+                # Resumed: the transport took it and asked for the next.
+                sender.sent_log.append(message)
+        finally:
+            stats.total_messages += messages
+            stats.total_bytes += volume
 
     def flush(self) -> None:
         """Block until the transport has delivered every message sent so far.

@@ -97,16 +97,6 @@ class TrafficStats:
     #: would have to cross) and for the anchor window (nothing precedes it).
     pipeline_overlap_seconds: float = 0.0
 
-    def record_send(self, sender: str, recipient: str, size: int, kind: str = "other") -> None:
-        """Record one unicast message of ``size`` bytes."""
-        self.per_party[sender].messages_sent += 1
-        self.per_party[sender].bytes_sent += size
-        self.per_party[recipient].messages_received += 1
-        self.per_party[recipient].bytes_received += size
-        self.total_messages += 1
-        self.total_bytes += size
-        self.bytes_by_kind[kind] += size
-
     def bytes_for_kinds(self, kinds) -> int:
         """Total bytes of the given message kinds."""
         return sum(self.bytes_by_kind.get(kind, 0) for kind in kinds)

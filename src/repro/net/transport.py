@@ -3,11 +3,13 @@
 The paper's prototype runs each smart home in its own Docker container and
 ships protocol messages over TCP; the reproduction historically hard-wired
 synchronous in-process delivery into :class:`~repro.net.network.SimulatedNetwork`.
-This module splits that decision out: a :class:`Transport` moves one
-:class:`~repro.net.message.Message` from sender to recipient, nothing more —
+This module splits that decision out: a :class:`Transport` moves a *run* of
+:class:`~repro.net.message.Message` objects — one send, one broadcast, a
+whole protocol phase — from senders to recipients, nothing more —
 registration checks, traffic accounting, cost charging and the
 secure-channel discipline all stay in the network layer, which treats the
-transport as an injected dependency.
+transport as an injected dependency and hands it each run as a lazy
+iterable it accounts message by message as the transport pulls.
 
 Two implementations are provided:
 
@@ -17,10 +19,11 @@ Two implementations are provided:
 * :class:`SocketTransport` — length-prefixed frames over a real loopback
   TCP connection.  Every message is encoded once into its versioned binary
   frame (:meth:`Message.encode`, ``docs/WIRE.md``), shipped through the
-  kernel's TCP stack and decoded by a receiver thread; a frame that does
+  kernel's TCP stack and decoded by a receiver thread that parses every
+  complete frame out of each buffer it reads; a frame that does
   not decode is a :class:`FrameError`, never arbitrary code or an
   arbitrary exception.  Acknowledgements are
-  *windowed*: :meth:`Transport.deliver` only queues the frame, and
+  *windowed*: :meth:`Transport.deliver` only queues the run's frames, and
   :meth:`Transport.flush` — called by every inbox read and once at the end
   of a window — writes what is queued and waits for **one** cumulative
   acknowledgement covering every frame since the previous one.  One FIFO
@@ -43,7 +46,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-from typing import BinaryIO, Callable, Dict, Optional, Type
+from typing import Callable, Dict, Iterable, Optional, Type
 
 from .errors import AckTimeoutError, ConnectionLostError, FrameError, TransportError
 from .message import Message
@@ -142,16 +145,6 @@ def recv_frame(sock: socket.socket) -> Optional[bytes]:
     return _recv_exact(sock, _frame_length(length))
 
 
-def _read_frame(reader: BinaryIO) -> Optional[bytes]:
-    """:func:`recv_frame` over a buffered reader (``None`` on EOF)."""
-    header = reader.read(_HEADER.size)
-    if len(header) < _HEADER.size:
-        return None
-    (length,) = _HEADER.unpack(header)
-    payload = reader.read(_frame_length(length))
-    return payload if len(payload) == length else None
-
-
 # The cumulative acknowledgement: status, ordinal of the first failed frame,
 # then the byte lengths of its sender, recipient and kind (UTF-8, empty when
 # the frame did not decode that far), which follow the header.
@@ -209,24 +202,30 @@ class Transport:
     ``tests/net/test_transport_conformance.py``):
 
     * :meth:`register` binds a party id to a delivery sink exactly once;
-    * :meth:`deliver` accepts a message for the recipient's sink; the sink
-      has it **before the next** :meth:`flush` **returns**, in the order the
-      messages were accepted.  A transport may hand the message over
-      earlier (:class:`LocalTransport` does so immediately);
+    * :meth:`deliver` accepts a **run** of messages (any iterable; a
+      single send is a run of one) for their recipients' sinks, pulling
+      and accepting them one at a time, in order; each sink has its
+      messages **before the next** :meth:`flush` **returns**, in the order
+      they were accepted — within a run and across runs.  A transport may
+      hand a message over earlier (:class:`LocalTransport` does so
+      immediately).  A run that fails at message *k* — the iterable
+      raised, or the transport refused the message — has accepted
+      messages ``0..k-1`` exactly as *k* single-message runs would have,
+      and pulls nothing after *k*;
     * :meth:`flush` is the ordering barrier: it returns once every accepted
       message is delivered, or raises the first delivery failure since the
       previous flush — after a failure nothing later was delivered.  Every
       inbox read flushes (:class:`~repro.net.network.Party`), so the
       round-based protocols still read exactly what was sent to them;
     * delivery to an unregistered recipient raises :class:`TransportError`
-      from :meth:`deliver` itself;
+      from :meth:`deliver` itself, at that message;
     * :meth:`close` releases any real resources and is idempotent.
     """
 
     def register(self, party_id: str, sink: Sink) -> None:
         raise NotImplementedError
 
-    def deliver(self, message: Message) -> None:
+    def deliver(self, run: Iterable[Message]) -> None:
         raise NotImplementedError
 
     def flush(self) -> None:
@@ -247,25 +246,28 @@ class LocalTransport(Transport):
             raise TransportError(f"endpoint {party_id!r} already registered")
         self._sinks[party_id] = sink
 
-    def deliver(self, message: Message) -> None:
-        sink = self._sinks.get(message.recipient)
-        if sink is None:
-            raise TransportError(f"no endpoint registered for {message.recipient!r}")
-        sink(message)
+    def deliver(self, run: Iterable[Message]) -> None:
+        sinks = self._sinks
+        for message in run:
+            sink = sinks.get(message.recipient)
+            if sink is None:
+                raise TransportError(f"no endpoint registered for {message.recipient!r}")
+            sink(message)
 
 
 class SocketTransport(Transport):
     """Length-prefixed TCP delivery over a real loopback connection.
 
     One listener socket and one persistent sender connection are opened at
-    construction; a daemon receiver thread reads frames through one
-    buffered reader and dispatches each deserialized message to the
-    recipient's sink.  :meth:`deliver` queues the frame in a bounded
-    sender-side buffer and returns; :meth:`flush` writes the buffer plus a
+    construction; a daemon receiver thread reads the connection a buffer
+    at a time and dispatches each decoded message to the
+    recipient's sink.  :meth:`deliver` takes a run under one lock
+    acquisition, frames it into a bounded sender-side buffer (written out
+    whenever it fills) and returns; :meth:`flush` writes the buffer plus a
     zero-length sync frame and blocks — under a deadline — for the one
     cumulative acknowledgement that covers every frame since the last.
     Frames travel one FIFO connection, so the order sinks see is the order
-    of the ``deliver`` calls: the property that makes socket runs
+    the messages were accepted in: the property that makes socket runs
     bit-identical to local ones.
 
     The receiver fails closed: after a frame fails (the sink raised, the
@@ -292,7 +294,9 @@ class SocketTransport(Transport):
         #: :class:`FrameError` context of the oldest frame no acknowledgement
         #: covers yet; ``None`` when everything is acked.
         self._oldest_unacked: Optional[Dict[str, object]] = None
-        self._lock = threading.Lock()
+        # Re-entrant: a lazy run is pulled under the lock, and what it runs
+        # (a message hook, say) may flush or send on this same thread.
+        self._lock = threading.RLock()
         self._listener = socket.create_server((host, 0))
         port = self._listener.getsockname()[1]
         self._receiver = threading.Thread(
@@ -309,28 +313,51 @@ class SocketTransport(Transport):
             conn, _ = self._listener.accept()
         except OSError:  # listener closed before the sender connected
             return
-        with conn, conn.makefile("rb", buffering=_SEND_BUFFER_BYTES) as reader:
+        with conn:
+            # Read into one buffer that is only ever extended for a frame
+            # longer than itself; ``filled`` bytes of it are unparsed input.
+            buffer = bytearray(_SEND_BUFFER_BYTES)
+            filled = 0
             ordinal = 0
             where: Optional[FrameError] = None  # first failure since the last sync frame
             while True:
+                if filled == len(buffer):
+                    buffer += bytes(len(buffer))
                 try:
-                    frame = _read_frame(reader)
-                except (OSError, FrameError):
-                    # An over-long frame leaves the stream out of step: hang
-                    # up, and the sender's flush sees the connection lost.
-                    return
-                if frame is None:
-                    return
-                if frame:
-                    if where is None:
-                        where = self._dispatch(frame, ordinal)
-                    ordinal += 1
-                    continue
-                try:
-                    send_frame(conn, _encode_ack(where))
+                    with memoryview(buffer) as view:
+                        count = conn.recv_into(view[filled:])
                 except OSError:
                     return
-                where = None
+                if not count:
+                    return
+                filled += count
+                # Every complete frame the buffer holds; a frame's tail (or
+                # half a length prefix) waits for the next read.
+                start = 0
+                while filled - start >= _HEADER.size:
+                    (length,) = _HEADER.unpack_from(buffer, start)
+                    if length > MAX_FRAME_BYTES:
+                        # An over-long frame leaves the stream out of step:
+                        # hang up, and the sender's flush sees the connection lost.
+                        return
+                    body = start + _HEADER.size
+                    end = body + length
+                    if end > filled:
+                        break
+                    start = end
+                    if length:
+                        if where is None:
+                            where = self._dispatch(bytes(buffer[body:end]), ordinal)
+                        ordinal += 1
+                        continue
+                    try:
+                        send_frame(conn, _encode_ack(where))
+                    except OSError:
+                        return
+                    where = None
+                if start:
+                    buffer[: filled - start] = buffer[start:filled]
+                    filled -= start
 
     def _dispatch(self, frame: bytes, ordinal: int) -> Optional[FrameError]:
         """Hand one frame to its sink; which frame failed, if that raised."""
@@ -372,23 +399,25 @@ class SocketTransport(Transport):
             self._flush_locked()
             self._sinks[party_id] = sink
 
-    def deliver(self, message: Message) -> None:
+    def deliver(self, run: Iterable[Message]) -> None:
         with self._lock:
-            if self._closed:
-                raise TransportError("transport is closed")
-            if message.recipient not in self._sinks:
-                raise TransportError(f"no endpoint registered for {message.recipient!r}")
-            frame = message.encode()
-            header = _HEADER.pack(_frame_length(len(frame)))
-            if self._oldest_unacked is None:
-                self._oldest_unacked = dict(
-                    _frame_context(message), ordinal=self._frames_sent
-                )
-            self._frames_sent += 1
-            self._pending += header
-            self._pending += frame
-            if len(self._pending) >= _SEND_BUFFER_BYTES:
-                self._write_pending()
+            sinks, pending = self._sinks, self._pending
+            for message in run:
+                if self._closed:
+                    raise TransportError("transport is closed")
+                if message.recipient not in sinks:
+                    raise TransportError(f"no endpoint registered for {message.recipient!r}")
+                frame = message.encode()
+                header = _HEADER.pack(_frame_length(len(frame)))
+                if self._oldest_unacked is None:
+                    self._oldest_unacked = dict(
+                        _frame_context(message), ordinal=self._frames_sent
+                    )
+                self._frames_sent += 1
+                pending += header
+                pending += frame
+                if len(pending) >= _SEND_BUFFER_BYTES:
+                    self._write_pending()
 
     def flush(self) -> None:
         with self._lock:

@@ -670,7 +670,7 @@ or call the pickle family again.
 
 Scoped to those two packages on purpose: runtime/runner.py still pickles
 shard payloads and outcomes between a parent and the workers it forked
-itself, which is ROADMAP item 3's documented next step, not a finding."""
+itself, which is ROADMAP item 4(a), not a finding."""
     node_types = (ast.Import, ast.ImportFrom, ast.Call)
 
     SCOPE = ("src/repro/net/", "src/repro/chaos/")

@@ -16,6 +16,9 @@ The second half pins the flush contract of windowed acknowledgements: a
 transport may defer delivery, but everything accepted is in the sinks, in
 order, before the next ``flush()`` returns; the first delivery failure
 since the previous flush surfaces there and nothing after it is delivered.
+``deliver`` takes a *run* of messages (a send is a run of one): accepted in
+order, and a run that fails at message *k* has accepted exactly *k* —
+``tests/net/test_message_runs.py`` holds the network-level equivalence.
 """
 
 import pickle
@@ -125,7 +128,7 @@ def test_unknown_sender_raises_network_error(network):
     network.register("bob")
     message = Message(sender="ghost", recipient="bob", kind=MessageKind.GENERIC)
     with pytest.raises(NetworkError):
-        network.deliver(message)
+        network.deliver([message])
 
 
 def test_message_round_trip_is_byte_identical(network):
@@ -190,7 +193,7 @@ def test_transport_deliver_to_unregistered_endpoint():
         try:
             message = Message(sender="a", recipient="nobody", kind=MessageKind.GENERIC)
             with pytest.raises(TransportError):
-                transport.deliver(message)
+                transport.deliver([message])
         finally:
             transport.close()
 
@@ -207,12 +210,12 @@ def test_socket_transport_rejects_delivery_after_close():
     received = []
     transport.register("bob", received.append)
     message = Message(sender="a", recipient="bob", kind=MessageKind.GENERIC)
-    transport.deliver(message)
+    transport.deliver([message])
     transport.flush()
     assert len(received) == 1
     transport.close()
     with pytest.raises(TransportError):
-        transport.deliver(message)
+        transport.deliver([message])
 
 
 # -- the flush contract -----------------------------------------------------------
@@ -223,11 +226,59 @@ def test_raw_delivers_reach_the_sinks_in_order_by_the_next_flush(transport):
     transport.register("bob", received.append)
     payloads = [index.to_bytes(2, "big") for index in range(300)]
     for payload in payloads:
-        transport.deliver(_generic(payload))
+        transport.deliver([_generic(payload)])
     transport.flush()
     assert [message.payload for message in received] == payloads
     transport.flush()  # nothing pending: returns at once, delivers nothing twice
     assert len(received) == len(payloads)
+
+
+def test_a_run_is_accepted_in_order_and_is_in_the_sinks_by_the_next_flush(transport):
+    """One deliver, many messages, several recipients: the order is the run's."""
+    received = []
+    for name in ("bob", "carol"):
+        transport.register(name, received.append)
+    payloads = [index.to_bytes(2, "big") for index in range(700)]
+    pulled = []
+
+    def run():
+        for index, payload in enumerate(payloads):
+            pulled.append(index)
+            yield _generic(payload, recipient=("bob", "carol")[index % 2])
+
+    transport.deliver([_generic(b"before")])
+    transport.deliver(run())  # lazy: pulled one by one, each accepted before the next exists
+    transport.deliver(())  # an empty run is nothing
+    transport.deliver((_generic(b"after"),))
+    assert pulled == list(range(len(payloads)))
+    transport.flush()
+    assert [message.payload for message in received] == [b"before"] + payloads + [b"after"]
+    assert [m.recipient for m in received[1:5]] == ["bob", "carol", "bob", "carol"]
+
+
+def test_a_run_that_fails_at_k_accepted_k_messages_and_pulled_nothing_after(transport):
+    """Refused at message k, or the iterable itself raising there: same outcome."""
+    received = []
+    transport.register("bob", received.append)
+    pulled = []
+
+    def run(failing, refuse):
+        for index in range(10):
+            pulled.append(index)
+            if index == failing and not refuse:
+                raise _SinkFailure("the run's own iterable raised")
+            yield _generic(bytes([index]), recipient="nobody" if index == failing else "bob")
+
+    for refuse, error in ((True, TransportError), (False, _SinkFailure)):
+        del pulled[:], received[:]
+        with pytest.raises(error):
+            transport.deliver(run(failing=6, refuse=refuse))
+        assert pulled == list(range(7))
+        transport.flush()  # what was accepted before k is delivered; the barrier is clean
+        assert [message.payload for message in received] == [bytes([i]) for i in range(6)]
+        transport.deliver([_generic(b"next")])
+        transport.flush()
+        assert received[-1].payload == b"next" and len(received) == 7
 
 
 class _SinkFailure(Exception):
@@ -249,15 +300,14 @@ def test_sink_failure_mid_burst_fails_closed_and_the_next_flush_is_clean(transpo
     failing = 5
     transport.register("bob", _failing_sink(delivered, payloads[failing]))
     with pytest.raises(_SinkFailure):
-        # In-process delivery raises from deliver(failing) itself; a
-        # deferring transport accepts the whole burst and raises at flush.
-        for payload in payloads:
-            transport.deliver(_generic(payload))
+        # In-process delivery raises from deliver() at the failing message;
+        # a deferring transport accepts the whole run and raises at flush.
+        transport.deliver(_generic(payload) for payload in payloads)
         transport.flush()
     # Fail closed: nothing past the failed frame ever reached the sink.
     assert delivered == payloads[:failing]
     transport.flush()  # the failure was reported once; the barrier is clean again
-    transport.deliver(_generic(b"after"))
+    transport.deliver([_generic(b"after")])
     transport.flush()
     assert delivered == payloads[:failing] + [b"after"]
 
@@ -268,7 +318,7 @@ def test_socket_sink_failure_names_the_failed_frame():
         delivered = []
         transport.register("bob", _failing_sink(delivered, b"\x03"))
         for index in range(6):
-            transport.deliver(_generic(bytes([index])))
+            transport.deliver([_generic(bytes([index]))])
         with pytest.raises(_SinkFailure) as excinfo:
             transport.flush()
         where = excinfo.value.__cause__
@@ -286,7 +336,7 @@ def test_burst_beyond_the_kernel_socket_buffer_neither_deadlocks_nor_reorders(tr
     chunk = 64 * 1024
     count = 72  # 4.5 MiB: more than loopback's send + receive buffers hold
     for index in range(count):
-        transport.deliver(_generic(index.to_bytes(4, "big") * (chunk // 4)))
+        transport.deliver([_generic(index.to_bytes(4, "big") * (chunk // 4))])
     transport.flush()
     assert [int.from_bytes(message.payload[:4], "big") for message in received] == list(
         range(count)
@@ -294,12 +344,30 @@ def test_burst_beyond_the_kernel_socket_buffer_neither_deadlocks_nor_reorders(tr
     assert all(len(message.payload) == chunk for message in received)
 
 
+@pytest.mark.parametrize("buffer_bytes", (1, 7, 64, 4096))
+def test_socket_receiver_parses_frames_however_the_stream_is_cut(monkeypatch, buffer_bytes):
+    """Frames that straddle reads, and frames longer than the read buffer."""
+    monkeypatch.setattr(transport_module, "_SEND_BUFFER_BYTES", buffer_bytes)
+    transport = make_transport("socket")
+    try:
+        received = []
+        transport.register("bob", received.append)
+        payloads = [bytes([index % 251]) * (index * 37 % 600) for index in range(120)]
+        transport.deliver(_generic(payload) for payload in payloads)
+        transport.flush()
+        transport.deliver(_generic(payload) for payload in payloads[:5])
+        transport.flush()
+        assert [message.payload for message in received] == payloads + payloads[:5]
+    finally:
+        transport.close()
+
+
 def test_close_with_unflushed_frames_returns_promptly():
     for name in TRANSPORT_NAMES:
         transport = make_conformance_transport(name)
         transport.register("bob", lambda message: None)
         for index in range(200):
-            transport.deliver(_generic(bytes([index])))
+            transport.deliver([_generic(bytes([index]))])
         started = time.perf_counter()
         transport.close()  # must neither block on the missing ack nor raise
         assert time.perf_counter() - started < 2.0, name
@@ -312,15 +380,15 @@ def test_socket_register_mid_burst_drains_the_receiver_first():
         bob, carol = [], []
         transport.register("bob", bob.append)
         for index in range(500):
-            transport.deliver(_generic(index.to_bytes(2, "big")))
+            transport.deliver([_generic(index.to_bytes(2, "big"))])
         # The receiver thread reads the sink table as it dispatches, so
         # register() is a barrier: the burst is delivered before it returns.
         transport.register("carol", carol.append)
         assert [message.payload for message in bob] == [
             index.to_bytes(2, "big") for index in range(500)
         ]
-        transport.deliver(_generic(b"c", recipient="carol"))
-        transport.deliver(_generic(b"b"))
+        transport.deliver([_generic(b"c", recipient="carol")])
+        transport.deliver([_generic(b"b")])
         transport.flush()
         assert [message.payload for message in carol] == [b"c"]
         assert bob[-1].payload == b"b"
@@ -339,7 +407,7 @@ def test_socket_concurrent_senders_and_registrations_lose_and_reorder_nothing():
         try:
             transport.register(name, sinks[name].append)
             for index in range(frames):
-                transport.deliver(_generic(index.to_bytes(2, "big"), recipient=name))
+                transport.deliver([_generic(index.to_bytes(2, "big"), recipient=name)])
                 if index % 97 == 0:
                     transport.flush()
         except Exception as exc:  # reported by the assertion below
@@ -371,7 +439,7 @@ def test_socket_ack_wait_has_a_deadline(monkeypatch):
     release = threading.Event()
     try:
         transport.register("bob", lambda message: release.wait(10))
-        transport.deliver(_generic(b"stuck"))
+        transport.deliver([_generic(b"stuck")])
         with pytest.raises(AckTimeoutError) as excinfo:
             transport.flush()
         for error in (excinfo.value, pickle.loads(pickle.dumps(excinfo.value))):
@@ -381,7 +449,7 @@ def test_socket_ack_wait_has_a_deadline(monkeypatch):
             )
         # A late ack could be mistaken for the next one: the transport is shut.
         with pytest.raises(TransportError):
-            transport.deliver(_generic(b"next"))
+            transport.deliver([_generic(b"next")])
     finally:
         release.set()
         transport.close()

@@ -73,6 +73,32 @@ _messages = st.builds(
 )
 
 
+#: What ``round(x, 9)`` / ``round(x, 6)`` can return at the edges of the
+#: float range, signed zeros, and the non-finite values ``json`` spells out.
+_EDGE_FLOATS = (
+    0.0, -0.0, 1e-09, 1e-06, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e22, 123456.789012,
+    0.1 + 0.2, float("inf"), float("-inf"), float("nan"),
+)
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**70), max_value=10**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(_EDGE_FLOATS)
+    | st.floats(allow_nan=False, allow_infinity=False).map(lambda x: round(x, 9))
+    | st.floats(allow_nan=False, allow_infinity=False).map(lambda x: round(x, 6))
+    | st.text(max_size=12)  # non-ASCII, quotes, control characters, surrogates' neighbours
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_any_metadata = st.dictionaries(st.text(max_size=8), _json_values, max_size=5)
+
+
 def _spelled_out_size(message):
     metadata = message.metadata
     metadata_bytes = len(json.dumps(metadata, sort_keys=True).encode()) if metadata else 0
@@ -150,6 +176,16 @@ def _frame(version=WIRE_VERSION, kind=0, sender=b"alice", recipient=b"bob", meta
         (_frame(metadata=b"\xff{}"), "not a JSON object"),
         (_frame(metadata=b"[" * 100_000), "not a JSON object"),
         (_frame(metadata=b'{"n": ' + b"9" * 5000 + b"}"), "not a JSON object"),
+        # Exactly one object and nothing around it: ``json.loads`` would
+        # skip the padding, the wire codec does not.
+        (_frame(metadata=b' {"a": 1}'), "not a JSON object"),
+        (_frame(metadata=b'{"a": 1} '), "not a JSON object"),
+        (_frame(metadata=b'\n{"a": 1}\n'), "not a JSON object"),
+        (_frame(metadata=b'{"a": 1}{"b": 2}'), "not a JSON object"),
+        (_frame(metadata=b'{"a": 1}x'), "not a JSON object"),
+        (_frame(metadata=b'{"a": 1}\x00'), "not a JSON object"),
+        (_frame(metadata=b"   "), "not a JSON object"),
+        (_frame(metadata=b"nul"), "not a JSON object"),
     ],
 )
 def test_malformed_frames_raise_frame_error(frame, detail):
@@ -206,6 +242,30 @@ def test_mutated_valid_frames_decode_or_raise_frame_error(message, data):
     _decodes_or_frame_error(frame[:position])  # truncation
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    metadata=_any_metadata.filter(bool),
+    before=st.sampled_from((b"", b" ", b"\n", b"\t \r")),
+    after=st.sampled_from((b"", b" ", b"\n\n", b"x", b"{}", b"\x00", b",", b"]")),
+    tail=st.binary(max_size=16),
+)
+def test_padded_or_trailing_garbage_metadata_is_a_frame_error_never_a_message(
+    metadata, before, after, tail
+):
+    """Only the bare object decodes; whitespace inside it is still JSON."""
+    text = json.dumps(metadata, sort_keys=True, allow_nan=True).encode()
+    decoded = _decodes_or_frame_error(_frame(metadata=before + text + after, tail=tail))
+    if before or after:
+        assert decoded is None
+    else:
+        assert decoded is not None and decoded.payload == tail
+        assert message_module.encode_metadata(decoded.metadata) == message_module.encode_metadata(
+            metadata
+        )
+    spaced = json.dumps(metadata, sort_keys=True, indent=1).encode()
+    assert _decodes_or_frame_error(_frame(metadata=spaced, tail=tail)) is not None
+
+
 def test_decode_allocates_no_more_than_the_frame_holds():
     """A header that claims gigabytes costs nothing: lengths are checked first."""
     lying = _HEADER.pack(WIRE_VERSION, 0, 1, 0xFFFF, 0xFFFF, 0xFFFFFFFF) + b"x" * 64
@@ -227,14 +287,15 @@ def test_decode_allocates_no_more_than_the_frame_holds():
 
 
 def _count_metadata_encodings(monkeypatch):
+    """Spy on ``encode_metadata``, the one place metadata becomes bytes."""
     calls = []
-    real = message_module._encode_metadata
+    real = message_module.encode_metadata
 
     def spy(metadata):
         calls.append(metadata)
         return real(metadata)
 
-    monkeypatch.setattr(message_module, "_encode_metadata", spy)
+    monkeypatch.setattr(message_module, "encode_metadata", spy)
     return calls
 
 
@@ -257,6 +318,71 @@ def test_metadata_is_encoded_exactly_once_per_sent_message_on_the_socket_path(mo
     assert [m.byte_size() for m in sent] == [_spelled_out_size(m) for m in sent]
     assert all(m.encode() for m in sent)
     assert len(calls) == 25
+
+
+@pytest.mark.parametrize("transport_name", ("local", "socket"))
+@pytest.mark.parametrize("audience", (1, 2, 40))
+def test_a_broadcast_encodes_its_metadata_once_however_many_recipients(
+    monkeypatch, transport_name, audience
+):
+    calls = _count_metadata_encodings(monkeypatch)
+    network = SimulatedNetwork(transport=make_transport(transport_name))
+    try:
+        alice = network.register("alice")
+        others = [network.register(f"home-{index}") for index in range(audience)]
+        metadata = {"window": 3, "price": 0.25}
+        sent = alice.broadcast(
+            ["alice"] + [party.party_id for party in others],
+            MessageKind.PRICE_BROADCAST,
+            payload=b"p",
+            metadata=metadata,
+        )
+        received = [party.receive() for party in others]
+    finally:
+        network.close()
+    assert calls == [metadata]
+    assert [m.recipient for m in sent] == [party.party_id for party in others]
+    assert sent == alice.sent_log and [m.metadata for m in received] == [metadata] * audience
+    assert len({m.message_id for m in sent}) == audience
+    assert [m.byte_size() for m in sent] == [_spelled_out_size(m) for m in sent]
+    assert network.stats.total_bytes == sum(_spelled_out_size(m) for m in sent)
+    assert calls == [metadata]  # sizing again reused the shared bytes
+
+
+# -- the metadata encoder is json.dumps(sort_keys=True), byte for byte -----------
+
+@settings(max_examples=600, deadline=None)
+@given(metadata=_any_metadata)
+def test_metadata_encoder_is_json_dumps_sort_keys_byte_for_byte(metadata):
+    expected = json.dumps(metadata, sort_keys=True).encode()
+    assert message_module.encode_metadata(metadata) == expected
+    # ... and stays so right after an encoding that raised.
+    with pytest.raises(TypeError):
+        message_module.encode_metadata({"k": [metadata, object()]})
+    assert message_module.encode_metadata(metadata) == expected
+
+
+@pytest.mark.parametrize("value", _EDGE_FLOATS, ids=repr)
+def test_metadata_encoder_spells_every_edge_float_as_json_dumps_does(value):
+    for places in (9, 6):
+        metadata = {"kwh": value, "rounded": value if value != value else round(value, places)}
+        assert message_module.encode_metadata(metadata) == json.dumps(
+            metadata, sort_keys=True
+        ).encode()
+
+
+def test_metadata_encoder_without_the_c_accelerator_is_the_stock_encoder(monkeypatch):
+    monkeypatch.setattr(message_module, "_iterencode", None)
+    metadata = {"b": [1, {"z": None, "a": "\u00e9"}], "a": -0.0, "n": float("nan")}
+    assert message_module.encode_metadata(metadata) == json.dumps(metadata, sort_keys=True).encode()
+
+
+def test_cyclic_metadata_fails_without_poisoning_the_encoder():
+    cyclic = {"a": 1}
+    cyclic["self"] = cyclic
+    with pytest.raises((RecursionError, ValueError)):
+        message_module.encode_metadata(cyclic)
+    assert message_module.encode_metadata({"a": 1}) == b'{"a": 1}'
 
 
 @pytest.fixture(scope="module")
@@ -357,9 +483,9 @@ def test_send_frame_and_deliver_refuse_an_over_long_frame(monkeypatch):
     try:
         delivered = []
         transport.register("bob", delivered.append)
-        transport.deliver(Message("alice", "bob", MessageKind.GENERIC, payload=b"ok"))
+        transport.deliver([Message("alice", "bob", MessageKind.GENERIC, payload=b"ok")])
         with pytest.raises(FrameError, match="exceeds"):
-            transport.deliver(Message("alice", "bob", MessageKind.PAYMENT, payload=b"x" * 2048))
+            transport.deliver([Message("alice", "bob", MessageKind.PAYMENT, payload=b"x" * 2048)])
         transport.flush()  # the refused frame was never queued
         assert [m.payload for m in delivered] == [b"ok"]
     finally:
@@ -371,7 +497,7 @@ def test_receiver_hangs_up_on_an_over_long_length_prefix():
     try:
         delivered = []
         transport.register("bob", delivered.append)
-        transport.deliver(Message("alice", "bob", MessageKind.GENERIC, payload=b"first"))
+        transport.deliver([Message("alice", "bob", MessageKind.GENERIC, payload=b"first")])
         with transport._lock:
             transport._pending += struct.pack(">I", MAX_FRAME_BYTES + 1)
         with pytest.raises(ConnectionLostError) as excinfo:
@@ -381,7 +507,7 @@ def test_receiver_hangs_up_on_an_over_long_length_prefix():
         )
         assert [m.payload for m in delivered] == [b"first"]
         with pytest.raises(TransportError):
-            transport.deliver(Message("alice", "bob", MessageKind.GENERIC))
+            transport.deliver([Message("alice", "bob", MessageKind.GENERIC)])
     finally:
         transport.close()
 
@@ -412,10 +538,10 @@ def test_corrupted_frame_surfaces_at_flush_as_a_frame_error_naming_the_frame(mon
     try:
         delivered = []
         transport.register("bob", delivered.append)
-        for index in range(5):
-            transport.deliver(
-                Message("alice", "bob", MessageKind.ENERGY_ROUTE, metadata={"n": index})
-            )
+        transport.deliver(
+            Message("alice", "bob", MessageKind.ENERGY_ROUTE, metadata={"n": index})
+            for index in range(5)
+        )
         with pytest.raises(FrameError) as excinfo:
             transport.flush()
         error = excinfo.value
@@ -432,7 +558,7 @@ def test_corrupted_frame_surfaces_at_flush_as_a_frame_error_naming_the_frame(mon
         )
         # Fail closed: nothing after the bad frame was delivered; the next flush is clean.
         assert [m.metadata["n"] for m in delivered] == [0, 1]
-        transport.deliver(Message("alice", "bob", MessageKind.ENERGY_ROUTE, metadata={"n": 9}))
+        transport.deliver([Message("alice", "bob", MessageKind.ENERGY_ROUTE, metadata={"n": 9})])
         transport.flush()
         assert [m.metadata["n"] for m in delivered] == [0, 1, 9]
     finally:
@@ -446,7 +572,7 @@ def test_frame_for_an_endpoint_the_receiver_does_not_know_is_a_frame_error():
         frame = Message("alice", "mallory", MessageKind.GENERIC).encode()
         with transport._lock:
             transport._pending += struct.pack(">I", len(frame)) + frame
-        transport.deliver(Message("alice", "bob", MessageKind.GENERIC))
+        transport.deliver([Message("alice", "bob", MessageKind.GENERIC)])
         with pytest.raises(FrameError, match="unregistered endpoint") as excinfo:
             transport.flush()
         assert (excinfo.value.recipient, excinfo.value.ordinal) == ("mallory", 0)

@@ -63,6 +63,102 @@ def test_bytes_mismatch_is_reported_per_seed():
     assert perf_pair.bytes_mismatches(runs[:1]) == []
 
 
+_DECLARED = {
+    "end_to_end": [
+        {"name": "windows_per_s", "better": "higher", "bound": 0.2},
+        {"name": "window_p50_s", "better": "lower", "bound": 0.2},
+        {"name": "bytes_per_window", "better": "lower", "bound": 0.05},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},  # not in these runs
+    ]
+}
+
+
+def test_claim_rule_is_nine_tenths_of_the_pairs_and_beyond_the_parent_iqr():
+    won_all = [_run(seed, 20.0 + seed / 10, 26.0) for seed in range(10)]
+    met, sentence = perf_pair.claim_verdict(won_all, "windows_per_s", "higher")
+    assert met and "won 10/10" in sentence and sentence.endswith(": met")
+    lost_two = won_all[:8] + [_run(8, 20.0, 19.0), _run(9, 20.0, 19.5)]
+    assert not perf_pair.claim_verdict(lost_two, "windows_per_s", "higher")[0]
+    # Every pair won, but by less than the parent's own quartile distance.
+    inside = [_run(seed, 20.0 + seed, 20.5 + seed) for seed in range(10)]
+    met, sentence = perf_pair.claim_verdict(inside, "windows_per_s", "higher")
+    assert not met and "won 10/10" in sentence and "NOT met" in sentence
+    # Lower-is-better metrics read the other way.
+    assert perf_pair.claim_verdict(won_all, "window_p50_s", "lower")[0]
+
+
+def test_controls_are_held_to_the_declared_bounds():
+    flat = [_run(11, 60.0, 59.0), _run(12, 58.0, 61.0), _run(13, 62.0, 60.0)]
+    assert perf_pair.outside_bounds(flat, _DECLARED["end_to_end"]) == []
+    slower = [_run(seed, 60.0, 45.0) for seed in (11, 12, 13)]  # -25 %, bound 20 %
+    assert perf_pair.outside_bounds(slower, _DECLARED["end_to_end"]) == [
+        "windows_per_s", "window_p50_s"
+    ]
+    faster = [_run(seed, 60.0, 90.0) for seed in (11, 12, 13)]  # better is never outside
+    assert perf_pair.outside_bounds(faster, _DECLARED["end_to_end"]) == []
+    fatter = [_run(seed, 60.0, 60.0, bytes_change=106.0) for seed in (11, 12)]
+    assert perf_pair.outside_bounds(fatter, _DECLARED["end_to_end"]) == ["bytes_per_window"]
+
+
+def test_verdict_line_names_the_claim_the_controls_and_the_bytes():
+    runs = {
+        "live_gc_128": [_run(seed, 60.0, 59.5) for seed in (11, 12)],
+        "live_socket_128": [_run(seed, 20.0 + seed / 10, 26.0) for seed in range(10)],
+        "replay_sharded_512": [_run(11, 70.0, 50.0, bytes_change=101.0)],
+    }
+    line = perf_pair.verdict(runs, "live_socket_128", "windows_per_s", _DECLARED)
+    assert line.startswith("verdict: claim live_socket_128 windows_per_s won 10/10")
+    assert ": met; controls inside bound: live_gc_128 yes, replay_sharded_512 NO (" in line
+    assert line.endswith("bytes_per_window identical per seed: NO, replay_sharded_512 seeds [11]")
+    alone = perf_pair.verdict({"live_gc_128": runs["live_gc_128"]}, "live_gc_128", "windows_per_s", _DECLARED)
+    assert "NOT met; controls inside bound: none run; bytes_per_window identical per seed: yes" in alone
+
+
+def test_workload_list_all_and_claim_are_parsed_before_anything_runs(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(perf_pair, "export_parent", lambda rev, target: None)
+    monkeypatch.setattr(perf_pair, "export_working_tree", lambda target: None)
+
+    def fake_benchmark(tree, workload, seed, seconds, trace):
+        ran.append((tree.name, workload, seed))
+        return _run(seed, 20.0, 26.0)["change" if tree.name == "change" else "parent"]
+
+    monkeypatch.setattr(perf_pair, "run_benchmark", fake_benchmark)
+    assert perf_pair.main(
+        ["--workload", "all", "--claim", "live_socket_128", "--pairs", "4",
+         "--control-pairs", "2", "--seeds", "5,6", "--parent", "HEAD"]
+    ) == 0
+    by_workload = {}
+    for side, workload, seed in ran:
+        by_workload.setdefault(workload, []).append((side, seed))
+    assert list(by_workload) == [
+        "live_paillier_1024", "live_gc_128", "live_socket_128", "replay_sharded_512"
+    ]
+    # Sides alternate within each workload; seeds cycle; the claim gets --pairs.
+    assert by_workload["live_socket_128"] == [
+        ("parent", 5), ("change", 5), ("change", 6), ("parent", 6),
+        ("parent", 5), ("change", 5), ("change", 6), ("parent", 6),
+    ]
+    assert by_workload["live_gc_128"] == [("parent", 5), ("change", 5), ("change", 6), ("parent", 6)]
+    out = capsys.readouterr().out
+    assert out.count("pairs, parent=HEAD") == 4  # one table per workload
+    assert out.strip().splitlines()[-1].startswith("verdict: claim live_socket_128 windows_per_s")
+
+
+def test_a_traced_pair_prints_its_table_and_no_verdict(monkeypatch, capsys):
+    """``--trace 1`` runs report per-layer metrics only: nothing to read a claim from."""
+    monkeypatch.setattr(perf_pair, "export_parent", lambda rev, target: None)
+    monkeypatch.setattr(perf_pair, "export_working_tree", lambda target: None)
+    traced = {
+        "correct": True, "attempted": 10, "failed": 0,
+        "metrics": {"net.send.calls": {"value": 2092.5, "unit": "count"}},
+    }  # fmt: skip
+    monkeypatch.setattr(perf_pair, "run_benchmark", lambda *args: traced)
+    assert perf_pair.main(["--workload", "live_socket_128", "--pairs", "1", "--trace", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "net.send.calls" in out and "verdict" not in out
+
+
 def test_working_tree_export_is_pycache_free_and_complete(tmp_path):
     target = tmp_path / "change"
     perf_pair.export_working_tree(target)
