@@ -13,9 +13,11 @@
 #                      (overwrites the committed default-scale file —
 #                      don't commit smoke output)
 #   make docs-check  - verify the docs' referenced files/commands/links
-#                      exist, that the source tree byte-compiles, and
-#                      that BENCH_crypto.json matches the documented
-#                      schema
+#                      exist, that the source tree byte-compiles, that
+#                      docs/BENCHMARKS.md names every declared key and
+#                      floor, and that the committed BENCH_crypto.json
+#                      passes check_bench_schema.py's validate (the one
+#                      declaration of keys, certificates and floors)
 #   make coverage    - advisory line-coverage report for the planner
 #                      package (90% floor on src/repro/planning/);
 #                      skipped cleanly when pytest-cov is not installed
@@ -30,7 +32,10 @@
 #                      with zero pool/GC fallbacks; its timings mean
 #                      nothing at that length), then a
 #                      smoke bench run written to a scratch file (so the
-#                      committed BENCH_crypto.json is left untouched),
+#                      committed BENCH_crypto.json is left untouched)
+#                      and held to the same validate — a missing or
+#                      mistyped key or a violated floor fails it, not
+#                      just a flipped certificate,
 #                      then a tiny day-scoped trading day executed over
 #                      SocketTransport (messages + shard fan-out on real
 #                      loopback TCP), then the same day under half-gates

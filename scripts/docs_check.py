@@ -15,6 +15,8 @@ Keeps README.md and the ``docs/`` set honest as the tree grows:
 * dotted ``repro.*`` module references must import;
 * the ``struct`` formats, version and frame cap ``docs/WIRE.md`` prints
   must be the ones the codec uses;
+* ``docs/BENCHMARKS.md`` must name every key ``scripts/check_bench_schema.py``
+  declares under its section's heading, and state every declared floor;
 * the whole source tree must byte-compile.
 
 Exits non-zero with a list of problems, so it can gate CI.
@@ -29,7 +31,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "scripts")]
 
 DOCS = (
     "README.md",
@@ -51,6 +53,8 @@ PATH_PATTERN = re.compile(
 COMMAND_PATTERN = re.compile(r"python\s+((?:examples|benchmarks|scripts)/[\w./-]+\.py)")
 MAKE_PATTERN = re.compile(r"make\s+([\w-]+)")
 MODULE_PATTERN = re.compile(r"`(repro(?:\.\w+)+)")
+#: a floor as ``check_bench_schema.describe`` words it, whatever its value.
+STATED_FLOOR_PATTERN = re.compile(r"`\w+` (?:[≥>≤]|has ≥) (?:`\w+` − 1|\d+(?:\.\d+)?)")
 #: inline markdown links ``[text](target)``; images excluded via (?<!\!).
 LINK_PATTERN = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 
@@ -126,6 +130,41 @@ def check_wire_format(text: str, problems: list) -> None:
             )
 
 
+def check_bench_doc(text: str, problems: list) -> None:
+    """``docs/BENCHMARKS.md`` must document the report its validator declares.
+
+    Under each section's ``## `name` `` heading (``## Top-level keys`` for
+    the rest) every declared key must appear in backticks and every
+    declared floor as ``check_bench_schema.describe`` words it; any other
+    `` `key` ≥ value `` the section states contradicts the declaration.
+    """
+    import check_bench_schema as schema
+
+    sections = {
+        heading: " ".join(body.split())
+        for heading, body in re.findall(
+            r"^## ([^\n]+)\n(.*?)(?=^## |\Z)", text, re.MULTILINE | re.DOTALL
+        )
+    }
+    for name, node in schema.REPORT.keys.items():
+        keys = list(schema.declared(node))
+        heading = next((h for h in sections if h.startswith(f"`{name}`")), None)
+        if heading is None:
+            heading = "Top-level keys"
+            keys.insert(0, (name, node))
+        body = sections.get(heading, "")
+        where = f"docs/BENCHMARKS.md: '## {heading}'"
+        floors = [schema.describe(key, child) for key, child in keys]
+        for (key, _), floor in zip(keys, floors):
+            if f"`{key}`" not in body:
+                problems.append(f"{where} does not name the declared key `{key}`")
+            if floor is not None and floor not in body:
+                problems.append(f"{where} does not state the floor {floor}")
+        for stated in STATED_FLOOR_PATTERN.findall(body):
+            if not any(stated in floor for floor in floors if floor):
+                problems.append(f"{where} states {stated}, which is not a declared floor")
+
+
 def main() -> int:
     problems: list = []
     for doc in DOCS:
@@ -136,6 +175,9 @@ def main() -> int:
     wire_doc = REPO_ROOT / "docs" / "WIRE.md"
     if wire_doc.exists():
         check_wire_format(wire_doc.read_text(), problems)
+    bench_doc = REPO_ROOT / "docs" / "BENCHMARKS.md"
+    if bench_doc.exists():
+        check_bench_doc(bench_doc.read_text(), problems)
 
     if not compileall.compile_dir(str(REPO_ROOT / "src"), quiet=2, force=False):
         problems.append("source tree does not byte-compile (see compileall output)")

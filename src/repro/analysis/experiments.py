@@ -17,9 +17,10 @@ per-window averages — the quantity the paper's figures are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.params import PAPER_PARAMETERS, MarketParameters
 from ..core.pem import PlainTradingEngine
@@ -81,6 +82,17 @@ __all__ = [
 DEFAULT_SEED = 2020
 #: Number of trading windows in the paper's evaluation day (7 AM - 7 PM).
 FULL_DAY_WINDOWS = 720
+
+
+def _bench(**declaration):
+    """Declare a ``BENCH_crypto.json`` key beyond name (the field's) and type
+    (its annotation), for ``scripts/check_bench_schema.py``: ``digits``
+    (rounding), ``certificate`` (must be true; so must every value of a
+    mapping), ``floor`` (``>=``; ``>`` with ``strict``; in force only
+    ``when=(sibling, minimum)``), ``budget=sibling`` (``<= sibling - 1``)
+    and ``min_len`` (of a mapping).
+    """
+    return field(metadata=declaration)
 
 
 @lru_cache(maxsize=8)
@@ -303,37 +315,38 @@ class ParallelDayObservation:
         home_count: number of agents.
         windows_executed: how many market windows were actually run.
         workers: worker processes of the sharded run.
+        host_cpu_count: the real core count bounding ``wall_speedup``.
         results_identical: whether the sharded run reproduced the serial
             ``WindowResult``s and merged stats bit-for-bit (it must).
-        serial_simulated_seconds: simulated day runtime executing the
+        pool_fallbacks: merged drained-pool fallback count (0 means the
+            offline warm-up fully covered the online encryptions).
+        simulated_day_seconds_serial: simulated day runtime executing the
             windows back-to-back (the repo's canonical runtime metric —
             see :mod:`repro.net.costmodel` for why host wall-clock of the
             in-process simulation is not).
-        parallel_simulated_seconds: simulated day runtime under the plan
-            (slowest shard).
+        simulated_day_seconds_parallel: simulated day runtime under the
+            plan (slowest shard).
         simulated_speedup: ratio of the two (near-linear in ``workers``
             since windows are independent).
-        serial_wall_seconds / parallel_wall_seconds: host wall-clock of the
-            two runs — bounded by the machine's real core count; both are
-            timed with the process-wide base-OT correlation already
-            established, so neither side carries that one-time cost.
-        pool_fallbacks: merged drained-pool fallback count (0 means the
-            offline warm-up fully covered the online encryptions).
-        gc_fallbacks: merged drained-comparison-pool fallback count (0
-            means every secure comparison evaluated a prepared instance).
+        wall_seconds_serial / wall_seconds_parallel / wall_speedup: host
+            wall-clock of both runs and their ratio, timed with the base-OT
+            correlation already established (neither side pays for it).
+        background_refill: whether reservoir refill threads ran.
     """
 
     home_count: int
     windows_executed: int
     workers: int
-    results_identical: bool
-    serial_simulated_seconds: float
-    parallel_simulated_seconds: float
-    simulated_speedup: float
-    serial_wall_seconds: float
-    parallel_wall_seconds: float
+    host_cpu_count: Optional[int]
+    results_identical: bool = _bench(certificate=True)
     pool_fallbacks: int
-    gc_fallbacks: int = 0
+    simulated_day_seconds_serial: float = _bench(digits=6)
+    simulated_day_seconds_parallel: float = _bench(digits=6)
+    simulated_speedup: float = _bench(digits=2)
+    wall_seconds_serial: float = _bench(digits=3)
+    wall_seconds_parallel: float = _bench(digits=3)
+    wall_speedup: Optional[float] = _bench(digits=2)
+    background_refill: bool
 
 
 def experiment_parallel_day(
@@ -392,14 +405,20 @@ def experiment_parallel_day(
         home_count=home_count,
         windows_executed=len(parallel.traces),
         workers=parallel.plan.workers,
+        host_cpu_count=os.cpu_count(),
         results_identical=identical,
-        serial_simulated_seconds=parallel.serial_simulated_seconds,
-        parallel_simulated_seconds=parallel.parallel_simulated_seconds,
-        simulated_speedup=parallel.simulated_speedup,
-        serial_wall_seconds=serial.wall_seconds,
-        parallel_wall_seconds=parallel.wall_seconds,
         pool_fallbacks=parallel.stats.pool_fallbacks,
-        gc_fallbacks=parallel.stats.gc_fallbacks,
+        simulated_day_seconds_serial=parallel.serial_simulated_seconds,
+        simulated_day_seconds_parallel=parallel.parallel_simulated_seconds,
+        simulated_speedup=parallel.simulated_speedup,
+        wall_seconds_serial=serial.wall_seconds,
+        wall_seconds_parallel=parallel.wall_seconds,
+        wall_speedup=(
+            serial.wall_seconds / parallel.wall_seconds
+            if parallel.wall_seconds > 0
+            else None
+        ),
+        background_refill=background_refill,
     )
 
 
@@ -554,20 +573,18 @@ class TopologyShardInvariance:
     """Sharded-run determinism certificate for one aggregation topology.
 
     Attributes:
-        topology: aggregation-topology name.
         windows_executed: market windows in the sampled day.
         day_simulated_seconds: serial simulated day runtime under the
             topology (trees beat the chain here as coalitions grow).
-        identical_by_workers: worker count → whether the run reproduced
-            the serial baseline's traces and merged stats bit for bit
-            (``workers=1`` certifies run-to-run determinism of two fresh
-            engines; higher counts certify shard invariance).
+        identical: worker count → whether the run reproduced the serial
+            baseline's traces and merged stats bit for bit (``workers=1``
+            certifies run-to-run determinism of two fresh engines; higher
+            counts certify shard invariance).
     """
 
-    topology: str
     windows_executed: int
-    day_simulated_seconds: float
-    identical_by_workers: Dict[int, bool]
+    day_simulated_seconds: float = _bench(digits=6)
+    identical: Dict[int, bool] = _bench(certificate=True)
 
 
 def experiment_topology_shard_invariance(
@@ -579,7 +596,7 @@ def experiment_topology_shard_invariance(
     key_size: int = 1024,
     window_count: int = FULL_DAY_WINDOWS,
     seed: int = DEFAULT_SEED,
-) -> List[TopologyShardInvariance]:
+) -> Dict[str, TopologyShardInvariance]:
     """Certify that every topology stays bit-identical under sharding.
 
     For each topology a sampled day is executed serially (the baseline)
@@ -604,7 +621,7 @@ def experiment_topology_shard_invariance(
 
     dataset = default_dataset(max(home_count, 300), window_count, seed)
     windows = sample_market_windows(dataset, home_count, sample_count)
-    results: List[TopologyShardInvariance] = []
+    results: Dict[str, TopologyShardInvariance] = {}
     for topology in topologies:
         baseline = build_engine(topology).run_windows_report(
             dataset, windows, home_count=home_count, workers=1
@@ -615,13 +632,10 @@ def experiment_topology_shard_invariance(
                 dataset, windows, home_count=home_count, workers=workers
             )
             identical[workers] = baseline.identical_to(report)
-        results.append(
-            TopologyShardInvariance(
-                topology=topology,
-                windows_executed=len(baseline.traces),
-                day_simulated_seconds=baseline.serial_simulated_seconds,
-                identical_by_workers=identical,
-            )
+        results[topology] = TopologyShardInvariance(
+            windows_executed=len(baseline.traces),
+            day_simulated_seconds=baseline.serial_simulated_seconds,
+            identical=identical,
         )
     return results
 
@@ -631,28 +645,27 @@ class SchemeShardInvariance:
     """One garbling scheme's sampled day plus its sharding certificates.
 
     Attributes:
-        scheme: garbling-scheme name (``classic``, ``halfgates``).
         windows_executed: market windows in the sampled day.
         gc_fallbacks: merged drained-comparison-pool fallbacks (0 means
             every comparison evaluated a prepared instance of this scheme).
         gc_offline_seconds: the serial day's garbled-circuit offline clock.
         garbled_traffic_bytes: the day's out-of-band bytes (garbled tables
             + OT label traffic — the component halfgates shrinks).
-        identical_by_workers: worker count → ``RunReport.identical_to``
-            against the scheme's own serial baseline.
+        identical: worker count → ``RunReport.identical_to`` against the
+            scheme's own serial baseline.
     """
 
-    scheme: str
     windows_executed: int
     gc_fallbacks: int
-    gc_offline_seconds: float
+    gc_offline_seconds: float = _bench(digits=6)
     garbled_traffic_bytes: int
-    identical_by_workers: Dict[int, bool]
+    identical: Dict[int, bool] = _bench(certificate=True)
 
 
 @dataclass(frozen=True)
 class SchemeInvarianceReport:
-    """All schemes' sharding certificates plus the cross-scheme one.
+    """All schemes' sharding certificates (keyed by scheme name:
+    ``classic``, ``halfgates``) plus the cross-scheme one.
 
     ``economics_identical_across_schemes`` certifies that every scheme's
     serial day produced *economically identical* windows (same trades,
@@ -662,8 +675,8 @@ class SchemeInvarianceReport:
     standing invariant the bench's ``outcomes_match`` uses).
     """
 
-    per_scheme: List[SchemeShardInvariance]
-    economics_identical_across_schemes: bool
+    shard_invariance: Dict[str, SchemeShardInvariance]
+    economics_identical_across_schemes: bool = _bench(certificate=True)
 
 
 def experiment_scheme_shard_invariance(
@@ -700,7 +713,7 @@ def experiment_scheme_shard_invariance(
 
     dataset = default_dataset(max(home_count, 300), window_count, seed)
     windows = sample_market_windows(dataset, home_count, sample_count)
-    results: List[SchemeShardInvariance] = []
+    results: Dict[str, SchemeShardInvariance] = {}
     baselines = []
     for scheme in schemes:
         baseline = build_engine(scheme).run_windows_report(
@@ -713,15 +726,12 @@ def experiment_scheme_shard_invariance(
                 dataset, windows, home_count=home_count, workers=workers
             )
             identical[workers] = baseline.identical_to(report)
-        results.append(
-            SchemeShardInvariance(
-                scheme=scheme,
-                windows_executed=len(baseline.traces),
-                gc_fallbacks=baseline.stats.gc_fallbacks,
-                gc_offline_seconds=baseline.stats.gc_offline_seconds,
-                garbled_traffic_bytes=baseline.stats.bytes_by_kind.get("out_of_band", 0),
-                identical_by_workers=identical,
-            )
+        results[scheme] = SchemeShardInvariance(
+            windows_executed=len(baseline.traces),
+            gc_fallbacks=baseline.stats.gc_fallbacks,
+            gc_offline_seconds=baseline.stats.gc_offline_seconds,
+            garbled_traffic_bytes=baseline.stats.bytes_by_kind.get("out_of_band", 0),
+            identical=identical,
         )
     reference = baselines[0]
     economics_identical = all(
@@ -733,7 +743,7 @@ def experiment_scheme_shard_invariance(
         for other in baselines[1:]
     )
     return SchemeInvarianceReport(
-        per_scheme=results,
+        shard_invariance=results,
         economics_identical_across_schemes=economics_identical,
     )
 
@@ -763,35 +773,36 @@ class SessionReuseObservation:
     Attributes:
         home_count: number of agents.
         windows_executed: market windows in the sampled day.
-        window_scope_day_seconds: simulated serial day runtime (online
-            critical path) paying the session costs every window.
-        day_scope_day_seconds: the same day with day-scoped sessions.
+        simulated_day_seconds_window_scope: simulated serial day runtime
+            (online critical path) paying the session costs every window.
+        simulated_day_seconds_day_scope: the same day with day-scoped
+            sessions.
         session_reuse_speedup: ratio of the two — the amortization win,
             largest at small window counts where the fixed setup
-            dominates.
-        window_scope_gc_offline_seconds / day_scope_gc_offline_seconds:
+            dominates (the floor is conservative for that reason).
+        gc_offline_seconds_window_scope / gc_offline_seconds_day_scope:
             the offline clock's base-OT side of the same amortization.
         economics_identical: economic-identity certificate.
         sessions_established / sessions_reused: the day-scoped run's
             merged session counters (establishments must equal the number
             of distinct session pairs — once per pair per day).
-        day_scope_identical_by_workers: worker count → sharding
-            certificate for the day-scoped run.
+        shard_invariance: worker count → sharding certificate for the
+            day-scoped run.
         socket_transport_identical: transport certificate.
     """
 
     home_count: int
     windows_executed: int
-    window_scope_day_seconds: float
-    day_scope_day_seconds: float
-    session_reuse_speedup: float
-    window_scope_gc_offline_seconds: float
-    day_scope_gc_offline_seconds: float
-    economics_identical: bool
+    simulated_day_seconds_window_scope: float = _bench(digits=6)
+    simulated_day_seconds_day_scope: float = _bench(digits=6)
+    session_reuse_speedup: float = _bench(digits=2, floor=2.0)
+    gc_offline_seconds_window_scope: float = _bench(digits=6)
+    gc_offline_seconds_day_scope: float = _bench(digits=6)
+    economics_identical: bool = _bench(certificate=True)
     sessions_established: int
     sessions_reused: int
-    day_scope_identical_by_workers: Dict[int, bool]
-    socket_transport_identical: bool
+    shard_invariance: Dict[int, bool] = _bench(certificate=True)
+    socket_transport_identical: bool = _bench(certificate=True)
 
 
 def experiment_session_reuse(
@@ -858,17 +869,17 @@ def experiment_session_reuse(
     return SessionReuseObservation(
         home_count=home_count,
         windows_executed=len(day_scope.traces),
-        window_scope_day_seconds=window_seconds,
-        day_scope_day_seconds=day_seconds,
+        simulated_day_seconds_window_scope=window_seconds,
+        simulated_day_seconds_day_scope=day_seconds,
         session_reuse_speedup=(
             window_seconds / day_seconds if day_seconds > 0 else 1.0
         ),
-        window_scope_gc_offline_seconds=window_scope.stats.gc_offline_seconds,
-        day_scope_gc_offline_seconds=day_scope.stats.gc_offline_seconds,
+        gc_offline_seconds_window_scope=window_scope.stats.gc_offline_seconds,
+        gc_offline_seconds_day_scope=day_scope.stats.gc_offline_seconds,
         economics_identical=economics_identical,
         sessions_established=day_scope.stats.sessions_established,
         sessions_reused=day_scope.stats.sessions_reused,
-        day_scope_identical_by_workers=identical_by_workers,
+        shard_invariance=identical_by_workers,
         socket_transport_identical=socket_identical,
     )
 
@@ -951,16 +962,13 @@ class ChaosCellObservation:
     """One cell of the chaos survival matrix.
 
     The same seeded :class:`~repro.chaos.plan.FaultPlan` is run under one
-    (transport, session scope, worker count) combination; recovery must
-    reproduce the fault-free baseline of the same scope bit for bit.
+    (transport, session scope, worker count) combination — the cell's key
+    in ``ChaosMatrixObservation.matrix``; recovery must reproduce the
+    fault-free baseline of the same scope bit for bit.  Day scope is the
+    adversarial case: a retried anchor window must re-establish its
+    sessions exactly as the first attempt did.
 
     Attributes:
-        transport: message-fabric transport of the run (``local`` /
-            ``socket``).
-        session_scope: ``window`` or ``day`` (day-scope is the adversarial
-            case for recovery — a retried anchor window must re-establish
-            its sessions exactly as the first attempt did).
-        workers: shard worker count.
         incidents: classified incidents the run recorded.
         worker_losses: killed-and-respawned socket shard workers among
             them (only the socket fan-out has workers to kill).
@@ -973,14 +981,11 @@ class ChaosCellObservation:
             baseline of the same scope.
     """
 
-    transport: str
-    session_scope: str
-    workers: int
     incidents: int
     worker_losses: int
     retried_attempts: int
-    recovered: bool
-    recovered_identical: bool
+    recovered: bool = _bench(certificate=True)
+    recovered_identical: bool = _bench(certificate=True)
 
 
 @dataclass(frozen=True)
@@ -992,7 +997,8 @@ class ChaosMatrixObservation:
         windows_executed: market windows per run.
         chaos_seed: the fault plan's seed.
         max_attempts: the supervisor's per-window retry budget.
-        cells: the survival matrix (transport x scope x workers).
+        matrix: the survival matrix, one cell per
+            ``transport/scope/workers=N``.
         total_incidents: incidents across all cells (must be > 0, or the
             matrix never actually exercised a fault).
         recovery_rate: recovered incidents / total incidents.  Completed
@@ -1011,12 +1017,12 @@ class ChaosMatrixObservation:
     windows_executed: int
     chaos_seed: int
     max_attempts: int
-    cells: Tuple[ChaosCellObservation, ...]
-    total_incidents: int
-    recovery_rate: float
-    retry_overhead: float
-    tamper_fail_closed: bool
-    tamper_incident_classified: bool
+    matrix: Dict[str, ChaosCellObservation]
+    total_incidents: int = _bench(floor=1)
+    recovery_rate: float = _bench(digits=4, floor=1.0)
+    retry_overhead: float = _bench(digits=4, budget="max_attempts")
+    tamper_fail_closed: bool = _bench(certificate=True)
+    tamper_incident_classified: bool = _bench(certificate=True)
 
 
 def experiment_chaos_matrix(
@@ -1082,7 +1088,7 @@ def experiment_chaos_matrix(
         for scope in session_scopes
     }
 
-    cells = []
+    matrix: Dict[str, ChaosCellObservation] = {}
     total_incidents = 0
     recovered_incidents = 0
     worst_overhead = 0.0
@@ -1106,23 +1112,18 @@ def experiment_chaos_matrix(
                 worst_overhead = max(worst_overhead, overhead)
                 total_incidents += len(report.incidents)
                 recovered_incidents += sum(1 for i in report.incidents if i.recovered)
-                cells.append(
-                    ChaosCellObservation(
-                        transport=transport,
-                        session_scope=scope,
-                        workers=workers,
-                        incidents=len(report.incidents),
-                        worker_losses=sum(
-                            1
-                            for i in report.incidents
-                            if i.classification == "worker_loss"
-                        ),
-                        retried_attempts=retried,
-                        recovered=all(i.recovered for i in report.incidents),
-                        recovered_identical=report.identical_to(
-                            baselines[scope], include_incidents=False
-                        ),
-                    )
+                matrix[f"{transport}/{scope}/workers={workers}"] = ChaosCellObservation(
+                    incidents=len(report.incidents),
+                    worker_losses=sum(
+                        1
+                        for i in report.incidents
+                        if i.classification == "worker_loss"
+                    ),
+                    retried_attempts=retried,
+                    recovered=all(i.recovered for i in report.incidents),
+                    recovered_identical=report.identical_to(
+                        baselines[scope], include_incidents=False
+                    ),
                 )
 
     tamper_plan = FaultPlan(
@@ -1147,7 +1148,7 @@ def experiment_chaos_matrix(
         windows_executed=len(windows),
         chaos_seed=chaos_seed,
         max_attempts=base_plan.max_attempts,
-        cells=tuple(cells),
+        matrix=matrix,
         total_incidents=total_incidents,
         recovery_rate=(
             recovered_incidents / total_incidents if total_incidents else 0.0
@@ -1201,7 +1202,9 @@ class PipeliningObservation:
             offline phase serialized before its online phase.
         pipelined_day_seconds: the same day with W+1's offline phase
             hidden under W's online phase.
-        pipeline_speedup: ratio of the two.
+        pipeline_speedup: ratio of the two; the floor applies from 6
+            windows up (the anchor's un-hideable offline phase dominates
+            shorter days).
         hidden_offline_seconds: offline seconds the pipeline hid.
         overlap_eligible_seconds: merged ``pipeline_overlap_seconds`` —
             the day's pipeline-eligible offline work (every non-anchor
@@ -1223,18 +1226,18 @@ class PipeliningObservation:
 
     home_count: int
     windows_executed: int
-    unpipelined_day_seconds: float
-    pipelined_day_seconds: float
-    pipeline_speedup: float
-    hidden_offline_seconds: float
-    overlap_eligible_seconds: float
+    unpipelined_day_seconds: float = _bench(digits=6)
+    pipelined_day_seconds: float = _bench(digits=6)
+    pipeline_speedup: float = _bench(digits=4, floor=1.3, when=("windows_executed", 6))
+    hidden_offline_seconds: float = _bench(digits=6)
+    overlap_eligible_seconds: float = _bench(digits=6)
     pipeline_reserved: int
-    identical_by_workers: Dict[int, bool]
-    socket_identical_by_workers: Dict[int, bool]
-    tree_topology_identical: bool
+    identical_by_workers: Dict[int, bool] = _bench(certificate=True)
+    socket_identical_by_workers: Dict[int, bool] = _bench(certificate=True)
+    tree_topology_identical: bool = _bench(certificate=True)
     chaos_incidents: int
-    chaos_recovered: bool
-    chaos_recovered_identical: bool
+    chaos_recovered: bool = _bench(certificate=True)
+    chaos_recovered_identical: bool = _bench(certificate=True)
 
 
 def experiment_window_pipelining(
@@ -1342,16 +1345,14 @@ class PlannerRegimeObservation:
     """The deployment planner's verdict on one fleet regime.
 
     Attributes:
-        name: regime label (``lan_single_host`` / ``lan_cluster`` /
-            ``wan_homes``).
         hosts / cores_per_host / agents / windows / link: the
             :class:`~repro.planning.FleetSpec` facts of the regime.
         naive_day_seconds: predicted day cost of the seed deployment
             (serial chain, per-window sessions, classic garbling, one
             worker).
         planned_day_seconds: predicted day cost of the planner's choice.
-        speedup: ratio of the two — the planning win, gated > 1.0x in
-            every regime by the benchmark harness.
+        speedup: ratio of the two — the planning win, which must
+            strictly beat the naive default in every regime.
         oracle_match: True iff branch-and-bound returned the exhaustive
             enumeration's argmin with bit-equal cost (the planner's
             optimality certificate).
@@ -1360,16 +1361,15 @@ class PlannerRegimeObservation:
         planned: the chosen candidate's knob settings.
     """
 
-    name: str
     hosts: int
     cores_per_host: int
     agents: int
     windows: int
     link: str
-    naive_day_seconds: float
-    planned_day_seconds: float
-    speedup: float
-    oracle_match: bool
+    naive_day_seconds: float = _bench(digits=6)
+    planned_day_seconds: float = _bench(digits=6)
+    speedup: float = _bench(digits=4, floor=1.0, strict=True)
+    oracle_match: bool = _bench(certificate=True)
     candidates_evaluated: int
     candidates_pruned: int
     space_size: int
@@ -1389,18 +1389,19 @@ class PlannerExecutedObservation:
 
     regime: str
     windows_executed: int
-    economics_identical: bool
-    planned_day_seconds: float
-    naive_day_seconds: float
-    measured_speedup: float
+    economics_identical: bool = _bench(certificate=True)
+    planned_day_seconds: float = _bench(digits=6)
+    naive_day_seconds: float = _bench(digits=6)
+    measured_speedup: float = _bench(digits=4, floor=1.0, strict=True)
 
 
 @dataclass(frozen=True)
 class PlannerSweepObservation:
-    """``experiment_planner_sweep``'s result: per-regime verdicts plus the
+    """``experiment_planner_sweep``'s result: verdicts keyed by regime
+    label (``lan_single_host`` / ``lan_cluster`` / ``wan_homes``) plus the
     executed certificate (the ``planner`` section of BENCH_crypto.json)."""
 
-    regimes: Tuple[PlannerRegimeObservation, ...]
+    regimes: Dict[str, PlannerRegimeObservation] = _bench(min_len=3)
     executed: PlannerExecutedObservation
 
 
@@ -1446,12 +1447,11 @@ def experiment_planner_sweep(
         )),
     )
 
-    observations = []
+    observations: Dict[str, PlannerRegimeObservation] = {}
     for name, spec in regimes:
         deployment = plan(spec)
         oracle = exhaustive_argmin(spec)
-        observations.append(PlannerRegimeObservation(
-            name=name,
+        observations[name] = PlannerRegimeObservation(
             hosts=spec.hosts,
             cores_per_host=spec.cores_per_host,
             agents=spec.agent_count,
@@ -1468,7 +1468,7 @@ def experiment_planner_sweep(
             candidates_pruned=deployment.candidates_pruned,
             space_size=deployment.space_size,
             planned=deployment.chosen.candidate.to_dict(),
-        ))
+        )
 
     # Execute the first regime's plan end-to-end on a real sampled day.
     executed_name, executed_spec = regimes[0]
@@ -1514,4 +1514,4 @@ def experiment_planner_sweep(
             naive_seconds / planned_seconds if planned_seconds > 0 else 1.0
         ),
     )
-    return PlannerSweepObservation(regimes=tuple(observations), executed=executed)
+    return PlannerSweepObservation(regimes=observations, executed=executed)

@@ -83,11 +83,11 @@ def test_session_reuse_experiment_tiny():
     assert obs.windows_executed == 3
     assert obs.economics_identical
     assert obs.session_reuse_speedup > 1.5
-    assert obs.day_scope_day_seconds < obs.window_scope_day_seconds
-    assert obs.day_scope_gc_offline_seconds < obs.window_scope_gc_offline_seconds
+    assert obs.simulated_day_seconds_day_scope < obs.simulated_day_seconds_window_scope
+    assert obs.gc_offline_seconds_day_scope < obs.gc_offline_seconds_window_scope
     assert obs.sessions_established == 2  # once per session pair per day
     assert obs.sessions_reused == 2 * (obs.windows_executed - 1)
-    assert obs.day_scope_identical_by_workers == {2: True}
+    assert obs.shard_invariance == {2: True}
     assert obs.socket_transport_identical
 
 
