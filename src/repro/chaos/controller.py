@@ -50,19 +50,12 @@ def tamper_prepared_comparison(instance: "PreparedComparison", target: str) -> s
     All three corrupt material the evaluation authenticates, so a tampered
     instance can abort but never silently mis-evaluate.
     """
-    from ..crypto.garbled import GarbledGate
-
     garbled = instance._garbler.garbled
     if target == "row":
-        garbled.gates = [
-            GarbledGate(
-                gate_type=gate.gate_type,
-                input_wires=gate.input_wires,
-                output_wire=gate.output_wire,
-                rows=tuple(_flip_bit(row) for row in gate.rows),
-            )
-            for gate in garbled.gates
-        ]
+        tables = bytearray(garbled.tables)
+        for start in range(0, len(tables), garbled.row_bytes):
+            tables[start] ^= 1
+        garbled.tables = bytes(tables)
         return "flipped a bit in every garbled row"
     if target == "label":
         garbled.output_decoding = {

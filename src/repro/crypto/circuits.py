@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "GateType",
     "Gate",
     "Circuit",
+    "Op",
+    "CircuitProgram",
     "CircuitBuilder",
     "build_greater_than_circuit",
     "build_adder_circuit",
@@ -77,9 +79,61 @@ class Gate:
         return TRUTH_TABLES[self.gate_type][(a, b)]
 
 
+#: :attr:`Op.kind` codes (small ints: the garbling loops branch on them).
+OP_NOT, OP_XOR, OP_AND, OP_OR = range(4)
+
+_OP_KINDS = {GateType.NOT: OP_NOT, GateType.XOR: OP_XOR, GateType.AND: OP_AND, GateType.OR: OP_OR}
+
+#: Per binary gate type, the truth row reordered for point-and-permute:
+#: ``_SLOT_VALUES[type][2 * permute_a + permute_b][slot]`` is the gate's output
+#: value for the table row at ``slot = 2 * external_a + external_b``, where a
+#: label's external bit is its truth value XOR its wire's permute bit.
+_SLOT_VALUES: Dict[GateType, Tuple[Tuple[int, ...], ...]] = {
+    gate_type: tuple(
+        tuple(table[(slot >> 1) ^ permute_a, (slot & 1) ^ permute_b] for slot in range(4))
+        for permute_a in (0, 1)
+        for permute_b in (0, 1)
+    )
+    for gate_type, table in TRUTH_TABLES.items()
+    if gate_type != GateType.NOT
+}
+
+
+class Op(NamedTuple):
+    """One gate of a :class:`CircuitProgram`, everything pre-resolved.
+
+    The garblers and evaluators of :mod:`repro.crypto.garbled` unpack these
+    as plain tuples, once per gate per instance; nothing in here depends on
+    label material, so it is computed once per circuit.
+    """
+
+    kind: int  #: ``OP_NOT`` / ``OP_XOR`` / ``OP_AND`` / ``OP_OR``
+    in_a: int
+    in_b: int  #: equals ``in_a`` for NOT
+    out: int
+    truth: Tuple[Tuple[int, ...], ...]  #: ``_SLOT_VALUES`` row; ``()`` for NOT
+    tag: bytes  #: gate index, 4 bytes big-endian (classic row-pad domain)
+    tweak_g: bytes  #: ``2 * index``, 8 bytes big-endian (half-gates generator half)
+    tweak_e: bytes  #: ``2 * index + 1`` (half-gates evaluator half)
+    slot: int  #: ordinal among binary gates (classic table position)
+    and_slot: int  #: ordinal among AND/OR gates (half-gates table position)
+
+
+class CircuitProgram(NamedTuple):
+    """A circuit compiled for garbling: flat ops plus the counts they imply."""
+
+    ops: Tuple[Op, ...]
+    and_gate_count: int  #: AND + OR gates (the ones that cost table rows everywhere)
+    binary_gate_count: int  #: AND + OR + XOR gates (table-bearing under ``classic``)
+    histogram: Dict[str, int]  #: gate counts by type name, first-seen order
+
+
 @dataclass
 class Circuit:
     """A boolean circuit in topological gate order.
+
+    A circuit is immutable once built: :attr:`program` compiles it on first
+    use and keeps the result.
 
     Attributes:
         garbler_inputs: wire ids carrying the garbler's (party 1) input bits.
@@ -95,6 +149,66 @@ class Circuit:
     gates: List[Gate]
     output_wires: List[int]
     wire_count: int
+    _program: Optional[CircuitProgram] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def program(self) -> CircuitProgram:
+        """The compiled flat program (built once, then cached on the circuit).
+
+        Raises:
+            ValueError: when a wire id is outside ``range(wire_count)``, a
+                gate or output reads a wire nothing defined, or a wire is
+                defined twice — the garblers draw label material in program
+                order and index by wire id, so they rely on all three.
+        """
+        if self._program is None:
+            self._program = self._compile()
+        return self._program
+
+    def _compile(self) -> CircuitProgram:
+        defined = [False] * self.wire_count
+
+        def define(wire: int, what: str) -> None:
+            if not 0 <= wire < self.wire_count:
+                raise ValueError(f"{what} wire {wire} is outside range({self.wire_count})")
+            if defined[wire]:
+                raise ValueError(f"{what} wire {wire} is defined twice")
+            defined[wire] = True
+
+        def read(wire: int, what: str) -> None:
+            if not (0 <= wire < self.wire_count and defined[wire]):
+                raise ValueError(f"{what} reads undefined wire {wire}")
+
+        for wire in list(self.garbler_inputs) + list(self.evaluator_inputs):
+            define(wire, "input")
+        ops: List[Op] = []
+        histogram: Dict[str, int] = {}
+        binary = non_free = 0
+        for index, gate in enumerate(self.gates):
+            for wire in gate.input_wires:
+                read(wire, f"gate {index}")
+            define(gate.output_wire, f"gate {index} output")
+            gate_type = gate.gate_type
+            histogram[gate_type.value] = histogram.get(gate_type.value, 0) + 1
+            ops.append(
+                Op(
+                    kind=_OP_KINDS[gate_type],
+                    in_a=gate.input_wires[0],
+                    in_b=gate.input_wires[-1],
+                    out=gate.output_wire,
+                    truth=_SLOT_VALUES.get(gate_type, ()),
+                    tag=index.to_bytes(4, "big"),
+                    tweak_g=(2 * index).to_bytes(8, "big"),
+                    tweak_e=(2 * index + 1).to_bytes(8, "big"),
+                    slot=binary,
+                    and_slot=non_free,
+                )
+            )
+            binary += gate_type != GateType.NOT
+            non_free += gate_type in (GateType.AND, GateType.OR)
+        for wire in self.output_wires:
+            read(wire, "circuit output")
+        return CircuitProgram(tuple(ops), non_free, binary, histogram)
 
     def evaluate(self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]) -> List[int]:
         """Evaluate the circuit in the clear (used for testing and as oracle)."""
@@ -118,7 +232,7 @@ class Circuit:
     @property
     def and_gate_count(self) -> int:
         """Number of AND/OR gates (the expensive ones under garbling)."""
-        return sum(1 for g in self.gates if g.gate_type in (GateType.AND, GateType.OR))
+        return self.program.and_gate_count
 
     def gate_histogram(self) -> Dict[str, int]:
         """Gate counts by type, e.g. ``{"AND": 10, "XOR": 7, "NOT": 12}``.
@@ -127,10 +241,7 @@ class Circuit:
         the comparator is XOR-family and therefore table-free under
         half-gates) instead of asserting it.
         """
-        counts: Dict[str, int] = {}
-        for gate in self.gates:
-            counts[gate.gate_type.value] = counts.get(gate.gate_type.value, 0) + 1
-        return counts
+        return dict(self.program.histogram)
 
 
 class CircuitBuilder:
@@ -274,7 +385,7 @@ def lower_to_xor_and(circuit: Circuit) -> Circuit:
     A circuit without OR gates is returned unchanged (same object), which
     makes the pass idempotent.
     """
-    if not any(g.gate_type == GateType.OR for g in circuit.gates):
+    if "OR" not in circuit.program.histogram:
         return circuit
     gates: List[Gate] = []
     next_wire = circuit.wire_count

@@ -36,17 +36,21 @@ The evaluator obtains the garbler's input labels directly and its own input
 labels through 1-out-of-2 oblivious transfer (:mod:`repro.crypto.ot`), so
 neither party learns the other's input.
 
-Word-wide representation: inside both garblers and both evaluators a label
-is a raw key (``bytes`` under ``classic``, an ``int`` under ``halfgates``),
-never a :class:`WireLabel` object, and a serialized label — 16 key bytes
-followed by the external bit — is the big-endian int ``key << 8 | bit``.  A
-classic row is therefore one SHA-256 and one big-int XOR of that int with the
-first 17 pad bytes.  Hashing was never the bottleneck (~4 % of a comparison
-while rows were XORed a byte at a time; see ``docs/ARCHITECTURE.md`` §4.5) —
-Python object traffic is, so it is kept off the per-gate path
-(:class:`_LazyLabelDict` materializes :class:`WireLabel` pairs on demand).
-``tests/crypto/gc_oracles.py`` keeps the byte-at-a-time originals as the
-oracle both garblers must match byte for byte under a seeded ``rng``.
+Flat representation: a circuit is compiled once (``Circuit.program``, cached
+on the circuit, so once per comparison pool) into a tuple of pre-resolved
+ops, and a garbled circuit's tables are **one** ``bytes`` buffer in gate
+order — there are no per-gate objects.  Both garblers draw an instance's
+label material in one CSPRNG call, both walk the program, and both
+evaluators read rows by offset (``GarbledCircuit.rows`` slices the buffer for
+tests and tooling).  Inside the loops a label is a raw key (``bytes`` under
+``classic``, an ``int`` under ``halfgates``), never a :class:`WireLabel`;
+``classic`` hashes one SHA-256 per row and encrypts the whole table with a
+single big-int XOR of the joined pads against the joined serialized output
+labels (16 key bytes, then the external bit).  What is left is close to the
+hash floor (``docs/ARCHITECTURE.md`` §4.5; ``tests/crypto/test_hash_budget.py``
+pins the SHA-256 count).  ``tests/crypto/gc_oracles.py`` keeps the
+byte-at-a-time originals as the oracle both garblers must match byte for
+byte under a seeded ``rng``.
 """
 
 from __future__ import annotations
@@ -54,15 +58,14 @@ from __future__ import annotations
 import hashlib
 import random
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .circuits import Circuit, Gate, GateType, TRUTH_TABLES, lower_to_xor_and
+from .circuits import OP_AND, OP_NOT, OP_XOR, Circuit, lower_to_xor_and
 from .ot import OTGroup, run_oblivious_transfer
 
 __all__ = [
     "WireLabel",
-    "GarbledGate",
     "GarbledCircuit",
     "GarblerOutput",
     "GarblingScheme",
@@ -82,6 +85,11 @@ LABEL_BYTES = 16
 
 #: Length of a serialized label / classic table row: key + external bit.
 ROW_BYTES = LABEL_BYTES + 1
+
+#: Table bytes per binary gate under ``classic`` (four rows) and per AND gate
+#: under ``halfgates`` (``T_G`` and ``T_E``).
+_CLASSIC_GATE_BYTES = 4 * ROW_BYTES
+_HALFGATES_GATE_BYTES = 2 * LABEL_BYTES
 
 #: Domain-separated SHA-256 state every half-gates hash starts from (copied
 #: per call, so the prefix is absorbed once instead of concatenated each time).
@@ -129,28 +137,39 @@ class _WirePair:
         return self.one if bit else self.zero
 
 
-@dataclass(frozen=True)
-class GarbledGate:
-    """A garbled truth table for one binary gate (4 rows) or none for NOT."""
-
-    gate_type: GateType
-    input_wires: tuple[int, ...]
-    output_wire: int
-    rows: Tuple[bytes, ...]
-
-
 @dataclass
 class GarbledCircuit:
     """Everything the evaluator needs except the input labels."""
 
     circuit: Circuit
-    gates: List[GarbledGate]
+    #: every garbled row, concatenated in gate order: 4 x 17 bytes per binary
+    #: gate under ``classic``, 2 x 16 bytes per AND gate under ``halfgates``
+    #: (gates that ship no rows take no space; ``circuit.program`` locates a
+    #: gate's rows by its ``slot`` / ``and_slot``).
+    tables: bytes
     #: mapping output wire -> (hash of zero-label, hash of one-label) so the
     #: evaluator can decode output bits without learning other wires.
     output_decoding: Dict[int, Tuple[bytes, bytes]]
     #: garbling scheme that produced the tables; evaluation dispatches on it.
     scheme: str = "classic"
-    _serialized_size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def row_bytes(self) -> int:
+        """Width of one table row: a serialized label, or a bare key under ``halfgates``."""
+        return LABEL_BYTES if self.scheme == "halfgates" else ROW_BYTES
+
+    def rows(self, gate_index: int) -> Tuple[bytes, ...]:
+        """The table rows of gate ``gate_index`` (empty when it ships none)."""
+        op = self.circuit.program.ops[gate_index]
+        if self.scheme == "halfgates":
+            count, slot = (2 if op.kind == OP_AND else 0), op.and_slot
+        else:
+            count, slot = (0 if op.kind == OP_NOT else 4), op.slot
+        width = self.row_bytes
+        start = slot * count * width
+        return tuple(
+            self.tables[start + i * width : start + (i + 1) * width] for i in range(count)
+        )
 
     def serialized_size(self) -> int:
         """Wire-format size in bytes (for bandwidth accounting).
@@ -161,17 +180,40 @@ class GarbledCircuit:
         them from the circuit description it already holds — so only AND
         tables (2×16 bytes + header) and the output decoding cross the wire.
 
-        Computed on first call and kept: a prepared comparison asks at
-        build time and again at evaluation, and the tables it describes are
-        one-shot material that never changes size.
+        Arithmetic on the compiled program's counts, not on :attr:`tables`:
+        it is what an honest garbler sends, whatever a tamperer did since.
         """
-        if self._serialized_size is None:
-            total = len(self.output_decoding) * 2 * 32
-            for gate in self.gates:
-                if gate.rows or self.scheme != "halfgates":
-                    total += sum(map(len, gate.rows)) + 8
-            self._serialized_size = total
-        return self._serialized_size
+        program = self.circuit.program
+        decoding = len(self.output_decoding) * 2 * 32
+        if self.scheme == "halfgates":
+            return decoding + program.and_gate_count * (_HALFGATES_GATE_BYTES + 8)
+        return decoding + program.binary_gate_count * _CLASSIC_GATE_BYTES + len(program.ops) * 8
+
+
+class _LazyLabelDict(Dict[int, _WirePair]):
+    """Wire → label pair, materialized from the garbler's raw material on access.
+
+    The garblers keep raw per-wire material (``_M``) and the protocol only
+    ever needs the input wires' labels in wire format, so nothing is built
+    up front: :meth:`serialized` turns one wire's material into its two
+    17-byte labels, and a :class:`WireLabel` pair is constructed — and kept
+    — only when a wire is looked up.  At 64 bits eager construction would
+    cost as much as the row hashing itself.
+    """
+
+    def __init__(self, material: Dict[int, _M], serialize: Callable[[_M], Tuple[bytes, bytes]]):
+        super().__init__()
+        self._material = material
+        self._serialize = serialize
+
+    def serialized(self, wire: int) -> Tuple[bytes, bytes]:
+        """``wire``'s (zero, one) labels as :meth:`WireLabel.to_bytes` would give them."""
+        return self._serialize(self._material[wire])
+
+    def __missing__(self, wire: int) -> _WirePair:
+        zero, one = self.serialized(wire)
+        pair = self[wire] = _WirePair(WireLabel.from_bytes(zero), WireLabel.from_bytes(one))
+        return pair
 
 
 @dataclass
@@ -179,31 +221,19 @@ class GarblerOutput:
     """The garbler's full view: the garbled circuit plus all wire labels."""
 
     garbled: GarbledCircuit
-    wire_labels: Dict[int, _WirePair]
+    wire_labels: _LazyLabelDict
 
     def garbler_input_labels(self, bits: Sequence[int]) -> List[WireLabel]:
         """Select the garbler's own active input labels."""
         wires = self.garbled.circuit.garbler_inputs
         if len(bits) != len(wires):
             raise GarblingError("wrong number of garbler input bits")
-        return [self.wire_labels[w].for_value(int(b) & 1) for w, b in zip(wires, bits)]
+        serialized = self.wire_labels.serialized
+        return [WireLabel.from_bytes(serialized(w)[int(b) & 1]) for w, b in zip(wires, bits)]
 
     def evaluator_label_pairs(self) -> List[Tuple[bytes, bytes]]:
         """Both labels for every evaluator input wire (fed into the OTs)."""
-        pairs = []
-        for wire in self.garbled.circuit.evaluator_inputs:
-            pair = self.wire_labels[wire]
-            pairs.append((pair.zero.to_bytes(), pair.one.to_bytes()))
-        return pairs
-
-
-def _row_pad(key_a: bytes, key_b: bytes, gate_tag: bytes) -> int:
-    """Dual-key one-time pad for one table row (SHA-256, random-oracle style).
-
-    Returned as an int so a row is encrypted — and decrypted — with a single
-    big-int XOR against the serialized output label.
-    """
-    return int.from_bytes(hashlib.sha256(key_a + key_b + gate_tag).digest()[:ROW_BYTES], "big")
+        return [self.wire_labels.serialized(w) for w in self.garbled.circuit.evaluator_inputs]
 
 
 def _label_digest(key: bytes) -> bytes:
@@ -225,64 +255,51 @@ def _decode_outputs(garbled: GarbledCircuit, active_keys: Sequence[bytes]) -> Li
     return outputs
 
 
-#: One wire's secret material under ``classic``: ``(zero key, one key,
-#: permute bit)``; the label for truth value ``v`` has external bit ``v ^ permute``.
+#: One wire's secret material under ``classic``: ``(key whose external bit is
+#: 0, key whose external bit is 1, permute bit)``; the label for truth value
+#: ``v`` is the key at index ``v ^ permute``.
 _WireMaterial = Tuple[bytes, bytes, int]
 
 
-def _label_material(rng: Optional[random.Random]) -> _WireMaterial:
-    """Draw one wire's two label keys and its permute bit.
+def _classic_material(wires: int, rng: Optional[random.Random]) -> List[_WireMaterial]:
+    """Draw ``wires`` wires' label keys and permute bits.
 
-    The CSPRNG path is a single ``token_bytes`` draw per wire; the seeded
-    path (tests, benches) keeps the historical draw order — permute bit,
-    zero key, one key — so seeded garblings stay byte-identical.
+    The CSPRNG path is a single ``token_bytes`` draw per instance — every
+    wire's zero and one key, then one byte a wire whose low bit is its
+    permute bit; the seeded path (tests, benches) keeps the historical per-wire draw
+    order — permute bit, zero key, one key — so seeded garblings stay
+    byte-identical.
     """
     if rng is None:
-        raw = secrets.token_bytes(2 * LABEL_BYTES + 1)
-        return raw[:LABEL_BYTES], raw[LABEL_BYTES : 2 * LABEL_BYTES], raw[-1] & 1
-    permute = rng.getrandbits(1)
-    zero = rng.getrandbits(8 * LABEL_BYTES).to_bytes(LABEL_BYTES, "big")
-    one = rng.getrandbits(8 * LABEL_BYTES).to_bytes(LABEL_BYTES, "big")
-    return zero, one, permute
+        raw = secrets.token_bytes(wires * (ROW_BYTES + LABEL_BYTES))
+        keys = [raw[i : i + LABEL_BYTES] for i in range(0, 2 * wires * LABEL_BYTES, LABEL_BYTES)]
+        draws = zip(keys[0::2], keys[1::2], raw[2 * wires * LABEL_BYTES :])
+    else:
+        draws = []
+        for _ in range(wires):
+            permute = rng.getrandbits(1)
+            zero = rng.getrandbits(8 * LABEL_BYTES).to_bytes(LABEL_BYTES, "big")
+            one = rng.getrandbits(8 * LABEL_BYTES).to_bytes(LABEL_BYTES, "big")
+            draws.append((zero, one, permute))
+    return [(one, zero, 1) if byte & 1 else (zero, one, 0) for zero, one, byte in draws]
 
 
-def _pair_from_material(material: _WireMaterial) -> _WirePair:
-    zero, one, permute = material
-    return _WirePair(
-        zero=WireLabel(key=zero, external_bit=permute),
-        one=WireLabel(key=one, external_bit=1 - permute),
-    )
-
-
-class _LazyLabelDict(Dict[int, _WirePair]):
-    """Wire → label pair, materialized from the garbler's raw material on access.
-
-    Only the input wires are materialized eagerly (the protocol needs them
-    on every run); internal-wire pairs are built on first lookup.  This
-    keeps the garbling hot path free of per-wire ``WireLabel`` construction
-    — at 64 bits that construction would otherwise cost as much as the
-    row hashing itself.
-    """
-
-    def __init__(self, material: Dict[int, _M], build: Callable[[_M], _WirePair], eager: Sequence[int]):
-        super().__init__()
-        self._material = material
-        self._build = build
-        for wire in eager:
-            self[wire]  # noqa: B018 - triggers __missing__
-
-    def __missing__(self, wire: int) -> _WirePair:
-        pair = self[wire] = self._build(self._material[wire])
-        return pair
+def _serialize_classic(material: _WireMaterial) -> Tuple[bytes, bytes]:
+    key_0, key_1, permute = material
+    if permute:
+        return key_1 + b"\x01", key_0 + b"\x00"
+    return key_0 + b"\x00", key_1 + b"\x01"
 
 
 def garble_circuit(circuit: Circuit, rng: Optional[random.Random] = None) -> GarblerOutput:
     """Garble a boolean circuit.
 
-    Labels are handled as raw ``(zero key, one key, permute)`` triples and
-    each row is one SHA-256 plus one big-int XOR against the pre-serialized
-    output label; :class:`WireLabel` pairs are materialized lazily for the
-    protocol interface.
+    Walks ``circuit.program``: all label material is drawn up front (input
+    wires, then the binary gates' outputs in gate order — NOT is free and
+    draws nothing), each row costs one SHA-256, and the whole table is
+    encrypted at the end with one big-int XOR of the joined pads against
+    the joined serialized output labels.  :class:`WireLabel` pairs are
+    materialized lazily for the protocol interface.
 
     Args:
         circuit: the plain circuit to garble.
@@ -292,87 +309,56 @@ def garble_circuit(circuit: Circuit, rng: Optional[random.Random] = None) -> Gar
     Returns:
         the garbler's output (garbled tables plus all wire-label pairs).
     """
-    material: Dict[int, _WireMaterial] = {}
-
-    def ensure_material(wire: int) -> _WireMaterial:
-        if wire not in material:
-            material[wire] = _label_material(rng)
-        return material[wire]
-
+    program = circuit.program
     inputs = list(circuit.garbler_inputs) + list(circuit.evaluator_inputs)
-    for wire in inputs:
-        ensure_material(wire)
+    draws = iter(_classic_material(len(inputs) + program.binary_gate_count, rng))
+    material: Dict[int, _WireMaterial] = dict(zip(inputs, draws))
 
-    garbled_gates: List[GarbledGate] = []
-    for gate_index, gate in enumerate(circuit.gates):
-        if gate.gate_type == GateType.NOT:
-            # Free NOT: the output wire reuses the input labels with truth
+    sha256 = hashlib.sha256
+    pads: List[bytes] = []
+    plain: List[bytes] = []
+    for kind, in_a, in_b, out, truth, tag, _, _, _, _ in program.ops:
+        if kind == OP_NOT:
+            # Free NOT: the output wire reuses the input keys with truth
             # values swapped, so no garbled table is required.
-            zero, one, permute = ensure_material(gate.input_wires[0])
-            material[gate.output_wire] = (one, zero, 1 - permute)
-            rows: Tuple[bytes, ...] = ()
-        else:
-            keys_a = ensure_material(gate.input_wires[0])
-            keys_b = ensure_material(gate.input_wires[1])
-            out_zero, out_one, out_permute = ensure_material(gate.output_wire)
-            # The two serialized output labels (key + external bit), as ints.
-            out_labels = (
-                (int.from_bytes(out_zero, "big") << 8) | out_permute,
-                (int.from_bytes(out_one, "big") << 8) | (1 - out_permute),
-            )
-            table = TRUTH_TABLES[gate.gate_type]
-            gate_tag = gate_index.to_bytes(4, "big")
-            permute_a, permute_b = keys_a[2], keys_b[2]
-            slots = [b""] * 4
-            for bit_a in (0, 1):
-                for bit_b in (0, 1):
-                    # Rows are ordered by the inputs' external bits.
-                    slot = ((bit_a ^ permute_a) << 1) | (bit_b ^ permute_b)
-                    pad = _row_pad(keys_a[bit_a], keys_b[bit_b], gate_tag)
-                    slots[slot] = (pad ^ out_labels[table[bit_a, bit_b]]).to_bytes(
-                        ROW_BYTES, "big"
-                    )
-            rows = tuple(slots)
-        garbled_gates.append(
-            GarbledGate(
-                gate_type=gate.gate_type,
-                input_wires=gate.input_wires,
-                output_wire=gate.output_wire,
-                rows=rows,
-            )
+            key_0, key_1, permute = material[in_a]
+            material[out] = (key_0, key_1, 1 - permute)
+            continue
+        drawn = material[out] = next(draws)
+        labels = _serialize_classic(drawn)
+        a_0, a_1, permute_a = material[in_a]
+        b_0, b_1, permute_b = material[in_b]
+        b_0 += tag
+        b_1 += tag
+        # Rows are ordered by the inputs' external bits; ``truth`` maps each
+        # slot to the gate's output value under these two permute bits.
+        pads += (
+            sha256(a_0 + b_0).digest()[:ROW_BYTES],
+            sha256(a_0 + b_1).digest()[:ROW_BYTES],
+            sha256(a_1 + b_0).digest()[:ROW_BYTES],
+            sha256(a_1 + b_1).digest()[:ROW_BYTES],
         )
+        values = truth[2 * permute_a + permute_b]
+        plain += (labels[values[0]], labels[values[1]], labels[values[2]], labels[values[3]])
 
-    output_decoding = {
-        wire: (_label_digest(material[wire][0]), _label_digest(material[wire][1]))
-        for wire in circuit.output_wires
-    }
-    garbled = GarbledCircuit(circuit=circuit, gates=garbled_gates, output_decoding=output_decoding)
-    labels = _LazyLabelDict(material, _pair_from_material, eager=inputs)
-    return GarblerOutput(garbled=garbled, wire_labels=labels)
+    tables = (
+        int.from_bytes(b"".join(pads), "big") ^ int.from_bytes(b"".join(plain), "big")
+    ).to_bytes(program.binary_gate_count * _CLASSIC_GATE_BYTES, "big")
+    output_decoding = {}
+    for wire in circuit.output_wires:
+        key_0, key_1, permute = material[wire]
+        digests = (_label_digest(key_0), _label_digest(key_1))
+        output_decoding[wire] = (digests[permute], digests[1 - permute])
+    garbled = GarbledCircuit(circuit=circuit, tables=tables, output_decoding=output_decoding)
+    return GarblerOutput(garbled, _LazyLabelDict(material, _serialize_classic))
 
 
 # -- free-XOR + half-gates ---------------------------------------------------------------
 
 
-def _hg_hash(key_int: int, tweak: bytes) -> int:
-    """Half-gates hash ``H(W, t)``: SHA-256 truncated to one label, as an int.
-
-    ``tweak`` is the 8-byte big-endian gate tweak, serialized once per gate
-    by the caller rather than once per hash.
-    """
-    state = _HG_BASE.copy()
-    state.update(key_int.to_bytes(LABEL_BYTES, "big") + tweak)
-    return int.from_bytes(state.digest()[:LABEL_BYTES], "big")
-
-
-def _hg_tweaks(gate_index: int) -> Tuple[bytes, bytes]:
-    """The generator-half and evaluator-half tweaks ``2j`` and ``2j+1``."""
-    return (2 * gate_index).to_bytes(8, "big"), (2 * gate_index + 1).to_bytes(8, "big")
-
-
-def _label_from_int(key_int: int) -> WireLabel:
-    """Materialize a half-gates label; its external bit is the key's lsb."""
-    return WireLabel(key=key_int.to_bytes(LABEL_BYTES, "big"), external_bit=key_int & 1)
+def _serialize_key(key_int: int) -> bytes:
+    """A half-gates label in wire format; its external bit is the key's lsb."""
+    return ((key_int << 8) | (key_int & 1)).to_bytes(ROW_BYTES, "big")
 
 
 def garble_circuit_halfgates(
@@ -389,89 +375,75 @@ def garble_circuit_halfgates(
       ``a AND (b XOR π_b)``
 
     with output zero-label ``C0 = H(A0,2j) ⊕ π_a·T_G ⊕ H(B0,2j+1) ⊕
-    π_b·(T_E ⊕ A0)``, where ``π_w = lsb(W0)``.  Labels are manipulated as
-    ints internally (XOR-heavy inner loop) and materialized as
-    :class:`WireLabel` pairs for the protocol interface.
+    π_b·(T_E ⊕ A0)``, where ``π_w = lsb(W0)`` and ``H(W, t)`` is SHA-256 of
+    ``"halfgates" ‖ W ‖ t`` truncated to one label.  ``Δ`` and the input
+    wires' zero-labels are the only material drawn (one ``token_bytes`` call
+    on the CSPRNG path); labels are ints inside the loop (XOR-heavy) and
+    :class:`WireLabel` pairs are materialized lazily for the protocol
+    interface.
     """
-    if any(g.gate_type == GateType.OR for g in circuit.gates):
+    program = circuit.program
+    if "OR" in program.histogram:
         raise GarblingError(
             "halfgates requires a lowered circuit (run lower_to_xor_and first)"
         )
-
-    def rand_key() -> int:
-        if rng is None:
-            return int.from_bytes(secrets.token_bytes(LABEL_BYTES), "big")
-        return rng.getrandbits(8 * LABEL_BYTES)
-
-    delta = rand_key() | 1
-    zero: Dict[int, int] = {}
-
-    def ensure_zero(wire: int) -> int:
-        if wire not in zero:
-            zero[wire] = rand_key()
-        return zero[wire]
-
     inputs = list(circuit.garbler_inputs) + list(circuit.evaluator_inputs)
-    for wire in inputs:
-        ensure_zero(wire)
+    from_bytes = int.from_bytes
+    if rng is None:
+        raw = secrets.token_bytes((len(inputs) + 1) * LABEL_BYTES)
+        starts = range(0, len(raw), LABEL_BYTES)
+        draws = [from_bytes(raw[i : i + LABEL_BYTES], "big") for i in starts]
+    else:
+        draws = [rng.getrandbits(8 * LABEL_BYTES) for _ in range(len(inputs) + 1)]
+    delta = draws[0] | 1
+    zero: Dict[int, int] = dict(zip(inputs, draws[1:]))
 
-    garbled_gates: List[GarbledGate] = []
-    for gate_index, gate in enumerate(circuit.gates):
-        if gate.gate_type == GateType.NOT:
-            # Free NOT: the output zero-label is the input one-label.
-            zero[gate.output_wire] = ensure_zero(gate.input_wires[0]) ^ delta
-            rows: Tuple[bytes, ...] = ()
-        elif gate.gate_type == GateType.XOR:
+    hg_base = _HG_BASE
+    rows: List[bytes] = []
+    for kind, in_a, in_b, out, _, _, tweak_g, tweak_e, _, _ in program.ops:
+        if kind == OP_XOR:
             # Free XOR: zero-labels XOR; Δ cancels on matching one-labels.
-            a0 = ensure_zero(gate.input_wires[0])
-            b0 = ensure_zero(gate.input_wires[1])
-            zero[gate.output_wire] = a0 ^ b0
-            rows = ()
-        elif gate.gate_type == GateType.AND:
-            a0 = ensure_zero(gate.input_wires[0])
-            b0 = ensure_zero(gate.input_wires[1])
-            p_a, p_b = a0 & 1, b0 & 1
-            tweak_g, tweak_e = _hg_tweaks(gate_index)
-            h_a0 = _hg_hash(a0, tweak_g)
-            h_a1 = _hg_hash(a0 ^ delta, tweak_g)
-            h_b0 = _hg_hash(b0, tweak_e)
-            h_b1 = _hg_hash(b0 ^ delta, tweak_e)
-            t_g = h_a0 ^ h_a1 ^ (delta if p_b else 0)
+            zero[out] = zero[in_a] ^ zero[in_b]
+        elif kind == OP_NOT:
+            # Free NOT: the output zero-label is the input one-label.
+            zero[out] = zero[in_a] ^ delta
+        else:
+            a0 = zero[in_a]
+            b0 = zero[in_b]
+            state = hg_base.copy()
+            state.update(a0.to_bytes(LABEL_BYTES, "big") + tweak_g)
+            h_a0 = from_bytes(state.digest()[:LABEL_BYTES], "big")
+            state = hg_base.copy()
+            state.update((a0 ^ delta).to_bytes(LABEL_BYTES, "big") + tweak_g)
+            h_a1 = from_bytes(state.digest()[:LABEL_BYTES], "big")
+            state = hg_base.copy()
+            state.update(b0.to_bytes(LABEL_BYTES, "big") + tweak_e)
+            h_b0 = from_bytes(state.digest()[:LABEL_BYTES], "big")
+            state = hg_base.copy()
+            state.update((b0 ^ delta).to_bytes(LABEL_BYTES, "big") + tweak_e)
+            h_b1 = from_bytes(state.digest()[:LABEL_BYTES], "big")
+            t_g = h_a0 ^ h_a1 ^ (delta if b0 & 1 else 0)
             t_e = h_b0 ^ h_b1 ^ a0
-            w_g0 = h_a0 ^ (t_g if p_a else 0)
-            w_e0 = h_b0 ^ ((t_e ^ a0) if p_b else 0)
-            zero[gate.output_wire] = w_g0 ^ w_e0
-            rows = (
-                t_g.to_bytes(LABEL_BYTES, "big"),
-                t_e.to_bytes(LABEL_BYTES, "big"),
-            )
-        else:  # pragma: no cover - exhaustive over lowered gate types
-            raise GarblingError(f"halfgates cannot garble {gate.gate_type.value}")
-        garbled_gates.append(
-            GarbledGate(
-                gate_type=gate.gate_type,
-                input_wires=gate.input_wires,
-                output_wire=gate.output_wire,
-                rows=rows,
-            )
-        )
+            w_g0 = h_a0 ^ (t_g if a0 & 1 else 0)
+            w_e0 = h_b0 ^ ((t_e ^ a0) if b0 & 1 else 0)
+            zero[out] = w_g0 ^ w_e0
+            rows.append(((t_g << 8 * LABEL_BYTES) | t_e).to_bytes(_HALFGATES_GATE_BYTES, "big"))
 
-    labels = _LazyLabelDict(
-        zero,
-        lambda z: _WirePair(zero=_label_from_int(z), one=_label_from_int(z ^ delta)),
-        eager=inputs,
-    )
     output_decoding = {
-        wire: (_label_digest(labels[wire].zero.key), _label_digest(labels[wire].one.key))
+        wire: (
+            _label_digest(zero[wire].to_bytes(LABEL_BYTES, "big")),
+            _label_digest((zero[wire] ^ delta).to_bytes(LABEL_BYTES, "big")),
+        )
         for wire in circuit.output_wires
     }
     garbled = GarbledCircuit(
         circuit=circuit,
-        gates=garbled_gates,
+        tables=b"".join(rows),
         output_decoding=output_decoding,
         scheme="halfgates",
     )
-    return GarblerOutput(garbled=garbled, wire_labels=labels)
+    labels = _LazyLabelDict(zero, lambda z: (_serialize_key(z), _serialize_key(z ^ delta)))
+    return GarblerOutput(garbled, labels)
 
 
 class GarblingScheme:
@@ -559,6 +531,10 @@ def evaluate_garbled_circuit(
     if garbled.scheme == "halfgates":
         return _evaluate_halfgates(garbled, garbler_labels, evaluator_labels)
 
+    program = circuit.program
+    tables = garbled.tables
+    if len(tables) != program.binary_gate_count * _CLASSIC_GATE_BYTES:
+        raise GarblingError("serialized wire label has wrong length")
     # Active labels as (key, external bit); each row is decrypted with one
     # big-int XOR and re-validated exactly like ``WireLabel.from_bytes``.
     active: Dict[int, Tuple[bytes, int]] = {}
@@ -567,20 +543,22 @@ def evaluate_garbled_circuit(
     for wire, label in zip(circuit.evaluator_inputs, evaluator_labels):
         active[wire] = (label.key, label.external_bit)
 
-    for gate_index, ggate in enumerate(garbled.gates):
-        if ggate.gate_type == GateType.NOT:
-            active[ggate.output_wire] = active[ggate.input_wires[0]]
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    for kind, in_a, in_b, out, _, tag, _, _, slot, _ in program.ops:
+        if kind == OP_NOT:
+            active[out] = active[in_a]
             continue
-        key_a, external_a = active[ggate.input_wires[0]]
-        key_b, external_b = active[ggate.input_wires[1]]
-        row = ggate.rows[external_a * 2 + external_b]
-        if len(row) != ROW_BYTES:
-            raise GarblingError("serialized wire label has wrong length")
-        pad = _row_pad(key_a, key_b, gate_index.to_bytes(4, "big"))
-        plaintext = (pad ^ int.from_bytes(row, "big")).to_bytes(ROW_BYTES, "big")
+        key_a, external_a = active[in_a]
+        key_b, external_b = active[in_b]
+        start = slot * _CLASSIC_GATE_BYTES + (2 * external_a + external_b) * ROW_BYTES
+        plaintext = (
+            from_bytes(sha256(key_a + key_b + tag).digest()[:ROW_BYTES], "big")
+            ^ from_bytes(tables[start : start + ROW_BYTES], "big")
+        ).to_bytes(ROW_BYTES, "big")
         if plaintext[LABEL_BYTES] > 1:
             raise GarblingError("external bit must be 0 or 1")
-        active[ggate.output_wire] = (plaintext[:LABEL_BYTES], plaintext[LABEL_BYTES])
+        active[out] = (plaintext[:LABEL_BYTES], plaintext[LABEL_BYTES])
 
     return _decode_outputs(garbled, [active[wire][0] for wire in circuit.output_wires])
 
@@ -603,35 +581,42 @@ def _evaluate_halfgates(
     same fail-closed mechanism as the classic scheme.
     """
     circuit = garbled.circuit
+    program = circuit.program
+    tables = garbled.tables
+    if "OR" in program.histogram:
+        raise GarblingError("halfgates circuit contains unsupported OR gate")
+    if len(tables) != program.and_gate_count * _HALFGATES_GATE_BYTES:
+        raise GarblingError("half-gates AND table must have two label-sized rows")
+    from_bytes = int.from_bytes
     active: Dict[int, int] = {}
     for wire, label in zip(circuit.garbler_inputs, garbler_labels):
-        active[wire] = int.from_bytes(label.key, "big")
+        active[wire] = from_bytes(label.key, "big")
     for wire, label in zip(circuit.evaluator_inputs, evaluator_labels):
-        active[wire] = int.from_bytes(label.key, "big")
+        active[wire] = from_bytes(label.key, "big")
 
-    for gate_index, ggate in enumerate(garbled.gates):
-        if ggate.gate_type == GateType.NOT:
-            active[ggate.output_wire] = active[ggate.input_wires[0]]
-            continue
-        if ggate.gate_type == GateType.XOR:
-            active[ggate.output_wire] = (
-                active[ggate.input_wires[0]] ^ active[ggate.input_wires[1]]
-            )
-            continue
-        if ggate.gate_type != GateType.AND:
-            raise GarblingError(
-                f"halfgates circuit contains unsupported {ggate.gate_type.value} gate"
-            )
-        if len(ggate.rows) != 2 or any(len(row) != LABEL_BYTES for row in ggate.rows):
-            raise GarblingError("half-gates AND table must have two label-sized rows")
-        w_a = active[ggate.input_wires[0]]
-        w_b = active[ggate.input_wires[1]]
-        t_g = int.from_bytes(ggate.rows[0], "big")
-        t_e = int.from_bytes(ggate.rows[1], "big")
-        tweak_g, tweak_e = _hg_tweaks(gate_index)
-        w_g = _hg_hash(w_a, tweak_g) ^ (t_g if w_a & 1 else 0)
-        w_e = _hg_hash(w_b, tweak_e) ^ ((t_e ^ w_a) if w_b & 1 else 0)
-        active[ggate.output_wire] = w_g ^ w_e
+    hg_base = _HG_BASE
+    for kind, in_a, in_b, out, _, _, tweak_g, tweak_e, _, and_slot in program.ops:
+        if kind == OP_XOR:
+            active[out] = active[in_a] ^ active[in_b]
+        elif kind == OP_NOT:
+            active[out] = active[in_a]
+        else:
+            w_a = active[in_a]
+            w_b = active[in_b]
+            start = and_slot * _HALFGATES_GATE_BYTES
+            state = hg_base.copy()
+            state.update(w_a.to_bytes(LABEL_BYTES, "big") + tweak_g)
+            w_c = from_bytes(state.digest()[:LABEL_BYTES], "big")
+            state = hg_base.copy()
+            state.update(w_b.to_bytes(LABEL_BYTES, "big") + tweak_e)
+            w_c ^= from_bytes(state.digest()[:LABEL_BYTES], "big")
+            if w_a & 1:
+                w_c ^= from_bytes(tables[start : start + LABEL_BYTES], "big")
+            if w_b & 1:
+                w_c ^= w_a ^ from_bytes(
+                    tables[start + LABEL_BYTES : start + _HALFGATES_GATE_BYTES], "big"
+                )
+            active[out] = w_c
 
     return _decode_outputs(
         garbled, [active[wire].to_bytes(LABEL_BYTES, "big") for wire in circuit.output_wires]

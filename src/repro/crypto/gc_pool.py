@@ -256,6 +256,8 @@ class ComparisonPool:
         self._scheme = get_scheme(scheme)
         self.scheme = self._scheme.name
         self.circuit = self._scheme.lower(build_greater_than_circuit(bit_width))
+        # Compile here, once per pool, before any refiller thread garbles.
+        self.circuit.program  # noqa: B018 - cached on the circuit
         self._rng = rng
         self._pool: Deque[PreparedComparison] = deque()
         self._reservoir: Deque[PreparedComparison] = deque()

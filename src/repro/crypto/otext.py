@@ -85,23 +85,32 @@ class OTExtensionError(Exception):
     """Raised on misuse of the OT-extension machinery (reuse, mismatch)."""
 
 
+#: The PRG's first block counter, serialized once.
+_BLOCK_0 = (0).to_bytes(4, "big")
+
+#: Bytes one SHA-256 block yields: a PRG stream this short is a single hash.
+_BLOCK_BYTES = 32
+
+
 def _prg(seed: bytes, tag: bytes, length: int) -> bytes:
     """SHA-256 based PRG stream: expand ``seed`` to ``length`` bytes."""
     prefix = seed + tag
+    if length <= _BLOCK_BYTES:
+        return hashlib.sha256(prefix + _BLOCK_0).digest()[:length]
     blocks = [
         hashlib.sha256(prefix + counter.to_bytes(4, "big")).digest()
-        for counter in range((length + 31) // 32)
+        for counter in range((length + _BLOCK_BYTES - 1) // _BLOCK_BYTES)
     ]
     return b"".join(blocks)[:length]
 
 
-def _hash_pad(row: bytes, tag: bytes, index: int, length: int) -> bytes:
-    """Random-oracle hash of one matrix row into a ``length``-byte pad."""
-    return _prg(
-        hashlib.sha256(b"iknp-pad" + tag + index.to_bytes(4, "big") + row).digest(),
-        b"expand",
-        length,
-    )
+def _hash_pad(prefix: bytes, row: bytes, length: int) -> bytes:
+    """Random-oracle hash of one matrix row into a ``length``-byte pad.
+
+    ``prefix`` is ``b"iknp-pad" + instance tag + row index``, built once per
+    row by the caller and shared by the three pads hashed under it.
+    """
+    return _prg(hashlib.sha256(prefix + row).digest(), b"expand", length)
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -120,6 +129,11 @@ def _xor(a: bytes, b: bytes) -> bytes:
 def _pack_bits(bits: Sequence[int]) -> int:
     """The int whose bit ``i`` is ``bits[i]`` (the matrix's bit layout)."""
     return int("".join(map(str, reversed(bits))), 2)
+
+
+def _unpack_bits(value: int, count: int) -> Tuple[int, ...]:
+    """The low ``count`` bits of ``value``, bit ``i`` first (inverse of :func:`_pack_bits`)."""
+    return tuple(map(int, format(value & ((1 << count) - 1), f"0{count}b")[::-1]))
 
 
 def _transpose(columns: Sequence[int], height: int) -> List[int]:
@@ -175,15 +189,23 @@ def establish_correlation(
     """
     if kappa < 1:
         raise OTExtensionError(f"kappa must be >= 1, got {kappa}")
-    draw = rng or random.SystemRandom()
-    seed_pairs = [
-        (
-            bytes(draw.getrandbits(8) for _ in range(SEED_BYTES)),
-            bytes(draw.getrandbits(8) for _ in range(SEED_BYTES)),
-        )
-        for _ in range(kappa)
-    ]
-    choice = tuple(draw.getrandbits(1) for _ in range(kappa))
+    if rng is None:
+        # One CSPRNG draw for all 2 * kappa seeds, one for the choice vector.
+        raw = secrets.token_bytes(2 * kappa * SEED_BYTES)
+        seeds = [raw[i : i + SEED_BYTES] for i in range(0, len(raw), SEED_BYTES)]
+        seed_pairs = list(zip(seeds[0::2], seeds[1::2]))
+        choice_bytes = secrets.token_bytes((kappa + 7) // 8)
+        choice = _unpack_bits(int.from_bytes(choice_bytes, "little"), kappa)
+    else:
+        # Seeded (tests, benches): the historical per-byte, then per-bit order.
+        seed_pairs = [
+            (
+                bytes(rng.getrandbits(8) for _ in range(SEED_BYTES)),
+                bytes(rng.getrandbits(8) for _ in range(SEED_BYTES)),
+            )
+            for _ in range(kappa)
+        ]
+        choice = tuple(rng.getrandbits(1) for _ in range(kappa))
     recovered, transferred = run_oblivious_transfer(
         seed_pairs, list(choice), rng=rng, group=group
     )
@@ -313,47 +335,49 @@ def derive_batch(
     """
     if count < 1:
         raise OTExtensionError(f"batch must contain >= 1 transfers, got {count}")
-    draw = choice_rng or random.SystemRandom()
     kappa = correlation.kappa
-    choices = tuple(draw.getrandbits(1) for _ in range(count))
-    c = _pack_bits(choices)
     column_len = (count + 7) // 8
     row_len = (kappa + 7) // 8
     mask = (1 << count) - 1
+    from_bytes = int.from_bytes
+    if choice_rng is None:
+        c = from_bytes(secrets.token_bytes(column_len), "little") & mask
+        choices = _unpack_bits(c, count)
+    else:
+        choices = tuple(choice_rng.getrandbits(1) for _ in range(count))
+        c = _pack_bits(choices)
 
-    def column(seed: bytes, i: int) -> int:
-        tag = b"col" + instance + i.to_bytes(4, "big")
-        return int.from_bytes(_prg(seed, tag, column_len), "little") & mask
-
-    # Receiver side: columns t_i = G(k_i^0); corrections u_i = t_i XOR
-    # G(k_i^1) XOR c.  (Transmitting u_i is the extension's offline traffic.)
     t_columns: List[int] = []
-    u_columns: List[int] = []
-    for i, (k0, k1) in enumerate(correlation.receiver_seed_pairs):
-        t_columns.append(column(k0, i))
-        u_columns.append(t_columns[i] ^ column(k1, i) ^ c)
-
-    # Sender side: q_i = G(k_i^{s_i}) XOR (s_i ? u_i : 0)  =>  row_j =
-    # t_j XOR (c_j & s).  Simulated in-process, but from the sender's own
-    # seeds: a broken correlation must surface as mismatched pads.
-    q_columns = [
-        column(seed, i) ^ (u if s_i else 0)
-        for i, (seed, s_i, u) in enumerate(
-            zip(correlation.sender_seeds, correlation.sender_choice, u_columns)
-        )
-    ]
+    q_columns: List[int] = []
+    column_tag = b"col" + instance
+    for i, ((k0, k1), seed, s_i) in enumerate(
+        zip(correlation.receiver_seed_pairs, correlation.sender_seeds, correlation.sender_choice)
+    ):
+        tag = column_tag + i.to_bytes(4, "big")
+        # Receiver side: column t_i = G(k_i^0); correction u_i = t_i XOR
+        # G(k_i^1) XOR c.  (Transmitting u_i is the extension's offline traffic.)
+        t_i = from_bytes(_prg(k0, tag, column_len), "little") & mask
+        u_i = t_i ^ (from_bytes(_prg(k1, tag, column_len), "little") & mask) ^ c
+        # Sender side: q_i = G(k_i^{s_i}) XOR (s_i ? u_i : 0)  =>  row_j =
+        # t_j XOR (c_j & s).  Simulated in-process, but from the sender's own
+        # seeds: a broken correlation must surface as mismatched pads.
+        q_i = from_bytes(_prg(seed, tag, column_len), "little") & mask
+        t_columns.append(t_i)
+        q_columns.append(q_i ^ u_i if s_i else q_i)
     s = _pack_bits(correlation.sender_choice)
 
     receiver_pads: List[bytes] = []
     sender_pad_pairs: List[Tuple[bytes, bytes]] = []
+    pad_tag = b"iknp-pad" + instance
     rows = zip(_transpose(q_columns, count), _transpose(t_columns, count))
     for j, (q_j, t_j) in enumerate(rows):
-        pad0 = _hash_pad(q_j.to_bytes(row_len, "little"), instance, j, msg_len)
-        pad1 = _hash_pad((q_j ^ s).to_bytes(row_len, "little"), instance, j, msg_len)
+        prefix = pad_tag + j.to_bytes(4, "big")
+        pad0 = _hash_pad(prefix, q_j.to_bytes(row_len, "little"), msg_len)
+        pad1 = _hash_pad(prefix, (q_j ^ s).to_bytes(row_len, "little"), msg_len)
         sender_pad_pairs.append((pad0, pad1))
         # Receiver knows t_j = q_j XOR (c_j & s): its pad is pad_{c_j}, but
         # hashed from its own row, never copied from the sender's.
-        receiver_pads.append(_hash_pad(t_j.to_bytes(row_len, "little"), instance, j, msg_len))
+        receiver_pads.append(_hash_pad(prefix, t_j.to_bytes(row_len, "little"), msg_len))
 
     return PreparedOTBatch(
         count=count,

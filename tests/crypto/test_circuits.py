@@ -126,6 +126,56 @@ def test_gate_histogram_accounts_every_gate():
     assert lowered_histogram["XOR"] == histogram.get("XOR", 0) + 2 * histogram["OR"]
 
 
+def test_counts_come_from_the_program_compiled_once():
+    circuit = build_greater_than_circuit(8)
+    program = circuit.program
+    assert circuit.program is program  # cached on the circuit
+    assert len(program.ops) == len(circuit.gates)
+    assert circuit.and_gate_count == program.and_gate_count == 8 + 7 + 7
+    assert program.binary_gate_count == sum(g.gate_type != GateType.NOT for g in circuit.gates)
+    histogram = circuit.gate_histogram()
+    histogram["AND"] = -1  # a copy: the program's own counts are not exposed to mutation
+    assert circuit.gate_histogram()["AND"] == 15
+    # Table positions: consecutive among binary gates / among AND+OR gates.
+    binary = [op.slot for op in program.ops if op.truth]
+    non_free = [
+        op.and_slot
+        for op, gate in zip(program.ops, circuit.gates)
+        if gate.gate_type in (GateType.AND, GateType.OR)
+    ]
+    assert binary == list(range(program.binary_gate_count))
+    assert non_free == list(range(program.and_gate_count))
+    for index, op in enumerate(program.ops):
+        assert (op.tag, op.tweak_g, op.tweak_e) == (
+            index.to_bytes(4, "big"),
+            (2 * index).to_bytes(8, "big"),
+            (2 * index + 1).to_bytes(8, "big"),
+        )
+
+
+@pytest.mark.parametrize(
+    "gates, inputs, outputs, wire_count, message",
+    [
+        ([Gate(GateType.AND, (0, 5), 2)], ([0], [1]), [2], 3, "reads undefined wire 5"),
+        ([Gate(GateType.AND, (0, 2), 2)], ([0], [1]), [2], 3, "reads undefined wire 2"),
+        ([Gate(GateType.NOT, (0,), 1)], ([0], [1]), [1], 2, "wire 1 is defined twice"),
+        ([Gate(GateType.NOT, (0,), 7)], ([0], [1]), [0], 3, "wire 7 is outside range"),
+        ([], ([0], [0]), [0], 1, "wire 0 is defined twice"),
+        ([], ([0], [1]), [2], 3, "circuit output reads undefined wire 2"),
+    ],
+)
+def test_program_rejects_malformed_circuits(gates, inputs, outputs, wire_count, message):
+    circuit = Circuit(
+        garbler_inputs=inputs[0],
+        evaluator_inputs=inputs[1],
+        gates=gates,
+        output_wires=outputs,
+        wire_count=wire_count,
+    )
+    with pytest.raises(ValueError, match=message):
+        circuit.program  # noqa: B018
+
+
 def test_builders_reject_zero_width():
     with pytest.raises(ValueError):
         build_greater_than_circuit(0)

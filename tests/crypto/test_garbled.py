@@ -11,12 +11,15 @@ from repro.crypto.circuits import (
     build_adder_circuit,
     build_greater_than_circuit,
     int_to_bits,
+    lower_to_xor_and,
 )
 from repro.crypto.garbled import (
+    GarbledCircuit,
     GarblingError,
     WireLabel,
     evaluate_garbled_circuit,
     garble_circuit,
+    garble_circuit_halfgates,
     run_two_party_computation,
 )
 
@@ -92,6 +95,76 @@ def test_serialized_size_positive_and_scales():
     small = garble_circuit(build_greater_than_circuit(4), rng=random.Random(5))
     large = garble_circuit(build_greater_than_circuit(16), rng=random.Random(5))
     assert 0 < small.garbled.serialized_size() < large.garbled.serialized_size()
+
+
+def _active_labels(circuit, out, a, b, width):
+    evaluator_labels = [
+        out.wire_labels[w].for_value(bit)
+        for w, bit in zip(circuit.evaluator_inputs, int_to_bits(b, width))
+    ]
+    return out.garbler_input_labels(int_to_bits(a, width)), evaluator_labels
+
+
+@pytest.mark.parametrize(
+    "garble, lower, message",
+    [
+        (garble_circuit, lambda c: c, "serialized wire label has wrong length"),
+        (
+            garble_circuit_halfgates,
+            lower_to_xor_and,
+            "half-gates AND table must have two label-sized rows",
+        ),
+    ],
+)
+@pytest.mark.parametrize("resize", [lambda t: t[:-1], lambda t: t + b"\x00", lambda t: b""])
+def test_wrong_length_table_buffer_is_rejected(garble, lower, message, resize):
+    circuit = lower(build_greater_than_circuit(4))
+    out = garble(circuit, rng=random.Random(7))
+    labels = _active_labels(circuit, out, 9, 3, 4)
+    out.garbled.tables = resize(out.garbled.tables)
+    with pytest.raises(GarblingError, match=message):
+        evaluate_garbled_circuit(out.garbled, *labels)
+
+
+def test_row_decrypting_to_a_bad_external_bit_is_rejected():
+    """Gate 1 (the first AND) is on every path; its rows' 17th byte is the external bit."""
+    circuit = build_greater_than_circuit(4)
+    out = garble_circuit(circuit, rng=random.Random(8))
+    labels = _active_labels(circuit, out, 9, 3, 4)
+    assert len(out.garbled.rows(1)) == 4 and out.garbled.rows(0) == ()
+    tables = bytearray(out.garbled.tables)
+    for row in range(4):
+        tables[17 * row + 16] ^= 0x80
+    out.garbled.tables = bytes(tables)
+    with pytest.raises(GarblingError, match="external bit must be 0 or 1"):
+        evaluate_garbled_circuit(out.garbled, *labels)
+
+
+def test_halfgates_rejects_an_or_gate_on_both_sides():
+    circuit = build_greater_than_circuit(4)  # not lowered: still has OR gates
+    with pytest.raises(GarblingError, match="requires a lowered circuit"):
+        garble_circuit_halfgates(circuit, rng=random.Random(9))
+    out = garble_circuit(circuit, rng=random.Random(9))
+    forged = GarbledCircuit(
+        circuit=circuit,
+        tables=out.garbled.tables,
+        output_decoding=out.garbled.output_decoding,
+        scheme="halfgates",
+    )
+    with pytest.raises(GarblingError, match="unsupported OR gate"):
+        evaluate_garbled_circuit(forged, *_active_labels(circuit, out, 9, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "garble, lower", [(garble_circuit, lambda c: c), (garble_circuit_halfgates, lower_to_xor_and)]
+)
+def test_unrecognized_output_digest_is_rejected(garble, lower):
+    circuit = lower(build_greater_than_circuit(4))
+    out = garble(circuit, rng=random.Random(10))
+    wire = circuit.output_wires[0]
+    out.garbled.output_decoding[wire] = (b"\x00" * 32, b"\x01" * 32)
+    with pytest.raises(GarblingError, match=f"output wire {wire} produced an unrecognized label"):
+        evaluate_garbled_circuit(out.garbled, *_active_labels(circuit, out, 9, 3, 4))
 
 
 def test_full_two_party_protocol_with_ot():

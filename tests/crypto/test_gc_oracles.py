@@ -26,11 +26,18 @@ from gc_oracles import (
 from repro.chaos import tamper_prepared_comparison
 from repro.crypto import otext
 from repro.crypto.circuits import (
+    CircuitBuilder,
+    GateType,
     build_adder_circuit,
     build_greater_than_circuit,
     lower_to_xor_and,
 )
-from repro.crypto.garbled import GarblingError, garble_circuit, garble_circuit_halfgates
+from repro.crypto.garbled import (
+    GarblingError,
+    evaluate_garbled_circuit,
+    garble_circuit,
+    garble_circuit_halfgates,
+)
 from repro.crypto.gc_pool import ComparisonError, PreparedComparison
 from repro.crypto.otext import OTExtensionError, derive_batch, establish_correlation
 
@@ -65,6 +72,53 @@ def test_transfer_rejects_a_short_pad(ot_correlation):
     pairs = [(bytes(17), bytes([1] * 17))] * 3
     with pytest.raises(OTExtensionError):
         batch.transfer(pairs, [0, 1, 0])
+
+
+def _count_csprng_draws(monkeypatch):
+    """Record the size of every ``secrets.token_bytes`` call ``otext`` makes."""
+    draws = []
+    real = otext.secrets.token_bytes
+
+    def token_bytes(size):
+        draws.append(size)
+        return real(size)
+
+    monkeypatch.setattr(otext.secrets, "token_bytes", token_bytes)
+    return draws
+
+
+def test_csprng_batch_draws_its_choice_bits_once(monkeypatch, ot_correlation):
+    """One draw for all ``count`` choice bits, not one ``urandom`` syscall per bit."""
+    draws = _count_csprng_draws(monkeypatch)
+    batches = [derive_batch(ot_correlation, count, 17, b"csprng") for count in (64, 13, 64)]
+    assert draws == [8, 2, 8]
+    for batch in batches:
+        assert len(batch.random_choices) == batch.count
+        assert set(batch.random_choices) <= {0, 1}
+        for c, pad, pair in zip(batch.random_choices, batch.receiver_pads, batch.sender_pad_pairs):
+            assert pad == pair[c] and pad != pair[1 - c]
+    assert batches[0].random_choices != batches[2].random_choices
+
+
+def test_csprng_correlation_draws_seeds_and_choices_once(monkeypatch):
+    """2 x kappa seeds in one draw, the choice vector in another (was 4 096 + 128 draws)."""
+    draws = _count_csprng_draws(monkeypatch)
+    correlation = establish_correlation(13)
+    assert draws[:2] == [2 * 13 * otext.SEED_BYTES, 2]
+    seeds = [seed for pair in correlation.receiver_seed_pairs for seed in pair]
+    assert len(set(seeds)) == 26 and all(len(seed) == otext.SEED_BYTES for seed in seeds)
+    assert len(correlation.sender_choice) == 13 and set(correlation.sender_choice) <= {0, 1}
+    for s_i, seed, pair in zip(
+        correlation.sender_choice, correlation.sender_seeds, correlation.receiver_seed_pairs
+    ):
+        assert seed == pair[s_i]
+
+
+@given(st.integers(min_value=0, max_value=2**70), st.integers(min_value=1, max_value=70))
+def test_unpack_bits_inverts_pack_bits(value, count):
+    bits = otext._unpack_bits(value, count)
+    assert len(bits) == count
+    assert otext._pack_bits(bits) == value & ((1 << count) - 1)
 
 
 # -- derive_batch ------------------------------------------------------------------
@@ -126,10 +180,8 @@ def test_seeded_garbling_matches_parent_byte_for_byte(scheme, build, bit_width, 
     out = garble(circuit, rng=random.Random(seed))
     gate_rows, decoding, labels = oracle(circuit, random.Random(seed))
 
-    assert [gate.rows for gate in out.garbled.gates] == gate_rows
-    assert [
-        (g.gate_type, g.input_wires, g.output_wire) for g in out.garbled.gates
-    ] == [(g.gate_type, g.input_wires, g.output_wire) for g in circuit.gates]
+    assert out.garbled.tables == b"".join(map(b"".join, gate_rows))
+    assert [out.garbled.rows(i) for i in range(len(circuit.gates))] == gate_rows
     assert out.garbled.output_decoding == decoding
     assert out.garbled.scheme == scheme
     for wire, (zero, one) in labels.items():
@@ -141,6 +193,116 @@ def test_seeded_garbling_matches_parent_byte_for_byte(scheme, build, bit_width, 
     assert out.garbled.serialized_size() == (
         sum(sum(map(len, rows)) + 8 for rows in shipped) + 64 * len(circuit.output_wires)
     )
+
+
+@st.composite
+def small_circuits(draw):
+    """A random AND/OR/XOR/NOT DAG: 2-6 inputs, up to 12 gates, 1-3 outputs."""
+    builder = CircuitBuilder()
+    wires = [builder.garbler_input() for _ in range(draw(st.integers(1, 3)))]
+    wires += [builder.evaluator_input() for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("and", "or", "xor", "not")))
+        inputs = [draw(st.sampled_from(wires)) for _ in range(1 if kind == "not" else 2)]
+        wires.append(getattr(builder, f"gate_{kind}")(*inputs))
+    outputs = st.lists(st.sampled_from(wires), min_size=1, max_size=3, unique=True)
+    return builder.build(draw(outputs))
+
+
+def _garbled_run(draw, circuit, scheme, seed):
+    """Garble ``circuit`` under ``scheme``; draw inputs; return what evaluation needs."""
+    lower, garble, _ = GARBLERS[scheme]
+    out = garble(lower(circuit), rng=random.Random(seed))
+    garbler_bits = [draw(st.integers(0, 1)) for _ in circuit.garbler_inputs]
+    evaluator_bits = [draw(st.integers(0, 1)) for _ in circuit.evaluator_inputs]
+    evaluator_labels = [
+        out.wire_labels[wire].for_value(bit)
+        for wire, bit in zip(circuit.evaluator_inputs, evaluator_bits)
+    ]
+    expected = circuit.evaluate(garbler_bits, evaluator_bits)
+    return out, out.garbler_input_labels(garbler_bits), evaluator_labels, expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    circuit=small_circuits(),
+    scheme=st.sampled_from(sorted(GARBLERS)),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_flat_garblers_match_oracles_on_random_dags(circuit, scheme, seed, data):
+    lower, _, oracle = GARBLERS[scheme]
+    out, garbler_labels, evaluator_labels, expected = _garbled_run(data.draw, circuit, scheme, seed)
+    gate_rows, decoding, labels = oracle(lower(circuit), random.Random(seed))
+
+    assert out.garbled.tables == b"".join(map(b"".join, gate_rows))
+    assert out.garbled.output_decoding == decoding
+    for wire in circuit.garbler_inputs + circuit.evaluator_inputs:
+        (zero_key, zero_bit), (one_key, one_bit) = labels[wire]
+        assert out.wire_labels.serialized(wire) == (
+            zero_key + bytes([zero_bit]),
+            one_key + bytes([one_bit]),
+        )
+    assert evaluate_garbled_circuit(out.garbled, garbler_labels, evaluator_labels) == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    circuit=small_circuits(),
+    scheme=st.sampled_from(sorted(GARBLERS)),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_tampered_table_buffer_never_flips_an_output(circuit, scheme, seed, data):
+    """Any single-bit flip, truncation or extension: ``GarblingError`` or the plaintext bits."""
+    out, garbler_labels, evaluator_labels, expected = _garbled_run(data.draw, circuit, scheme, seed)
+    tables = out.garbled.tables
+    kinds = ("flip", "truncate", "extend") if tables else ("extend",)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "flip":
+        bit = data.draw(st.integers(0, 8 * len(tables) - 1))
+        flipped = bytearray(tables)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        out.garbled.tables = bytes(flipped)
+    elif kind == "truncate":
+        out.garbled.tables = tables[: data.draw(st.integers(0, len(tables) - 1))]
+    else:
+        out.garbled.tables = tables + data.draw(st.binary(min_size=1, max_size=40))
+    size_before = out.garbled.serialized_size()
+    try:
+        result = evaluate_garbled_circuit(out.garbled, garbler_labels, evaluator_labels)
+    except GarblingError:
+        pass
+    else:
+        assert kind == "flip"  # a wrong-length buffer is always rejected
+        assert result == expected
+    assert out.garbled.serialized_size() == size_before
+
+
+#: ``BENCH_crypto.json``'s ``table_bytes`` at the two benchmarked widths.
+BENCH_TABLE_BYTES = {
+    ("classic", 64): 20_308,
+    ("halfgates", 64): 7_664,
+    ("classic", 32): 10_068,
+    ("halfgates", 32): 3_824,
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(GARBLERS))
+def test_serialized_size_equals_the_per_gate_formula(scheme):
+    """Widths 1-64: rows + an 8-byte header per shipped gate + 64 B per output."""
+    lower, garble, _ = GARBLERS[scheme]
+    for bit_width in range(1, 65):
+        circuit = lower(build_greater_than_circuit(bit_width))
+        garbled = garble(circuit, rng=random.Random(bit_width)).garbled
+        if scheme == "classic":
+            per_gate = [8 if g.gate_type == GateType.NOT else 4 * 17 + 8 for g in circuit.gates]
+        else:
+            per_gate = [2 * 16 + 8 for g in circuit.gates if g.gate_type == GateType.AND]
+        assert garbled.serialized_size() == sum(per_gate) + 64 * len(circuit.output_wires)
+        assert len(garbled.tables) == sum(per_gate) - 8 * len(per_gate)
+        if (scheme, bit_width) in BENCH_TABLE_BYTES:
+            assert garbled.serialized_size() == BENCH_TABLE_BYTES[scheme, bit_width]
 
 
 def test_csprng_garbling_draws_distinct_material():

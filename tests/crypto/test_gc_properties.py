@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from helpers import TEST_KAPPA, small_comparison_pool
 from repro.crypto.circuits import build_greater_than_circuit, int_to_bits
 from repro.crypto.garbled import (
-    GarbledGate,
     GarblingError,
     WireLabel,
     evaluate_garbled_circuit,
@@ -203,16 +202,10 @@ def test_tampered_rows_fail_closed(scheme, bit_width, a, b, seed):
     b %= 1 << bit_width
     rng = random.Random(seed)
     circuit, out = garble_for(scheme, bit_width, rng)
-    tampered = [
-        GarbledGate(
-            gate_type=g.gate_type,
-            input_wires=g.input_wires,
-            output_wire=g.output_wire,
-            rows=tuple(_flip_bit(row, bit=seed % 8) for row in g.rows),
-        )
-        for g in out.garbled.gates
-    ]
-    out.garbled.gates = tampered
+    tables = bytearray(out.garbled.tables)
+    for start in range(0, len(tables), out.garbled.row_bytes):
+        tables[start] ^= 1 << (seed % 8)
+    out.garbled.tables = bytes(tables)
     garbler_labels = out.garbler_input_labels(int_to_bits(a, bit_width))
     evaluator_labels = [
         out.wire_labels[w].for_value(bit)
