@@ -17,7 +17,7 @@ This script is that protocol as one command, claim and controls together::
 workload ``BENCHMARK.json`` declares); each workload gets its own series
 of alternating pairs and its own table, and a final verdict line reads the
 claim off ``--claim`` (default: the first workload listed) and holds every
-other workload to its ``BENCHMARK.json`` bounds.
+workload, the claimed one included, to its ``BENCHMARK.json`` bounds.
 
 It exports ``--parent`` (default ``HEAD~1``; use ``HEAD`` to compare an
 uncommitted working tree against its base) with ``git archive`` and copies
@@ -177,22 +177,25 @@ def outside_bounds(runs: List[Dict[str, dict]], end_to_end: Sequence[dict]) -> L
 def verdict(
     runs: Dict[str, List[Dict[str, dict]]], claim: str, metric: str, declared: dict
 ) -> str:
-    """The one line a claim is read from: the claim, the controls, the bytes."""
+    """The one line a claim is read from: the claim, the bounds, the bytes.
+
+    The claim rule judges only ``metric`` on ``claim``; every workload, the
+    claimed one included, is held to its end-to-end bounds.
+    """
     direction = next(
         (m["better"] for m in declared["end_to_end"] if m["name"] == metric), "lower"
     )
     _, claimed = claim_verdict(runs[claim], metric, direction)
-    controls, mismatched = [], []
+    bounded, mismatched = [], []
     for workload, series in runs.items():
-        if workload != claim:
-            outside = outside_bounds(series, declared["end_to_end"])
-            controls.append(f"{workload} {'NO (' + ', '.join(outside) + ')' if outside else 'yes'}")
+        outside = outside_bounds(series, declared["end_to_end"])
+        bounded.append(f"{workload} {'NO (' + ', '.join(outside) + ')' if outside else 'yes'}")
         seeds_off = BYTES_METRIC in series[0]["parent"]["metrics"] and bytes_mismatches(series)
         if seeds_off:
             mismatched.append(f"{workload} seeds {seeds_off}")
     return (
         f"verdict: claim {claim} {claimed}; "
-        f"controls inside bound: {', '.join(controls) or 'none run'}; "
+        f"inside bound: {', '.join(bounded)}; "
         f"{BYTES_METRIC} identical per seed: "
         f"{'NO, ' + '; '.join(mismatched) if mismatched else 'yes'}"
     )

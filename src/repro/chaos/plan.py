@@ -5,7 +5,7 @@ injects: frame-level transport faults (drop / reorder / duplicate /
 byte-corruption) chosen by rate, plus scheduled mid-window hooks —
 force-draining the Paillier randomizer and garbled-comparison pools
 (:class:`PoolDrain`), tampering prepared GC material (:class:`GcTamper`)
-and SIGKILLing socket shard workers (:attr:`FaultPlan.kill_shards`).
+and SIGKILLing shard workers (:attr:`FaultPlan.kill_shards`).
 
 Determinism is the whole point: every decision is a function of
 ``(seed, window, frame ordinal)`` through SHA-256, never of process state,
@@ -150,9 +150,10 @@ class FaultPlan:
             supervisor retry runs clean and recovery converges.
         pool_drains: scheduled :class:`PoolDrain` hooks.
         tampers: scheduled :class:`GcTamper` hooks (fail-closed aborts).
-        kill_shards: shard indices whose socket worker SIGKILLs itself
-            mid-shard (once; the respawned worker runs clean).  Only
-            meaningful for the socket shard fan-out.
+        kill_shards: shard indices whose worker SIGKILLs itself
+            mid-shard (once; the respawned worker runs clean).  Honoured
+            on every multi-shard run; a single-shard plan runs inline
+            and has no worker to kill.
         max_attempts: supervisor retry budget per window (first attempt
             included).
         backoff_base: base of the supervisor's exponential backoff in

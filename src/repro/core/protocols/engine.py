@@ -585,7 +585,6 @@ class PrivateTradingEngine:
         workers: int = 1,
         shard_strategy: str = "stride",
         background_refill: bool = False,
-        runner_transport: Optional[str] = None,
         pipeline: bool = False,
     ) -> "RunReport":
         """Like :meth:`run_windows`, returning the full :class:`RunReport`.
@@ -595,11 +594,8 @@ class PrivateTradingEngine:
         worker counts), per-shard wall-clock, and the simulated-clock
         day-runtime aggregates used by the Fig. 5-style parallel benchmark.
 
-        ``runner_transport`` selects how shards reach the workers:
-        ``"local"`` (multiprocessing pipes) or ``"socket"`` (length-prefixed
-        TCP; see :class:`repro.runtime.ParallelRunner`).  It defaults to
-        the engine's ``config.transport``, so a socket-configured engine
-        fans its shards out over real sockets too.
+        With ``workers > 1`` the shards reach their worker processes over
+        loopback TCP (see :class:`repro.runtime.ParallelRunner`).
 
         ``pipeline`` executes every shard with a
         :class:`~repro.runtime.pipeline.WindowPipeline` stage (requires
@@ -614,11 +610,7 @@ class PrivateTradingEngine:
         plan = ExecutionPlan.for_windows(
             windows, workers, strategy=shard_strategy, pipeline=pipeline
         )
-        runner = ParallelRunner(
-            plan,
-            background_refill=background_refill,
-            transport=runner_transport or self.config.transport,
-        )
+        runner = ParallelRunner(plan, background_refill=background_refill)
         return runner.run(
             self,
             dataset,

@@ -74,8 +74,8 @@ class FleetSpec:
 
     Attributes:
         hosts: machines available to run shard workers.  More than one
-            host forces ``transport="socket"`` (shards cannot share a
-            process boundary over local pipes across machines).
+            host forces ``transport="socket"`` (``LocalTransport``
+            messages are in-process and cannot reach another machine).
         cores_per_host: worker slots per host; the planner never plans
             more workers than ``hosts * cores_per_host``.
         link: latency/bandwidth profile of the agent links.

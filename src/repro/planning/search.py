@@ -9,8 +9,8 @@ allows.  Two constraints carve out the *feasible* region:
 * ``pipeline=True`` requires ``session_scope="day"`` (pre-staged offline
   material must survive the window boundary — the runner enforces the
   same rule at execution time);
-* more than one host requires ``transport="socket"`` (shards cannot reach
-  a remote host over multiprocessing pipes).
+* more than one host requires ``transport="socket"`` (``LocalTransport``
+  messages are in-process and cannot reach a remote host).
 
 Candidates are scored by the pure predictor in
 :mod:`repro.planning.costing`; the planner returns the *argmin* under the
@@ -206,7 +206,7 @@ def iter_candidates(
 
 def naive_candidate(spec: FleetSpec) -> CandidateConfig:
     """The seed deployment: serial chain, per-window sessions, classic
-    garbling, one worker — over pipes when one host suffices."""
+    garbling, one worker — in-process messages when one host suffices."""
     return CandidateConfig(
         key_size=spec.key_size,
         topology="chain",

@@ -1,22 +1,23 @@
 """Sharded execution of independent trading windows across worker processes.
 
-The runner takes an :class:`~repro.runtime.plan.ExecutionPlan`, ships each
-shard to a ``multiprocessing`` worker (or runs inline for single-shard
-plans), and merges the per-window results back deterministically:
+The runner takes an :class:`~repro.runtime.plan.ExecutionPlan`, runs a
+single-shard plan inline and fans a multi-shard plan out to worker
+processes that connect back over loopback TCP, and merges the per-window
+results back deterministically:
 
 * every worker rebuilds an identical :class:`PrivateTradingEngine` from a
   pickled :class:`EngineSpec` — key material is derived from stable
   identities (see :class:`repro.core.protocols.context.KeyRing`), so the
   worker reconstructs exactly the keys/pools a serial run would use;
-* a forked worker *inherits* only what is safe to share — the code, the
-  dataset and the process-wide base-OT correlation, which the parent
-  establishes once before it fans a multi-shard plan out
-  (:func:`repro.crypto.otext.shared_correlation`; instance tags are
-  CSPRNG-drawn, so workers extending one correlation derive disjoint
-  pads) — and *rebuilds* everything else: the engine, the key slots and
-  every pool, which start empty because pool contents are one-shot and
-  must never cross a fork.  Under a non-``fork`` start method nothing is
-  inherited and a worker establishes its own correlation lazily;
+* a forked worker *inherits* only the code and the process-wide base-OT
+  correlation, which the parent establishes once before it fans a
+  multi-shard plan out (:func:`repro.crypto.otext.shared_correlation`;
+  instance tags are CSPRNG-drawn, so workers extending one correlation
+  derive disjoint pads) — the dataset arrives in its payload, and the
+  engine, the key slots and every pool are *rebuilt*, empty, because pool
+  contents are one-shot and must never cross a fork.  Where ``fork`` is
+  unavailable nothing is inherited and a worker establishes its own
+  correlation lazily;
 * battery state is advanced from window 0 inside each worker, so shard
   windows see the same agent states as a full-day serial run;
 * traces are re-assembled in ascending window order, and the merged
@@ -66,7 +67,7 @@ class EngineSpec:
     """Everything needed to rebuild a ``PrivateTradingEngine`` in a worker.
 
     All three members are (frozen) dataclasses, so the spec pickles cleanly
-    into worker processes under any multiprocessing start method.
+    into a shard payload.
     """
 
     params: Any
@@ -89,12 +90,7 @@ class EngineSpec:
 
 @dataclass(frozen=True)
 class _ShardPayload:
-    """Pickled work order for one worker process.
-
-    ``dataset`` is ``None`` in pooled workers — the dataset is shipped once
-    per worker through the pool initializer (see :func:`_worker_init`)
-    instead of once per payload.
-    """
+    """Pickled work order for one worker process, dataset included."""
 
     shard_index: int
     spec: EngineSpec
@@ -108,7 +104,7 @@ class _ShardPayload:
     #: the run's global first window — the day-scope session anchor every
     #: worker must agree on (see :mod:`repro.net.session`).
     session_anchor: Optional[int] = None
-    #: chaos hook: a socket worker receiving this SIGKILLs itself after
+    #: chaos hook: a worker receiving this SIGKILLs itself after
     #: its first window (see ``FaultPlan.kill_shards``); the parent
     #: respawns the shard with the flag stripped.
     chaos_kill: bool = False
@@ -132,19 +128,9 @@ class _ShardOutcome:
     pipeline_reserved: int = 0
 
 
-#: Dataset installed into each pooled worker by :func:`_worker_init`.
-_SHARED_DATASET: Any = None
-
-
-def _worker_init(dataset: Any) -> None:
-    global _SHARED_DATASET
-    _SHARED_DATASET = dataset
-
-
 def _run_payload(engine: "PrivateTradingEngine", payload: _ShardPayload) -> _ShardOutcome:
     """Run one shard serially on ``engine`` (shared by inline and workers)."""
     start = time.perf_counter()
-    dataset = payload.dataset if payload.dataset is not None else _SHARED_DATASET
     refiller = (
         BackgroundRefiller(engine.keyring, target=payload.refill_target)
         if payload.background_refill
@@ -157,7 +143,7 @@ def _run_payload(engine: "PrivateTradingEngine", payload: _ShardPayload) -> _Sha
     )
     try:
         traces, window_stats = engine.execute_shard(
-            dataset,
+            payload.dataset,
             payload.windows,
             home_count=payload.home_count,
             battery_policy=payload.battery_policy,
@@ -185,21 +171,12 @@ def _run_payload(engine: "PrivateTradingEngine", payload: _ShardPayload) -> _Sha
     )
 
 
-def _execute_shard(payload: _ShardPayload) -> _ShardOutcome:
-    """Worker entry point: rebuild the engine, then run the shard.
-
-    Module-level so it is importable under the ``spawn`` start method; with
-    ``fork`` it simply runs against the inherited interpreter state.
-    """
-    return _run_payload(payload.spec.build(), payload)
-
-
 def _socket_shard_worker(host: str, port: int) -> None:
-    """Socket-mode worker entry point.
+    """Worker entry point.
 
     Connects back to the parent's shard server, reads one pickled
     :class:`_ShardPayload` frame (dataset included — the only thing a
-    socket worker takes from a forking parent is the standing base-OT
+    worker takes from a forking parent is the standing base-OT
     correlation), executes it, and ships the pickled
     :class:`_ShardOutcome` back over the same connection.  The wire format
     is the same length-prefixed framing the message-level
@@ -414,47 +391,30 @@ class RunReport:
 class ParallelRunner:
     """Executes an :class:`ExecutionPlan` and merges results deterministically.
 
+    A single-shard plan runs inline on the caller's engine; every shard of
+    a multi-shard plan goes to its own worker process over a loopback TCP
+    connection (:meth:`_run_socket`) — the shape of a deployment that fans
+    shards out to separate machines.  Workers are forked where the
+    platform allows; they must be able to import :mod:`repro` — the
+    test/benchmark entry points already export ``PYTHONPATH=src``.
+
     Args:
         plan: the window sharding to execute.
-        start_method: multiprocessing start method (default: ``fork`` when
-            available, else the platform default).  Workers must be able to
-            import :mod:`repro` — the test/benchmark entry points already
-            export ``PYTHONPATH=src``.
         background_refill: run a :class:`BackgroundRefiller` next to every
             shard (and the inline path) so pool warm-ups pop precomputed
             reservoir values instead of exponentiating during window setup.
         refill_target: reservoir fill level the refillers maintain.
-        transport: how shard payloads reach the workers — ``"local"``
-            (a ``multiprocessing`` pool and its pipes, the default) or
-            ``"socket"`` (each worker process connects back to a loopback
-            TCP server and exchanges length-prefixed pickled frames — the
-            same wire format as the message-level
-            :class:`~repro.net.transport.SocketTransport`, and the shape
-            of a deployment that fans shards out to real machines).
-            Results are bit-identical across transports; single-shard
-            plans always run inline.
     """
 
     def __init__(
         self,
         plan: ExecutionPlan,
-        start_method: Optional[str] = None,
         background_refill: bool = False,
         refill_target: int = 32,
-        transport: str = "local",
     ) -> None:
         self.plan = plan
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else None
-        self.start_method = start_method
         self.background_refill = background_refill
         self.refill_target = refill_target
-        if transport not in ("local", "socket"):
-            raise ValueError(
-                f"unknown runner transport {transport!r}; expected 'local' or 'socket'"
-            )
-        self.transport = transport
 
     # -- execution -------------------------------------------------------------
 
@@ -487,21 +447,14 @@ class ParallelRunner:
 
         inline = plan.workers == 1
         session_anchor = min(plan.windows)
-        # Worker-kill chaos only makes sense where a worker process exists
-        # to kill and the parent can observe the loss: socket fan-out.
+        # Only a worker process can be killed; the inline path ignores it.
         fault_plan = getattr(engine.config, "fault_plan", None)
-        kill_shards = (
-            frozenset(fault_plan.kill_shards)
-            if fault_plan is not None and self.transport == "socket" and not inline
-            else frozenset()
-        )
+        kill_shards = fault_plan.kill_shards if fault_plan is not None else ()
         payloads = [
             _ShardPayload(
                 shard_index=index,
                 spec=EngineSpec.from_engine(engine),
-                # Pooled workers receive the dataset once via _worker_init
-                # rather than once per payload.
-                dataset=dataset if inline else None,
+                dataset=dataset,
                 windows=shard,
                 home_count=home_count,
                 battery_policy=battery_policy,
@@ -523,14 +476,8 @@ class ParallelRunner:
             shared_correlation(engine.config.ot_extension_kappa)
         if inline:
             outcomes = [_run_payload(engine, payloads[0])]
-        elif self.transport == "socket":
-            outcomes = self._run_socket(payloads, dataset, worker_incidents)
         else:
-            context = multiprocessing.get_context(self.start_method)
-            with context.Pool(
-                processes=plan.workers, initializer=_worker_init, initargs=(dataset,)
-            ) as pool:
-                outcomes = pool.map(_execute_shard, payloads)
+            outcomes = self._run_socket(payloads, worker_incidents)
 
         report = self._merge(plan, outcomes, worker_incidents)
         report.wall_seconds = time.perf_counter() - started
@@ -545,14 +492,13 @@ class ParallelRunner:
     def _run_socket(
         self,
         payloads: Sequence[_ShardPayload],
-        dataset: Any,
         worker_incidents: List[Incident],
     ) -> List[_ShardOutcome]:
         """Ship shard payloads to worker processes over loopback TCP.
 
         The parent opens one listening socket; every worker process
         connects back, receives its pickled payload (dataset included —
-        no work travels through fork-inherited state or pipes), executes
+        no work travels through fork-inherited state), executes
         the shard, and returns the pickled outcome over the same
         connection.  Workers are matched to payloads by arrival order —
         payloads carry their ``shard_index``, so the merge stays
@@ -587,7 +533,10 @@ class ParallelRunner:
         like one that died (same incident, same respawn cap), and a worker
         still alive that long after its connection closed is terminated.
         """
-        context = multiprocessing.get_context(self.start_method)
+        try:  # fork where available: workers inherit the standing correlation
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            context = multiprocessing.get_context()
         outcomes: List[_ShardOutcome] = []
         processes: List[Any] = []
         connections: List[socket.socket] = []
@@ -629,10 +578,7 @@ class ParallelRunner:
                                 connections.append(conn)
                                 conn_payloads[conn] = payload
                                 try:
-                                    send_frame(
-                                        conn,
-                                        pickle.dumps(replace(payload, dataset=dataset)),
-                                    )
+                                    send_frame(conn, pickle.dumps(payload))
                                 except socket.timeout:
                                     frame = None
                                 else:

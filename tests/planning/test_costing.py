@@ -49,7 +49,7 @@ def test_every_candidate_satisfies_feasibility_constraints():
         # survive the window boundary).
         if candidate.pipeline:
             assert candidate.session_scope == "day"
-        # Multi-host fleets cannot shard over multiprocessing pipes.
+        # Multi-host fleets cannot trade over in-process messages.
         assert candidate.transport == "socket"
         assert 1 <= candidate.workers <= min(spec.total_cores, spec.windows_per_day)
         assert candidate.key_size in spec.key_sizes

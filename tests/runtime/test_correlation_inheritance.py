@@ -1,8 +1,8 @@
 """Establish once, fork after: workers inherit the base-OT correlation.
 
 ``ParallelRunner.run`` makes sure the process-wide IKNP correlation exists
-*before* it fans a multi-shard plan out, so every forked worker — pooled,
-socket, or a chaos-respawned replacement — finds it in the inherited
+*before* it fans a multi-shard plan out, so every forked worker — a first
+one or a chaos-respawned replacement — finds it in the inherited
 ``_CORRELATION_CACHE`` instead of re-running ``kappa`` public-key base OTs.
 These tests count or poison ``establish_correlation`` (forked children
 inherit the patch) to prove the inheritance is real, and pin what must
@@ -88,18 +88,13 @@ def cold_parent(monkeypatch):
     return market, engine, established, checked
 
 
-@pytest.mark.parametrize("transport", ["local", "socket"])
 @pytest.mark.parametrize("workers", [2, 4])
 def test_one_establishment_serves_the_parent_and_every_forked_worker(
-    cold_parent, serial_report, workers, transport
+    cold_parent, serial_report, workers
 ):
     market, engine, established, checked = cold_parent
     report = engine.run_windows_report(
-        market.dataset,
-        market.windows,
-        workers=workers,
-        pipeline=True,
-        runner_transport=transport,
+        market.dataset, market.windows, workers=workers, pipeline=True
     )
     assert report.plan.workers == workers
     assert report.identical_to(serial_report)
@@ -111,7 +106,7 @@ def test_respawned_worker_inherits_the_correlation_too(cold_parent, serial_repor
     market, engine, established, checked = cold_parent
     engine.config = replace(engine.config, fault_plan=FaultPlan(seed=17, kill_shards=(1,)))
     report = engine.run_windows_report(
-        market.dataset, market.windows, workers=2, pipeline=True, runner_transport="socket"
+        market.dataset, market.windows, workers=2, pipeline=True
     )
     assert report.identical_to(serial_report, include_incidents=False)
     assert [i.classification for i in report.incidents] == ["worker_loss"]
@@ -121,8 +116,7 @@ def test_respawned_worker_inherits_the_correlation_too(cold_parent, serial_repor
     assert established.value == 1
 
 
-@pytest.mark.parametrize("transport", ["local", "socket"])
-def test_cold_parent_establishes_before_spawning_anything(monkeypatch, transport):
+def test_cold_parent_establishes_before_spawning_anything(monkeypatch):
     monkeypatch.setattr(otext, "_CORRELATION_CACHE", {})
     monkeypatch.setattr(otext, "establish_correlation", _poison)
     contexts = []
@@ -134,9 +128,7 @@ def test_cold_parent_establishes_before_spawning_anything(monkeypatch, transport
     monkeypatch.setattr(multiprocessing, "get_context", no_context)
     market = _market()
     with pytest.raises(RuntimeError, match=POISON):
-        market.engine().run_windows_report(
-            market.dataset, market.windows, workers=2, runner_transport=transport
-        )
+        market.engine().run_windows_report(market.dataset, market.windows, workers=2)
     assert contexts == []
     assert multiprocessing.active_children() == []
 

@@ -108,10 +108,23 @@ def test_verdict_line_names_the_claim_the_controls_and_the_bytes():
     }
     line = perf_pair.verdict(runs, "live_socket_128", "windows_per_s", _DECLARED)
     assert line.startswith("verdict: claim live_socket_128 windows_per_s won 10/10")
-    assert ": met; controls inside bound: live_gc_128 yes, replay_sharded_512 NO (" in line
+    assert (
+        ": met; inside bound: live_gc_128 yes, live_socket_128 yes, replay_sharded_512 NO ("
+    ) in line
     assert line.endswith("bytes_per_window identical per seed: NO, replay_sharded_512 seeds [11]")
     alone = perf_pair.verdict({"live_gc_128": runs["live_gc_128"]}, "live_gc_128", "windows_per_s", _DECLARED)
-    assert "NOT met; controls inside bound: none run; bytes_per_window identical per seed: yes" in alone
+    assert "NOT met; inside bound: live_gc_128 yes; bytes_per_window identical per seed: yes" in alone
+
+
+def test_a_met_claim_still_flags_its_own_workload_outside_bound():
+    # windows_per_s wins every pair, but the claimed workload's peak RSS
+    # grows 10 % against a 5 % bound: the claim reads met, the bound NO.
+    runs = [_run(seed, 20.0 + seed / 10, 26.0) for seed in range(10)]
+    for run in runs:
+        run["parent"]["metrics"]["peak_rss_mb"] = {"value": 100.0, "unit": "MiB"}
+        run["change"]["metrics"]["peak_rss_mb"] = {"value": 110.0, "unit": "MiB"}
+    line = perf_pair.verdict({"live_socket_128": runs}, "live_socket_128", "windows_per_s", _DECLARED)
+    assert ": met; inside bound: live_socket_128 NO (peak_rss_mb);" in line
 
 
 def test_workload_list_all_and_claim_are_parsed_before_anything_runs(monkeypatch, capsys):
