@@ -17,7 +17,10 @@ This script is that protocol as one command, claim and controls together::
 workload ``BENCHMARK.json`` declares); each workload gets its own series
 of alternating pairs and its own table, and a final verdict line reads the
 claim off ``--claim`` (default: the first workload listed) and holds every
-workload, the claimed one included, to its ``BENCHMARK.json`` bounds.
+workload, the claimed one included, to its ``BENCHMARK.json`` bounds — a
+metric whose parent runs spread wider than its bound reads ``unresolved``
+unless every change run beats every parent run — and to a failed-window
+share no larger than the parent's.
 
 It exports ``--parent`` (default ``HEAD~1``; use ``HEAD`` to compare an
 uncommitted working tree against its base) with ``git archive`` and copies
@@ -159,45 +162,77 @@ def claim_verdict(runs: List[Dict[str, dict]], metric: str, better: str) -> Tupl
     )
 
 
-def outside_bounds(runs: List[Dict[str, dict]], end_to_end: Sequence[dict]) -> List[str]:
-    """End-to-end metrics whose median is worse than the parent's by more than its bound."""
-    outside = []
+def bound_statuses(runs: List[Dict[str, dict]], end_to_end: Sequence[dict]) -> Dict[str, str]:
+    """Each end-to-end metric in ``runs`` -> ``inside``, ``outside`` or ``unresolved``.
+
+    ``outside``: the change's median is worse than the parent's by more
+    than the metric's bound.  ``unresolved``: the parent's own quartile
+    spread is wider than the bound, so the runs spread too widely to tell —
+    unless every change run beats every parent run, which is ``inside``.
+    """
+    statuses = {}
     for metric in end_to_end:
         name = metric["name"]
         if name not in runs[0]["parent"]["metrics"]:
             continue
-        _, pm, _ = quartiles([run["parent"]["metrics"][name]["value"] for run in runs])
-        _, cm, _ = quartiles([run["change"]["metrics"][name]["value"] for run in runs])
-        worse = (pm - cm) if metric["better"] == "higher" else (cm - pm)
-        if worse > metric["bound"] * abs(pm):
-            outside.append(name)
-    return outside
+        parent = [run["parent"]["metrics"][name]["value"] for run in runs]
+        change = [run["change"]["metrics"][name]["value"] for run in runs]
+        (p1, pm, p3), (_, cm, _) = quartiles(parent), quartiles(change)
+        higher = metric["better"] == "higher"
+        allowed = metric["bound"] * abs(pm)
+        if p3 - p1 > allowed:
+            dominates = min(change) > max(parent) if higher else max(change) < min(parent)
+            statuses[name] = "inside" if dominates else "unresolved"
+        else:
+            worse = (pm - cm) if higher else (cm - pm)
+            statuses[name] = "outside" if worse > allowed else "inside"
+    return statuses
+
+
+def failed_shares(runs: List[Dict[str, dict]]) -> Tuple[float, float]:
+    """The failed share of attempted windows on the parent side and the change side."""
+    shares = []
+    for side in ("parent", "change"):
+        attempted = sum(run[side]["attempted"] for run in runs)
+        shares.append(sum(run[side]["failed"] for run in runs) / attempted if attempted else 0.0)
+    return shares[0], shares[1]
 
 
 def verdict(
     runs: Dict[str, List[Dict[str, dict]]], claim: str, metric: str, declared: dict
 ) -> str:
-    """The one line a claim is read from: the claim, the bounds, the bytes.
+    """The one line a claim is read from: the claim, the bounds, the bytes, the failures.
 
     The claim rule judges only ``metric`` on ``claim``; every workload, the
-    claimed one included, is held to its end-to-end bounds.
+    claimed one included, is held to its end-to-end bounds and must not
+    fail a larger share of its windows than the parent.
     """
     direction = next(
         (m["better"] for m in declared["end_to_end"] if m["name"] == metric), "lower"
     )
     _, claimed = claim_verdict(runs[claim], metric, direction)
-    bounded, mismatched = [], []
+    bounded, mismatched, failing = [], [], []
     for workload, series in runs.items():
-        outside = outside_bounds(series, declared["end_to_end"])
-        bounded.append(f"{workload} {'NO (' + ', '.join(outside) + ')' if outside else 'yes'}")
+        statuses = bound_statuses(series, declared["end_to_end"])
+        notes = [
+            f"{label} ({', '.join(name for name, s in statuses.items() if s == status)})"
+            for status, label in (("outside", "NO"), ("unresolved", "unresolved"))
+            if status in statuses.values()
+        ]
+        bounded.append(f"{workload} {' '.join(notes) or 'yes'}")
         seeds_off = BYTES_METRIC in series[0]["parent"]["metrics"] and bytes_mismatches(series)
         if seeds_off:
             mismatched.append(f"{workload} seeds {seeds_off}")
+        parent_share, change_share = failed_shares(series)
+        if change_share > parent_share:
+            failing.append(f"{workload} {parent_share:.2%} -> {change_share:.2%}")
     return (
         f"verdict: claim {claim} {claimed}; "
         f"inside bound: {', '.join(bounded)}; "
         f"{BYTES_METRIC} identical per seed: "
-        f"{'NO, ' + '; '.join(mismatched) if mismatched else 'yes'}"
+        f"{'NO, ' + '; '.join(mismatched) if mismatched else 'yes'}; "
+        f"failed-window share no larger: "
+        f"{'NO, ' + '; '.join(failing) if failing else 'yes'}"
     )
 
 

@@ -4,8 +4,9 @@ Contains everything the PEM protocols need, implemented from scratch on the
 Python standard library:
 
 * :mod:`repro.crypto.bigint` — the bigint seam: ``powmod`` backed by
-  libcrypto's ``BN_mod_exp`` (builtin ``pow`` as the fallback) behind every
-  hot modular exponentiation below.
+  libcrypto's constant-time Montgomery ladder over resident per-modulus
+  records (builtin ``pow`` as the fallback) behind every hot modular
+  exponentiation below.
 * :mod:`repro.crypto.primes` — Miller--Rabin primality and prime generation.
 * :mod:`repro.crypto.paillier` — the Paillier additively homomorphic
   cryptosystem (keygen, CRT-accelerated encrypt/decrypt, homomorphic ops,

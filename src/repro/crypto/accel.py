@@ -80,8 +80,10 @@ Fixed-base exponentiation and the bigint seam
 * :func:`backend` / :func:`set_backend` / :func:`powmod` — re-exported from
   :mod:`repro.crypto.bigint`, the seam every modular exponentiation in this
   module (pool refills, the owner-side lifts, the foreign-key pow) goes
-  through: libcrypto's ``BN_mod_exp`` when the library loads, builtin
-  ``pow`` otherwise — same integers either way.
+  through: when the library loads, libcrypto's constant-time Montgomery
+  ladder, with each key's ``n²``, ``p²`` and ``q²`` kept resident so a
+  lift converts only its base and exponent; builtin ``pow`` otherwise —
+  same integers either way.
 * :class:`FixedBaseTable` — Brickell–Gordon–McCurley–Wilson fixed-base
   comb: precomputing ``base^(d·2^(w·i))`` makes every later exponentiation
   of the same base squaring-free (~t/w mulmods for t-bit exponents).  It

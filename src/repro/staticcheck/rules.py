@@ -705,14 +705,16 @@ class PowmodThroughSeamRule(Rule):
 ROADMAP aim: performance that is measured.  Paillier lifts and decryption,
 Miller-Rabin rounds and the base-OT group operations are PEM's wall-clock
 cost, and repro.crypto.bigint.powmod is the one seam that puts libcrypto's
-BN_mod_exp (about ten times faster than builtin pow at 1024-bit moduli,
-same integers) behind all of them.  A three-argument builtin pow written
-beside the seam silently returns that call site to long division, and no
-test can notice: the answer is identical, only the day gets slower.
+constant-time Montgomery ladder behind all of them, over moduli kept
+resident with their Montgomery contexts (about ten times faster than
+builtin pow at 1024-bit moduli, three times at 128, same integers).  A
+three-argument builtin pow written beside the seam silently returns that
+call site to long division, and no test can notice: the answer is
+identical, only the day gets slower.
 
 Flags, under src/repro/crypto/ outside bigint.py itself: a call to builtin
 pow with a modulus (three positional arguments or mod=) unless the
-exponent is the literal -1 — a modular inverse, which BN_mod_exp does not
+exponent is the literal -1 — a modular inverse, which the ladder does not
 compute.  The independent decryption oracle (decrypt_raw_textbook) stays
 on pow on purpose and carries the one waiver: it must not share the
 library it cross-checks."""

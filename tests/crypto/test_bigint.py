@@ -1,17 +1,23 @@
-"""The bigint seam: libcrypto's ``BN_mod_exp`` against builtin ``pow``.
+"""The bigint seam: libcrypto's Montgomery ladder against builtin ``pow``.
 
 The backend's whole contract is "same integers as ``pow``, faster": a
-property test over every input class the dispatcher distinguishes, thread
-and fork safety (no shared scratch state; the call keeps the GIL), the fallback
-when the library is missing or broken, end-to-end identity of a seeded day
-and of seeded key generation under both backends, and no leaked ``BIGNUM``.
+property test over every input class the dispatcher distinguishes, the
+resident modulus records (hits, misses and least-recently-used evictions
+against a model), thread and fork safety of the records and the shared
+``BN_CTX`` under the module lock, the fallback when the library is missing
+or broken, end-to-end identity of a seeded day and of seeded key generation
+under both backends, and no leaked ``BIGNUM`` or ``BN_MONT_CTX``.
 """
 
 import ctypes
 import multiprocessing
 import os
 import random
+import sys
 import threading
+import weakref
+from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +42,21 @@ def libcrypto():
     if detected.name != "libcrypto":
         pytest.skip("libcrypto is not loadable on this host")
     return detected
+
+
+def _fresh_backend():
+    """A libcrypto backend with no resident records of its own yet."""
+    return bigint._LibcryptoBackend(bigint._load_libcrypto())
+
+
+def _odd_moduli(count: int, seed: int, widths=(128, 129, 256, 512, 1024)):
+    """Distinct odd moduli above the crossover: each one takes the resident path."""
+    rng = random.Random(seed)
+    moduli = set()
+    while len(moduli) < count:
+        bits = rng.choice(widths)
+        moduli.add(rng.getrandbits(bits) | (1 << (bits - 1)) | 1)
+    return sorted(moduli)
 
 
 def _mixed_cases(count: int, seed: int):
@@ -112,11 +133,80 @@ def test_powmod_edge_cases_equal_builtin_pow(libcrypto):
         libcrypto.powmod(7, 3, 0)
 
 
+# -- resident modulus records ------------------------------------------------------------
+
+_RESIDENT_POOL = _odd_moduli(7, seed=9)
+# One bit under the crossover, even, narrow: these never become resident.
+_BYPASSED = ((1 << 127) - 1, 1 << 200, 1_000_003)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_RESIDENT_POOL + list(_BYPASSED)),
+            st.integers(0, 1 << 1100),
+            st.integers(0, 1 << 600),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_resident_records_follow_an_lru_model_and_equal_pow(libcrypto, calls):
+    """Seven moduli through three slots: hits, misses and evictions all equal ``pow``."""
+    fresh = _fresh_backend()
+    model = OrderedDict()
+    with mock.patch.object(bigint, "_RESIDENT_MODULI", 3):
+        for modulus, base, exponent in calls:
+            assert fresh.powmod(base, exponent, modulus) == pow(base, exponent, modulus)
+            if modulus in _RESIDENT_POOL:
+                model.pop(modulus, None)
+                model[modulus] = None
+                if len(model) > 3:
+                    model.popitem(last=False)
+    assert list(fresh._resident) == list(model)
+
+
 # -- threads and forks -------------------------------------------------------------------
 
 
+def test_threads_sharing_a_few_moduli_under_eviction_pressure(libcrypto):
+    """4 threads over 5 moduli with room for 2, switching as often as CPython allows.
+
+    Without the module lock a thread could run its exponentiation on a record
+    another thread has just evicted and freed.
+    """
+    fresh = _fresh_backend()
+    moduli = _odd_moduli(5, seed=10)
+    rng = random.Random(10)
+    cases = [(rng.getrandbits(1100), rng.getrandbits(300), moduli[i % 5]) for i in range(1500)]
+    answers = [pow(*case) for case in cases]
+    wrong = []
+
+    def worker(offset: int) -> None:
+        for index in range(len(cases)):
+            k = (index + offset) % len(cases)
+            if fresh.powmod(*cases[k]) != answers[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    threads = [threading.Thread(target=worker, args=(i * 7,)) for i in range(4)]
+    with mock.patch.object(bigint, "_RESIDENT_MODULI", 2):
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(fresh._resident) == 2
+
+
 def test_concurrent_threads_get_their_own_answers(libcrypto):
-    """4 threads x 2000 mixed-width calls; the backend shares no scratch state."""
+    """4 threads x 2000 mixed-width calls through one backend's records and ``BN_CTX``."""
     cases = _mixed_cases(2000, seed=5)
     wrong = []
 
@@ -157,11 +247,55 @@ def test_forked_child_computes_the_same_integers(libcrypto):
     assert mismatches.value == 0
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_fork_while_another_thread_is_inside_powmod(libcrypto):
+    """The child inherits a held lock, renews it, and computes the right integers."""
+    fresh = _fresh_backend()
+    cases = _mixed_cases(200, seed=11)
+    entered, release = threading.Event(), threading.Event()
+    real_mod_exp, holder = fresh._mod_exp, []
+
+    def stalling_mod_exp(*args):
+        if threading.current_thread() is holder[0]:
+            entered.set()
+            release.wait(timeout=60)
+        return real_mod_exp(*args)
+
+    fresh._mod_exp = stalling_mod_exp  # this backend is private to the test
+    modulus = _odd_moduli(1, seed=11)[0]
+    holder.append(threading.Thread(target=fresh.powmod, args=(3, 5, modulus)))
+    holder[0].start()
+    context = multiprocessing.get_context("fork")
+    mismatches = context.Value("i", -1)
+
+    def child() -> None:
+        mismatches.value = sum(fresh.powmod(*case[:3]) != case[3] for case in cases)
+
+    process = context.Process(target=child)
+    try:
+        assert entered.wait(timeout=60)
+        assert bigint._LOCK.locked()  # the fork below copies a held lock
+        process.start()
+        process.join(timeout=60)
+        deadlocked = process.is_alive()
+        if deadlocked:
+            process.kill()
+            process.join()
+    finally:
+        release.set()
+        holder[0].join(timeout=60)
+    assert not deadlocked
+    assert process.exitcode == 0
+    assert mismatches.value == 0
+
+
 # -- fallback ----------------------------------------------------------------------------
 
 
 class _BrokenLibrary:
-    """The real library minus one symbol, or with a ``BN_mod_exp`` that lies."""
+    """The real library minus one symbol, or with an exponentiation that lies."""
 
     def __init__(self, missing=None, lying=False):
         self._real = ctypes.PyDLL(bigint._SONAMES[0])
@@ -171,7 +305,7 @@ class _BrokenLibrary:
     def __getattr__(self, symbol):
         if symbol == self._missing:
             raise AttributeError(symbol)
-        if symbol == "BN_mod_exp" and self._lying:
+        if symbol == "BN_mod_exp_mont_consttime" and self._lying:
 
             class Liar:
                 restype = argtypes = None
@@ -193,7 +327,11 @@ def _one_window():
     [
         pytest.param(lambda: None, id="library-not-found"),
         pytest.param(
-            lambda: _BrokenLibrary(missing="BN_bn2binpad"), id="symbol-missing"
+            lambda: _BrokenLibrary(missing="BN_mod_exp_mont_consttime"),
+            id="symbol-missing",
+        ),
+        pytest.param(
+            lambda: _BrokenLibrary(missing="BN_MONT_CTX_set"), id="mont-symbol-missing"
         ),
         pytest.param(lambda: _BrokenLibrary(lying=True), id="self-test-fails"),
     ],
@@ -255,30 +393,83 @@ def _rss_bytes() -> int:
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
-def test_every_bignum_is_freed_including_on_the_error_path(libcrypto, monkeypatch):
-    # Odd 128- to 256-bit moduli: the BN_mod_exp path at its cheapest.
-    cases = [
-        case[:3]
-        for case in _mixed_cases(128, seed=8)
-        if 128 <= case[2].bit_length() <= 256 and case[2] & 1
-    ]
-    assert len(cases) > 8
+def _cases_over(moduli, count: int, seed: int):
+    """``(base, exponent, modulus, pow answer)`` for ``count`` calls cycling ``moduli``."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        base, exponent = rng.getrandbits(300), rng.getrandbits(128)
+        modulus = moduli[i % len(moduli)]
+        cases.append((base, exponent, modulus, pow(base, exponent, modulus)))
+    return cases
 
-    def exercise(calls: int) -> None:
-        for index in range(calls):
-            libcrypto.powmod(*cases[index % len(cases)])
 
-    def exercise_failures(calls: int) -> None:
-        with monkeypatch.context() as patch:
-            patch.setattr(libcrypto, "_mod_exp", lambda *args: 0)
+_needs_proc = pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs /proc"
+)
+
+
+@_needs_proc
+def test_every_record_and_bignum_is_freed_including_on_the_error_path(libcrypto):
+    fresh = _fresh_backend()
+    # 8 moduli stay resident; 64 cycled through the 16 slots miss on every call.
+    hits = _cases_over(_odd_moduli(8, seed=8, widths=(128, 256)), 64, seed=8)
+    misses = _cases_over(_odd_moduli(64, seed=12, widths=(128, 256)), 256, seed=12)
+    failing = {
+        "_mont_set": _cases_over(_odd_moduli(64, seed=14, widths=(128, 256)), 256, seed=14),
+        "_mod_exp": _cases_over(_odd_moduli(64, seed=15, widths=(128, 256)), 256, seed=15),
+    }
+
+    def exercise(cases, calls: int) -> None:
+        wrong = sum(
+            fresh.powmod(*case[:3]) != case[3]
+            for case in (cases[index % len(cases)] for index in range(calls))
+        )
+        assert wrong == 0
+
+    def exercise_failures(symbol: str, calls: int) -> None:
+        cases = failing[symbol]
+        with mock.patch.object(fresh, symbol, lambda *args: 0):
             for index in range(calls):
+                case = cases[index % len(cases)]
                 with pytest.raises(ArithmeticError):
-                    libcrypto.powmod(*cases[index % len(cases)])
+                    fresh.powmod(*case[:3])
+                # A failed record is never cached; a failed exponentiation
+                # leaves its (sound) record resident.
+                assert (case[2] in fresh._resident) == (symbol == "_mod_exp")
 
-    exercise(2_000)
-    exercise_failures(200)
+    def round_(scale: int) -> None:
+        exercise(hits, 40 * scale)
+        exercise(misses, 40 * scale)
+        exercise_failures("_mont_set", 10 * scale)
+        exercise_failures("_mod_exp", 10 * scale)
+
+    with mock.patch.object(bigint, "_RESIDENT_MODULI", 16):
+        round_(50)
+        before = _rss_bytes()
+        round_(1_000)
+        after = _rss_bytes()
+    assert len(fresh._resident) == 16
+    assert after - before < 1 << 20
+
+
+@_needs_proc
+def test_replaced_backends_release_their_records(restore_backend, libcrypto):
+    """100 ``set_backend(None)`` swaps, each backend left holding 32 2048-bit records."""
+    moduli = _odd_moduli(32, seed=13, widths=(2048,))
+
+    def swap_and_fill() -> None:
+        bigint.set_backend(None)
+        for modulus in moduli:
+            assert bigint.powmod(3, 65537, modulus) == pow(3, 65537, modulus)
+
+    for _ in range(3):
+        swap_and_fill()
     before = _rss_bytes()
-    exercise(180_000)
-    exercise_failures(20_000)
-    assert _rss_bytes() - before < 1 << 20
+    for _ in range(100):
+        swap_and_fill()
+    after = _rss_bytes()
+    replaced = weakref.ref(bigint.backend())
+    bigint.set_backend(None)
+    assert replaced() is None
+    assert after - before < 1 << 20

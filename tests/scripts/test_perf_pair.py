@@ -87,17 +87,60 @@ def test_claim_rule_is_nine_tenths_of_the_pairs_and_beyond_the_parent_iqr():
     assert perf_pair.claim_verdict(won_all, "window_p50_s", "lower")[0]
 
 
+def _not_inside(runs):
+    statuses = perf_pair.bound_statuses(runs, _DECLARED["end_to_end"])
+    return {name: status for name, status in statuses.items() if status != "inside"}
+
+
 def test_controls_are_held_to_the_declared_bounds():
     flat = [_run(11, 60.0, 59.0), _run(12, 58.0, 61.0), _run(13, 62.0, 60.0)]
-    assert perf_pair.outside_bounds(flat, _DECLARED["end_to_end"]) == []
+    assert _not_inside(flat) == {}
     slower = [_run(seed, 60.0, 45.0) for seed in (11, 12, 13)]  # -25 %, bound 20 %
-    assert perf_pair.outside_bounds(slower, _DECLARED["end_to_end"]) == [
-        "windows_per_s", "window_p50_s"
-    ]
+    assert _not_inside(slower) == {"windows_per_s": "outside", "window_p50_s": "outside"}
     faster = [_run(seed, 60.0, 90.0) for seed in (11, 12, 13)]  # better is never outside
-    assert perf_pair.outside_bounds(faster, _DECLARED["end_to_end"]) == []
+    assert _not_inside(faster) == {}
     fatter = [_run(seed, 60.0, 60.0, bytes_change=106.0) for seed in (11, 12)]
-    assert perf_pair.outside_bounds(fatter, _DECLARED["end_to_end"]) == ["bytes_per_window"]
+    assert _not_inside(fatter) == {"bytes_per_window": "outside"}
+    # Only metrics present in the runs are judged (peak_rss_mb is declared, absent).
+    assert set(perf_pair.bound_statuses(flat, _DECLARED["end_to_end"])) == {
+        "windows_per_s", "window_p50_s", "bytes_per_window"
+    }
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_dominated():
+    # Parent quartiles 40..80 around a median of 60: a 67 % spread against a 20 % bound.
+    wide = [40.0, 50.0, 60.0, 70.0, 80.0, 40.0, 80.0, 60.0]
+    level = [_run(seed, rate, 60.0) for seed, rate in enumerate(wide)]
+    assert _not_inside(level) == {"windows_per_s": "unresolved", "window_p50_s": "unresolved"}
+    # A change median 30 % worse is still unresolved, not outside: the spread cannot tell.
+    worse = [_run(seed, rate, 42.0) for seed, rate in enumerate(wide)]
+    assert _not_inside(worse)["windows_per_s"] == "unresolved"
+    # Every change run beating every parent run resolves it, in both directions.
+    dominated = [_run(seed, rate, 81.0 + seed) for seed, rate in enumerate(wide)]
+    assert _not_inside(dominated) == {}
+    # One change run that does not beat the best parent run leaves it unresolved.
+    almost = dominated[:-1] + [_run(7, 60.0, 79.0)]
+    assert _not_inside(almost) == {"windows_per_s": "unresolved", "window_p50_s": "unresolved"}
+    line = perf_pair.verdict({"live_gc_128": level}, "live_gc_128", "windows_per_s", _DECLARED)
+    assert "inside bound: live_gc_128 unresolved (windows_per_s, window_p50_s);" in line
+
+
+def test_failed_window_shares_are_compared_per_workload():
+    steady = [_run(seed, 60.0, 61.0) for seed in (11, 12)]
+    assert perf_pair.failed_shares(steady) == (0.0, 0.0)
+    flaky = [_run(seed, 60.0, 61.0) for seed in (11, 12)]
+    flaky[0]["change"]["failed"] = 1  # 1 of 20 change windows
+    flaky[1]["parent"]["attempted"] = 30
+    assert perf_pair.failed_shares(flaky) == (0.0, 0.05)
+    line = perf_pair.verdict(
+        {"live_gc_128": steady, "live_socket_128": flaky}, "live_gc_128", "windows_per_s", _DECLARED
+    )
+    assert line.endswith("failed-window share no larger: NO, live_socket_128 0.00% -> 5.00%")
+    # Fewer failures on the change side is never flagged.
+    for run in flaky:
+        run["parent"]["failed"] = 3
+    line = perf_pair.verdict({"live_socket_128": flaky}, "live_socket_128", "windows_per_s", _DECLARED)
+    assert line.endswith("failed-window share no larger: yes")
 
 
 def test_verdict_line_names_the_claim_the_controls_and_the_bytes():
@@ -111,9 +154,12 @@ def test_verdict_line_names_the_claim_the_controls_and_the_bytes():
     assert (
         ": met; inside bound: live_gc_128 yes, live_socket_128 yes, replay_sharded_512 NO ("
     ) in line
-    assert line.endswith("bytes_per_window identical per seed: NO, replay_sharded_512 seeds [11]")
+    assert "; bytes_per_window identical per seed: NO, replay_sharded_512 seeds [11]; " in line
     alone = perf_pair.verdict({"live_gc_128": runs["live_gc_128"]}, "live_gc_128", "windows_per_s", _DECLARED)
-    assert "NOT met; inside bound: live_gc_128 yes; bytes_per_window identical per seed: yes" in alone
+    assert alone.endswith(
+        "NOT met; inside bound: live_gc_128 yes; bytes_per_window identical per seed: yes; "
+        "failed-window share no larger: yes"
+    )
 
 
 def test_a_met_claim_still_flags_its_own_workload_outside_bound():
