@@ -49,8 +49,9 @@ by which thread wakes first), and the pipelined two-worker replay ran 4.6 %
 slower.  Another thread can still run *between* those calls, so one module
 lock covers the record lookup and the exponentiation that uses it: no
 thread evicts a record, or enters the shared ``BN_CTX``, under another.
-A forked child renews the lock (``os.register_at_fork``), since the fork
-may have copied it held by a thread the child does not have.
+A forked child renews the lock (``os.register_at_fork``, where the
+platform forks), since the fork may have copied it held by a thread the
+child does not have.
 
 This module imports nothing from :mod:`repro`, so :mod:`.primes`,
 :mod:`.paillier`, :mod:`.ot` and :mod:`.accel` can all import it without a
@@ -74,9 +75,14 @@ __all__ = ["CROSSOVER_BITS", "backend", "set_backend", "powmod"]
 #: the module docstring.
 CROSSOVER_BITS = 128
 
-#: Moduli the libcrypto backend keeps resident: n², p² and q² of each of a
-#: 200-home day's per-agent keys, with headroom for the base-OT group.
-_RESIDENT_MODULI = 768
+#: Moduli the libcrypto backend keeps resident.  Sized from the measured
+#: working sets: a window's calls reuse at most 24 distinct moduli on the
+#: perfbench workloads (``live_paillier_1024``: n², p² and q² of 8 per-agent
+#: keys; ``live_gc_128``: 4 pooled keys' 12 plus the base-OT group's 2).
+#: Key generation's Miller–Rabin candidates pass through and are evicted.
+#: A day with more keys than this cycles the cache and misses, which costs
+#: what a call did before moduli were kept resident.
+_RESIDENT_MODULI = 32
 
 _MIN_MODULUS = 1 << (CROSSOVER_BITS - 1)
 _SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1", "libcrypto.so")
@@ -94,7 +100,9 @@ def _renew_lock() -> None:
     _LOCK = threading.Lock()
 
 
-os.register_at_fork(after_in_child=_renew_lock)
+# Unix-only; a process that cannot fork needs no renewed lock.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_lock)
 
 #: One resident modulus: its ``BIGNUM``, its ``BN_MONT_CTX`` and its byte width.
 _Record = Tuple[int, int, int]

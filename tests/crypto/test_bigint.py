@@ -167,6 +167,25 @@ def test_resident_records_follow_an_lru_model_and_equal_pow(libcrypto, calls):
     assert list(fresh._resident) == list(model)
 
 
+def test_a_per_agent_key_day_stays_resident(restore_backend, libcrypto):
+    """8 homes with their own keys: each modulus is admitted once, never evicted.
+
+    The bound is sized from this working set (three moduli per key plus the
+    base-OT group); shrinking it below that turns every call into a miss.
+    """
+    fresh = _fresh_backend()
+    bigint.set_backend(fresh)
+    admitted, admit = [], fresh._admit
+    fresh._admit = lambda modulus: admitted.append(modulus) or admit(modulus)
+    dataset = helpers.tiny_dataset(home_count=8)
+    engine = helpers.tiny_market(key_pool_size=None).engine()
+    for home in dataset.homes:
+        engine.keyring.keypair_for(home.profile.home_id)
+    report = engine.run_windows_report(dataset, helpers.TINY_MARKET_WINDOWS)
+    assert any(trace.result.clearing is not None for trace in report.traces)
+    assert len(set(admitted)) == len(admitted) == len(fresh._resident)
+
+
 # -- threads and forks -------------------------------------------------------------------
 
 
