@@ -87,7 +87,7 @@ ci: lint test-fast docs-check
 		--output $(or $(CI_BENCH_OUTPUT),/tmp/BENCH_crypto.ci.json)
 	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 2 --workers 2 \
 		--session-scope day --transport socket
-	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 3 --workers 2 \
+	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 6 --workers 2 \
 		--session-scope day --transport socket --pipeline
 	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 2 --workers 2 \
 		--garbling-scheme halfgates

@@ -495,7 +495,7 @@ def run_planner_section(scale: str) -> dict:
     return project(experiment_planner_sweep(homes, windows))
 
 
-def run_parallel_day(scale: str, workers: int, background_refill: bool) -> dict:
+def run_parallel_day(scale: str, workers: int) -> dict:
     """Execute the sharded-day experiment and distill it for the report."""
     from repro.analysis.experiments import experiment_parallel_day
 
@@ -506,7 +506,6 @@ def run_parallel_day(scale: str, workers: int, background_refill: bool) -> dict:
             sample_count=sample_count,
             workers=workers,
             crypto_key_size=crypto_bits,
-            background_refill=background_refill,
         )
     )
 
@@ -523,11 +522,6 @@ def main() -> int:
         type=int,
         default=4,
         help="worker processes for the sharded-day experiment (default 4)",
-    )
-    parser.add_argument(
-        "--background-refill",
-        action="store_true",
-        help="run the sharded day with background randomizer-pool refills",
     )
     parser.add_argument(
         "--skip-parallel",
@@ -565,9 +559,7 @@ def main() -> int:
     report["planner"] = run_planner_section(args.scale)
     if not args.skip_parallel:
         print(f"running the sharded-day experiment ({args.workers} workers) ...")
-        report["parallel_runner"] = run_parallel_day(
-            args.scale, args.workers, args.background_refill
-        )
+        report["parallel_runner"] = run_parallel_day(args.scale, args.workers)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     args.output.write_text(text)
     written = json.loads(text)  # the gate sees exactly what the file holds

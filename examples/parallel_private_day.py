@@ -21,10 +21,11 @@ outcome-identical to the defaults.
 ``--pipeline`` (day scope only) runs the sharded day behind a
 :class:`repro.runtime.WindowPipeline` stage: window W+1's offline material
 (randomizer obfuscators, garbled comparisons, OT batches) is pre-staged
-during window W's online phase, each pipeline slot costing
+when window W begins, each pipeline slot costing
 ``max(online_W, offline_W+1)`` on the simulated clock instead of the sum.
 The serial run stays unpipelined, so the bit-identity check certifies that
-pipelining moves wall-clock work without touching results or accounting.
+pipelining moves wall-clock work without touching results or accounting;
+the count of pre-staged values is printed and is the same on every run.
 
 ``--chaos-seed N`` arms the chaos engine on the sharded run: a seeded
 deterministic :class:`repro.chaos.FaultPlan` injects frame drops /
@@ -41,7 +42,6 @@ Run with:  python examples/parallel_private_day.py [--homes N] [--windows K]
                                                    [--session-scope window|day]
                                                    [--transport local|socket]
                                                    [--garbling-scheme classic|halfgates]
-                                                   [--background-refill]
                                                    [--pipeline]
                                                    [--chaos-seed N]
 """
@@ -99,10 +99,6 @@ def main() -> None:
         help="garbled-comparison scheme (halfgates = free-XOR + 2-row ANDs)",
     )
     parser.add_argument(
-        "--background-refill", action="store_true",
-        help="stock randomizer-pool reservoirs from a background thread",
-    )
-    parser.add_argument(
         "--pipeline", action="store_true",
         help="overlap each window's offline phase with the previous window's "
              "online phase (requires --session-scope day)",
@@ -158,7 +154,6 @@ def main() -> None:
         windows,
         workers=args.workers,
         shard_strategy=args.strategy,
-        background_refill=args.background_refill,
         pipeline=args.pipeline,
     )
 
@@ -176,8 +171,6 @@ def main() -> None:
     print(f"simulated day speedup             : {parallel.simulated_speedup:.2f}x")
     print(f"host wall-clock serial / sharded  : {serial.wall_seconds:.2f} s / "
           f"{parallel.wall_seconds:.2f} s ({os.cpu_count()} core(s) available)")
-    if args.background_refill:
-        print(f"obfuscators stocked in background : {parallel.background_stocked}")
     if args.pipeline:
         print(f"unpipelined day (offline+online)  : "
               f"{parallel.unpipelined_simulated_seconds:.2f} s")

@@ -331,7 +331,6 @@ class ParallelDayObservation:
         wall_seconds_serial / wall_seconds_parallel / wall_speedup: host
             wall-clock of both runs and their ratio, timed with the base-OT
             correlation already established (neither side pays for it).
-        background_refill: whether reservoir refill threads ran.
     """
 
     home_count: int
@@ -346,7 +345,6 @@ class ParallelDayObservation:
     wall_seconds_serial: float = _bench(digits=3)
     wall_seconds_parallel: float = _bench(digits=3)
     wall_speedup: Optional[float] = _bench(digits=2)
-    background_refill: bool
 
 
 def experiment_parallel_day(
@@ -357,7 +355,6 @@ def experiment_parallel_day(
     key_size: int = 1024,
     window_count: int = FULL_DAY_WINDOWS,
     seed: int = DEFAULT_SEED,
-    background_refill: bool = False,
     aggregation_topology: str = "chain",
 ) -> ParallelDayObservation:
     """Run the same sampled day serially and sharded; compare and time both.
@@ -394,11 +391,7 @@ def experiment_parallel_day(
         dataset, windows, home_count=home_count, workers=1
     )
     parallel = build_engine().run_windows_report(
-        dataset,
-        windows,
-        home_count=home_count,
-        workers=workers,
-        background_refill=background_refill,
+        dataset, windows, home_count=home_count, workers=workers
     )
     identical = serial.identical_to(parallel)
     return ParallelDayObservation(
@@ -418,7 +411,6 @@ def experiment_parallel_day(
             if parallel.wall_seconds > 0
             else None
         ),
-        background_refill=background_refill,
     )
 
 
@@ -1210,8 +1202,8 @@ class PipeliningObservation:
             the day's pipeline-eligible offline work (every non-anchor
             window's offline clock; identical pipelined or not, so it
             folds into ``identical_to``).
-        pipeline_reserved: offline values actually pre-staged by the
-            workers=1 pipelined run (wall-clock telemetry).
+        pipeline_reserved: offline values pre-staged by the workers=1
+            pipelined run (wall-clock work, reproducible run to run).
         identical_by_workers: worker count -> pipelined run bit-identical
             to the unpipelined baseline (local transport).
         socket_identical_by_workers: the same certificate with shards

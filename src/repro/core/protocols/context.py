@@ -302,8 +302,8 @@ class KeyRing:
         return list(self._comparison_pools.values())
 
     @property
-    def refillable_pools(self) -> List[object]:
-        """Every pool a background refiller can stock (both kinds)."""
+    def offline_pools(self) -> List[object]:
+        """Every pool of offline material the ring owns (both kinds)."""
         return list(self._randomizer_pools.values()) + list(
             self._comparison_pools.values()
         )
@@ -313,13 +313,13 @@ class KeyRing:
 
         Called by the pipelined scheduler when ``window`` actually begins:
         the obfuscators and prepared comparisons a pipeline stage computed
-        for this window (while the previous window's online phase ran)
-        join the pools' reservoirs, so this window's ``warm``/``refill``
-        pops them instead of computing inline.  Idempotent, wall-clock
+        for this window (when the previous window began) join the pools'
+        reservoirs, so this window's ``warm``/``refill`` pops them instead
+        of computing inline.  Idempotent, wall-clock
         only — accounting is untouched.  Returns the number of values
         claimed across all pools.
         """
-        return sum(pool.claim_reservation(window) for pool in self.refillable_pools)
+        return sum(pool.claim_reservation(window) for pool in self.offline_pools)
 
     def recycle_pools(self, keep_sessions: bool = False) -> int:
         """Move every pool's unused entries back to its reservoir.

@@ -439,7 +439,7 @@ class PrivateTradingEngine:
                 stage — ``advance(window)`` is called once per selected
                 window, *before* its (possibly supervised and retried)
                 execution, so each window claims its pre-staged offline
-                material and the next window's staging starts.  Wall-clock
+                material and then stages the next window's.  Wall-clock
                 only; accounting and results are bit-identical either way.
 
         Returns:
@@ -483,7 +483,7 @@ class PrivateTradingEngine:
                     continue
                 if pipeline is not None:
                     # Enter the window's pipeline slot: claim its pre-staged
-                    # offline material and start staging the next window's.
+                    # offline material and stage the next window's.
                     # Exactly once per window — supervisor retries below
                     # must not consume the next window's reservations.
                     pipeline.advance(window_slice.window)
@@ -525,7 +525,6 @@ class PrivateTradingEngine:
         reuse_network: bool = False,
         workers: int = 1,
         shard_strategy: str = "stride",
-        background_refill: bool = False,
     ) -> List[PrivateWindowTrace]:
         """Run the private protocol stack over selected windows of a dataset.
 
@@ -547,14 +546,11 @@ class PrivateTradingEngine:
             workers: number of worker processes to shard the windows over.
             shard_strategy: ``"stride"`` (interleaved, balances the midday
                 market windows) or ``"contiguous"``.
-            background_refill: keep the randomizer-pool reservoirs stocked
-                from a background thread (per worker) so window setup does
-                not block on obfuscator exponentiations.
 
         Returns:
             one :class:`PrivateWindowTrace` per selected window, in order.
         """
-        if workers <= 1 and not background_refill:
+        if workers <= 1:
             traces, _ = self.execute_shard(
                 dataset,
                 windows,
@@ -571,7 +567,6 @@ class PrivateTradingEngine:
             reuse_network=reuse_network,
             workers=workers,
             shard_strategy=shard_strategy,
-            background_refill=background_refill,
         )
         return report.traces
 
@@ -584,7 +579,6 @@ class PrivateTradingEngine:
         reuse_network: bool = False,
         workers: int = 1,
         shard_strategy: str = "stride",
-        background_refill: bool = False,
         pipeline: bool = False,
     ) -> "RunReport":
         """Like :meth:`run_windows`, returning the full :class:`RunReport`.
@@ -600,7 +594,7 @@ class PrivateTradingEngine:
         ``pipeline`` executes every shard with a
         :class:`~repro.runtime.pipeline.WindowPipeline` stage (requires
         ``session_scope="day"``): each window's offline material is
-        pre-staged during the previous window's online phase, and the
+        pre-staged when the previous window begins, and the
         report's ``pipelined_simulated_seconds`` charges each slot
         ``max(online_W, offline_W+1)`` — results and accounting stay
         bit-identical to the unpipelined day.
@@ -610,7 +604,7 @@ class PrivateTradingEngine:
         plan = ExecutionPlan.for_windows(
             windows, workers, strategy=shard_strategy, pipeline=pipeline
         )
-        runner = ParallelRunner(plan, background_refill=background_refill)
+        runner = ParallelRunner(plan)
         return runner.run(
             self,
             dataset,

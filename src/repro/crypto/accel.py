@@ -23,9 +23,9 @@ Every obfuscator value produced by this module is handed to an encryption
 **at most once**, no matter which container it sits in.  Values move in one
 direction only::
 
-    reservoir  --warm/refill-->  pool  --take-->  ciphertext (consumed)
-        ^                          |
-        +--------recycle-----------+
+    reservation --claim--> reservoir --warm/refill--> pool --take--> ciphertext
+                              ^                        |
+                              +-------recycle----------+
 
 ``recycle`` moves *unused* pool entries back to the reservoir (e.g. between
 trading windows); a value that has been returned by :meth:`take` is gone for
@@ -33,22 +33,22 @@ good.  Reusing an obfuscator for two ciphertexts would make the pair
 linkable (their ratio reveals the plaintext difference), exactly like
 reusing a one-time pad.
 
-Background refills and deterministic accounting
------------------------------------------------
+The reservoir and deterministic accounting
+------------------------------------------
 
-The *reservoir* is a thread-safe stock of precomputed obfuscator values
-that a :class:`repro.runtime.refill.BackgroundRefiller` tops up on a
-background thread during real wall-clock idle time.  :meth:`warm`,
-:meth:`refill` and the drained-pool fallback all prefer popping the
-reservoir over computing inline, so window setup no longer blocks on
-modular exponentiations when the reservoir is hot.
+The *reservoir* holds precomputed obfuscator values that are not yet
+accounted: entries recycled at a window boundary, and values a
+:class:`repro.runtime.pipeline.WindowPipeline` pre-staged for the window
+that just began (:meth:`reserve` / :meth:`claim_reservation`).
+:meth:`warm`, :meth:`refill` and the drained-pool fallback all prefer
+popping the reservoir over computing inline.
 
 Crucially the reservoir only changes *where the wall-clock work happens*:
 the simulated-cost accounting (``produced``, ``consumed``,
 ``fallback_count`` and the offline seconds charged from them) is a pure
 function of the warm/take call sequence and is **independent of the
-reservoir state**.  That is what keeps sharded parallel runs bit-identical
-to serial ones even though their background refill timing differs.
+reservoir state**.  That is what keeps pipelined and sharded runs
+bit-identical to serial ones although their reservoirs differ.
 
 Owner-side sampling: half-exponent lifts
 ---------------------------------------
@@ -96,7 +96,6 @@ Fixed-base exponentiation and the bigint seam
 from __future__ import annotations
 
 import random
-import threading
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
@@ -248,12 +247,11 @@ class RandomizerPool:
 
     The pool is the *accounted* container: ``warm``/``refill`` model the
     offline precomputation a window performs and ``take`` models the online
-    hand-out.  Behind it sits an unaccounted, thread-safe *reservoir* that a
-    :class:`~repro.runtime.refill.BackgroundRefiller` can stock during real
-    idle time; whenever the pool needs a fresh value it pops the reservoir
-    first and only computes inline on a miss.  ``produced``, ``consumed``
-    and ``fallback_count`` never depend on the reservoir state — see the
-    module docstring for why that invariant matters.
+    hand-out.  Behind it sits an unaccounted *reservoir* of recycled and
+    pre-staged values; whenever the pool needs a fresh value it pops the
+    reservoir first and only computes inline on a miss.  ``produced``,
+    ``consumed`` and ``fallback_count`` never depend on the reservoir
+    state — see the module docstring for why that invariant matters.
 
     Args:
         public_key: the key the obfuscators are computed for.
@@ -269,8 +267,6 @@ class RandomizerPool:
         consumed: total obfuscators handed out (pooled or fallback).
         fallback_count: how many :meth:`take` calls found the pool empty
             and had to run the online exponentiation instead.
-        stocked: total obfuscators ever computed into the reservoir by
-            background refills.
     """
 
     def __init__(
@@ -284,22 +280,18 @@ class RandomizerPool:
         self.public_key = public_key
         self._rng = rng or random.SystemRandom()
         self._pool: Deque[int] = deque()
-        #: background-stocked obfuscator values; guarded by ``_reservoir_lock``
-        #: because the refiller thread extends it while the protocol thread
-        #: pops it.
+        #: recycled and claimed obfuscator values, not yet accounted.
         self._reservoir: Deque[int] = deque()
-        self._reservoir_lock = threading.Lock()
         #: window-tagged pre-staged obfuscators (pipelined runs): values a
-        #: pipeline stage computed *for a specific future window* while an
-        #: earlier window's online phase ran.  Guarded by the reservoir
-        #: lock; they only enter the one-shot flow when that window claims
-        #: them (:meth:`claim_reservation`), so a retried earlier window
-        #: can never consume material staged for a later one.
+        #: pipeline stage computed *for a specific future window* when an
+        #: earlier window began.  They only enter the one-shot flow when
+        #: that window claims them (:meth:`claim_reservation`), so a
+        #: retried earlier window can never consume material staged for a
+        #: later one.
         self._reservations: Dict[int, List[int]] = {}
-        #: dedicated randomness for background stocking — the refiller thread
-        #: must not share the (non-thread-safe) ``rng`` with the protocol
-        #: thread, or two encryptions could end up with the same randomizer.
-        self._stock_rng = random.SystemRandom()
+        #: staging draws from the system CSPRNG, never from ``rng``, so a
+        #: pipelined run leaves a seeded ``rng``'s sequence untouched.
+        self._stage_rng = random.SystemRandom()
         # Owner-side sampler (constants cached across refills); ``None``
         # for a foreign key, which pays the public full-width pow.
         self._owner: Optional[_OwnerObfuscatorSampler] = (
@@ -308,9 +300,8 @@ class RandomizerPool:
         self.produced = 0
         self.consumed = 0
         self.fallback_count = 0
-        self.stocked = 0
         #: total obfuscators ever pre-staged via :meth:`reserve` (window
-        #: pipelining) — unaccounted wall-clock work, like ``stocked``.
+        #: pipelining) — unaccounted wall-clock work.
         self.reserved = 0
 
     def __len__(self) -> int:
@@ -323,9 +314,8 @@ class RandomizerPool:
 
     @property
     def reservoir_available(self) -> int:
-        """Number of background-stocked values waiting in the reservoir."""
-        with self._reservoir_lock:
-            return len(self._reservoir)
+        """Number of unaccounted values waiting in the reservoir."""
+        return len(self._reservoir)
 
     def _sample(self, rng: random.Random) -> int:
         """One fresh obfuscator drawn from ``rng`` — every producer's source."""
@@ -336,51 +326,32 @@ class RandomizerPool:
 
     def _next_value(self) -> int:
         """A never-used obfuscator: reservoir pop, or inline computation."""
-        with self._reservoir_lock:
-            if self._reservoir:
-                return self._reservoir.popleft()
+        if self._reservoir:
+            return self._reservoir.popleft()
         return self._sample(self._rng)
 
-    # -- background (real idle-time) phase -------------------------------------
-
-    def stock(self, count: int) -> int:
-        """Compute ``count`` obfuscators into the reservoir (refiller thread).
-
-        Safe to call concurrently with the online phase; the computed values
-        enter the one-shot flow the next time ``warm``/``refill``/``take``
-        needs a value.  Returns the number of values stocked.
-        """
-        if count <= 0:
-            return 0
-        values = [self._sample(self._stock_rng) for _ in range(count)]
-        with self._reservoir_lock:
-            self._reservoir.extend(values)
-        self.stocked += count
-        return count
+    # -- pipeline staging (unaccounted) ----------------------------------------
 
     def reserve(self, window: int, count: int) -> int:
-        """Pre-stage ``count`` obfuscators *for* ``window`` (pipeline thread).
+        """Pre-stage ``count`` obfuscators *for* ``window`` (pipeline stage).
 
-        Like :meth:`stock`, this is unaccounted wall-clock work using the
-        thread-safe system CSPRNG — but the values are tagged to
-        ``window`` instead of entering the shared reservoir.  They become
-        takeable only once that window claims them
+        Unaccounted wall-clock work drawn from the system CSPRNG; the
+        values are tagged to ``window`` instead of entering the shared
+        reservoir.  They become takeable only once that window claims them
         (:meth:`claim_reservation`), which is what keeps a supervisor
         retry of window W from consuming material staged for window W+1.
         Returns the number of values staged.
         """
         if count <= 0:
             return 0
-        values = [self._sample(self._stock_rng) for _ in range(count)]
-        with self._reservoir_lock:
-            self._reservations.setdefault(window, []).extend(values)
-            self.reserved += count
+        values = [self._sample(self._stage_rng) for _ in range(count)]
+        self._reservations.setdefault(window, []).extend(values)
+        self.reserved += count
         return count
 
     def reservation_available(self, window: int) -> int:
         """Pre-staged values currently tagged to ``window``."""
-        with self._reservoir_lock:
-            return len(self._reservations.get(window, ()))
+        return len(self._reservations.get(window, ()))
 
     def claim_reservation(self, window: int) -> int:
         """Release ``window``'s pre-staged values into the reservoir.
@@ -391,12 +362,11 @@ class RandomizerPool:
         idempotent per window (a second claim finds nothing) and the
         values stay handed out at most once.  Returns the number claimed.
         """
-        with self._reservoir_lock:
-            values = self._reservations.pop(window, None)
-            if not values:
-                return 0
-            self._reservoir.extend(values)
-            return len(values)
+        values = self._reservations.pop(window, None)
+        if not values:
+            return 0
+        self._reservoir.extend(values)
+        return len(values)
 
     def recycle(self) -> int:
         """Move unused pool entries back to the reservoir.
@@ -407,10 +377,8 @@ class RandomizerPool:
         of entries recycled.
         """
         moved = len(self._pool)
-        if moved:
-            with self._reservoir_lock:
-                self._reservoir.extend(self._pool)
-            self._pool.clear()
+        self._reservoir.extend(self._pool)
+        self._pool.clear()
         return moved
 
     def force_drain(self) -> int:

@@ -41,12 +41,11 @@ every certificate are independent of which one is active.
 The library is bound as a ``ctypes.PyDLL``: a call keeps the GIL, exactly as
 the builtin ``pow`` it replaces does.  A ``CDLL`` would drop and retake it
 around each of the ``BN_*`` calls of one exponentiation, and whenever
-another thread of the process is busy in Python (the window pipeline's stage
-thread, a pool refiller) every retake waits out that thread's switch
-interval — measured, 300 exponentiations at a 512-bit modulus beside one
-busy thread: 45-49 ms holding the GIL, 86-116 ms releasing it (a cost set
-by which thread wakes first), and the pipelined two-worker replay ran 4.6 %
-slower.  Another thread can still run *between* those calls, so one module
+another thread of the process is busy in Python every retake waits out
+that thread's switch interval — measured, 300 exponentiations at a 512-bit
+modulus beside one busy thread: 45-49 ms holding the GIL, 86-116 ms
+releasing it (a cost set by which thread wakes first).  Another thread can
+still run *between* those calls, so one module
 lock covers the record lookup and the exponentiation that uses it: no
 thread evicts a record, or enters the shared ``BN_CTX``, under another.
 A forked child renews the lock (``os.register_at_fork``, where the

@@ -19,10 +19,9 @@ This module extends the same split to the garbled-circuit layer:
 * a :class:`ComparisonPool` owns prepared instances for one bit width, in
   exactly the :class:`~repro.crypto.accel.RandomizerPool` shape: ``warm``/
   ``refill`` are the *accounted* offline work of a window, ``take`` is the
-  online hand-out, a thread-safe *reservoir* lets the background refiller
-  stock instances during real idle time, and ``recycle`` parks unused
-  instances at window boundaries so per-window offline accounting is
-  shard-invariant.
+  online hand-out, an unaccounted *reservoir* holds recycled and
+  pipeline-staged instances, and ``recycle`` parks unused instances at
+  window boundaries so per-window offline accounting is shard-invariant.
 
 The one-shot invariant
 ----------------------
@@ -59,7 +58,6 @@ of the warm/take call sequence.
 from __future__ import annotations
 
 import random
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -121,8 +119,8 @@ class PreparedComparison:
 
     Built by :class:`ComparisonPool` (or directly in tests).  All
     public-key and garbling work happens at construction; the instance is
-    self-contained, so it may be built on a background thread and consumed
-    on the protocol thread.
+    self-contained, so it may be built one window ahead (pipeline staging)
+    and consumed later.
     """
 
     def __init__(
@@ -223,8 +221,8 @@ class ComparisonPool:
 
     The pool is the *accounted* container (``warm``/``refill`` model a
     window's offline preparation, ``take`` the online hand-out); behind it
-    sits an unaccounted thread-safe *reservoir* stocked by the background
-    refiller.  ``produced``/``consumed``/``fallback_count``/
+    sits an unaccounted *reservoir* of recycled and pre-staged instances.
+    ``produced``/``consumed``/``fallback_count``/
     ``sessions_started`` never depend on the reservoir state — the same
     invariant that keeps sharded Paillier accounting bit-identical.
 
@@ -232,7 +230,7 @@ class ComparisonPool:
         bit_width: width of the comparator circuit instances.
         kappa: OT-extension security parameter (base OTs per session).
         group: DH group for the base OTs.
-        rng: label randomness for instances built on the protocol thread
+        rng: label randomness for instances built by ``warm``/``refill``
             (defaults to the system CSPRNG — see the module docstring for
             why a derived stream is forbidden here).
         scheme: garbling scheme for every instance (``"classic"`` or
@@ -256,23 +254,21 @@ class ComparisonPool:
         self._scheme = get_scheme(scheme)
         self.scheme = self._scheme.name
         self.circuit = self._scheme.lower(build_greater_than_circuit(bit_width))
-        # Compile here, once per pool, before any refiller thread garbles.
+        # Compile here, once per pool, before any instance is garbled.
         self.circuit.program  # noqa: B018 - cached on the circuit
         self._rng = rng
         self._pool: Deque[PreparedComparison] = deque()
         self._reservoir: Deque[PreparedComparison] = deque()
-        self._reservoir_lock = threading.Lock()
         #: window-tagged pre-staged instances (pipelined runs) — see
-        #: :meth:`reserve`; guarded by the reservoir lock.
+        #: :meth:`reserve`.
         self._reservations: Dict[int, List[PreparedComparison]] = {}
         self._session_open = False
         self._session_bytes_pending = False
         self.produced = 0
         self.consumed = 0
         self.fallback_count = 0
-        self.stocked = 0
         #: total instances ever pre-staged via :meth:`reserve` (window
-        #: pipelining) — unaccounted wall-clock work, like ``stocked``.
+        #: pipelining) — unaccounted wall-clock work.
         self.reserved = 0
         #: per-window OT-extension sessions the accounting has opened; the
         #: protocol layer charges ``kappa`` base OTs per session.
@@ -288,9 +284,8 @@ class ComparisonPool:
 
     @property
     def reservoir_available(self) -> int:
-        """Background-stocked instances waiting in the reservoir."""
-        with self._reservoir_lock:
-            return len(self._reservoir)
+        """Unaccounted instances waiting in the reservoir."""
+        return len(self._reservoir)
 
     @property
     def and_gate_count(self) -> int:
@@ -309,34 +304,17 @@ class ComparisonPool:
 
     def _next_instance(self) -> PreparedComparison:
         """A never-used instance: reservoir pop, or built inline."""
-        with self._reservoir_lock:
-            if self._reservoir:
-                return self._reservoir.popleft()
+        if self._reservoir:
+            return self._reservoir.popleft()
         return self._build(self._rng)
 
-    # -- background (real idle-time) phase -------------------------------------
-
-    def stock(self, count: int) -> int:
-        """Prepare ``count`` instances into the reservoir (refiller thread).
-
-        Instances are built with ``rng=None`` so label/choice randomness
-        comes from the (thread-safe) system CSPRNG — the refiller must
-        never share the protocol thread's ``rng``.  Returns the number of
-        instances stocked.
-        """
-        if count <= 0:
-            return 0
-        instances = [self._build(None) for _ in range(count)]
-        with self._reservoir_lock:
-            self._reservoir.extend(instances)
-        self.stocked += count
-        return count
+    # -- pipeline staging (unaccounted) ----------------------------------------
 
     def reserve(self, window: int, count: int) -> int:
-        """Pre-stage ``count`` instances *for* ``window`` (pipeline thread).
+        """Pre-stage ``count`` instances *for* ``window`` (pipeline stage).
 
-        The pipelined scheduler's analogue of :meth:`stock`: instances are
-        built with the system CSPRNG on a background thread, but tagged to
+        Instances are built with ``rng=None`` — label/choice randomness
+        from the system CSPRNG, never the pool's ``rng`` — and tagged to
         the window whose offline phase is being overlapped instead of
         entering the shared reservoir.  Only :meth:`claim_reservation` for
         that window releases them into the one-shot flow — a supervisor
@@ -346,15 +324,13 @@ class ComparisonPool:
         if count <= 0:
             return 0
         instances = [self._build(None) for _ in range(count)]
-        with self._reservoir_lock:
-            self._reservations.setdefault(window, []).extend(instances)
-            self.reserved += count
+        self._reservations.setdefault(window, []).extend(instances)
+        self.reserved += count
         return count
 
     def reservation_available(self, window: int) -> int:
         """Pre-staged instances currently tagged to ``window``."""
-        with self._reservoir_lock:
-            return len(self._reservations.get(window, ()))
+        return len(self._reservations.get(window, ()))
 
     def claim_reservation(self, window: int) -> int:
         """Release ``window``'s pre-staged instances into the reservoir.
@@ -365,12 +341,11 @@ class ComparisonPool:
         window's ``warm``/``refill`` charges exactly what a cold window
         would.  Returns the number of instances claimed.
         """
-        with self._reservoir_lock:
-            instances = self._reservations.pop(window, None)
-            if not instances:
-                return 0
-            self._reservoir.extend(instances)
-            return len(instances)
+        instances = self._reservations.pop(window, None)
+        if not instances:
+            return 0
+        self._reservoir.extend(instances)
+        return len(instances)
 
     def recycle(self, close_session: bool = True) -> int:
         """Park unused pool instances in the reservoir.
@@ -388,10 +363,8 @@ class ComparisonPool:
         boundary, which is exactly what the scope amortizes.
         """
         moved = len(self._pool)
-        if moved:
-            with self._reservoir_lock:
-                self._reservoir.extend(self._pool)
-            self._pool.clear()
+        self._reservoir.extend(self._pool)
+        self._pool.clear()
         if close_session:
             self._session_open = False
         return moved
@@ -499,7 +472,7 @@ class ComparisonPool:
         if self._session_bytes_pending:
             # The first comparison of a session carries its base-OT bytes
             # (a deterministic formula, so accounting stays shard-invariant
-            # no matter which thread actually built the instance).
+            # no matter when or where the instance was actually built).
             instance.session_bytes = self.session_wire_bytes()
             self._session_bytes_pending = False
         return instance

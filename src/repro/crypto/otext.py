@@ -56,7 +56,6 @@ from __future__ import annotations
 import hashlib
 import random
 import secrets
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -400,7 +399,6 @@ def derive_batch(
 # depends on where the real work happened.
 
 _CORRELATION_CACHE: Dict[Tuple[int, int], BaseOTCorrelation] = {}
-_CORRELATION_LOCK = threading.Lock()
 
 
 def shared_correlation(
@@ -408,17 +406,16 @@ def shared_correlation(
 ) -> BaseOTCorrelation:
     """Return the process-wide correlation for ``(kappa, group)``.
 
-    Created on first use with CSPRNG randomness; safe to call from the
-    protocol thread and the background refiller concurrently.
+    Created on first use with CSPRNG randomness.  A parent process that
+    establishes it before forking hands it to every worker.
     """
     group = group or OTGroup.default()
     key = (kappa, group.p)
-    with _CORRELATION_LOCK:
-        correlation = _CORRELATION_CACHE.get(key)
-        if correlation is None:
-            correlation = establish_correlation(kappa, group=group)
-            _CORRELATION_CACHE[key] = correlation
-        return correlation
+    correlation = _CORRELATION_CACHE.get(key)
+    if correlation is None:
+        correlation = establish_correlation(kappa, group=group)
+        _CORRELATION_CACHE[key] = correlation
+    return correlation
 
 
 def fresh_instance_tag() -> bytes:

@@ -1,15 +1,14 @@
 """Parallel window-execution subsystem for the PEM reproduction.
 
 Trading windows (and the coalitions inside a day) are independent, so they
-can be sharded across worker processes; randomizer-pool precomputation can
-run on a background thread during real idle time.  This package provides:
+can be sharded across worker processes, and a day-scoped shard can stage
+each window's offline material one window ahead.  This package provides:
 
 * :class:`ExecutionPlan` — deterministic sharding of window indices,
 * :class:`ParallelRunner` / :class:`RunReport` — shard execution, worker
   management and bit-stable result/stats merging,
-* :class:`BackgroundRefiller` — idle-time randomizer-pool refills,
 * :class:`WindowPipeline` — window-synchronous offline/online pipelining
-  (stage window W+1's offline material during window W's online phase),
+  (stage window W+1's offline material when window W begins),
 * :class:`EngineSpec` — a pickleable engine recipe for worker processes,
 * :class:`WindowSupervisor` / :class:`Incident` — chaos-aware failure
   classification and certified detect-and-recover (see ``docs/CHAOS.md``).
@@ -20,13 +19,11 @@ See ``docs/ARCHITECTURE.md`` for the sharding/merge model and a worked
 
 from .pipeline import WindowPipeline
 from .plan import ExecutionPlan
-from .refill import BackgroundRefiller
 from .runner import EngineSpec, ParallelRunner, RunReport
 from .supervisor import Incident, WindowAbortError, WindowSupervisor
 
 __all__ = [
     "ExecutionPlan",
-    "BackgroundRefiller",
     "WindowPipeline",
     "EngineSpec",
     "ParallelRunner",

@@ -1,48 +1,41 @@
-"""Window pipelining: overlap window W+1's offline phase with W's online phase.
+"""Window pipelining: stage window W+1's offline phase one slot ahead.
 
 Under day-scoped sessions (:mod:`repro.net.session`) the offline material a
 window consumes — randomizer-pool obfuscators, prepared garbled comparisons
 with their OT-extension batches — stays valid across window boundaries.
 That turns the inter-window idle time of the paper's always-on deployment
-into a pipeline: while window W's online phase runs on the protocol thread,
-a pipeline stage computes window W+1's offline material in the background,
-so W+1's ``warm_pools`` pops pre-staged values instead of exponentiating
-and garbling inline.
+into a pipeline: window W+1's offline material is computed in the slot
+where window W runs, so W+1's ``warm_pools`` pops pre-staged values instead
+of exponentiating and garbling inline.
 
-:class:`WindowPipeline` is that stage.  It differs from the free-running
-:class:`~repro.runtime.refill.BackgroundRefiller` in two load-bearing ways:
+:class:`WindowPipeline` is that stage.  Two properties are load-bearing:
 
 * **It is window-synchronous.**  ``advance(W)`` is called once when window
-  W begins: it joins the staging that ran during W-1, *claims* W's
-  pre-staged material into the pools' reservoirs, and kicks off staging
-  for the shard's next window.  One window of lookahead, exactly the
-  ``max(online_W, offline_W+1)`` slot the cost model charges
-  (:func:`repro.net.costmodel.pipelined_day_cost`).
+  W begins: it *claims* W's pre-staged material into the pools'
+  reservoirs, then stages the shard's next window on the calling thread.
+  One window of lookahead, exactly the ``max(online_W, offline_W+1)`` slot
+  the cost model charges (:func:`repro.net.costmodel.pipelined_day_cost`).
 * **Material is tagged to its window.**  Staged values live in per-window
   *reservations* (see ``RandomizerPool.reserve`` /
-  ``ComparisonPool.reserve``) rather than the shared reservoir.  A
-  supervisor retry of window W re-runs W's warm-ups against whatever the
-  reservoir holds — it can never consume, or double-charge, material
-  staged for window W+1, because that material is only released when W+1
-  itself advances.
+  ``ComparisonPool.reserve``) rather than the shared reservoir.  W+1 is
+  staged before W executes, so a supervisor retry of window W re-runs W's
+  warm-ups against whatever the reservoir holds — it can never consume, or
+  double-charge, material staged for window W+1, because that material is
+  only released when W+1 itself advances.
 
 Accounting is untouched, as for every reservoir mechanism in this repo:
 ``produced``/``consumed``/``fallback_count``/``sessions_started`` are a
 pure function of the protocol's warm/take sequence, so pipelined runs are
 bit-identical to unpipelined ones (``RunReport.identical_to``), and the
-staged values use the system CSPRNG so no randomizer or wire label can
-collide with one drawn on the protocol thread.  The CPython caveat of the
-refiller applies here too: big-int ``pow`` holds the GIL, so in-process the
-stage interleaves rather than truly overlaps — the win this models is on
-the *simulated* clock, where the cost model charges each slot the max of
-the two phases instead of their sum.
+staged values come from the system CSPRNG, so staging never advances a
+pool's protocol ``rng``.  The saving this models is on the *simulated*
+clock, where the cost model charges each slot the max of the two phases
+instead of their sum.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 from ..crypto.gc_pool import ComparisonPool
 
@@ -72,7 +65,6 @@ class WindowPipeline:
         for window in shard_windows:
             pipeline.advance(window)   # claim W's material, stage W+1's
             ... run window W ...
-        pipeline.close()
     """
 
     def __init__(
@@ -90,52 +82,29 @@ class WindowPipeline:
         }
         self._randomizer_target = max(0, randomizer_target)
         self._comparison_target = max(0, comparison_target)
-        #: how long a stage waits for the ring's lazily-created pools.
-        self._pool_wait_seconds = 0.5
-        self._thread: Optional[threading.Thread] = None
-        self._staged: set = set()
         #: total values pre-staged across all pools (wall-clock telemetry).
         self.total_reserved = 0
         #: total values claimed by advancing windows.
         self.total_claimed = 0
 
-    # -- pipeline slots ----------------------------------------------------------
-
     def advance(self, window: int) -> int:
         """Enter ``window``'s pipeline slot.
 
-        Joins the staging thread that ran during the previous slot, claims
-        the material pre-staged for ``window`` into the pools' reservoirs,
-        and starts staging the shard's next window in the background.
-        Called exactly once per window, *before* its (possibly supervised
-        and retried) execution.  Returns the number of values claimed.
+        Claims the material pre-staged for ``window`` into the pools'
+        reservoirs, then stages the shard's next window.  Called exactly
+        once per window, *before* its (possibly supervised and retried)
+        execution.  Returns the number of values claimed.
         """
-        self.join()
         claimed = self._keyring.claim_reservations(window)
         self.total_claimed += claimed
         successor = self._successor.get(window)
-        if successor is not None and successor not in self._staged:
-            self._staged.add(successor)
-            self._thread = threading.Thread(
-                target=self._stage,
-                args=(successor,),
-                name=f"window-pipeline-stage-{successor}",
-                daemon=True,
-            )
-            self._thread.start()
+        if successor is not None:
+            self._stage(successor)
         return claimed
 
     def _stage(self, window: int) -> None:
-        """Pre-stage ``window``'s offline material (runs on the stage thread)."""
-        # The ring creates pools lazily during the *current* window's setup,
-        # which runs concurrently with this stage — give them a moment to
-        # appear so even two-window shards pre-stage their second window.
-        # Purely an optimization: an empty ring just means no staging.
-        deadline = time.monotonic() + self._pool_wait_seconds
-        while not self._keyring.refillable_pools and time.monotonic() < deadline:
-            time.sleep(0.01)
-        reserved = 0
-        for pool in self._keyring.refillable_pools:
+        """Pre-stage ``window``'s offline material into its reservations."""
+        for pool in self._keyring.offline_pools:
             target = (
                 self._comparison_target
                 if isinstance(pool, ComparisonPool)
@@ -145,23 +114,4 @@ class WindowPipeline:
                 target - pool.reservoir_available - pool.reservation_available(window)
             )
             if deficit > 0:
-                reserved += pool.reserve(window, deficit)
-        # Written on the stage thread, read after join(): no concurrent RMW.
-        self.total_reserved += reserved
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def join(self, timeout: Optional[float] = None) -> bool:
-        """Wait for the in-flight staging to finish; True when idle."""
-        thread = self._thread
-        if thread is None:
-            return True
-        thread.join(timeout=timeout)
-        if thread.is_alive():
-            return False
-        self._thread = None
-        return True
-
-    def close(self) -> None:
-        """Join any in-flight staging (shard end)."""
-        self.join()
+                self.total_reserved += pool.reserve(window, deficit)

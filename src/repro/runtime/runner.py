@@ -53,7 +53,6 @@ from ..net.stats import TrafficStats
 from ..net.transport import _ACK_TIMEOUT_S, recv_frame, send_frame
 from .pipeline import WindowPipeline
 from .plan import ExecutionPlan
-from .refill import BackgroundRefiller
 from .supervisor import Incident
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids an import cycle
@@ -99,8 +98,6 @@ class _ShardPayload:
     home_count: Optional[int]
     battery_policy: Any
     reuse_network: bool
-    background_refill: bool
-    refill_target: int
     #: the run's global first window — the day-scope session anchor every
     #: worker must agree on (see :mod:`repro.net.session`).
     session_anchor: Optional[int] = None
@@ -109,7 +106,7 @@ class _ShardPayload:
     #: respawns the shard with the flag stripped.
     chaos_kill: bool = False
     #: run the shard behind a :class:`WindowPipeline` stage — window W+1's
-    #: offline material is pre-staged during window W's online phase.
+    #: offline material is pre-staged when window W begins.
     pipeline: bool = False
 
 
@@ -121,7 +118,6 @@ class _ShardOutcome:
     traces: List["PrivateWindowTrace"]
     window_stats: List[TrafficStats]
     wall_seconds: float
-    stocked: int = 0
     #: classified incidents of this shard's supervised windows.
     incidents: List[Incident] = field(default_factory=list)
     #: offline values the shard's pipeline stage pre-staged (0 unpipelined).
@@ -131,38 +127,24 @@ class _ShardOutcome:
 def _run_payload(engine: "PrivateTradingEngine", payload: _ShardPayload) -> _ShardOutcome:
     """Run one shard serially on ``engine`` (shared by inline and workers)."""
     start = time.perf_counter()
-    refiller = (
-        BackgroundRefiller(engine.keyring, target=payload.refill_target)
-        if payload.background_refill
-        else None
-    )
-    if refiller is not None:
-        refiller.start()
     pipeline = (
         WindowPipeline(engine.keyring, payload.windows) if payload.pipeline else None
     )
-    try:
-        traces, window_stats = engine.execute_shard(
-            payload.dataset,
-            payload.windows,
-            home_count=payload.home_count,
-            battery_policy=payload.battery_policy,
-            reuse_network=payload.reuse_network,
-            collect_stats=True,
-            session_anchor=payload.session_anchor,
-            pipeline=pipeline,
-        )
-    finally:
-        if pipeline is not None:
-            pipeline.close()
-        if refiller is not None:
-            refiller.stop()
+    traces, window_stats = engine.execute_shard(
+        payload.dataset,
+        payload.windows,
+        home_count=payload.home_count,
+        battery_policy=payload.battery_policy,
+        reuse_network=payload.reuse_network,
+        collect_stats=True,
+        session_anchor=payload.session_anchor,
+        pipeline=pipeline,
+    )
     return _ShardOutcome(
         shard_index=payload.shard_index,
         traces=traces,
         window_stats=window_stats,
         wall_seconds=time.perf_counter() - start,
-        stocked=refiller.total_stocked if refiller is not None else 0,
         incidents=[
             replace(incident, shard_index=payload.shard_index)
             for incident in engine.last_shard_incidents
@@ -219,14 +201,13 @@ class RunReport:
         wall_seconds: host wall-clock of the whole run (bounded by the
             machine's real core count — informational only).
         shard_wall_seconds: host wall-clock per shard.
-        background_stocked: obfuscators precomputed by background refillers
-            across all workers.
         incidents: the run's classified incident ledger (chaos injections,
             organic failures, killed-and-respawned workers), in
             deterministic window order.  Empty for unsupervised runs.
         pipeline_reserved: offline values the shards' pipeline stages
-            pre-staged across all workers (0 for unpipelined runs —
-            wall-clock telemetry, deliberately outside ``identical_to``).
+            pre-staged across all workers (0 for unpipelined runs).
+            Deterministic for a given plan, but deliberately outside
+            ``identical_to``: staging is work the accounting never sees.
     """
 
     plan: ExecutionPlan
@@ -234,7 +215,6 @@ class RunReport:
     stats: TrafficStats = field(default_factory=TrafficStats)
     wall_seconds: float = 0.0
     shard_wall_seconds: Tuple[float, ...] = ()
-    background_stocked: int = 0
     incidents: List[Incident] = field(default_factory=list)
     pipeline_reserved: int = 0
 
@@ -400,21 +380,10 @@ class ParallelRunner:
 
     Args:
         plan: the window sharding to execute.
-        background_refill: run a :class:`BackgroundRefiller` next to every
-            shard (and the inline path) so pool warm-ups pop precomputed
-            reservoir values instead of exponentiating during window setup.
-        refill_target: reservoir fill level the refillers maintain.
     """
 
-    def __init__(
-        self,
-        plan: ExecutionPlan,
-        background_refill: bool = False,
-        refill_target: int = 32,
-    ) -> None:
+    def __init__(self, plan: ExecutionPlan) -> None:
         self.plan = plan
-        self.background_refill = background_refill
-        self.refill_target = refill_target
 
     # -- execution -------------------------------------------------------------
 
@@ -459,8 +428,6 @@ class ParallelRunner:
                 home_count=home_count,
                 battery_policy=battery_policy,
                 reuse_network=reuse_network,
-                background_refill=self.background_refill,
-                refill_target=self.refill_target,
                 session_anchor=session_anchor,
                 chaos_kill=index in kill_shards,
                 pipeline=plan.pipeline,
@@ -695,7 +662,6 @@ class ParallelRunner:
             traces=traces,
             stats=merged,
             shard_wall_seconds=tuple(o.wall_seconds for o in ordered),
-            background_stocked=sum(o.stocked for o in ordered),
             incidents=incidents,
             pipeline_reserved=sum(o.pipeline_reserved for o in ordered),
         )

@@ -187,17 +187,14 @@ identical runs diverge and voids the certificate.
 
 Wall clocks are allowed exactly where wall time is the *point*: the
 runner's wall-seconds telemetry (deliberately outside identical_to), the
-window pipeline's staging thread, the supervisor's retry backoff, the
-refiller's idle sleeps, and benchmarks/ and scripts/ wholesale.  Everything
-else under src/repro/ is simulation-pure and scanned."""
+supervisor's retry backoff, and benchmarks/ and scripts/ wholesale.
+Everything else under src/repro/ is simulation-pure and scanned."""
     node_types = (ast.Call,)
 
     #: modules where wall-clock use is the point, not a leak.
     ALLOWED_PATHS = frozenset(
         {
             "src/repro/runtime/runner.py",
-            "src/repro/runtime/pipeline.py",
-            "src/repro/runtime/refill.py",
             "src/repro/runtime/supervisor.py",
         }
     )
@@ -236,9 +233,9 @@ class LockDisciplineRule(Rule):
     id = "lock-discipline"
     summary = "thread-shared attribute mutations must hold the lock"
     rationale = """\
-The PR 8 refiller bug class: BackgroundRefiller.total_stocked was
-read-modify-written both on the refiller thread and from prefill() on the
-caller thread with no lock — a lost-update race that survived two releases
+The refiller bug class: the since-deleted BackgroundRefiller's
+total_stocked was read-modify-written both on the refiller thread and from
+prefill() on the caller thread with no lock — a lost-update race that survived two releases
 because nothing scanned for the *pattern*.
 
 In any class that spawns a threading.Thread on one of its own methods

@@ -198,13 +198,14 @@ def test_overdue_ack_is_a_classified_transient_incident():
 
 def test_comparison_pool_force_drain_spares_reservoir_and_accounting():
     pool = helpers.small_comparison_pool(8)
-    pool.stock(2)
+    pool.reserve(0, 2)
+    pool.claim_reservation(0)
     pool.warm(2)
     produced_before = pool.produced
     assert pool.available == 2
     assert pool.force_drain() == 2
     assert pool.available == 0
-    assert pool.reservoir_available == 0  # warm consumed the stock
+    assert pool.reservoir_available == 0  # warm consumed the claimed values
     assert pool.produced == produced_before  # drain is not production
     assert pool.peek() is None
     # The pool still works — takes simply miss (the caller's fallback

@@ -1,7 +1,9 @@
 """Tests for the Paillier acceleration layer.
 
 Covers the owner-side half-exponent obfuscator sampler + randomizer-pool
-offline split, the fixed-base comb table against the builtin ``pow``
+offline split, the unaccounted reservoir behind the pool (and the
+drained-pool fallbacks it leaves visible in ``TrafficStats``), the
+fixed-base comb table against the builtin ``pow``
 oracle, and that every exponentiation in the layer dispatches through the
 bigint seam (mocked here; the real backends are pinned in
 ``test_bigint.py``).
@@ -14,7 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import shared_keypair
+from helpers import TEST_KEY_SIZE, shared_keypair
+from repro.core import PAPER_PARAMETERS
+from repro.core.agent import AgentWindowState
+from repro.core.coalition import form_coalitions
+from repro.core.protocols import ProtocolConfig, ProtocolContext
 from repro.crypto.accel import (
     FixedBaseTable,
     RandomizerPool,
@@ -28,6 +34,7 @@ from repro.crypto.paillier import (
     generate_keypair,
     homomorphic_sum,
 )
+from repro.net import CostModel, SimulatedNetwork
 
 
 @pytest.fixture(scope="module")
@@ -127,11 +134,111 @@ def test_non_positive_counts_are_noops(pool_keypair):
     pool = RandomizerPool(pool_keypair.public_key, private_key=pool_keypair.private_key)
     for count in (0, -3):
         assert pool.refill(count) == 0
-        assert pool.stock(count) == 0
         assert pool.reserve(7, count) == 0
-    assert (pool.produced, pool.stocked, pool.reserved) == (0, 0, 0)
+    assert (pool.produced, pool.reserved) == (0, 0)
     assert pool.available == pool.reservoir_available == 0
     assert pool.reservation_available(7) == 0
+
+
+# -- reservoir: recycled and claimed values, never accounted ---------------------------
+
+
+def _reservoir_of(pool, count):
+    """Put ``count`` fresh values in ``pool``'s reservoir via a reservation."""
+    pool.reserve(0, count)
+    pool.claim_reservation(0)
+
+
+def test_warm_pops_reservoir_without_changing_accounting(pool_keypair):
+    pool = RandomizerPool(
+        pool_keypair.public_key, random.Random(1), private_key=pool_keypair.private_key
+    )
+    _reservoir_of(pool, 6)
+    assert pool.reservoir_available == 6
+    assert pool.produced == 0  # staging is not offline-accounted work
+    assert pool.warm(4) == 4  # accounting identical to a cold warm-up
+    assert pool.produced == 4
+    assert pool.reservoir_available == 2  # values came from the reservoir
+    assert pool.available == 4
+
+
+def test_recycle_moves_unused_entries_back(pool_keypair):
+    pool = RandomizerPool(
+        pool_keypair.public_key, random.Random(2), private_key=pool_keypair.private_key
+    )
+    pool.warm(5)
+    pool.take()
+    assert pool.recycle() == 4
+    assert pool.available == 0
+    assert pool.reservoir_available == 4
+    # The next warm re-produces (accounting restarts cold) but pops the
+    # recycled values instead of exponentiating.
+    assert pool.warm(4) == 4
+    assert pool.reservoir_available == 0
+
+
+def test_fallback_serves_from_reservoir_but_still_counts(pool_keypair):
+    public, private = pool_keypair.public_key, pool_keypair.private_key
+    pool = RandomizerPool(public, random.Random(3), private_key=private)
+    _reservoir_of(pool, 2)
+    ciphertext = pool.encrypt(1234)  # pool empty -> fallback
+    assert private.decrypt(ciphertext) == 1234
+    assert pool.fallback_count == 1
+    assert pool.reservoir_available == 1
+
+
+def test_one_shot_invariant_across_containers(pool_keypair):
+    pool = RandomizerPool(
+        pool_keypair.public_key, random.Random(4), private_key=pool_keypair.private_key
+    )
+    _reservoir_of(pool, 3)
+    pool.warm(5)
+    pool.recycle()
+    pool.warm(5)
+    handed_out = pool.take_many(5) + [pool.take() for _ in range(3)]  # 3 fallbacks
+    assert len(set(handed_out)) == len(handed_out)
+
+
+def _seller_or_buyer(agent_id: str, net: float) -> AgentWindowState:
+    return AgentWindowState(
+        agent_id=agent_id,
+        window=0,
+        generation_kwh=max(net, 0.0),
+        load_kwh=max(-net, 0.0),
+        battery_kwh=0.0,
+        battery_loss_coefficient=0.9,
+        preference_k=150.0,
+    )
+
+
+def test_drained_pool_fallbacks_surface_in_traffic_stats():
+    states = [
+        _seller_or_buyer("s1", 0.1),
+        _seller_or_buyer("s2", 0.08),
+        _seller_or_buyer("b1", -0.2),
+        _seller_or_buyer("b2", -0.1),
+    ]
+    network = SimulatedNetwork(cost_model=CostModel.for_key_size(512))
+    context = ProtocolContext(
+        coalitions=form_coalitions(0, states),
+        network=network,
+        config=ProtocolConfig(
+            key_size=TEST_KEY_SIZE, key_pool_size=2, seed=5, pool_headroom=0
+        ),
+        params=PAPER_PARAMETERS,
+        rng=random.Random(5),
+    )
+    runtime = context.all_agents[0]
+    assert network.stats.pool_fallbacks == 0
+    # No warm-up happened (headroom 0), so these encryptions must drain-fallback
+    # and the stats must say so.
+    context.encrypt(runtime.public_key, 42)
+    context.encrypt(runtime.public_key, 43)
+    assert network.stats.pool_fallbacks == 2
+
+    merged = SimulatedNetwork().stats
+    merged.merge(network.stats)
+    assert merged.pool_fallbacks == 2
 
 
 # -- owner-side half-exponent sampler --------------------------------------------------
@@ -227,13 +334,14 @@ def test_every_producer_draws_through_the_one_sampler(pool_keypair):
     assert spy.draws == 4
     handed_out += pool.take_many(3)  # drained pool: online fallback
     assert (spy.draws, pool.fallback_count) == (7, 3)
-    pool.stock(5)
+    pool.reserve(8, 5)
+    assert pool.claim_reservation(8) == 5
     assert (spy.draws, pool.reservoir_available) == (12, 5)
     pool.reserve(9, 6)
     assert (spy.draws, pool.reservation_available(9)) == (18, 6)
     assert pool.claim_reservation(9) == 6
 
-    # Stocked and claimed values are popped, not recomputed ...
+    # Claimed values are popped, not recomputed ...
     pool.warm(11)
     handed_out += pool.take_many(11)
     assert spy.draws == 18

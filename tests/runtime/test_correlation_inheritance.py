@@ -46,7 +46,7 @@ def _pool_contents(engine) -> int:
     """Everything an engine's pools hold: accounted, reservoir, reservations."""
     return sum(
         len(pool) + pool.reservoir_available + len(pool._reservations)
-        for pool in engine.keyring.refillable_pools
+        for pool in engine.keyring.offline_pools
     )
 
 

@@ -207,12 +207,14 @@ def test_paillier_fallbacks_still_counted():
 
 
 def test_accounting_independent_of_reservoir_state():
-    # Two pools, one pre-stocked by a "refiller", one cold: the accounted
-    # counters after an identical warm/take sequence must match exactly.
-    stocked = ComparisonPool(8, kappa=helpers.TEST_KAPPA)
+    # Two pools, one with pipeline-staged instances in its reservoir, one
+    # cold: the accounted counters after an identical warm/take sequence
+    # must match exactly.
+    staged = ComparisonPool(8, kappa=helpers.TEST_KAPPA)
     cold = ComparisonPool(8, kappa=helpers.TEST_KAPPA)
-    stocked.stock(3)
-    for pool in (stocked, cold):
+    staged.reserve(0, 3)
+    staged.claim_reservation(0)
+    for pool in (staged, cold):
         pool.warm(2)
         assert pool.take() is not None
         pool.recycle()
@@ -220,4 +222,4 @@ def test_accounting_independent_of_reservoir_state():
         assert pool.take() is not None
         assert pool.take() is None  # drained -> fallback
     for attribute in ("produced", "consumed", "fallback_count", "sessions_started"):
-        assert getattr(stocked, attribute) == getattr(cold, attribute), attribute
+        assert getattr(staged, attribute) == getattr(cold, attribute), attribute

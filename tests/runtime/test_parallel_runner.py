@@ -18,7 +18,7 @@ WINDOWS = list(helpers.TINY_MARKET_WINDOWS)
 @pytest.fixture(scope="module")
 def day_dataset():
     # The canonical tiny trading day, cached for the whole session and
-    # shared with test_refiller / test_offline_accounting.
+    # shared with test_offline_accounting.
     return helpers.tiny_dataset()
 
 

@@ -4,7 +4,8 @@ The pipeline's contract has three legs, each pinned here:
 
 * **Reservation mechanics** — per-window reservations are one-shot,
   claim-idempotent, unaccounted (pure wall-clock staging), and isolated
-  from the shared reservoir until their window claims them.
+  from the shared reservoir until their window claims them; the stage
+  runs inline in ``advance``, so what it stages is reproducible.
 * **Clock semantics** — :func:`repro.net.costmodel.pipelined_day_cost`
   charges ``offline_0 + sum(max(online_i, offline_i+1)) + online_last``;
   the properties below bound it against the serialized schedule.
@@ -80,7 +81,7 @@ def test_randomizer_reservation_accounting_untouched(keypair):
     )
     pool.reserve(3, 4)
     pool.claim_reservation(3)
-    # Staging is unaccounted background work, exactly like stock().
+    # Staging is unaccounted wall-clock work.
     assert pool.produced == 0
     assert pool.fallback_count == 0
     # The warm that consumes it accounts as a cold warm-up.
@@ -94,7 +95,8 @@ def test_randomizer_reservation_one_shot_invariant(keypair):
         keypair.public_key, random.Random(3), private_key=keypair.private_key
     )
     pool.reserve(1, 3)
-    pool.stock(2)
+    pool.reserve(2, 2)
+    pool.claim_reservation(2)
     pool.claim_reservation(1)
     pool.warm(5)
     handed_out = pool.take_many(5)
@@ -110,8 +112,11 @@ def test_comparison_reservation_round_trip():
     assert pool.claim_reservation(5) == 2
     assert pool.claim_reservation(5) == 0
     assert pool.reservoir_available == 2
-    # Consuming a pre-staged instance still evaluates correctly.
+    # The warm pops a staged instance but accounts as a cold warm-up, and
+    # consuming it still evaluates correctly.
     assert pool.warm(1) == 1
+    assert (pool.produced, pool.sessions_started) == (1, 1)
+    assert pool.reservoir_available == 1
     instance = pool.take()
     assert instance.evaluate(9, 4).result is True
 
@@ -186,19 +191,54 @@ def test_window_pipeline_stages_and_claims(day_dataset):
     (pool,) = engine.keyring.randomizer_pools
 
     assert pipeline.advance(10) == 0  # nothing staged for the anchor
-    assert pipeline.join(timeout=10.0)
+    # advance(10) returned with 20's material already staged.
     assert pool.reservation_available(20) == 4
+    assert pipeline.total_reserved == 4
 
     claimed = pipeline.advance(20)
     assert claimed == 4
     assert pool.reservoir_available == 4
     assert pool.reservation_available(20) == 0
-    assert pipeline.join(timeout=10.0)
     # 30's staging saw a full reservoir: deficit 0, nothing staged.
     assert pool.reservation_available(30) == 0
     assert pipeline.advance(30) == 0
-    pipeline.close()
-    assert pipeline.total_claimed == 4
+    assert (pipeline.total_reserved, pipeline.total_claimed) == (4, 4)
+
+
+def test_retried_window_leaves_successor_reservation_intact():
+    """A supervisor retry of W runs after W+1 is staged and cannot eat it."""
+    engine = build_day_engine()
+    engine.keyring.keypair_for("home-0")
+    pipeline = WindowPipeline(
+        engine.keyring, (10, 20, 30), randomizer_target=4, comparison_target=0
+    )
+    (pool,) = engine.keyring.randomizer_pools
+
+    pipeline.advance(10)
+    staged = list(pool._reservations[20])
+    assert len(staged) == 4
+    # Window 10 warms its pools twice, as a supervisor retry would: each
+    # attempt restarts from the window boundary, so the retry pops what
+    # the failed attempt left unused — and never the reservation.
+    handed_out = []
+    for _attempt in range(2):
+        engine.keyring.recycle_pools(keep_sessions=True)
+        assert pool.warm(6) == 6
+        handed_out += pool.take_many(4)
+        assert pool.reservation_available(20) == 4
+    assert len(set(handed_out)) == len(handed_out) == 8
+    assert set(handed_out).isdisjoint(staged)
+
+    reservoir_before = pool.reservoir_available
+    assert pipeline.advance(20) == 4
+    assert pool.reservoir_available == reservoir_before + 4
+    assert list(pool._reservoir)[-4:] == staged
+    # Window 20's warm pops exactly the staged values, accounted cold.
+    engine.keyring.recycle_pools(keep_sessions=True)
+    produced_before = pool.produced
+    assert pool.warm(4) == 4
+    assert pool.produced == produced_before + 4
+    assert sorted(pool.take_many(4)) == sorted(staged)
 
 
 def test_window_pipeline_last_window_stages_nothing(day_dataset):
@@ -206,7 +246,6 @@ def test_window_pipeline_last_window_stages_nothing(day_dataset):
     engine.keyring.keypair_for("home-0")
     pipeline = WindowPipeline(engine.keyring, (5,), randomizer_target=4)
     assert pipeline.advance(5) == 0
-    pipeline.close()
     assert pipeline.total_reserved == 0
 
 
@@ -254,6 +293,21 @@ def test_pipelined_day_identical_to_unpipelined(day_dataset):
         piped_single.pipelined_simulated_seconds
         == baseline.pipelined_simulated_seconds
     )
+
+
+def test_pipeline_reserved_is_reproducible(day_dataset):
+    """Staging runs inline, so identical pipelined runs stage identically."""
+    # Six windows give each two-worker stride shard a non-anchor window
+    # whose successor it can stage (a shard's first window finds no pools).
+    windows = helpers.TINY_MARKET_WINDOWS + (450, 480)
+    for workers in (1, 2):
+        first, second = (
+            build_day_engine().run_windows_report(
+                day_dataset, windows, workers=workers, pipeline=True
+            )
+            for _ in range(2)
+        )
+        assert first.pipeline_reserved == second.pipeline_reserved > 0, workers
 
 
 @settings(max_examples=4, deadline=None)
