@@ -25,6 +25,7 @@ import helpers
 from repro.core import PAPER_PARAMETERS
 from repro.core.protocols import PrivateTradingEngine, ProtocolConfig
 from repro.crypto.accel import RandomizerPool
+from repro.crypto.gc_pool import ComparisonPool
 from repro.net.costmodel import pipelined_day_cost, unpipelined_day_cost
 from repro.runtime import ExecutionPlan, WindowPipeline
 
@@ -128,6 +129,40 @@ def test_reserve_zero_or_negative_is_a_noop(keypair):
     assert pool.reserve(1, 0) == 0
     assert pool.reserve(1, -3) == 0
     assert pool.reservation_available(1) == 0
+
+
+def test_randomizer_staging_leaves_protocol_rng_untouched(keypair):
+    rng = random.Random(5)
+    pool = RandomizerPool(keypair.public_key, rng, private_key=keypair.private_key)
+    before = rng.getstate()
+    pool.reserve(1, 3)
+    pool.claim_reservation(1)
+    pool.warm(3)  # pops the staged values: no protocol draw either
+    assert rng.getstate() == before
+
+
+def test_comparison_staging_leaves_protocol_rng_untouched():
+    rng = random.Random(6)
+    pool = ComparisonPool(16, kappa=helpers.TEST_KAPPA, rng=rng)
+    before = rng.getstate()
+    assert pool.reserve(1, 2) == 2
+    assert rng.getstate() == before
+
+
+def test_comparison_warm_never_consumes_a_reservation():
+    pool = helpers.small_comparison_pool(16)
+    pool.reserve(20, 2)
+    staged = list(pool._reservations[20])
+    # Window 10 (and a retry of it) warms and takes around the reservation.
+    handed_out = []
+    for _attempt in range(2):
+        pool.recycle(close_session=False)
+        assert pool.warm(2) == 2
+        handed_out.append(pool.take())
+        assert pool.reservation_available(20) == 2
+    assert {id(i) for i in handed_out}.isdisjoint(id(i) for i in staged)
+    assert pool.claim_reservation(20) == 2
+    assert list(pool._reservoir)[-2:] == staged
 
 
 # -- pipelined/unpipelined day cost ---------------------------------------------------
@@ -247,6 +282,87 @@ def test_window_pipeline_last_window_stages_nothing(day_dataset):
     pipeline = WindowPipeline(engine.keyring, (5,), randomizer_target=4)
     assert pipeline.advance(5) == 0
     assert pipeline.total_reserved == 0
+
+
+def test_window_pipeline_stages_comparison_pools():
+    engine = build_day_engine()
+    engine.keyring.keypair_for("home-0")
+    comparison_pool = engine.keyring.comparison_pool(16)
+    pipeline = WindowPipeline(
+        engine.keyring, (10, 20), randomizer_target=4, comparison_target=2
+    )
+    (randomizer_pool,) = engine.keyring.randomizer_pools
+
+    pipeline.advance(10)
+    assert randomizer_pool.reservation_available(20) == 4
+    assert comparison_pool.reservation_available(20) == 2
+    assert pipeline.total_reserved == 4 + 2  # obfuscators + prepared comparisons
+    # Staging is unaccounted wall-clock work, like the Paillier staging.
+    assert comparison_pool.produced == 0
+    assert comparison_pool.sessions_started == 0
+
+    assert pipeline.advance(20) == 6
+    # A warm now pops the claimed instances but accounts as a cold warm-up.
+    assert comparison_pool.warm(2) == 2
+    assert comparison_pool.produced == 2
+    assert comparison_pool.sessions_started == 1
+    assert comparison_pool.reservoir_available == 0
+
+
+def test_window_pipeline_stages_only_the_deficit():
+    engine = build_day_engine()
+    engine.keyring.keypair_for("home-0")
+    (pool,) = engine.keyring.randomizer_pools
+    pool.reserve(0, 3)
+    pool.claim_reservation(0)
+    pipeline = WindowPipeline(
+        engine.keyring, (10, 20), randomizer_target=4, comparison_target=0
+    )
+    pipeline.advance(10)
+    # Three values already wait in the reservoir: one more reaches the target.
+    assert pool.reservation_available(20) == 1
+    assert pipeline.total_reserved == 1
+
+
+def test_window_pipeline_stages_pools_created_after_a_stage():
+    engine = build_day_engine()
+    pipeline = WindowPipeline(
+        engine.keyring, (10, 20, 30), randomizer_target=4, comparison_target=0
+    )
+    assert pipeline.advance(10) == 0
+    assert pipeline.total_reserved == 0  # no pool existed to stage
+    engine.keyring.keypair_for("home-0")
+    (pool,) = engine.keyring.randomizer_pools
+    # The pool created during window 10 is staged one window later.
+    assert pipeline.advance(20) == 0
+    assert pool.reservation_available(30) == 4
+    assert pipeline.advance(30) == 4
+
+
+def test_window_pipeline_orders_and_dedupes_windows():
+    engine = build_day_engine()
+    engine.keyring.keypair_for("home-0")
+    pipeline = WindowPipeline(
+        engine.keyring, [30, 10, 20, 10], randomizer_target=2, comparison_target=0
+    )
+    (pool,) = engine.keyring.randomizer_pools
+    pipeline.advance(10)
+    # The successor of 10 is 20 in execution order, whatever the input order.
+    assert pool.reservation_available(20) == 2
+    assert pool.reservation_available(30) == 0
+
+
+def test_window_pipeline_negative_targets_stage_nothing():
+    engine = build_day_engine()
+    engine.keyring.keypair_for("home-0")
+    engine.keyring.comparison_pool(16)
+    pipeline = WindowPipeline(
+        engine.keyring, (10, 20), randomizer_target=-4, comparison_target=-1
+    )
+    pipeline.advance(10)
+    assert pipeline.total_reserved == 0
+    pools = engine.keyring.offline_pools
+    assert all(pool.reservation_available(20) == 0 for pool in pools)
 
 
 # -- plan / runner wiring -------------------------------------------------------------
