@@ -484,8 +484,8 @@ def run_planner_section(scale: str) -> dict:
     """Build the ``planner`` report section.
 
     The deployment planner plans three fleet regimes (single LAN host,
-    LAN cluster, WAN fleet of homes) against the exhaustive-enumeration
-    oracle; the first regime's emitted ``ProtocolConfig`` +
+    LAN cluster, WAN fleet of homes) by exhaustive enumeration; the
+    first regime's emitted ``ProtocolConfig`` +
     ``ExecutionPlan`` then executes a real sampled day next to the naive
     default — see ``docs/PLANNER.md``.
     """
@@ -555,7 +555,7 @@ def main() -> int:
     report["pipelining"] = run_pipelining_section(args.scale)
     print("running the chaos survival matrix + fail-closed certificates ...")
     report["chaos"] = run_chaos_section(args.scale)
-    print("running the deployment-planner sweep (oracle + executed certificates) ...")
+    print("running the deployment-planner sweep (executed certificate) ...")
     report["planner"] = run_planner_section(args.scale)
     if not args.skip_parallel:
         print(f"running the sharded-day experiment ({args.workers} workers) ...")

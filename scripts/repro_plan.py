@@ -7,8 +7,8 @@ Thin wrapper so the planner is reachable without installing the package:
         --agents 64 --windows 12 --profile lan
 
 Equivalent to ``python -m repro.planning`` with ``src/`` on the path.
-See ``docs/PLANNER.md`` for the fleet-spec flags, the certificate modes
-(``--oracle``, ``--execute K``) and how to read the output.
+See ``docs/PLANNER.md`` for the fleet-spec flags, the executed
+certificate (``--execute K``) and how to read the output.
 """
 
 import sys

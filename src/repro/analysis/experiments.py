@@ -30,6 +30,14 @@ from ..crypto.otext import shared_correlation
 from ..data.profiles import ProfilePopulation
 from ..data.traces import TraceConfig, TraceDataset, generate_dataset
 from ..net.costmodel import CostModel
+from ..planning import (
+    WAN_PROFILE,
+    CandidateConfig,
+    FleetSpec,
+    build_cost_model,
+    naive_candidate,
+    plan,
+)
 from .metrics import (
     CoalitionSizeSeries,
     CostComparison,
@@ -74,6 +82,7 @@ __all__ = [
     "PlannerRegimeObservation",
     "PlannerExecutedObservation",
     "PlannerSweepObservation",
+    "experiment_planner_execution",
     "experiment_planner_sweep",
     "sample_market_windows",
 ]
@@ -204,8 +213,11 @@ def sample_market_windows(
 
     When ``require_market`` is set, only windows in which a PEM market forms
     are eligible (the protocol has nothing to do otherwise); the plaintext
-    engine is used to find them cheaply.
+    engine is used to find them cheaply.  ``sample_count`` must be at
+    least 1.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     day = PlainTradingEngine(PAPER_PARAMETERS).run_day(dataset, home_count=home_count)
     eligible = [
         w.window
@@ -1345,11 +1357,7 @@ class PlannerRegimeObservation:
         planned_day_seconds: predicted day cost of the planner's choice.
         speedup: ratio of the two — the planning win, which must
             strictly beat the naive default in every regime.
-        oracle_match: True iff branch-and-bound returned the exhaustive
-            enumeration's argmin with bit-equal cost (the planner's
-            optimality certificate).
-        candidates_evaluated / candidates_pruned / space_size: search
-            audit (evaluated + pruned must cover the feasible space).
+        space_size: feasible configurations the planner scored.
         planned: the chosen candidate's knob settings.
     """
 
@@ -1361,9 +1369,6 @@ class PlannerRegimeObservation:
     naive_day_seconds: float = _bench(digits=6)
     planned_day_seconds: float = _bench(digits=6)
     speedup: float = _bench(digits=4, floor=1.0, strict=True)
-    oracle_match: bool = _bench(certificate=True)
-    candidates_evaluated: int
-    candidates_pruned: int
     space_size: int
     planned: Dict[str, object]
 
@@ -1376,7 +1381,8 @@ class PlannerExecutedObservation:
     real sampled trading day next to the naive default deployment;
     ``economics_identical`` certifies the plan moved clock charges, never
     trades, and the measured day clocks replay the predicted win on the
-    runtime's own accounting.
+    runtime's own accounting.  A run in which no window executed certifies
+    nothing: ``economics_identical`` is then false.
     """
 
     regime: str
@@ -1397,6 +1403,78 @@ class PlannerSweepObservation:
     executed: PlannerExecutedObservation
 
 
+def _planner_engine(
+    spec: FleetSpec, candidate: CandidateConfig, crypto_key_size: int
+) -> PrivateTradingEngine:
+    """The engine that executes ``candidate`` on ``spec``'s fleet: real
+    crypto at ``crypto_key_size``, comparisons at the fleet's width, the
+    cost model charged at the planned key size."""
+    return PrivateTradingEngine(
+        params=PAPER_PARAMETERS,
+        config=candidate.protocol_config(
+            crypto_key_size=crypto_key_size, comparison_bits=spec.comparison_bits
+        ),
+        cost_model=build_cost_model(spec, candidate.key_size),
+    )
+
+
+def experiment_planner_execution(
+    spec: FleetSpec,
+    chosen: CandidateConfig,
+    regime: str,
+    home_count: int = 10,
+    sample_count: int = 4,
+    crypto_key_size: int = 128,
+    window_count: int = FULL_DAY_WINDOWS,
+    seed: int = DEFAULT_SEED,
+) -> PlannerExecutedObservation:
+    """Execute the planned candidate ``chosen`` next to the naive default.
+
+    Both deployments run the same ``sample_count`` sampled market windows
+    of ``home_count`` homes end-to-end; the result certifies they agree
+    economically window by window and reports both day clocks (the
+    pipelined one for a pipelined plan).
+    """
+    dataset = default_dataset(max(home_count, 300), window_count, seed)
+    windows = sample_market_windows(dataset, home_count, sample_count)
+
+    def run(candidate):
+        return _planner_engine(spec, candidate, crypto_key_size).run_windows_report(
+            dataset,
+            windows,
+            home_count=home_count,
+            workers=candidate.workers,
+            pipeline=candidate.pipeline,
+        )
+
+    planned_report = run(chosen)
+    naive_report = run(naive_candidate(spec))
+    economics_identical = (
+        len(planned_report.traces) > 0
+        and len(planned_report.traces) == len(naive_report.traces)
+        and all(
+            a.result.economically_equal(b.result)
+            for a, b in zip(planned_report.traces, naive_report.traces)
+        )
+    )
+    planned_seconds = (
+        planned_report.pipelined_simulated_seconds
+        if chosen.pipeline
+        else planned_report.unpipelined_simulated_seconds
+    )
+    naive_seconds = naive_report.unpipelined_simulated_seconds
+    return PlannerExecutedObservation(
+        regime=regime,
+        windows_executed=len(planned_report.traces),
+        economics_identical=economics_identical,
+        planned_day_seconds=planned_seconds,
+        naive_day_seconds=naive_seconds,
+        measured_speedup=(
+            naive_seconds / planned_seconds if planned_seconds > 0 else 1.0
+        ),
+    )
+
+
 def experiment_planner_sweep(
     home_count: int = 10,
     sample_count: int = 4,
@@ -1405,25 +1483,15 @@ def experiment_planner_sweep(
     window_count: int = FULL_DAY_WINDOWS,
     seed: int = DEFAULT_SEED,
 ) -> PlannerSweepObservation:
-    """Plan three fleet regimes, certify optimality, execute one plan.
+    """Plan three fleet regimes and execute one plan.
 
     The three regimes cover the deployment space's interesting corners:
     a single LAN host (few cores, transport may stay local), a LAN
     cluster (sockets forced, workers plentiful) and a WAN fleet of homes
-    (:meth:`CostModel.for_wan_profile` links, latency-dominated).  Every
-    regime's plan is checked against the exhaustive oracle; the first
-    regime's plan is then executed end-to-end over a real sampled day
-    against the naive default and must be economically identical.
+    (:meth:`CostModel.for_wan_profile` links, latency-dominated).  The
+    first regime's plan is then executed end-to-end over a real sampled
+    day against the naive default and must be economically identical.
     """
-    from ..planning import (
-        FleetSpec,
-        WAN_PROFILE,
-        build_cost_model,
-        exhaustive_argmin,
-        naive_candidate,
-        plan,
-    )
-
     regimes = (
         ("lan_single_host", FleetSpec(
             hosts=1, cores_per_host=4, agent_count=12, windows_per_day=6,
@@ -1440,9 +1508,10 @@ def experiment_planner_sweep(
     )
 
     observations: Dict[str, PlannerRegimeObservation] = {}
+    chosen: Dict[str, CandidateConfig] = {}
     for name, spec in regimes:
         deployment = plan(spec)
-        oracle = exhaustive_argmin(spec)
+        chosen[name] = deployment.chosen.candidate
         observations[name] = PlannerRegimeObservation(
             hosts=spec.hosts,
             cores_per_host=spec.cores_per_host,
@@ -1452,58 +1521,20 @@ def experiment_planner_sweep(
             naive_day_seconds=deployment.naive.day_seconds,
             planned_day_seconds=deployment.chosen.day_seconds,
             speedup=deployment.predicted_speedup,
-            oracle_match=(
-                oracle.candidate == deployment.chosen.candidate
-                and oracle.day_seconds == deployment.chosen.day_seconds
-            ),
-            candidates_evaluated=deployment.candidates_evaluated,
-            candidates_pruned=deployment.candidates_pruned,
             space_size=deployment.space_size,
             planned=deployment.chosen.candidate.to_dict(),
         )
 
     # Execute the first regime's plan end-to-end on a real sampled day.
     executed_name, executed_spec = regimes[0]
-    deployment = plan(executed_spec)
-    chosen = deployment.chosen.candidate
-    naive = naive_candidate(executed_spec)
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
-
-    def run(candidate):
-        engine = PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=candidate.protocol_config(crypto_key_size=crypto_key_size),
-            cost_model=build_cost_model(executed_spec, candidate.key_size),
-        )
-        return engine.run_windows_report(
-            dataset,
-            windows,
-            home_count=home_count,
-            workers=candidate.workers,
-            pipeline=candidate.pipeline,
-        )
-
-    planned_report = run(chosen)
-    naive_report = run(naive)
-    economics_identical = len(planned_report.traces) == len(naive_report.traces) and all(
-        a.result.economically_equal(b.result)
-        for a, b in zip(planned_report.traces, naive_report.traces)
-    )
-    planned_seconds = (
-        planned_report.pipelined_simulated_seconds
-        if chosen.pipeline
-        else planned_report.unpipelined_simulated_seconds
-    )
-    naive_seconds = naive_report.unpipelined_simulated_seconds
-    executed = PlannerExecutedObservation(
-        regime=executed_name,
-        windows_executed=len(planned_report.traces),
-        economics_identical=economics_identical,
-        planned_day_seconds=planned_seconds,
-        naive_day_seconds=naive_seconds,
-        measured_speedup=(
-            naive_seconds / planned_seconds if planned_seconds > 0 else 1.0
-        ),
+    executed = experiment_planner_execution(
+        executed_spec,
+        chosen[executed_name],
+        executed_name,
+        home_count=home_count,
+        sample_count=sample_count,
+        crypto_key_size=crypto_key_size,
+        window_count=window_count,
+        seed=seed,
     )
     return PlannerSweepObservation(regimes=observations, executed=executed)

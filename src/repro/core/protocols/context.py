@@ -73,7 +73,6 @@ from ...crypto.paillier import (
     generate_keypair,
 )
 from ...net.costmodel import CostModel
-from ...net.message import MessageKind
 from ...net.network import NetworkError, Party, SimulatedNetwork
 from ..agent import AgentWindowState
 from ..coalition import Coalitions
@@ -680,15 +679,3 @@ class ProtocolContext:
     def ciphertext_bytes(self, public_key) -> int:
         """Wire size of one ciphertext under the given public key."""
         return public_key.ciphertext_byte_length()
-
-    # -- helpers used by several protocols -----------------------------------------
-
-    def encode_energy(self, kwh: float) -> int:
-        """Fixed-point encode an energy quantity."""
-        return self.codec.encode(kwh)
-
-    def broadcast_from(
-        self, sender: AgentRuntime, recipients: Sequence[AgentRuntime], kind: MessageKind, **metadata
-    ) -> None:
-        """Convenience broadcast of a metadata-only message."""
-        sender.party.broadcast([r.agent_id for r in recipients], kind, metadata=metadata)

@@ -139,14 +139,6 @@ class TradingDayResult:
     def grid_interaction_without_pem(self) -> List[float]:
         return [w.baseline.grid_interaction_kwh for w in self.windows]
 
-    @property
-    def total_simulated_runtime_seconds(self) -> float:
-        return sum(w.simulated_runtime_seconds for w in self.windows)
-
-    @property
-    def total_bandwidth_bytes(self) -> int:
-        return sum(w.bandwidth_bytes for w in self.windows)
-
     def average_cost_saving_fraction(self) -> float:
         """Average relative buyer-coalition saving over windows with a market."""
         fractions = [

@@ -93,10 +93,6 @@ class HomeTrace:
     def window_count(self) -> int:
         return int(self.generation_kwh.shape[0])
 
-    def net_before_battery(self, window: int) -> float:
-        """``g - l`` for one window (battery handled by the agent layer)."""
-        return float(self.generation_kwh[window] - self.load_kwh[window])
-
 
 @dataclass
 class TraceDataset:

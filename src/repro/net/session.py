@@ -127,10 +127,6 @@ class SessionManager:
             self.anchor_window = window
 
     @property
-    def current_window(self) -> Optional[int]:
-        return self._window
-
-    @property
     def at_anchor(self) -> bool:
         """Whether the current window is the day's establishing window."""
         return self.anchor_window is None or self._window == self.anchor_window

@@ -178,10 +178,6 @@ class TrafficStats:
         total = sum(self.per_party[p].total_bytes for p in ids if p in self.per_party)
         return total / len(ids)
 
-    def average_megabytes_per_party(self, parties: Iterable[str] | None = None) -> float:
-        """Average per-party traffic in megabytes (the unit of Table I)."""
-        return self.average_bytes_per_party(parties) / (1024 * 1024)
-
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """Return a plain-dict snapshot (for reporting / JSON output)."""
         return {

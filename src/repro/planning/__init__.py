@@ -9,10 +9,9 @@ the calibrated :class:`~repro.net.costmodel.CostModel` and returning the
 argmin as a ready-to-run :class:`~repro.core.protocols.ProtocolConfig` +
 :class:`~repro.runtime.ExecutionPlan`.
 
-The planner is *certified*, not merely plausible: ``tests/planning/``
-holds an exhaustive brute-force oracle (branch-and-bound choice ==
-enumeration argmin, bit-equal cost), pruning-soundness checks over the
-:class:`PruneRecord` ledger, and determinism pins.  See
+:func:`plan` is the exhaustive ``(day_seconds, sort_key)`` argmin over
+the feasible space; ``tests/planning/`` re-scores that space to certify
+the choice and its canonical tie-break, and pins determinism.  See
 ``docs/PLANNER.md``.
 """
 
@@ -33,9 +32,7 @@ from .search import (
     TOPOLOGIES,
     CandidateConfig,
     DeploymentPlan,
-    PruneRecord,
     ScoredCandidate,
-    exhaustive_argmin,
     iter_candidates,
     naive_candidate,
     plan,
@@ -51,7 +48,6 @@ __all__ = [
     "FleetSpec",
     "LAN_PROFILE",
     "LinkProfile",
-    "PruneRecord",
     "ScoredCandidate",
     "WAN_PROFILE",
     "WindowPhases",
@@ -60,7 +56,6 @@ __all__ = [
     "candidate_day_seconds",
     "comparator_profile",
     "dispatch_seconds",
-    "exhaustive_argmin",
     "iter_candidates",
     "naive_candidate",
     "plan",

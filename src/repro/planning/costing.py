@@ -45,8 +45,7 @@ it is the critical-path shard).
 
 Everything is monotone non-decreasing in each phase scalar, in the anchor
 shard's window count, and in link latency / inverse bandwidth — the
-property the branch-and-bound pruning (:mod:`repro.planning.search`) and
-the metamorphic suite (``tests/net/test_costmodel.py``) lean on.
+property the metamorphic suite (``tests/net/test_costmodel.py``) pins.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
+from ..core.protocols import ProtocolConfig
 from ..crypto.circuits import build_greater_than_circuit
 from ..crypto.garbled import get_scheme
 from ..net.costmodel import (
@@ -78,9 +78,6 @@ __all__ = [
     "anchor_window_count",
     "candidate_day_seconds",
 ]
-
-#: Base OTs of one OT-extension session (ProtocolConfig.ot_extension_kappa).
-BASE_OT_COUNT = 128
 
 #: Parallel communication rounds per window beyond the two aggregations
 #: (price broadcast, ratio submission, energy routing, payments).
@@ -208,9 +205,11 @@ def window_phases(
 ) -> WindowPhases:
     """Predict one market window's offline/online clocks for a candidate.
 
-    Pure and memoized (``FleetSpec`` is frozen/hashable): the
-    branch-and-bound lower bounds re-evaluate the same phase combinations
-    at every node of the search tree.
+    Pure and memoized (``FleetSpec`` is frozen/hashable): the phases do
+    not depend on the worker count or pipelining, so the search scores
+    each combination once for every workers × pipeline option.  The
+    session charge uses the base-OT count the engine executes
+    (:attr:`ProtocolConfig.ot_extension_kappa`'s default).
     """
     model = build_cost_model(spec, key_size)
     cipher = _ciphertext_bytes(key_size)
@@ -232,7 +231,7 @@ def window_phases(
     offline += _hop_seconds(model, profile.table_bytes, transport)
 
     setup = model.window_setup_cost()
-    session = model.comparison_session_cost(BASE_OT_COUNT)
+    session = model.comparison_session_cost(ProtocolConfig.ot_extension_kappa)
     if session_scope == "window":
         return WindowPhases(offline + session, online + setup, 0.0, 0.0)
     return WindowPhases(offline, online, session, setup)
@@ -261,8 +260,7 @@ def shard_day_seconds(
 
     Monotone non-decreasing in every field of ``phases`` and in
     ``window_count`` — both :func:`pipelined_day_cost` and
-    :func:`unpipelined_day_cost` are sums of monotone terms — which is
-    exactly the property the planner's lower bounds rely on.
+    :func:`unpipelined_day_cost` are sums of monotone terms.
     """
     per_window = [
         (

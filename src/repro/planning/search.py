@@ -1,4 +1,4 @@
-"""Deployment search: exhaustive oracle + branch-and-bound planner.
+"""Deployment search: the exhaustive ``(day_seconds, sort_key)`` argmin.
 
 The discrete configuration space of a PEM day is the cross product of the
 deployment knobs the runtime grew over PRs 1-8: aggregation topology
@@ -12,46 +12,23 @@ allows.  Two constraints carve out the *feasible* region:
 * more than one host requires ``transport="socket"`` (``LocalTransport``
   messages are in-process and cannot reach a remote host).
 
-Candidates are scored by the pure predictor in
-:mod:`repro.planning.costing`; the planner returns the *argmin* under the
+:func:`plan` scores every feasible candidate with the pure predictor in
+:mod:`repro.planning.costing` and returns the *argmin* under the
 deterministic total order ``(day_seconds, sort_key)`` where ``sort_key``
 is the candidate's position in canonical enumeration order — so ties are
 broken identically everywhere and "same spec → same plan" holds across
-runs and machines.
-
-Two search procedures share that cost function and tie-break:
-
-* :func:`exhaustive_argmin` — the brute-force oracle: score every
-  feasible candidate.  Slow but unarguable; the certificate the test
-  suite compares the planner against (bit-equal cost, identical config).
-* :func:`plan` — depth-first branch-and-bound.  At each partial
-  assignment it computes a *lower bound* by evaluating the (monotone)
-  day-cost fold at the componentwise minima of every undetermined phase
-  scalar, the maximal worker count (fewest anchor-shard windows), the
-  pipelined schedule (never slower than unpipelined) and the cheapest
-  dispatch.  A subtree is pruned only when its bound *strictly* exceeds
-  the best cost found so far, so a pruned region can never contain a
-  candidate matching the optimum — the soundness property
-  ``tests/planning/test_pruning.py`` checks region by region via the
-  :class:`PruneRecord` ledger.
+runs and machines.  The spaces the repo plans hold a few hundred
+candidates and score in milliseconds, so enumeration is the whole search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..core.protocols import ProtocolConfig
 from ..runtime import ExecutionPlan
-from .costing import (
-    WindowPhases,
-    anchor_window_count,
-    candidate_day_seconds,
-    dispatch_seconds,
-    shard_day_seconds,
-    window_phases,
-)
+from .costing import candidate_day_seconds
 from .fleet import FleetSpec
 
 __all__ = [
@@ -59,12 +36,10 @@ __all__ = [
     "TOPOLOGIES",
     "CandidateConfig",
     "ScoredCandidate",
-    "PruneRecord",
     "DeploymentPlan",
     "iter_candidates",
     "naive_candidate",
     "score_candidate",
-    "exhaustive_argmin",
     "plan",
 ]
 
@@ -181,21 +156,15 @@ def axis_options(spec: FleetSpec, axis: str, partial: Dict) -> Tuple:
     raise ValueError(f"unknown search axis {axis!r}")
 
 
-def iter_candidates(
-    spec: FleetSpec, partial: Optional[Dict] = None
-) -> Iterator[CandidateConfig]:
-    """All feasible candidates (of the region pinned by ``partial``), in
-    canonical order."""
-    assigned = dict(partial or {})
+def iter_candidates(spec: FleetSpec) -> Iterator[CandidateConfig]:
+    """All feasible candidates, in canonical order."""
+    assigned: Dict = {}
 
     def expand(depth: int) -> Iterator[CandidateConfig]:
         if depth == len(AXES):
             yield CandidateConfig(**assigned)
             return
         axis = AXES[depth]
-        if axis in assigned:
-            yield from expand(depth + 1)
-            return
         for value in axis_options(spec, axis, assigned):
             assigned[axis] = value
             yield from expand(depth + 1)
@@ -242,99 +211,15 @@ def score_candidate(spec: FleetSpec, candidate: CandidateConfig) -> ScoredCandid
     return ScoredCandidate(candidate=candidate, day_seconds=total, breakdown=breakdown)
 
 
-def exhaustive_argmin(spec: FleetSpec) -> ScoredCandidate:
-    """The brute-force oracle: argmin of ``(day_seconds, sort_key)`` over
-    the *entire* feasible space."""
-    best: Optional[ScoredCandidate] = None
-    for candidate in iter_candidates(spec):
-        scored = score_candidate(spec, candidate)
-        if best is None or (scored.day_seconds, candidate.sort_key()) < (
-            best.day_seconds,
-            best.candidate.sort_key(),
-        ):
-            best = scored
-    assert best is not None  # the feasible space is never empty
-    return best
-
-
-@dataclass(frozen=True)
-class PruneRecord:
-    """One pruned subtree of the branch-and-bound search.
-
-    ``assigned`` pins the axes fixed at the pruned node (in :data:`AXES`
-    order); the region it denotes is ``iter_candidates(spec,
-    dict(assigned))``.  Soundness invariant: every candidate in the
-    region costs at least ``lower_bound``, which strictly exceeded
-    ``best_cost_at_prune`` — itself an upper bound on the optimum — so
-    the region cannot contain the optimum.
-    """
-
-    assigned: Tuple[Tuple[str, object], ...]
-    lower_bound: float
-    best_cost_at_prune: float
-    configs_pruned: int
-
-
-_PHASE_AXES = ("key_size", "topology", "session_scope", "transport", "garbling_scheme")
-
-
-def _phase_minima(spec: FleetSpec, partial: Dict) -> WindowPhases:
-    """Componentwise minima of the per-window phase scalars over every
-    completion of ``partial``'s phase-relevant axes."""
-    option_lists = [
-        (partial[axis],) if axis in partial else axis_options(spec, axis, partial)
-        for axis in _PHASE_AXES
-    ]
-    minima = [float("inf")] * 4
-    for key_size, topology, scope, transport, scheme in product(*option_lists):
-        phases = window_phases(spec, key_size, topology, scope, transport, scheme)
-        values = (
-            phases.offline_seconds,
-            phases.online_seconds,
-            phases.anchor_offline_extra,
-            phases.anchor_online_extra,
-        )
-        minima = [min(current, value) for current, value in zip(minima, values)]
-    return WindowPhases(*minima)
-
-
-def _lower_bound(spec: FleetSpec, partial: Dict) -> float:
-    """A sound lower bound on the day cost of every completion of
-    ``partial`` — the monotone day fold evaluated at componentwise
-    minima (see the module docstring for the argument)."""
-    phases = _phase_minima(spec, partial)
-    worker_options = (
-        (partial["workers"],)
-        if "workers" in partial
-        else axis_options(spec, "workers", partial)
-    )
-    count = anchor_window_count(spec.windows_per_day, max(worker_options))
-    pipeline = partial.get("pipeline", True)  # pipelined is never slower
-    shard = shard_day_seconds(phases, count, bool(pipeline))
-    transport_options = (
-        (partial["transport"],)
-        if "transport" in partial
-        else axis_options(spec, "transport", partial)
-    )
-    dispatch = min(
-        dispatch_seconds(spec, workers, transport, spec.key_size)
-        for workers in worker_options
-        for transport in transport_options
-    )
-    return shard + dispatch
-
-
 @dataclass
 class DeploymentPlan:
-    """The planner's output: chosen deployment, baseline, and search audit."""
+    """The planner's output: chosen deployment, baseline, and the size of
+    the feasible space it scored."""
 
     spec: FleetSpec
     chosen: ScoredCandidate
     naive: ScoredCandidate
-    candidates_evaluated: int
-    candidates_pruned: int
     space_size: int
-    prune_records: Tuple[PruneRecord, ...] = field(default_factory=tuple)
 
     @property
     def predicted_speedup(self) -> float:
@@ -367,8 +252,6 @@ class DeploymentPlan:
             "naive": self.naive.candidate.to_dict(),
             "naive_day_seconds": self.naive.day_seconds,
             "predicted_speedup": self.predicted_speedup,
-            "candidates_evaluated": self.candidates_evaluated,
-            "candidates_pruned": self.candidates_pruned,
             "space_size": self.space_size,
         }
 
@@ -393,70 +276,27 @@ class DeploymentPlan:
             "dispatch_seconds",
         ):
             lines.append(f"  {key:<30s}: {chosen.breakdown[key]:.4f}")
-        lines.append(
-            f"search           : {self.candidates_evaluated} scored, "
-            f"{self.candidates_pruned} pruned by bound, "
-            f"{self.space_size} feasible configs"
-        )
+        lines.append(f"search           : {self.space_size} feasible configs scored")
         return "\n".join(lines)
 
 
-def _count_region(spec: FleetSpec, partial: Dict) -> int:
-    return sum(1 for _ in iter_candidates(spec, partial))
-
-
 def plan(spec: FleetSpec) -> DeploymentPlan:
-    """Branch-and-bound search for the cost-optimal deployment.
-
-    Returns the same ``(day_seconds, sort_key)``-argmin as
-    :func:`exhaustive_argmin` — bit-equal cost, identical candidate —
-    which ``tests/planning/test_planner_oracle.py`` certifies on
-    hypothesis-generated fleets.
-    """
+    """The cost-optimal deployment: score every feasible candidate and
+    return the ``(day_seconds, sort_key)`` argmin."""
     best: Optional[ScoredCandidate] = None
-    records: List[PruneRecord] = []
-    evaluated = 0
-    pruned = 0
-    partial: Dict = {}
-
-    def recurse(depth: int) -> None:
-        nonlocal best, evaluated, pruned
-        if depth == len(AXES):
-            scored = score_candidate(spec, CandidateConfig(**partial))
-            evaluated += 1
-            if best is None or scored.day_seconds < best.day_seconds:
-                best = scored
-            return
-        if best is not None and depth > 0:
-            bound = _lower_bound(spec, partial)
-            if bound > best.day_seconds:
-                size = _count_region(spec, partial)
-                pruned += size
-                records.append(
-                    PruneRecord(
-                        assigned=tuple(
-                            (axis, partial[axis]) for axis in AXES if axis in partial
-                        ),
-                        lower_bound=bound,
-                        best_cost_at_prune=best.day_seconds,
-                        configs_pruned=size,
-                    )
-                )
-                return
-        axis = AXES[depth]
-        for value in axis_options(spec, axis, partial):
-            partial[axis] = value
-            recurse(depth + 1)
-            del partial[axis]
-
-    recurse(0)
-    assert best is not None
+    space_size = 0
+    for candidate in iter_candidates(spec):
+        scored = score_candidate(spec, candidate)
+        space_size += 1
+        if best is None or (scored.day_seconds, candidate.sort_key()) < (
+            best.day_seconds,
+            best.candidate.sort_key(),
+        ):
+            best = scored
+    assert best is not None  # the feasible space is never empty
     return DeploymentPlan(
         spec=spec,
         chosen=best,
         naive=score_candidate(spec, naive_candidate(spec)),
-        candidates_evaluated=evaluated,
-        candidates_pruned=pruned,
-        space_size=evaluated + pruned,
-        prune_records=tuple(records),
+        space_size=space_size,
     )

@@ -13,6 +13,8 @@ from repro.analysis.experiments import (
     experiment_table1_bandwidth,
     sample_market_windows,
 )
+from repro.core.params import PAPER_PARAMETERS
+from repro.core.pem import PlainTradingEngine
 from repro.data import TraceConfig, generate_dataset
 
 
@@ -58,6 +60,32 @@ def test_sample_market_windows():
     windows = sample_market_windows(dataset, home_count=16, sample_count=4)
     assert 0 < len(windows) <= 4
     assert windows == sorted(windows)
+
+
+@pytest.mark.parametrize("count", [1, 3, 1000])
+def test_sample_market_windows_picks_only_market_windows(count):
+    dataset = generate_dataset(TraceConfig(home_count=16, window_count=400, seed=3))
+    day = PlainTradingEngine(PAPER_PARAMETERS).run_day(dataset, home_count=16)
+    eligible = [w.window for w in day.windows if w.case.value != "no_market"]
+    windows = sample_market_windows(dataset, home_count=16, sample_count=count)
+    assert len(windows) == min(count, len(eligible))
+    assert set(windows) <= set(eligible)
+    assert windows == sorted(set(windows))
+
+
+def test_sample_market_windows_without_market_requirement():
+    dataset = generate_dataset(TraceConfig(home_count=1, window_count=40, seed=3))
+    assert sample_market_windows(dataset, home_count=1, sample_count=4) == []
+    assert len(
+        sample_market_windows(dataset, home_count=1, sample_count=4, require_market=False)
+    ) == 4
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_sample_market_windows_rejects_non_positive_counts(count):
+    dataset = generate_dataset(TraceConfig(home_count=4, window_count=4, seed=3))
+    with pytest.raises(ValueError, match="sample_count"):
+        sample_market_windows(dataset, home_count=4, sample_count=count)
 
 
 def test_fig5_runtime_experiment_tiny():

@@ -141,9 +141,9 @@ def test_network_cost_model_defaults():
 # ---------------------------------------------------------------------------
 # Metamorphic properties (PR 9)
 #
-# The deployment planner's pruning soundness rests on the cost model being
-# monotone in link quality and phase scalars.  These properties pin that
-# contract down metamorphically: instead of asserting absolute numbers,
+# The deployment planner's cost predictor is documented as monotone in
+# link quality and phase scalars.  These properties pin that contract
+# down metamorphically: instead of asserting absolute numbers,
 # each test transforms an input along one axis (worse link, zeroed offline
 # phases, chain-shaped layers) and asserts the documented relation between
 # the two outputs.

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.analysis.experiments import _planner_engine, experiment_planner_execution
 from repro.planning import (
     LAN_PROFILE,
     WAN_PROFILE,
@@ -128,7 +129,11 @@ def test_halfgates_tables_smaller_same_gate_count():
 
 def test_day_scope_never_dearer_than_window_scope():
     spec = FleetSpec(hosts=1, cores_per_host=4, agent_count=12, windows_per_day=6)
-    for window_scoped in iter_candidates(spec, {"session_scope": "window"}):
+    window_scoped_candidates = [
+        c for c in iter_candidates(spec) if c.session_scope == "window"
+    ]
+    assert window_scoped_candidates
+    for window_scoped in window_scoped_candidates:
         day_scoped = CandidateConfig(
             **{**window_scoped.to_dict(), "session_scope": "day"}
         )
@@ -140,7 +145,11 @@ def test_day_scope_never_dearer_than_window_scope():
 
 def test_pipeline_never_dearer_at_same_knobs():
     spec = FleetSpec(hosts=1, cores_per_host=4, agent_count=12, windows_per_day=6)
-    for unpiped in iter_candidates(spec, {"session_scope": "day", "pipeline": False}):
+    unpipelined = [
+        c for c in iter_candidates(spec) if c.session_scope == "day" and not c.pipeline
+    ]
+    assert unpipelined
+    for unpiped in unpipelined:
         piped = CandidateConfig(**{**unpiped.to_dict(), "pipeline": True})
         assert (
             score_candidate(spec, piped).day_seconds
@@ -183,7 +192,7 @@ def test_key_sizes_dedupes_and_sorts():
 
 
 # ---------------------------------------------------------------------------
-# CLI smoke (no --execute: unit tests never run real crypto)
+# CLI smoke (unit tests never run real crypto)
 
 
 def test_cli_json_roundtrip(capsys):
@@ -196,19 +205,29 @@ def test_cli_json_roundtrip(capsys):
     assert payload["fleet"]["hosts"] == 2
     assert payload["planned"]["transport"] == "socket"
     assert payload["predicted_speedup"] >= 1.0
-    assert (
-        payload["candidates_evaluated"] + payload["candidates_pruned"]
-        == payload["space_size"]
-    )
+    spec = FleetSpec(hosts=2, cores_per_host=2, agent_count=8, windows_per_day=3)
+    assert payload["space_size"] == sum(1 for _ in iter_candidates(spec))
+    assert set(payload) == {
+        "fleet", "planned", "planned_day_seconds", "breakdown", "naive",
+        "naive_day_seconds", "predicted_speedup", "space_size",
+    }
 
 
-def test_cli_oracle_mode_passes(capsys):
-    exit_code = plan_main(
-        ["--agents", "8", "--windows", "3", "--profile", "wan", "--oracle"]
-    )
+def test_cli_comparison_bits_reach_the_prediction(capsys):
+    def online_seconds(bits):
+        argv = ["--agents", "8", "--windows", "3", "--comparison-bits", bits, "--json"]
+        assert plan_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        return payload["breakdown"]["online_seconds_per_window"]
+
+    assert online_seconds("32") < online_seconds("64")
+
+
+def test_cli_text_reports_the_scored_space(capsys):
+    assert plan_main(["--agents", "8", "--windows", "3"]) == 0
     out = capsys.readouterr().out
-    assert exit_code == 0
-    assert "matches the plan (bit-equal cost)" in out
+    spec = FleetSpec(cores_per_host=4, agent_count=8, windows_per_day=3)
+    assert f"search           : {plan(spec).space_size} feasible configs scored" in out
 
 
 def test_cli_custom_link_overrides(capsys):
@@ -219,3 +238,52 @@ def test_cli_custom_link_overrides(capsys):
     assert exit_code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["fleet"]["link"] == "custom"
+
+
+# ---------------------------------------------------------------------------
+# Executed certificate: fails closed, runs at the fleet's comparison width
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "x", "1.5"])
+def test_cli_rejects_non_positive_execute(count, capsys):
+    with pytest.raises(SystemExit) as exited:
+        plan_main(["--agents", "8", "--windows", "3", "--execute", count])
+    assert exited.value.code == 2
+    assert "--execute" in capsys.readouterr().err
+
+
+def test_cli_execute_fails_closed_when_no_window_runs(capsys):
+    # One home never forms a market, so no window executes: the certificate
+    # must not pass vacuously (no real crypto runs either).
+    exit_code = plan_main(
+        ["--agents", "8", "--windows", "3", "--execute", "1",
+         "--execute-homes", "1", "--json"]
+    )
+    assert exit_code == 1
+    executed = json.loads(capsys.readouterr().out)["executed"]
+    assert executed["windows_executed"] == 0
+    assert executed["economics_identical"] is False
+    assert set(executed) == {
+        "windows_executed", "economics_identical", "planned_day_seconds",
+        "naive_day_seconds", "measured_speedup",
+    }
+
+
+def test_executed_certificate_is_false_without_windows():
+    spec = FleetSpec(agent_count=8, windows_per_day=3)
+    executed = experiment_planner_execution(
+        spec, plan(spec).chosen.candidate, "empty", home_count=1, sample_count=1
+    )
+    assert executed.windows_executed == 0
+    assert executed.economics_identical is False
+
+
+@pytest.mark.parametrize("bits", [16, 32, 64])
+def test_executed_engine_runs_at_the_fleet_comparison_width(bits):
+    spec = FleetSpec(agent_count=8, windows_per_day=3, comparison_bits=bits)
+    candidate = plan(spec).chosen.candidate
+    engine = _planner_engine(spec, candidate, crypto_key_size=128)
+    assert engine.config.comparison_bits == bits
+    assert engine.config.key_size == 128
+    assert engine.config.garbling_scheme == candidate.garbling_scheme
+    assert engine.cost_model.crypto.key_size == candidate.key_size

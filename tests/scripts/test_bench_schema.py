@@ -116,7 +116,7 @@ def test_every_declared_gate_is_mutated():
     assert mutated["undercut"] == {
         id(leaf) for leaf in leaves if leaf.floor is not None or leaf.budget
     }
-    assert len(mutated["flipped"]) + len(mutated["undercut"]) > 31
+    assert len(mutated["flipped"]) + len(mutated["undercut"]) > 30
 
 
 @pytest.mark.parametrize(
