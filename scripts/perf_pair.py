@@ -28,7 +28,10 @@ the working tree's tracked and untracked-but-not-ignored files into two
 temporary directories, runs the benchmark in each — alternating which side
 goes first — and prints every run, then per-side median and quartiles,
 pairs won and the per-seed ``bytes_per_window`` match for each end-to-end
-metric.  It only *calls* perfbench: nothing is recorded
+metric.  A traced pair (``--trace 1``) reports per-layer metrics instead;
+for every count ``perfbench/workloads.py`` declares ``exact`` it prints
+``exact counts equal per seed: yes`` or the metrics and seeds that differ.
+It only *calls* perfbench: nothing is recorded
 (``perfbench/history.jsonl`` is never written; each copy's
 ``perfbench/out/`` dies with its temporary directory).
 """
@@ -139,6 +142,45 @@ def bytes_mismatches(runs: List[Dict[str, dict]]) -> List[int]:
             for run in runs
             if run["parent"]["metrics"][BYTES_METRIC] != run["change"]["metrics"][BYTES_METRIC]
         }
+    )
+
+
+def exact_metric_names() -> List[str]:
+    """The per-layer counts ``perfbench/workloads.py`` declares ``exact``.
+
+    Two runs of one seed reproduce these bit for bit, so a parent and a
+    change that run the same protocol must too.
+    """
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from perfbench.workloads import PER_LAYER
+
+    return [metric.name for metric in PER_LAYER if metric.exact]
+
+
+def exact_mismatches(runs: List[Dict[str, dict]], names: Sequence[str]) -> Dict[str, List[int]]:
+    """Each exact count whose two sides differ on some seed -> those seeds."""
+    differing: Dict[str, List[int]] = {}
+    for name in names:
+        seeds = sorted(
+            {
+                run["seed"]
+                for run in runs
+                if run["parent"]["metrics"].get(name) != run["change"]["metrics"].get(name)
+            }
+        )
+        if seeds:
+            differing[name] = seeds
+    return differing
+
+
+def describe_exact(runs: List[Dict[str, dict]], names: Sequence[str]) -> str:
+    """The line a traced pair's count identity is read from."""
+    differing = exact_mismatches(runs, names)
+    return "exact counts equal per seed: " + (
+        "NO, " + "; ".join(f"{name} seeds {seeds}" for name, seeds in differing.items())
+        if differing
+        else "yes"
     )
 
 
@@ -265,6 +307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    exact_names = exact_metric_names()
     workloads = (
         [w["name"] for w in declared["workloads"]]
         if args.workload == "all"
@@ -307,6 +350,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"{BYTES_METRIC} identical per seed: "
                     f"{'yes' if not seeds_off else f'NO, seeds {seeds_off}'}"
                 )
+            exact = [name for name in exact_names if name in series[0]["parent"]["metrics"]]
+            if exact:  # per-layer metrics: a traced pair
+                print(describe_exact(series, exact))
             sides = [run[side] for run in series for side in ("parent", "change")]
             print(
                 f"failed windows: {sum(r['failed'] for r in sides)}; "

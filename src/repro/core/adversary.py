@@ -185,8 +185,6 @@ def apply_cheating(
     states: Iterable[AgentWindowState], specs: Sequence[CheatingSellerSpec]
 ) -> List[AgentWindowState]:
     """Return window states with the specified agents' loads distorted."""
-    from dataclasses import replace
-
     by_id = {spec.agent_id: spec for spec in specs}
     distorted = []
     for state in states:
@@ -194,5 +192,5 @@ def apply_cheating(
         if spec is None:
             distorted.append(state)
         else:
-            distorted.append(replace(state, load_kwh=state.load_kwh * spec.load_scale))
+            distorted.append(state._replace(load_kwh=state.load_kwh * spec.load_scale))
     return distorted

@@ -5,13 +5,17 @@ windows, and for every window produces an :class:`AgentWindowState` that
 contains exactly the private quantities the PEM protocols operate on:
 generation ``g``, load ``l``, battery action ``b``, loss coefficient ``ε``,
 preference ``k`` and the derived net energy ``sn = g - l - b`` (Eq. 1).
+
+The battery replay that leads up to a traded window builds one state per
+home per window, so the step is kept scalar and cheap: the state is a
+``NamedTuple`` built positionally, and the policy sees plain floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from ..data.profiles import HouseholdProfile
 
@@ -39,14 +43,17 @@ class AgentRole(str, Enum):
     OFF_MARKET = "off_market"
 
 
-@dataclass(frozen=True)
-class AgentWindowState:
+class AgentWindowState(NamedTuple):
     """The private per-window data of one agent.
 
     All energy quantities are in kWh for the trading window; ``power_rate_*``
     fields carry the same quantities expressed as average kW over the window
     (used by the Stackelberg pricing formula, which the paper states in
     rate-like units).
+
+    An immutable record (``state._replace(load_kwh=...)`` builds a modified
+    copy) rather than a dataclass, because construction cost matters: the
+    battery replay builds one per agent per window.
     """
 
     agent_id: str
@@ -96,6 +103,9 @@ class AgentWindowState:
             + self.battery_loss_coefficient * self.battery_rate_kw
             - self.battery_rate_kw
         )
+
+
+_new_record = tuple.__new__
 
 
 class BatteryPolicy(Protocol):
@@ -200,22 +210,27 @@ class SmartHomeAgent:
         """
         if generation_kwh < 0 or load_kwh < 0:
             raise ValueError("generation and load must be non-negative")
+        profile = self.profile
+        charge = self.state_of_charge_kwh
         battery_kwh = self.battery_policy.battery_action(
-            self.profile, self.state_of_charge_kwh, generation_kwh, load_kwh
+            profile, charge, generation_kwh, load_kwh
         )
         if battery_kwh > 0:
-            stored = battery_kwh * self.profile.battery_loss_coefficient
-            self.state_of_charge_kwh = min(
-                self.profile.battery_capacity_kwh, self.state_of_charge_kwh + stored
-            )
+            stored = battery_kwh * profile.battery_loss_coefficient
+            self.state_of_charge_kwh = min(profile.battery_capacity_kwh, charge + stored)
         elif battery_kwh < 0:
-            self.state_of_charge_kwh = max(0.0, self.state_of_charge_kwh + battery_kwh)
-        return AgentWindowState(
-            agent_id=self.agent_id,
-            window=window,
-            generation_kwh=generation_kwh,
-            load_kwh=load_kwh,
-            battery_kwh=battery_kwh,
-            battery_loss_coefficient=self.profile.battery_loss_coefficient,
-            preference_k=self.profile.preference_k,
+            self.state_of_charge_kwh = max(0.0, charge + battery_kwh)
+        # ``tuple.__new__`` directly: the generated ``__new__`` adds a Python
+        # frame per home and window for an arity check this call satisfies.
+        return _new_record(
+            AgentWindowState,
+            (
+                profile.home_id,
+                window,
+                generation_kwh,
+                load_kwh,
+                battery_kwh,
+                profile.battery_loss_coefficient,
+                profile.preference_k,
+            ),
         )

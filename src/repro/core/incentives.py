@@ -11,7 +11,7 @@ use them to validate Theorem 2 on the synthetic traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .agent import AgentWindowState
@@ -102,7 +102,7 @@ def _replace_state(
     found = False
     for state in states:
         if state.agent_id == agent_id:
-            replaced.append(replace(state, **changes))
+            replaced.append(state._replace(**changes))
             found = True
         else:
             replaced.append(state)

@@ -17,6 +17,12 @@ The result-assembly helpers (:func:`assemble_market_result`,
 :func:`assemble_no_market_result`) are module-level functions shared with
 the private protocol engine so that both engines produce byte-identical
 result structures from the same economic inputs.
+
+So is the battery replay both engines run before a window trades:
+:func:`build_agents` makes one agent per home (optionally the first
+``home_count``), and :func:`states_for_window` steps every agent through
+one :func:`~repro.data.loader.iter_windows` slice of the whole dataset —
+agents read the leading homes of the slice, so nothing is copied to fit.
 """
 
 from __future__ import annotations
@@ -55,19 +61,20 @@ def build_agents(
 def states_for_window(
     agents: Sequence[SmartHomeAgent], window_slice: WindowSlice
 ) -> List[AgentWindowState]:
-    """Feed one window of trace data to every agent and collect their states."""
+    """Feed one window of trace data to every agent and collect their states.
+
+    Agent ``i`` reads home ``i`` of the slice, so agents built from the
+    first ``home_count`` homes take the slice of the whole dataset as is.
+    """
     if len(agents) > len(window_slice.home_ids):
         raise ValueError("window slice has fewer homes than agents")
-    states = []
-    for index, agent in enumerate(agents):
-        states.append(
-            agent.observe_window(
-                window_slice.window,
-                window_slice.generation_kwh[index],
-                window_slice.load_kwh[index],
-            )
+    window = window_slice.window
+    return [
+        agent.observe_window(window, generation, load)
+        for agent, generation, load in zip(
+            agents, window_slice.generation_kwh, window_slice.load_kwh
         )
-    return states
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +235,12 @@ class PlainTradingEngine:
             a :class:`TradingDayResult`.
         """
         agents = build_agents(dataset, battery_policy=battery_policy, home_count=home_count)
-        count = len(agents)
         selected = set(windows) if windows is not None else None
         day = TradingDayResult()
         for window_slice in iter_windows(dataset):
-            trimmed = WindowSlice(
-                window=window_slice.window,
-                home_ids=window_slice.home_ids[:count],
-                generation_kwh=window_slice.generation_kwh[:count],
-                load_kwh=window_slice.load_kwh[:count],
-            )
             # Agent (battery) state always advances window by window so that
             # a selective run sees the same states as a full-day run.
-            states = states_for_window(agents, trimmed)
+            states = states_for_window(agents, window_slice)
             if selected is not None and window_slice.window not in selected:
                 continue
             day.append(self.run_window(window_slice.window, states))

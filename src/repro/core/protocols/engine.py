@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
-from ...data.loader import WindowSlice, iter_windows
+from ...data.loader import iter_windows
 from ...data.traces import TraceDataset
 from ...net.costmodel import CostModel
 from ...net.network import SimulatedNetwork
@@ -463,7 +463,6 @@ class PrivateTradingEngine:
         anchor = session_anchor if session_anchor is not None else selected[0]
         self.sessions = SessionManager(self.config.session_scope, anchor_window=anchor)
         agents = build_agents(dataset, battery_policy=battery_policy, home_count=home_count)
-        count = len(agents)
         shared_network = self.build_network() if reuse_network else None
 
         traces: List[PrivateWindowTrace] = []
@@ -472,13 +471,7 @@ class PrivateTradingEngine:
         wanted = set(selected)
         try:
             for window_slice in iter_windows(dataset, stop=last + 1):
-                trimmed = WindowSlice(
-                    window=window_slice.window,
-                    home_ids=window_slice.home_ids[:count],
-                    generation_kwh=window_slice.generation_kwh[:count],
-                    load_kwh=window_slice.load_kwh[:count],
-                )
-                states = states_for_window(agents, trimmed)
+                states = states_for_window(agents, window_slice)
                 if window_slice.window not in wanted:
                     continue
                 if pipeline is not None:

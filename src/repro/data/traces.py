@@ -84,10 +84,28 @@ class HomeTrace:
     load_kwh: np.ndarray
 
     def __post_init__(self) -> None:
+        self.generation_kwh = self._checked("generation", self.generation_kwh)
+        self.load_kwh = self._checked("load", self.load_kwh)
         if self.generation_kwh.shape != self.load_kwh.shape:
             raise ValueError("generation and load series must have the same length")
-        if np.any(self.generation_kwh < 0) or np.any(self.load_kwh < 0):
-            raise ValueError("traces must be non-negative")
+
+    def _checked(self, name: str, values: np.ndarray) -> np.ndarray:
+        """``values`` as a read-only ``float64`` view, if finite and non-negative.
+
+        A NaN or infinite reading would otherwise reach the market as an
+        off-market home at the retail price.  The view is read-only, so no
+        value can be corrupted after the check.
+        """
+        series = np.asarray(values, dtype=np.float64).view()
+        valid = np.isfinite(series) & (series >= 0.0)
+        if not valid.all():
+            window = int(np.argmin(valid))
+            raise ValueError(
+                f"home {self.profile.home_id!r}: {name} in window {window} is "
+                f"{float(series.flat[window])!r}; traces must be finite and non-negative"
+            )
+        series.flags.writeable = False
+        return series
 
     @property
     def window_count(self) -> int:

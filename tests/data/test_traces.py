@@ -1,11 +1,15 @@
 """Unit tests for the synthetic Smart*-like trace generator."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.data.profiles import ProfilePopulation
 from repro.data.traces import (
     TRADING_START_HOUR,
     WINDOWS_PER_DAY,
+    HomeTrace,
     TraceConfig,
     generate_dataset,
 )
@@ -93,3 +97,47 @@ def test_cloud_variability_zero_gives_smooth_series():
     assert sum(cloudy.total_generation(w) for w in range(300)) <= sum(
         smooth.total_generation(w) for w in range(300)
     ) + 1e-9
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-6])
+@pytest.mark.parametrize("series", ["generation_kwh", "load_kwh"])
+def test_home_trace_rejects_non_finite_and_negative_values(series, bad):
+    home = generate_dataset(TraceConfig(home_count=2, window_count=12, seed=4)).homes[1]
+    values = {"generation_kwh": home.generation_kwh.copy(), "load_kwh": home.load_kwh.copy()}
+    values[series][5] = bad
+    values[series][9] = bad
+    with pytest.raises(ValueError, match=r"home 'home-001': .* window 5 is .*finite and non-negative"):
+        HomeTrace(profile=home.profile, **values)
+
+
+def test_home_trace_series_cannot_be_corrupted_after_the_check():
+    """A NaN written into a validated trace used to take the home off the market."""
+    dataset = generate_dataset(TraceConfig(home_count=3, window_count=12, seed=4))
+    with pytest.raises(ValueError, match="read-only"):
+        dataset.homes[1].load_kwh[5] = float("nan")
+    assert all(np.isfinite(home.load_kwh).all() for home in dataset.homes)
+
+
+@pytest.mark.parametrize(
+    "population, message",
+    [
+        (ProfilePopulation(pv_capacity_range_kw=(math.inf, math.inf), pv_ownership_rate=1.0),
+         r"generation in window 0 is nan"),
+        # Finite profile parameters whose load overflows to +inf.
+        (ProfilePopulation(base_load_range_kw=(1.7e308, 1.7e308), peak_load_range_kw=(1.7e308, 1.7e308)),
+         r"load in window 0 is inf"),
+        (ProfilePopulation(base_load_range_kw=(math.nan, math.nan)), r"load in window 0 is nan"),
+    ],
+)
+def test_generate_dataset_rejects_non_finite_traces(population, message):
+    config = TraceConfig(home_count=3, window_count=30, seed=4, population=population)
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match=message):
+        generate_dataset(config)
+
+
+def test_home_trace_stores_float64_without_copying():
+    home = generate_dataset(TraceConfig(home_count=1, window_count=8, seed=4)).homes[0]
+    ints = np.arange(8)
+    trace = HomeTrace(profile=home.profile, generation_kwh=ints, load_kwh=home.load_kwh)
+    assert trace.generation_kwh.dtype == np.float64 and trace.generation_kwh.tolist() == list(range(8))
+    assert np.shares_memory(trace.load_kwh, home.load_kwh)

@@ -218,6 +218,56 @@ def test_a_traced_pair_prints_its_table_and_no_verdict(monkeypatch, capsys):
     assert "net.send.calls" in out and "verdict" not in out
 
 
+def _traced(seed, parent_counts, change_counts):
+    """A traced pair whose sides differ in ``core.replay.self_s`` (never exact)."""
+
+    def side(counts, replay_s):
+        metrics = {name: {"value": value, "unit": "count"} for name, value in counts.items()}
+        metrics["core.replay.self_s"] = {"value": replay_s, "unit": "s"}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    return {"seed": seed, "parent": side(parent_counts, 0.008), "change": side(change_counts, 0.003)}
+
+
+def test_exact_counts_are_read_from_the_perfbench_declarations():
+    names = perf_pair.exact_metric_names()
+    assert {"core.replay.calls", "net.send.calls", "net.messages", "net.bytes"} <= set(names)
+    # Timings, run-scoped counts and thread-timed counts are not exact.
+    assert not {"core.replay.self_s", "crypto.keygen.calls", "crypto.accel.claimed"} & set(names)
+
+
+def test_traced_pairs_compare_every_exact_count_per_seed():
+    names = ["core.replay.calls", "net.bytes"]
+    same = {"core.replay.calls": 75.5, "net.bytes": 9000.0}
+    runs = [_traced(7, same, dict(same)), _traced(8, same, dict(same))]
+    assert perf_pair.exact_mismatches(runs, names) == {}
+    assert perf_pair.describe_exact(runs, names) == "exact counts equal per seed: yes"
+    runs.append(_traced(9, same, {**same, "net.bytes": 9001.0}))
+    runs.append(_traced(10, same, {"core.replay.calls": 75.5}))  # a count gone missing
+    assert perf_pair.exact_mismatches(runs, names) == {"net.bytes": [9, 10]}
+    assert perf_pair.describe_exact(runs, names) == (
+        "exact counts equal per seed: NO, net.bytes seeds [9, 10]"
+    )
+
+
+def test_a_traced_pair_prints_the_exact_count_line(monkeypatch, capsys):
+    monkeypatch.setattr(perf_pair, "export_parent", lambda rev, target: None)
+    monkeypatch.setattr(perf_pair, "export_working_tree", lambda target: None)
+    counts = {"core.replay.calls": 75.5, "net.messages": 2092.5}
+
+    def fake_benchmark(tree, workload, seed, seconds, trace):
+        changed = {**counts, "net.messages": 2093.0} if tree.name == "change" and seed == 8 else counts
+        return _traced(seed, counts, changed)[tree.name]
+
+    monkeypatch.setattr(perf_pair, "run_benchmark", fake_benchmark)
+    args = ["--workload", "live_socket_128", "--pairs", "2", "--seeds", "7,8", "--trace", "1"]
+    assert perf_pair.main(args) == 0
+    assert "exact counts equal per seed: NO, net.messages seeds [8]" in capsys.readouterr().out
+    monkeypatch.setattr(perf_pair, "run_benchmark", lambda tree, *rest: _traced(7, counts, counts)[tree.name])
+    assert perf_pair.main(args) == 0
+    assert "exact counts equal per seed: yes" in capsys.readouterr().out
+
+
 def test_working_tree_export_is_pycache_free_and_complete(tmp_path):
     target = tmp_path / "change"
     perf_pair.export_working_tree(target)
