@@ -38,14 +38,13 @@
 #                      just a flipped certificate,
 #                      then a tiny day-scoped trading day executed over
 #                      SocketTransport (messages + shard fan-out on real
-#                      loopback TCP), then the same day under half-gates
-#                      garbling, then a seeded chaos day over sockets
+#                      loopback TCP), then a seeded chaos day over sockets
 #                      (frame faults + a SIGKILLed shard worker, certified
 #                      to recover bit-identically), then a deployment-plan
 #                      smoke (repro plan --execute: the planned config
 #                      must run a real day economically identical to the
 #                      naive default, on at least one market window); the
-#                      bench and all four day runs exit non-zero on any
+#                      bench and all three day runs exit non-zero on any
 #                      identity or determinism regression
 
 PYTHON ?= python
@@ -89,8 +88,6 @@ ci: lint test-fast docs-check
 		--session-scope day --transport socket
 	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 6 --workers 2 \
 		--session-scope day --transport socket --pipeline
-	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 2 --workers 2 \
-		--garbling-scheme halfgates
 	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 2 --workers 2 \
 		--chaos-seed 23 --transport socket
 	$(PYTHON) scripts/repro_plan.py --hosts 2 --cores-per-host 2 --agents 8 \

@@ -61,20 +61,6 @@ COMPARISON_BIT_WIDTHS = (32, 64)
 #: random operand pairs per width for the outcome-identity certificate.
 COMPARISON_SAMPLES = 24
 
-#: garbling schemes compared head to head by the ``garbling`` section.
-GARBLING_SCHEMES_COMPARED = ("classic", "halfgates")
-#: repeated garbles per (width, scheme) behind the wall-clock ratio.
-GARBLING_TIMING_ROUNDS = 40
-#: random operand pairs per width for the cross-scheme outcome certificate.
-GARBLING_SAMPLES = 16
-#: (home_count, sampled windows) per scale for the scheme-invariance day.
-GARBLING_DAY_SCALES = {
-    "smoke": (8, 2),
-    "quick": (10, 3),
-    "default": (12, 4),
-    "full": (16, 6),
-}
-
 #: modulus size of the multiexp certificates (Paillier n² at the 256-bit
 #: bench key size is 1024 bits; 512 keeps the oracle comparisons fast).
 MULTIEXP_MODULUS_BITS = 512
@@ -181,7 +167,7 @@ def run_comparison_section(benches: dict) -> dict:
     Simulated seconds come from the calibrated cost model (the repo's
     canonical runtime metric); wall times from the distilled micro
     benchmarks; the outcome certificate records whether, over random
-    operand pairs, the pooled path, the classic path and the plaintext
+    operand pairs, the pooled path, the inline path and the plaintext
     comparison all agreed.
     """
     import random
@@ -208,10 +194,10 @@ def run_comparison_section(benches: dict) -> dict:
             b = rng.randrange(0, 1 << bit_width)
             instance = pool.take()
             pooled_result = instance.evaluate(a, b).result
-            classic_result = secure_greater_than(
+            inline_result = secure_greater_than(
                 a, b, bit_width=bit_width, rng=random.Random(a ^ b)
             ).result
-            if not (pooled_result == classic_result == (a > b)):
+            if not (pooled_result == inline_result == (a > b)):
                 matches = False
                 break
 
@@ -233,95 +219,15 @@ def run_comparison_section(benches: dict) -> dict:
         }
         param = str(bit_width)
         pooled_wall = benches.get("test_garbled_comparison_pooled_online", {}).get(param)
-        classic_wall = benches.get("test_garbled_secure_comparison", {}).get(param)
-        if pooled_wall and classic_wall and pooled_wall["mean_s"] > 0:
-            entry["wall_online_seconds_before"] = classic_wall["mean_s"]
+        inline_wall = benches.get("test_garbled_secure_comparison", {}).get(param)
+        if pooled_wall and inline_wall and pooled_wall["mean_s"] > 0:
+            entry["wall_online_seconds_before"] = inline_wall["mean_s"]
             entry["wall_online_seconds_after"] = pooled_wall["mean_s"]
             entry["wall_online_reduction"] = round(
-                classic_wall["mean_s"] / pooled_wall["mean_s"], 2
+                inline_wall["mean_s"] / pooled_wall["mean_s"], 2
             )
         section[param] = entry
     return section
-
-
-def run_garbling_section(scale: str) -> dict:
-    """Build the ``garbling`` report section.
-
-    Per comparator width both schemes lower + garble the same circuit:
-    ``table_bytes`` comes from the wire-format ``serialized_size`` (free
-    gates ship nothing under halfgates), ``garble_wall_seconds`` is a
-    measured mean over repeated garbles, and the gate histograms document
-    how much of the lowered circuit is XOR-family (free).  Fresh pools of
-    both schemes are compared with the plaintext comparison on random
-    operands (labels and tables necessarily differ between schemes; the
-    *outcome* is the invariant), and each scheme runs a sampled trading
-    day at every worker count.
-    """
-    import random
-    import time
-
-    from repro.analysis.experiments import experiment_scheme_shard_invariance
-    from repro.crypto.circuits import build_greater_than_circuit
-    from repro.crypto.garbled import get_scheme
-    from repro.crypto.gc_pool import ComparisonPool
-
-    widths_section: dict = {}
-    for bit_width in COMPARISON_BIT_WIDTHS:
-        base = build_greater_than_circuit(bit_width)
-        per_scheme: dict = {}
-        for name in GARBLING_SCHEMES_COMPARED:
-            scheme = get_scheme(name)
-            circuit = scheme.lower(base)
-            rng = random.Random(bit_width)
-            scheme.garble(circuit, rng=rng)  # warm-up (hash setup, caches)
-            start = time.perf_counter()
-            for _ in range(GARBLING_TIMING_ROUNDS):
-                out = scheme.garble(circuit, rng=rng)
-            garble_seconds = (time.perf_counter() - start) / GARBLING_TIMING_ROUNDS
-            per_scheme[name] = {
-                "table_bytes": out.garbled.serialized_size(),
-                "garble_wall_seconds": round(garble_seconds, 9),
-                "and_gate_count": circuit.and_gate_count,
-                "gate_histogram": circuit.gate_histogram(),
-            }
-
-        pools = {
-            name: ComparisonPool(bit_width, scheme=name)
-            for name in GARBLING_SCHEMES_COMPARED
-        }
-        for pool in pools.values():
-            pool.warm(GARBLING_SAMPLES)
-        rng = random.Random(bit_width * 6151)
-        matches = True
-        for _ in range(GARBLING_SAMPLES):
-            a = rng.randrange(0, 1 << bit_width)
-            b = rng.randrange(0, 1 << bit_width)
-            for pool in pools.values():
-                if pool.take().evaluate(a, b).result != (a > b):
-                    matches = False
-        classic = per_scheme["classic"]
-        halfgates = per_scheme["halfgates"]
-        widths_section[str(bit_width)] = dict(
-            per_scheme,
-            original_gate_histogram=base.gate_histogram(),
-            outcomes_match=matches,
-            samples=GARBLING_SAMPLES,
-            table_bytes_reduction=round(
-                classic["table_bytes"] / halfgates["table_bytes"], 2
-            ),
-            garble_time_reduction=round(
-                classic["garble_wall_seconds"] / halfgates["garble_wall_seconds"], 2
-            ),
-        )
-
-    home_count, sample_count = GARBLING_DAY_SCALES[scale]
-    invariance = experiment_scheme_shard_invariance(
-        schemes=GARBLING_SCHEMES_COMPARED,
-        worker_counts=WORKER_COUNTS,
-        home_count=home_count,
-        sample_count=sample_count,
-    )
-    return dict(project(invariance), widths=widths_section)
 
 
 def run_multiexp_section() -> dict:
@@ -543,8 +449,6 @@ def main() -> int:
     report = distill(raw, args.scale)
     print("running the comparison outcome-identity check ...")
     report["comparison"] = run_comparison_section(report["benchmarks"])
-    print("running the garbling-scheme comparison (classic vs. halfgates) ...")
-    report["garbling"] = run_garbling_section(args.scale)
     print("running the multi-exponentiation oracle certificates ...")
     report["multiexp"] = run_multiexp_section()
     print("running the aggregation-topology sweep + identity/sharding certificates ...")

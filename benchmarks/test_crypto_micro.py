@@ -117,7 +117,7 @@ def test_paillier_homomorphic_sum_batched(benchmark, keypairs, bits):
 
 @pytest.mark.parametrize("bit_width", (32, 64))
 def test_garbled_secure_comparison(benchmark, bit_width):
-    """The classic inline path: garble + public-key OTs on every call ("before")."""
+    """The inline path: garble + public-key OTs on every call ("before")."""
     rng = random.Random(bit_width)
     result = benchmark(
         lambda: secure_greater_than(2**bit_width - 2, 2**bit_width - 3, bit_width=bit_width, rng=rng)

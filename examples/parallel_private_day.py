@@ -11,12 +11,10 @@ machine's real core count).
 
 The deployment knobs of the Session API ride along: ``--session-scope day``
 establishes the protocol sessions once per day (amortizing the fixed 0.5 s
-setup and the base-OT session across windows), ``--transport socket``
+setup and the base-OT session across windows), and ``--transport socket``
 routes every protocol message over real loopback TCP *and* fans the shards
-out to the workers over sockets, and ``--garbling-scheme halfgates``
-prepares the secure comparisons under free-XOR + half-gates garbling
-(fewer table bytes, faster offline garbling) — all bit-identical or
-outcome-identical to the defaults.
+out to the workers over sockets — both bit-identical or outcome-identical
+to the defaults.
 
 ``--pipeline`` (day scope only) runs the sharded day behind a
 :class:`repro.runtime.WindowPipeline` stage: window W+1's offline material
@@ -41,7 +39,6 @@ Run with:  python examples/parallel_private_day.py [--homes N] [--windows K]
                                                    [--strategy stride|contiguous]
                                                    [--session-scope window|day]
                                                    [--transport local|socket]
-                                                   [--garbling-scheme classic|halfgates]
                                                    [--pipeline]
                                                    [--chaos-seed N]
 """
@@ -60,7 +57,6 @@ from repro.runtime import ExecutionPlan
 def build_engine(
     session_scope: str = "window",
     transport: str = "local",
-    garbling_scheme: str = "classic",
     fault_plan: FaultPlan = None,
 ) -> PrivateTradingEngine:
     return PrivateTradingEngine(
@@ -71,7 +67,6 @@ def build_engine(
             seed=7,
             session_scope=session_scope,
             transport=transport,
-            garbling_scheme=garbling_scheme,
             fault_plan=fault_plan,
         ),
     )
@@ -93,10 +88,6 @@ def main() -> None:
     parser.add_argument(
         "--transport", choices=("local", "socket"), default="local",
         help="message fabric + shard fan-out (socket = real loopback TCP)",
-    )
-    parser.add_argument(
-        "--garbling-scheme", choices=("classic", "halfgates"), default="classic",
-        help="garbled-comparison scheme (halfgates = free-XOR + 2-row ANDs)",
     )
     parser.add_argument(
         "--pipeline", action="store_true",
@@ -138,18 +129,15 @@ def main() -> None:
     print(f"Execution plan: {plan.describe()}")
 
     print(
-        f"Serial run (sessions: {args.session_scope}, transport: {args.transport}, "
-        f"garbling: {args.garbling_scheme}) ..."
+        f"Serial run (sessions: {args.session_scope}, transport: {args.transport}) ..."
     )
-    serial = build_engine(
-        args.session_scope, args.transport, args.garbling_scheme
-    ).run_windows_report(dataset, windows, workers=1)
+    serial = build_engine(args.session_scope, args.transport).run_windows_report(
+        dataset, windows, workers=1
+    )
     chaos_note = f", chaos seed {args.chaos_seed}" if fault_plan is not None else ""
     pipeline_note = ", pipelined offline" if args.pipeline else ""
     print(f"Sharded run ({plan.workers} workers{pipeline_note}{chaos_note}) ...")
-    parallel = build_engine(
-        args.session_scope, args.transport, args.garbling_scheme, fault_plan
-    ).run_windows_report(
+    parallel = build_engine(args.session_scope, args.transport, fault_plan).run_windows_report(
         dataset,
         windows,
         workers=args.workers,

@@ -105,15 +105,6 @@ def _field(hint, meta: Mapping) -> Node:
 
 
 _STATS = Record({"mean_s": Leaf(float), "stddev_s": Leaf(float), "rounds": Leaf(int)})
-_HISTOGRAM = MapOf(Leaf(int))
-_SCHEME = Record(
-    {
-        "table_bytes": Leaf(int),
-        "garble_wall_seconds": Leaf(float),
-        "and_gate_count": Leaf(int),
-        "gate_histogram": _HISTOGRAM,
-    }
-)
 _TOPOLOGY = Record(
     {
         "simulated_seconds": Leaf(float),
@@ -151,26 +142,6 @@ REPORT = Record(
                 }
             ),
             int_keys=True,
-        ),
-        "garbling": Record(
-            {
-                "widths": MapOf(
-                    Record(
-                        {
-                            "classic": _SCHEME,
-                            "halfgates": _SCHEME,
-                            "original_gate_histogram": _HISTOGRAM,
-                            "outcomes_match": Leaf(bool, certificate=True),
-                            "samples": Leaf(int),
-                            "table_bytes_reduction": Leaf(float, floor=1.8),
-                            # hash-count ratio (~1.2x), inside host noise: not gated
-                            "garble_time_reduction": Leaf(float),
-                        }
-                    ),
-                    int_keys=True,
-                ),
-                **_observation(experiments.SchemeInvarianceReport).keys,
-            }
         ),
         "multiexp": Record(
             {

@@ -69,9 +69,6 @@ __all__ = [
     "experiment_aggregation_topologies",
     "TopologyShardInvariance",
     "experiment_topology_shard_invariance",
-    "SchemeInvarianceReport",
-    "SchemeShardInvariance",
-    "experiment_scheme_shard_invariance",
     "SessionReuseObservation",
     "experiment_session_reuse",
     "ChaosCellObservation",
@@ -642,114 +639,6 @@ def experiment_topology_shard_invariance(
             identical=identical,
         )
     return results
-
-
-@dataclass(frozen=True)
-class SchemeShardInvariance:
-    """One garbling scheme's sampled day plus its sharding certificates.
-
-    Attributes:
-        windows_executed: market windows in the sampled day.
-        gc_fallbacks: merged drained-comparison-pool fallbacks (0 means
-            every comparison evaluated a prepared instance of this scheme).
-        gc_offline_seconds: the serial day's garbled-circuit offline clock.
-        garbled_traffic_bytes: the day's out-of-band bytes (garbled tables
-            + OT label traffic — the component halfgates shrinks).
-        identical: worker count → ``RunReport.identical_to`` against the
-            scheme's own serial baseline.
-    """
-
-    windows_executed: int
-    gc_fallbacks: int
-    gc_offline_seconds: float = _bench(digits=6)
-    garbled_traffic_bytes: int
-    identical: Dict[int, bool] = _bench(certificate=True)
-
-
-@dataclass(frozen=True)
-class SchemeInvarianceReport:
-    """All schemes' sharding certificates (keyed by scheme name:
-    ``classic``, ``halfgates``) plus the cross-scheme one.
-
-    ``economics_identical_across_schemes`` certifies that every scheme's
-    serial day produced *economically identical* windows (same trades,
-    prices, coalitions).  Full bit-identity across schemes is impossible by
-    design — halfgates ships fewer table bytes, so traffic stats differ —
-    which is exactly why outcome identity is the certificate (the same
-    standing invariant the bench's ``outcomes_match`` uses).
-    """
-
-    shard_invariance: Dict[str, SchemeShardInvariance]
-    economics_identical_across_schemes: bool = _bench(certificate=True)
-
-
-def experiment_scheme_shard_invariance(
-    schemes: Sequence[str] = ("classic", "halfgates"),
-    worker_counts: Sequence[int] = (1, 2, 4),
-    home_count: int = 12,
-    sample_count: int = 4,
-    crypto_key_size: int = 128,
-    key_size: int = 1024,
-    window_count: int = FULL_DAY_WINDOWS,
-    seed: int = DEFAULT_SEED,
-) -> SchemeInvarianceReport:
-    """Certify that every garbling scheme stays bit-identical under sharding.
-
-    For each scheme the same sampled day runs serially (the baseline) and
-    again at each worker count; ``RunReport.identical_to`` must hold for all
-    of them.  Worker processes rebuild their engines from the serialized
-    :class:`ProtocolConfig`, so this also proves ``garbling_scheme``
-    round-trips through the sharding plan.  Across schemes the serial days
-    must be economically identical (outcome identity, not byte identity).
-    """
-
-    def build_engine(scheme: str) -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                garbling_scheme=scheme,
-            ),
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
-    results: Dict[str, SchemeShardInvariance] = {}
-    baselines = []
-    for scheme in schemes:
-        baseline = build_engine(scheme).run_windows_report(
-            dataset, windows, home_count=home_count, workers=1
-        )
-        baselines.append(baseline)
-        identical: Dict[int, bool] = {}
-        for workers in worker_counts:
-            report = build_engine(scheme).run_windows_report(
-                dataset, windows, home_count=home_count, workers=workers
-            )
-            identical[workers] = baseline.identical_to(report)
-        results[scheme] = SchemeShardInvariance(
-            windows_executed=len(baseline.traces),
-            gc_fallbacks=baseline.stats.gc_fallbacks,
-            gc_offline_seconds=baseline.stats.gc_offline_seconds,
-            garbled_traffic_bytes=baseline.stats.bytes_by_kind.get("out_of_band", 0),
-            identical=identical,
-        )
-    reference = baselines[0]
-    economics_identical = all(
-        len(reference.traces) == len(other.traces)
-        and all(
-            a.result.economically_equal(b.result)
-            for a, b in zip(reference.traces, other.traces)
-        )
-        for other in baselines[1:]
-    )
-    return SchemeInvarianceReport(
-        shard_invariance=results,
-        economics_identical_across_schemes=economics_identical,
-    )
 
 
 @dataclass(frozen=True)
@@ -1352,8 +1241,7 @@ class PlannerRegimeObservation:
         hosts / cores_per_host / agents / windows / link: the
             :class:`~repro.planning.FleetSpec` facts of the regime.
         naive_day_seconds: predicted day cost of the seed deployment
-            (serial chain, per-window sessions, classic garbling, one
-            worker).
+            (serial chain, per-window sessions, one worker).
         planned_day_seconds: predicted day cost of the planner's choice.
         speedup: ratio of the two — the planning win, which must
             strictly beat the naive default in every regime.

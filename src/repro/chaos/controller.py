@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from ..crypto.garbled import LABEL_BYTES
 from ..net.message import Message
 from ..net.network import SimulatedNetwork
 from .plan import FaultPlan, GcTamper, PoolDrain
@@ -53,7 +54,7 @@ def tamper_prepared_comparison(instance: "PreparedComparison", target: str) -> s
     garbled = instance._garbler.garbled
     if target == "row":
         tables = bytearray(garbled.tables)
-        for start in range(0, len(tables), garbled.row_bytes):
+        for start in range(0, len(tables), LABEL_BYTES):
             tables[start] ^= 1
         garbled.tables = bytes(tables)
         return "flipped a bit in every garbled row"

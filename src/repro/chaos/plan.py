@@ -94,13 +94,14 @@ class GcTamper:
     controller flips bits in the next pooled
     :class:`~repro.crypto.gc_pool.PreparedComparison`:
 
-    * ``"row"`` — every garbled-table row (the classic point-and-permute
-      evaluation decrypts one row per binary gate, so this always aborts;
-      half-gates rows are folded in only on active paths),
-    * ``"label"`` — the output-decoding label digests (both schemes abort
-      at output decode),
+    * ``"row"`` — every garbled-table row (a half-gate row is folded in
+      only when its select bit is 1, so a comparator whose active path
+      consumed no tampered row still decodes — to the correct bit; over
+      a 64-AND comparator that is vanishingly unlikely),
+    * ``"label"`` — the output-decoding label digests (abort at output
+      decode),
     * ``"pad"`` — the precomputed OT pads masking the evaluator's input
-      labels (both schemes abort).
+      labels (abort).
 
     Any evaluation of tampered material fails closed — the supervisor
     *always* aborts the run with an ``integrity_violation`` incident, never

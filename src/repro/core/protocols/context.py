@@ -37,7 +37,7 @@ The context is also where the cost model's two clocks are fed:
   window's comparator instance and runs its base-OT session during setup,
   so :meth:`ProtocolContext.run_secure_less_than` leaves only
   symmetric-key evaluation on the online clock (drained pools fall back to
-  the classic inline Yao protocol, counted in
+  the inline Yao protocol, counted in
   ``TrafficStats.gc_fallbacks``).
 
 Pooled obfuscators obey a strict **one-shot invariant**: each precomputed
@@ -115,7 +115,7 @@ class ProtocolConfig:
             a deployment that garbles on the critical path.
         comparison_pool_headroom: prepared comparisons per window.  Each
             window runs exactly one secure comparison (Protocol 2), so the
-            default of 1 is exact; a drained pool falls back to the classic
+            default of 1 is exact; a drained pool falls back to the inline
             Yao protocol and is counted in ``TrafficStats.gc_fallbacks``.
         ot_extension_kappa: base OTs per window-scoped OT-extension
             session (the computational security parameter of the IKNP
@@ -142,15 +142,11 @@ class ProtocolConfig:
             ``"local"`` (synchronous in-process delivery) or ``"socket"``
             (length-prefixed loopback TCP).  Bit-identical results and
             statistics by construction; see :mod:`repro.net.transport`.
-        garbling_scheme: the garbling scheme comparison pools prepare
-            instances under — ``"classic"`` (the seed's point-and-permute
-            path, four rows per binary gate, bit-identical to the pre-seam
-            behavior) or ``"halfgates"`` (free-XOR labels + two-row
-            half-gate AND tables over the lowered comparator, shrinking
-            offline garbling time and garbled-table wire bytes).
-            Comparison *outcomes* are identical across schemes on identical
-            inputs; labels and table bytes necessarily differ.  The classic
-            inline fallback of a drained pool is scheme-independent.
+        garbling_scheme: must be ``"halfgates"``, the only garbling scheme
+            (free-XOR labels and half-gate AND tables, for pooled and
+            inline comparisons alike).  Any other value raises
+            ``ValueError`` at construction.  The field is kept only for
+            callers that still pass the value, and will be removed.
         fault_plan: optional seeded :class:`~repro.chaos.plan.FaultPlan`.
             When set, every window runs under the
             :class:`~repro.runtime.supervisor.WindowSupervisor`: the plan's
@@ -175,8 +171,14 @@ class ProtocolConfig:
     aggregation_topology: str = "chain"
     session_scope: str = "window"
     transport: str = "local"
-    garbling_scheme: str = "classic"
+    garbling_scheme: str = "halfgates"
     fault_plan: Optional[FaultPlan] = None
+
+    def __post_init__(self) -> None:
+        if self.garbling_scheme != "halfgates":
+            raise ValueError(
+                f"unknown garbling scheme {self.garbling_scheme!r}; the only scheme is 'halfgates'"
+            )
 
 
 def _derived_rng(seed: int, *labels: object) -> random.Random:
@@ -287,11 +289,7 @@ class KeyRing:
         """Return the (long-lived) prepared-comparison pool for one width."""
         pool = self._comparison_pools.get(bit_width)
         if pool is None:
-            pool = ComparisonPool(
-                bit_width,
-                kappa=self._config.ot_extension_kappa,
-                scheme=self._config.garbling_scheme,
-            )
+            pool = ComparisonPool(bit_width, kappa=self._config.ot_extension_kappa)
             self._comparison_pools[bit_width] = pool
         return pool
 
@@ -619,7 +617,7 @@ class ProtocolContext:
 
         Prefers a prepared instance from the window's comparison pool (the
         online phase is then symmetric-key only, charged with
-        ``pooled=True``); a drained pool falls back to the classic Yao
+        ``pooled=True``); a drained pool falls back to the inline Yao
         protocol — garbling and public-key OTs on the online clock —
         counted in ``TrafficStats.gc_fallbacks`` so under-provisioned
         preparation is visible in traces, never silently absorbed.

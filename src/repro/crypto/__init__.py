@@ -20,9 +20,8 @@ Python standard library:
 * :mod:`repro.crypto.ot` — 1-out-of-2 oblivious transfer (Bellare--Micali).
 * :mod:`repro.crypto.otext` — IKNP-style OT extension (constant base OTs,
   symmetric-key transfers thereafter).
-* :mod:`repro.crypto.garbled` — Yao garbled circuits behind a pluggable
-  :class:`~repro.crypto.garbled.GarblingScheme` seam (classic
-  point-and-permute and free-XOR + half-gates).
+* :mod:`repro.crypto.garbled` — Yao garbled circuits (free-XOR labels and
+  half-gate AND tables).
 * :mod:`repro.crypto.gc_pool` — offline pools of prepared garbled
   comparisons (the garbled-circuit analogue of :mod:`repro.crypto.accel`).
 * :mod:`repro.crypto.secure_comparison` — the Fairplay-style secure
@@ -37,7 +36,6 @@ from .accel import (
     set_backend,
 )
 from .fixedpoint import DEFAULT_PRECISION, FixedPointCodec
-from .garbled import GARBLING_SCHEMES, GarblingScheme, get_scheme
 from .gc_pool import ComparisonPool, PreparedComparison
 from .paillier import (
     PaillierCiphertext,
@@ -70,9 +68,6 @@ __all__ = [
     "FixedBaseTable",
     "backend",
     "set_backend",
-    "GARBLING_SCHEMES",
-    "GarblingScheme",
-    "get_scheme",
     "generate_keypair",
     "homomorphic_sum",
     "generate_prime",

@@ -84,25 +84,11 @@ OP_NOT, OP_XOR, OP_AND, OP_OR = range(4)
 
 _OP_KINDS = {GateType.NOT: OP_NOT, GateType.XOR: OP_XOR, GateType.AND: OP_AND, GateType.OR: OP_OR}
 
-#: Per binary gate type, the truth row reordered for point-and-permute:
-#: ``_SLOT_VALUES[type][2 * permute_a + permute_b][slot]`` is the gate's output
-#: value for the table row at ``slot = 2 * external_a + external_b``, where a
-#: label's external bit is its truth value XOR its wire's permute bit.
-_SLOT_VALUES: Dict[GateType, Tuple[Tuple[int, ...], ...]] = {
-    gate_type: tuple(
-        tuple(table[(slot >> 1) ^ permute_a, (slot & 1) ^ permute_b] for slot in range(4))
-        for permute_a in (0, 1)
-        for permute_b in (0, 1)
-    )
-    for gate_type, table in TRUTH_TABLES.items()
-    if gate_type != GateType.NOT
-}
-
 
 class Op(NamedTuple):
     """One gate of a :class:`CircuitProgram`, everything pre-resolved.
 
-    The garblers and evaluators of :mod:`repro.crypto.garbled` unpack these
+    The garbler and evaluator of :mod:`repro.crypto.garbled` unpack these
     as plain tuples, once per gate per instance; nothing in here depends on
     label material, so it is computed once per circuit.
     """
@@ -111,20 +97,16 @@ class Op(NamedTuple):
     in_a: int
     in_b: int  #: equals ``in_a`` for NOT
     out: int
-    truth: Tuple[Tuple[int, ...], ...]  #: ``_SLOT_VALUES`` row; ``()`` for NOT
-    tag: bytes  #: gate index, 4 bytes big-endian (classic row-pad domain)
     tweak_g: bytes  #: ``2 * index``, 8 bytes big-endian (half-gates generator half)
     tweak_e: bytes  #: ``2 * index + 1`` (half-gates evaluator half)
-    slot: int  #: ordinal among binary gates (classic table position)
-    and_slot: int  #: ordinal among AND/OR gates (half-gates table position)
+    and_slot: int  #: ordinal among AND/OR gates (garbled-table position)
 
 
 class CircuitProgram(NamedTuple):
     """A circuit compiled for garbling: flat ops plus the counts they imply."""
 
     ops: Tuple[Op, ...]
-    and_gate_count: int  #: AND + OR gates (the ones that cost table rows everywhere)
-    binary_gate_count: int  #: AND + OR + XOR gates (table-bearing under ``classic``)
+    and_gate_count: int  #: AND + OR gates (the ones that cost table rows)
     histogram: Dict[str, int]  #: gate counts by type name, first-seen order
 
 
@@ -158,7 +140,7 @@ class Circuit:
         Raises:
             ValueError: when a wire id is outside ``range(wire_count)``, a
                 gate or output reads a wire nothing defined, or a wire is
-                defined twice — the garblers draw label material in program
+                defined twice — the garbler draws label material in program
                 order and index by wire id, so they rely on all three.
         """
         if self._program is None:
@@ -183,7 +165,7 @@ class Circuit:
             define(wire, "input")
         ops: List[Op] = []
         histogram: Dict[str, int] = {}
-        binary = non_free = 0
+        non_free = 0
         for index, gate in enumerate(self.gates):
             for wire in gate.input_wires:
                 read(wire, f"gate {index}")
@@ -196,19 +178,15 @@ class Circuit:
                     in_a=gate.input_wires[0],
                     in_b=gate.input_wires[-1],
                     out=gate.output_wire,
-                    truth=_SLOT_VALUES.get(gate_type, ()),
-                    tag=index.to_bytes(4, "big"),
                     tweak_g=(2 * index).to_bytes(8, "big"),
                     tweak_e=(2 * index + 1).to_bytes(8, "big"),
-                    slot=binary,
                     and_slot=non_free,
                 )
             )
-            binary += gate_type != GateType.NOT
             non_free += gate_type in (GateType.AND, GateType.OR)
         for wire in self.output_wires:
             read(wire, "circuit output")
-        return CircuitProgram(tuple(ops), non_free, binary, histogram)
+        return CircuitProgram(tuple(ops), non_free, histogram)
 
     def evaluate(self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]) -> List[int]:
         """Evaluate the circuit in the clear (used for testing and as oracle)."""
@@ -292,9 +270,6 @@ class CircuitBuilder:
     def gate_not(self, a: int) -> int:
         return self._gate(GateType.NOT, a)
 
-    def gate_xnor(self, a: int, b: int) -> int:
-        return self.gate_not(self.gate_xor(a, b))
-
     def gate_mux(self, selector: int, when_one: int, when_zero: int) -> int:
         """Return ``when_one`` if selector == 1 else ``when_zero``."""
         picked_one = self.gate_and(selector, when_one)
@@ -318,8 +293,17 @@ def build_greater_than_circuit(bit_width: int) -> Circuit:
     little-endian bit order (matching :func:`int_to_bits`).  The single
     output bit is 1 iff the garbler's integer is strictly greater.
 
-    The comparison is computed most-significant-bit first with the classic
-    recurrence ``gt_i = a_i AND NOT b_i  OR  (a_i XNOR b_i) AND gt_{i-1}``.
+    The carry ``c_i`` holds ``[a mod 2^i > b mod 2^i]`` and is computed from
+    the least significant bit upward with one AND gate per bit
+    (Kolesnikov–Sadeghi–Schneider, CANS 2009):
+
+    * ``c_1 = a_0 AND NOT b_0``
+    * ``c_{i+1} = a_i XOR ((a_i XOR c_i) AND (b_i XOR c_i))``
+
+    When ``a_i == b_i`` the AND returns ``a_i XOR c_i`` and the carry passes
+    through; otherwise it is 0 and the carry becomes ``a_i``.  Under
+    free-XOR that is ``bit_width`` AND gates, ``3 * (bit_width - 1)`` XOR
+    gates and one NOT.
     """
     if bit_width < 1:
         raise ValueError(f"bit width must be >= 1, got {bit_width}")
@@ -327,21 +311,11 @@ def build_greater_than_circuit(bit_width: int) -> Circuit:
     a_bits = [builder.garbler_input() for _ in range(bit_width)]
     b_bits = [builder.evaluator_input() for _ in range(bit_width)]
 
-    gt_so_far: int | None = None
-    # Walk from the least significant bit upward; after processing bit i the
-    # accumulator holds the comparison result of the low (i+1)-bit prefixes:
-    #   gt_i = (a_i AND NOT b_i) OR ((a_i XNOR b_i) AND gt_{i-1}).
-    for i in range(bit_width):
-        a_i, b_i = a_bits[i], b_bits[i]
-        a_gt_b = builder.gate_and(a_i, builder.gate_not(b_i))
-        if gt_so_far is None:
-            gt_so_far = a_gt_b
-        else:
-            equal_here = builder.gate_xnor(a_i, b_i)
-            carry_up = builder.gate_and(equal_here, gt_so_far)
-            gt_so_far = builder.gate_or(a_gt_b, carry_up)
-    assert gt_so_far is not None
-    return builder.build([gt_so_far])
+    carry = builder.gate_and(a_bits[0], builder.gate_not(b_bits[0]))
+    for a_i, b_i in zip(a_bits[1:], b_bits[1:]):
+        both_differ = builder.gate_and(builder.gate_xor(a_i, carry), builder.gate_xor(b_i, carry))
+        carry = builder.gate_xor(a_i, both_differ)
+    return builder.build([carry])
 
 
 def build_adder_circuit(bit_width: int) -> Circuit:
@@ -376,8 +350,8 @@ def build_adder_circuit(bit_width: int) -> Circuit:
 def lower_to_xor_and(circuit: Circuit) -> Circuit:
     """Rewrite every OR gate as ``(a XOR b) XOR (a AND b)``.
 
-    Free-XOR garbling schemes only know how to garble XOR/AND/NOT, so OR
-    gates are lowered before garbling.  The rewrite is exact (``a OR b ==
+    The free-XOR garbler only knows how to garble XOR/AND/NOT, so a circuit
+    with OR gates (the adder) is lowered before garbling.  The rewrite is exact (``a OR b ==
     (a XOR b) XOR (a AND b)``), allocates fresh intermediate wires past
     ``wire_count`` and keeps the original output wire of each OR, so
     downstream gate references and ``output_wires`` are untouched.

@@ -14,7 +14,7 @@ This module extends the same split to the garbled-circuit layer:
   (:class:`~repro.crypto.otext.PreparedOTBatch`) for the evaluator's input
   labels.  Everything public-key or garbling-related happened when it was
   built; :meth:`PreparedComparison.evaluate` only selects labels, runs the
-  XOR-only Beaver derandomization and decrypts one row per gate — pure
+  XOR-only Beaver derandomization and hashes twice per AND gate — pure
   symmetric-key online work.
 * a :class:`ComparisonPool` owns prepared instances for one bit width, in
   exactly the :class:`~repro.crypto.accel.RandomizerPool` shape: ``warm``/
@@ -35,7 +35,7 @@ run twice, and the pool's ``reservoir -> pool -> take`` flow hands every
 instance out at most once, mirroring the obfuscator discipline of
 :mod:`repro.crypto.accel`.
 
-Randomness: wire labels, permute bits and random OT choices are drawn from
+Randomness: wire labels, ``Δ`` and random OT choices are drawn from
 the **system CSPRNG** by default, never from a seed-derived stream — a
 derived stream restarted in two worker processes would garble two circuits
 with identical labels, exactly the cross-shard collision PR 2 outlawed for
@@ -63,14 +63,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .circuits import Circuit, build_greater_than_circuit, int_to_bits
-from .garbled import (
-    LABEL_BYTES,
-    GarblerOutput,
-    GarblingScheme,
-    WireLabel,
-    evaluate_garbled_circuit,
-    get_scheme,
-)
+from .garbled import ROW_BYTES, GarblerOutput, evaluate_garbled_circuit, garble_circuit, label_key
 from .ot import OTGroup
 from .otext import (
     DEFAULT_KAPPA,
@@ -129,18 +122,14 @@ class PreparedComparison:
         bit_width: int,
         correlation: BaseOTCorrelation,
         rng: Optional[random.Random] = None,
-        scheme: "str | GarblingScheme" = "classic",
     ) -> None:
-        garbling = get_scheme(scheme)
         self.bit_width = bit_width
-        # Lowering is idempotent, so pre-lowered pool circuits pass through.
-        self.circuit = garbling.lower(circuit)
-        self.scheme = garbling.name
-        self._garbler: GarblerOutput = garbling.garble(self.circuit, rng=rng)
+        self.circuit = circuit
+        self._garbler: GarblerOutput = garble_circuit(circuit, rng=rng)
         self._ot_batch = derive_batch(
             correlation,
             count=bit_width,
-            msg_len=LABEL_BYTES + 1,
+            msg_len=ROW_BYTES,
             instance=fresh_instance_tag(),
             choice_rng=rng,
         )
@@ -166,7 +155,7 @@ class PreparedComparison:
         """Online evaluation: ``garbler_value > evaluator_value``.
 
         Only symmetric-key work: label selection, the XOR-only OT
-        derandomization, one hash per non-free gate, output decoding.
+        derandomization, two hashes per AND gate, output decoding.
 
         Raises:
             ComparisonError: on reuse or inputs outside ``[0, 2^bit_width)``.
@@ -184,13 +173,11 @@ class PreparedComparison:
 
         garbler_bits = int_to_bits(garbler_value, self.bit_width)
         evaluator_bits = int_to_bits(evaluator_value, self.bit_width)
-        garbler_labels = self._garbler.garbler_input_labels(garbler_bits)
+        garbler_keys = self._garbler.garbler_input_keys(garbler_bits)
         label_pairs = self._garbler.evaluator_label_pairs()
         recovered, ot_online_bytes = self._ot_batch.transfer(label_pairs, evaluator_bits)
-        evaluator_labels = [WireLabel.from_bytes(data) for data in recovered]
-        output_bits = evaluate_garbled_circuit(
-            self._garbler.garbled, garbler_labels, evaluator_labels
-        )
+        evaluator_keys = [label_key(data) for data in recovered]
+        output_bits = evaluate_garbled_circuit(self._garbler.garbled, garbler_keys, evaluator_keys)
 
         # Byte attribution mirrors run_two_party_computation: the garbler
         # ships tables, its own labels and the masked OT replies; the
@@ -200,7 +187,7 @@ class PreparedComparison:
         masked_pair_bytes = ot_online_bytes - correction_bytes
         garbler_bytes = (
             self._garbler.garbled.serialized_size()
-            + len(garbler_labels) * (LABEL_BYTES + 1)
+            + len(garbler_keys) * ROW_BYTES
             + masked_pair_bytes
         )
         evaluator_bytes = (
@@ -233,9 +220,6 @@ class ComparisonPool:
         rng: label randomness for instances built by ``warm``/``refill``
             (defaults to the system CSPRNG — see the module docstring for
             why a derived stream is forbidden here).
-        scheme: garbling scheme for every instance (``"classic"`` or
-            ``"halfgates"``); the comparator circuit is lowered once here so
-            per-instance garbling skips the rewrite.
     """
 
     def __init__(
@@ -244,16 +228,13 @@ class ComparisonPool:
         kappa: int = DEFAULT_KAPPA,
         group: Optional[OTGroup] = None,
         rng: Optional[random.Random] = None,
-        scheme: "str | GarblingScheme" = "classic",
     ) -> None:
         if bit_width < 1:
             raise ComparisonError(f"bit width must be >= 1, got {bit_width}")
         self.bit_width = bit_width
         self.kappa = kappa
         self._group = group or OTGroup.default()
-        self._scheme = get_scheme(scheme)
-        self.scheme = self._scheme.name
-        self.circuit = self._scheme.lower(build_greater_than_circuit(bit_width))
+        self.circuit = build_greater_than_circuit(bit_width)
         # Compile here, once per pool, before any instance is garbled.
         self.circuit.program  # noqa: B018 - cached on the circuit
         self._rng = rng
@@ -298,9 +279,7 @@ class ComparisonPool:
 
     def _build(self, rng: Optional[random.Random]) -> PreparedComparison:
         correlation = shared_correlation(self.kappa, self._group)
-        return PreparedComparison(
-            self.circuit, self.bit_width, correlation, rng=rng, scheme=self._scheme
-        )
+        return PreparedComparison(self.circuit, self.bit_width, correlation, rng=rng)
 
     def _next_instance(self) -> PreparedComparison:
         """A never-used instance: reservoir pop, or built inline."""
@@ -435,7 +414,7 @@ class ComparisonPool:
         Models a mid-window loss of the precomputed material (evicted
         cache, restarted container): the accounted pool empties without
         recycling, so subsequent :meth:`take` calls fall back to the
-        classic protocol and are *counted* — the signature the recovery
+        inline Yao protocol and are *counted* — the signature the recovery
         supervisor classifies as resource exhaustion.  The reservoir and
         the ``produced``/``consumed`` accounting are untouched.  Returns
         the number of instances discarded.
@@ -461,7 +440,7 @@ class ComparisonPool:
         Unlike the Paillier pool there is no cheap inline fallback — a
         fresh garbling plus public-key OTs belongs on the online clock —
         so a drained pool returns ``None``, counts the event in
-        :attr:`fallback_count`, and the caller runs the classic Yao
+        :attr:`fallback_count`, and the caller runs the inline Yao
         protocol (charged online, surfaced in the traffic stats).
         """
         self.consumed += 1

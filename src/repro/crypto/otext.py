@@ -36,14 +36,14 @@ Security model: semi-honest, like every other protocol in this
 reproduction.  Hash outputs are modeled as a random oracle (SHA-256), the
 PRG is the same SHA-256 stream used elsewhere in the crypto package.
 
-Matrix layout: the ``count x kappa`` bit matrix is held as one Python
-``int`` per *column* — bit ``j`` of column ``i`` is bit ``j % 8`` of byte
-``j // 8`` of ``G(k_i)``, i.e. ``int.from_bytes(G(k_i), "little")`` masked to
-``count`` bits — so ``u_i`` and ``q_i`` are single big-int XORs.  Each side's
-matrix is transposed once (:func:`_transpose`, via binary strings) into one
-int per *row*, serialized little-endian (bit ``i`` of row ``j`` is column
-``i``) before hashing.  ``tests/crypto/gc_oracles.py`` keeps the bit-list
-original as the oracle this layout must match byte for byte.
+Matrix layout: each side's ``count x kappa`` bit matrix is held column-wise
+as a ``kappa x ceil(count / 8)`` ``uint8`` array — row ``i`` is ``G(k_i)``, so
+bit ``j`` of column ``i`` is bit ``j % 8`` of byte ``j // 8`` — and ``u`` and
+``q`` are whole-array XORs.  One ``unpackbits`` / ``packbits`` pair per matrix
+transposes it into ``count`` rows of ``ceil(kappa / 8)`` bytes, little-endian
+bit order (bit ``i`` of row ``j`` is column ``i``), which are hashed into the
+pads.  ``tests/crypto/gc_oracles.py`` keeps the bit-list original as the
+oracle this layout must match byte for byte.
 
 One-shot discipline: a :class:`PreparedOTBatch` masks each message pair
 with pads that are used **exactly once** — :meth:`transfer` refuses to run
@@ -58,6 +58,8 @@ import random
 import secrets
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .ot import OTGroup, run_oblivious_transfer
 
@@ -133,21 +135,6 @@ def _pack_bits(bits: Sequence[int]) -> int:
 def _unpack_bits(value: int, count: int) -> Tuple[int, ...]:
     """The low ``count`` bits of ``value``, bit ``i`` first (inverse of :func:`_pack_bits`)."""
     return tuple(map(int, format(value & ((1 << count) - 1), f"0{count}b")[::-1]))
-
-
-def _transpose(columns: Sequence[int], height: int) -> List[int]:
-    """Transpose a bit matrix held as one int per column into one per row.
-
-    Bit ``j`` of ``columns[i]`` becomes bit ``i`` of ``rows[j]``, for
-    ``j < height``.  One ``format`` per column and one ``int(..., 2)`` per
-    row: binary strings are most-significant-bit first, so the columns are
-    zipped in reverse (column 0 lands in the least significant bit) and the
-    rows come out last-first.
-    """
-    strings = [format(column, f"0{height}b") for column in reversed(columns)]
-    rows = [int("".join(chars), 2) for chars in zip(*strings)]
-    rows.reverse()
-    return rows
 
 
 @dataclass(frozen=True)
@@ -291,23 +278,47 @@ class PreparedOTBatch:
             )
         self._used = True
 
-        recovered: List[bytes] = []
-        for j, ((m0, m1), bit) in enumerate(zip(message_pairs, choice_bits)):
-            if len(m0) != self.msg_len or len(m1) != self.msg_len:
-                raise OTExtensionError(
-                    f"messages must be {self.msg_len} bytes (transfer {j})"
-                )
-            b = int(bit) & 1
-            c = self.random_choices[j]
-            d = b ^ c
-            pad0, pad1 = self.sender_pad_pairs[j]
-            # Sender: f_k = m_{k XOR d} XOR pad_k; receiver unmasks f_c.
-            f = (
-                _xor(m0 if d == 0 else m1, pad0),
-                _xor(m1 if d == 0 else m0, pad1),
-            )
-            recovered.append(_xor(f[c], self.receiver_pads[j]))
+        # Sender: f_k = m_{k XOR d_j} XOR pad_k for every transfer at once,
+        # one big-int XOR per k over the joined messages and pads; the
+        # receiver picks f_{c_j} and unmasks it with its own pad.
+        width = self.msg_len
+        first: List[bytes] = []
+        second: List[bytes] = []
+        for j, ((m0, m1), bit, c) in enumerate(
+            zip(message_pairs, choice_bits, self.random_choices)
+        ):
+            if len(m0) != width or len(m1) != width:
+                raise OTExtensionError(f"messages must be {width} bytes (transfer {j})")
+            if (int(bit) & 1) ^ c:
+                m0, m1 = m1, m0
+            first.append(m0)
+            second.append(m1)
+        f0 = _xor(b"".join(first), b"".join(pad0 for pad0, _ in self.sender_pad_pairs))
+        f1 = _xor(b"".join(second), b"".join(pad1 for _, pad1 in self.sender_pad_pairs))
+        starts = range(0, self.count * width, width)
+        chosen = b"".join(
+            (f1 if c else f0)[start : start + width]
+            for start, c in zip(starts, self.random_choices)
+        )
+        unmasked = _xor(chosen, b"".join(self.receiver_pads))
+        recovered = [unmasked[start : start + width] for start in starts]
         return recovered, self.online_wire_bytes()
+
+
+def _prg_matrix(seeds: Sequence[bytes], tags: Sequence[bytes], length: int) -> np.ndarray:
+    """``G(seed_i)`` under ``tags[i]`` for every ``i``, as a ``len(seeds) x length`` matrix."""
+    if length <= _BLOCK_BYTES:
+        sha256 = hashlib.sha256
+        stream = b"".join(sha256(seed + tag + _BLOCK_0).digest() for seed, tag in zip(seeds, tags))
+        return np.frombuffer(stream, np.uint8).reshape(len(seeds), _BLOCK_BYTES)[:, :length]
+    stream = b"".join(_prg(seed, tag, length) for seed, tag in zip(seeds, tags))
+    return np.frombuffer(stream, np.uint8).reshape(len(seeds), length)
+
+
+def _rows(columns: np.ndarray, count: int) -> np.ndarray:
+    """Transpose a column-wise bit matrix into ``count`` packed rows."""
+    bits = np.unpackbits(columns, axis=1, count=count, bitorder="little")
+    return np.packbits(bits.T, axis=1, bitorder="little")
 
 
 def derive_batch(
@@ -337,46 +348,45 @@ def derive_batch(
     kappa = correlation.kappa
     column_len = (count + 7) // 8
     row_len = (kappa + 7) // 8
-    mask = (1 << count) - 1
-    from_bytes = int.from_bytes
     if choice_rng is None:
-        c = from_bytes(secrets.token_bytes(column_len), "little") & mask
+        c = int.from_bytes(secrets.token_bytes(column_len), "little") & ((1 << count) - 1)
         choices = _unpack_bits(c, count)
     else:
         choices = tuple(choice_rng.getrandbits(1) for _ in range(count))
         c = _pack_bits(choices)
+    c_column = np.frombuffer(c.to_bytes(column_len, "little"), np.uint8)
 
-    t_columns: List[int] = []
-    q_columns: List[int] = []
     column_tag = b"col" + instance
-    for i, ((k0, k1), seed, s_i) in enumerate(
-        zip(correlation.receiver_seed_pairs, correlation.sender_seeds, correlation.sender_choice)
-    ):
-        tag = column_tag + i.to_bytes(4, "big")
-        # Receiver side: column t_i = G(k_i^0); correction u_i = t_i XOR
-        # G(k_i^1) XOR c.  (Transmitting u_i is the extension's offline traffic.)
-        t_i = from_bytes(_prg(k0, tag, column_len), "little") & mask
-        u_i = t_i ^ (from_bytes(_prg(k1, tag, column_len), "little") & mask) ^ c
-        # Sender side: q_i = G(k_i^{s_i}) XOR (s_i ? u_i : 0)  =>  row_j =
-        # t_j XOR (c_j & s).  Simulated in-process, but from the sender's own
-        # seeds: a broken correlation must surface as mismatched pads.
-        q_i = from_bytes(_prg(seed, tag, column_len), "little") & mask
-        t_columns.append(t_i)
-        q_columns.append(q_i ^ u_i if s_i else q_i)
-    s = _pack_bits(correlation.sender_choice)
+    tags = [column_tag + i.to_bytes(4, "big") for i in range(kappa)]
+    k0s, k1s = zip(*correlation.receiver_seed_pairs)
+    # Receiver side: columns t_i = G(k_i^0); corrections u_i = t_i XOR
+    # G(k_i^1) XOR c.  (Transmitting u is the extension's offline traffic.)
+    t_columns = _prg_matrix(k0s, tags, column_len)
+    u_columns = t_columns ^ _prg_matrix(k1s, tags, column_len) ^ c_column
+    # Sender side: q_i = G(k_i^{s_i}) XOR (s_i ? u_i : 0)  =>  row_j =
+    # t_j XOR (c_j & s).  Simulated in-process, but from the sender's own
+    # seeds: a broken correlation must surface as mismatched pads.
+    s_bits = np.array(correlation.sender_choice, np.uint8)
+    q_columns = _prg_matrix(correlation.sender_seeds, tags, column_len) ^ (
+        u_columns * s_bits[:, None]
+    )
+    q_rows = _rows(q_columns, count)
+    q_flipped = (q_rows ^ np.packbits(s_bits, bitorder="little")).tobytes()
+    q_plain = q_rows.tobytes()
+    t_rows = _rows(t_columns, count).tobytes()
 
     receiver_pads: List[bytes] = []
     sender_pad_pairs: List[Tuple[bytes, bytes]] = []
     pad_tag = b"iknp-pad" + instance
-    rows = zip(_transpose(q_columns, count), _transpose(t_columns, count))
-    for j, (q_j, t_j) in enumerate(rows):
+    for j, start in enumerate(range(0, count * row_len, row_len)):
+        end = start + row_len
         prefix = pad_tag + j.to_bytes(4, "big")
-        pad0 = _hash_pad(prefix, q_j.to_bytes(row_len, "little"), msg_len)
-        pad1 = _hash_pad(prefix, (q_j ^ s).to_bytes(row_len, "little"), msg_len)
+        pad0 = _hash_pad(prefix, q_plain[start:end], msg_len)
+        pad1 = _hash_pad(prefix, q_flipped[start:end], msg_len)
         sender_pad_pairs.append((pad0, pad1))
         # Receiver knows t_j = q_j XOR (c_j & s): its pad is pad_{c_j}, but
         # hashed from its own row, never copied from the sender's.
-        receiver_pads.append(_hash_pad(prefix, t_j.to_bytes(row_len, "little"), msg_len))
+        receiver_pads.append(_hash_pad(prefix, t_rows[start:end], msg_len))
 
     return PreparedOTBatch(
         count=count,

@@ -48,7 +48,7 @@ class SecureComparisonResult:
         and_gate_count: number of non-free gates garbled (cost indicator).
         pooled: whether the instance came prepared from an offline
             :class:`~repro.crypto.gc_pool.ComparisonPool` (only symmetric
-            work happened online) or ran the classic Yao protocol inline.
+            work happened online) or ran the inline Yao protocol inline.
     """
 
     result: bool

@@ -130,7 +130,7 @@ class CryptoCostModel:
 
         ``pooled`` means the instance was prepared offline: the online
         phase only evaluates (one hash per non-free gate) and
-        derandomizes the precomputed OTs (XOR each).  The classic path
+        derandomizes the precomputed OTs (XOR each).  The inline path
         garbles and runs ``ot_count`` public-key transfers inline.
         """
         if pooled:

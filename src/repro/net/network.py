@@ -289,7 +289,7 @@ class SimulatedNetwork:
         """Record comparisons whose prepared-instance pool was drained.
 
         Like :meth:`record_pool_fallback`, this only makes the event
-        *visible*; the classic Yao protocol's cost is charged to the
+        *visible*; the inline Yao protocol's cost is charged to the
         online clock through :meth:`charge_crypto_time`.
         """
         if count > 0:

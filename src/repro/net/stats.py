@@ -61,7 +61,7 @@ class TrafficStats:
     #: been pipelined), so traces surface it explicitly.
     pool_fallbacks: int = 0
     #: how many secure comparisons found the comparison pool drained and
-    #: ran the classic Yao protocol (garbling + public-key OTs) on the
+    #: ran the inline Yao protocol (garbling + public-key OTs) on the
     #: online clock instead of evaluating a prepared instance.
     gc_fallbacks: int = 0
     #: aggregation messages sent, keyed by topology name ("chain",
@@ -127,7 +127,7 @@ class TrafficStats:
         self.pool_fallbacks += count
 
     def record_gc_fallback(self, count: int = 1) -> None:
-        """Count comparisons that ran the classic Yao protocol online."""
+        """Count comparisons that ran the inline Yao protocol online."""
         self.gc_fallbacks += count
 
     def record_aggregation(self, topology: str, hops: int, rounds: int) -> None:

@@ -3,8 +3,8 @@
 Given the fixed facts of a fleet (:class:`FleetSpec` — hosts, cores,
 link profile, agents, windows per day) the planner searches the discrete
 deployment space the runtime grew over PRs 1-8 — aggregation topology,
-session scope, transport, garbling scheme, worker count, offline/online
-pipelining, key size — scoring every candidate with pure functions of
+session scope, transport, worker count, offline/online pipelining,
+key size — scoring every candidate with pure functions of
 the calibrated :class:`~repro.net.costmodel.CostModel` and returning the
 argmin as a ready-to-run :class:`~repro.core.protocols.ProtocolConfig` +
 :class:`~repro.runtime.ExecutionPlan`.

@@ -57,7 +57,7 @@ from typing import Dict, Tuple
 
 from ..core.protocols import ProtocolConfig
 from ..crypto.circuits import build_greater_than_circuit
-from ..crypto.garbled import get_scheme
+from ..crypto.garbled import garble_circuit
 from ..net.costmodel import (
     CostModel,
     CryptoCostModel,
@@ -94,30 +94,28 @@ DISPATCH_BYTES_PER_AGENT_WINDOW = 48
 
 @dataclass(frozen=True)
 class ComparatorProfile:
-    """Size facts of the lowered comparison circuit under one scheme."""
+    """Size facts of the garbled comparison circuit."""
 
     and_gate_count: int
     table_bytes: int
 
 
 @lru_cache(maxsize=32)
-def comparator_profile(bit_width: int, scheme_name: str) -> ComparatorProfile:
+def comparator_profile(bit_width: int) -> ComparatorProfile:
     """Garble the ``bit_width`` comparator once (seeded) and read its sizes.
 
-    The AND-gate count drives the scheme-independent gate accounting (the
-    engine charges comparisons per AND gate under every scheme); the
-    serialized table bytes are what actually cross the wire offline and
-    are where half-gates wins (~2.6x fewer bytes than classic).
+    The AND-gate count drives the gate accounting (the engine charges
+    comparisons per AND gate); the serialized table bytes are what cross
+    the wire offline.
     """
-    scheme = get_scheme(scheme_name)
-    lowered = scheme.lower(build_greater_than_circuit(bit_width))
+    circuit = build_greater_than_circuit(bit_width)
     # staticcheck: ignore[csprng-default] -- deterministic sizing probe: the
     # garbled tables are measured for their byte size and discarded, never
     # sent or evaluated, and a seeded build keeps the planner's cost
     # predictions identical across processes.
-    garbled = scheme.garble(lowered, rng=random.Random(bit_width))
+    garbled = garble_circuit(circuit, rng=random.Random(bit_width))
     return ComparatorProfile(
-        and_gate_count=lowered.and_gate_count,
+        and_gate_count=circuit.and_gate_count,
         table_bytes=garbled.garbled.serialized_size(),
     )
 
@@ -201,7 +199,6 @@ def window_phases(
     topology: str,
     session_scope: str,
     transport: str,
-    garbling_scheme: str,
 ) -> WindowPhases:
     """Predict one market window's offline/online clocks for a candidate.
 
@@ -213,7 +210,7 @@ def window_phases(
     """
     model = build_cost_model(spec, key_size)
     cipher = _ciphertext_bytes(key_size)
-    profile = comparator_profile(spec.comparison_bits, garbling_scheme)
+    profile = comparator_profile(spec.comparison_bits)
     encryptions = ENCRYPTIONS_PER_AGENT * spec.agent_count
 
     online = 2.0 * aggregation_online_seconds(
@@ -280,14 +277,11 @@ def candidate_day_seconds(
     topology: str,
     session_scope: str,
     transport: str,
-    garbling_scheme: str,
     workers: int,
     pipeline: bool,
 ) -> Tuple[float, Dict[str, float]]:
     """Predicted simulated day runtime of one candidate, with breakdown."""
-    phases = window_phases(
-        spec, key_size, topology, session_scope, transport, garbling_scheme
-    )
+    phases = window_phases(spec, key_size, topology, session_scope, transport)
     count = anchor_window_count(spec.windows_per_day, workers)
     shard = shard_day_seconds(phases, count, pipeline)
     dispatch = dispatch_seconds(spec, workers, transport, key_size)

@@ -5,7 +5,7 @@ deployment the operator cannot choose — how many hosts the day runs on,
 how many cores each host has, what the links between agents look like,
 how many agents trade and how many market windows the day contains.
 Everything the operator *can* choose (topology, session scope, transport,
-garbling scheme, worker count, pipelining, key size) is the planner's
+worker count, pipelining, key size) is the planner's
 search space (:mod:`repro.planning.search`).
 
 Link profiles mirror the two calibrated profiles of

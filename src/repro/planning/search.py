@@ -2,8 +2,8 @@
 
 The discrete configuration space of a PEM day is the cross product of the
 deployment knobs the runtime grew over PRs 1-8: aggregation topology
-(chain or k-ary tree), session scope, transport, garbling scheme, worker
-count and offline/online pipelining, plus the key size(s) the operator
+(chain or k-ary tree), session scope, transport, worker count and
+offline/online pipelining, plus the key size(s) the operator
 allows.  Two constraints carve out the *feasible* region:
 
 * ``pipeline=True`` requires ``session_scope="day"`` (pre-staged offline
@@ -50,14 +50,12 @@ AXES = (
     "session_scope",
     "pipeline",
     "transport",
-    "garbling_scheme",
     "workers",
 )
 
 TOPOLOGIES = ("chain", "tree:2", "tree:4", "tree:8")
 SESSION_SCOPES = ("window", "day")
 TRANSPORTS = ("local", "socket")
-GARBLING_SCHEMES = ("classic", "halfgates")
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,6 @@ class CandidateConfig:
     session_scope: str
     pipeline: bool
     transport: str
-    garbling_scheme: str
     workers: int
 
     def sort_key(self) -> Tuple:
@@ -80,7 +77,6 @@ class CandidateConfig:
             SESSION_SCOPES.index(self.session_scope),
             int(self.pipeline),
             TRANSPORTS.index(self.transport),
-            GARBLING_SCHEMES.index(self.garbling_scheme),
             self.workers,
         )
 
@@ -91,7 +87,6 @@ class CandidateConfig:
             "session_scope": self.session_scope,
             "pipeline": self.pipeline,
             "transport": self.transport,
-            "garbling_scheme": self.garbling_scheme,
             "workers": self.workers,
         }
 
@@ -112,7 +107,6 @@ class CandidateConfig:
             aggregation_topology=self.topology,
             session_scope=self.session_scope,
             transport=self.transport,
-            garbling_scheme=self.garbling_scheme,
             **overrides,
         )
 
@@ -126,7 +120,7 @@ class CandidateConfig:
         pipe = "pipelined" if self.pipeline else "unpipelined"
         return (
             f"{self.topology} / {self.session_scope}-scope / {self.transport} / "
-            f"{self.garbling_scheme} / {self.workers} worker(s) / {pipe} / "
+            f"{self.workers} worker(s) / {pipe} / "
             f"{self.key_size}-bit key"
         )
 
@@ -149,8 +143,6 @@ def axis_options(spec: FleetSpec, axis: str, partial: Dict) -> Tuple:
         return (False, True)
     if axis == "transport":
         return TRANSPORTS if spec.hosts == 1 else ("socket",)
-    if axis == "garbling_scheme":
-        return GARBLING_SCHEMES
     if axis == "workers":
         return tuple(range(1, min(spec.total_cores, spec.windows_per_day) + 1))
     raise ValueError(f"unknown search axis {axis!r}")
@@ -174,15 +166,14 @@ def iter_candidates(spec: FleetSpec) -> Iterator[CandidateConfig]:
 
 
 def naive_candidate(spec: FleetSpec) -> CandidateConfig:
-    """The seed deployment: serial chain, per-window sessions, classic
-    garbling, one worker — in-process messages when one host suffices."""
+    """The seed deployment: serial chain, per-window sessions, one worker —
+    in-process messages when one host suffices."""
     return CandidateConfig(
         key_size=spec.key_size,
         topology="chain",
         session_scope="window",
         pipeline=False,
         transport="local" if spec.hosts == 1 else "socket",
-        garbling_scheme="classic",
         workers=1,
     )
 
@@ -204,7 +195,6 @@ def score_candidate(spec: FleetSpec, candidate: CandidateConfig) -> ScoredCandid
         candidate.topology,
         candidate.session_scope,
         candidate.transport,
-        candidate.garbling_scheme,
         candidate.workers,
         candidate.pipeline,
     )

@@ -1,11 +1,16 @@
-"""Reference oracles: the pre-PR-16 bit- and byte-at-a-time GC/OT code.
+"""Reference oracles: bit- and byte-at-a-time GC/OT code and retired circuits.
 
-``repro.crypto.otext`` and ``repro.crypto.garbled`` now work word-wide
-(big-int XOR, one string transpose per matrix).  The loops they replaced
-live on here, verbatim, as the specification the fast code is held to:
-for seeded randomness the product code must reproduce these functions'
-output byte for byte (``test_gc_oracles.py``).  Nothing outside the test
-suite may import this module.
+``repro.crypto.otext`` and ``repro.crypto.garbled`` work word-wide (numpy
+bit matrices, big-int XOR).  The loops they replaced live on here,
+verbatim, as the specification the fast code is held to: for seeded
+randomness the product code must reproduce these functions' output byte
+for byte (``test_gc_oracles.py``).
+
+The classic point-and-permute garbler (four rows per binary gate) and the
+three-AND-per-bit comparator it garbled are no longer product code; they
+stay here, with a classic evaluator, as an independent reference the
+half-gates comparator must agree with on every input.  Nothing outside the
+test suite may import this module.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import hashlib
 import random
 from typing import Dict, List, Tuple
 
-from repro.crypto.circuits import Circuit, GateType, TRUTH_TABLES
+from repro.crypto.circuits import TRUTH_TABLES, Circuit, CircuitBuilder, GateType
 from repro.crypto.garbled import LABEL_BYTES
 from repro.crypto.otext import BaseOTCorrelation
 
@@ -113,6 +118,61 @@ def oracle_derive_batch(
     }
 
 
+def oracle_transfer(
+    random_choices, sender_pad_pairs, receiver_pads, message_pairs, choice_bits
+) -> List[bytes]:
+    """The parent's per-transfer Beaver derandomization (three XORs per transfer)."""
+    recovered = []
+    for j, ((m0, m1), bit) in enumerate(zip(message_pairs, choice_bits)):
+        c = random_choices[j]
+        d = (int(bit) & 1) ^ c
+        pad0, pad1 = sender_pad_pairs[j]
+        f = (
+            oracle_xor(m0 if d == 0 else m1, pad0),
+            oracle_xor(m1 if d == 0 else m0, pad1),
+        )
+        recovered.append(oracle_xor(f[c], receiver_pads[j]))
+    return recovered
+
+
+def oracle_transpose(columns: List[bytes], count: int) -> List[bytes]:
+    """Row ``j`` of a column-wise bit matrix, one bit at a time (little-endian bits)."""
+    kappa = len(columns)
+    bits = [_bits_from_bytes(column, count) for column in columns]
+    return [
+        bytes(
+            sum(bits[i + k][j] << k for k in range(min(8, kappa - i)))
+            for i in range(0, kappa, 8)
+        )
+        for j in range(count)
+    ]
+
+
+# -- circuits ----------------------------------------------------------------------
+
+
+def oracle_build_greater_than_circuit(bit_width: int) -> Circuit:
+    """The retired comparator: ``gt_i = a_i AND NOT b_i OR (a_i XNOR b_i) AND gt_{i-1}``.
+
+    Three AND-family gates per bit above the lsb (AND, AND, OR), plus two
+    NOTs and an XOR.
+    """
+    builder = CircuitBuilder()
+    a_bits = [builder.garbler_input() for _ in range(bit_width)]
+    b_bits = [builder.evaluator_input() for _ in range(bit_width)]
+    gt_so_far = None
+    for i in range(bit_width):
+        a_i, b_i = a_bits[i], b_bits[i]
+        a_gt_b = builder.gate_and(a_i, builder.gate_not(b_i))
+        if gt_so_far is None:
+            gt_so_far = a_gt_b
+        else:
+            equal_here = builder.gate_not(builder.gate_xor(a_i, b_i))
+            carry_up = builder.gate_and(equal_here, gt_so_far)
+            gt_so_far = builder.gate_or(a_gt_b, carry_up)
+    return builder.build([gt_so_far])
+
+
 # -- garbling ----------------------------------------------------------------------
 
 #: wire -> ((zero key, zero external bit), (one key, one external bit))
@@ -177,6 +237,35 @@ def oracle_garble_classic(
                 )
         gate_rows.append(tuple(rows))
     return gate_rows, _decoding(circuit, labels), labels
+
+
+def oracle_evaluate_classic(
+    circuit: Circuit,
+    gate_rows: List[Tuple[bytes, ...]],
+    decoding: Dict[int, Tuple[bytes, bytes]],
+    labels: OracleLabels,
+    garbler_bits: List[int],
+    evaluator_bits: List[int],
+) -> List[int]:
+    """Evaluate :func:`oracle_garble_classic`'s output, one row decrypted per binary gate."""
+    active: Dict[int, Tuple[bytes, int]] = {}
+    inputs = list(circuit.garbler_inputs) + list(circuit.evaluator_inputs)
+    for wire, bit in zip(inputs, list(garbler_bits) + list(evaluator_bits)):
+        active[wire] = labels[wire][bit]
+    for gate_index, (gate, rows) in enumerate(zip(circuit.gates, gate_rows)):
+        if gate.gate_type == GateType.NOT:
+            active[gate.output_wire] = active[gate.input_wires[0]]
+            continue
+        key_a, ext_a = active[gate.input_wires[0]]
+        key_b, ext_b = active[gate.input_wires[1]]
+        plain = oracle_encrypt_row(key_a, key_b, gate_index, rows[ext_a * 2 + ext_b])
+        active[gate.output_wire] = (plain[:LABEL_BYTES], plain[LABEL_BYTES])
+    outputs = []
+    for wire in circuit.output_wires:
+        digest = _label_digest(active[wire][0])
+        assert digest in decoding[wire], f"output wire {wire} produced an unrecognized label"
+        outputs.append(decoding[wire].index(digest))
+    return outputs
 
 
 def _hg_hash(key_int: int, tweak: int) -> int:

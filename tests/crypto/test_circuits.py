@@ -95,7 +95,7 @@ def test_and_gate_count_positive():
 
 def test_lower_to_xor_and_preserves_semantics():
     for width in (1, 2, 4, 6):
-        circuit = build_greater_than_circuit(width)
+        circuit = build_adder_circuit(width)
         lowered = lower_to_xor_and(circuit)
         assert not any(g.gate_type == GateType.OR for g in lowered.gates)
         assert lowered.output_wires == circuit.output_wires
@@ -107,23 +107,28 @@ def test_lower_to_xor_and_preserves_semantics():
 
 
 def test_lower_to_xor_and_idempotent():
-    circuit = build_greater_than_circuit(8)
-    lowered = lower_to_xor_and(circuit)
+    lowered = lower_to_xor_and(build_adder_circuit(8))
     # No ORs left -> the pass returns the same object unchanged.
     assert lower_to_xor_and(lowered) is lowered
+    comparator = build_greater_than_circuit(8)
+    assert lower_to_xor_and(comparator) is comparator  # it never had an OR
 
 
 def test_gate_histogram_accounts_every_gate():
     circuit = build_greater_than_circuit(8)
     histogram = circuit.gate_histogram()
     assert sum(histogram.values()) == len(circuit.gates)
-    assert histogram["OR"] == 7  # one OR per bit above the lsb
-    lowered = lower_to_xor_and(circuit)
-    lowered_histogram = lowered.gate_histogram()
+    # One AND per bit, three XORs per bit above the lsb, one NOT at the lsb.
+    assert histogram == {"NOT": 1, "AND": 8, "XOR": 21}
+    assert build_greater_than_circuit(64).gate_histogram() == {"NOT": 1, "AND": 64, "XOR": 189}
+    adder = build_adder_circuit(8)
+    adder_histogram = adder.gate_histogram()
+    assert adder_histogram["OR"] == 7  # one carry OR per bit above the lsb
+    lowered_histogram = lower_to_xor_and(adder).gate_histogram()
     assert "OR" not in lowered_histogram
     # Each OR becomes XOR + AND + XOR.
-    assert lowered_histogram["AND"] == histogram["AND"] + histogram["OR"]
-    assert lowered_histogram["XOR"] == histogram.get("XOR", 0) + 2 * histogram["OR"]
+    assert lowered_histogram["AND"] == adder_histogram["AND"] + adder_histogram["OR"]
+    assert lowered_histogram["XOR"] == adder_histogram["XOR"] + 2 * adder_histogram["OR"]
 
 
 def test_counts_come_from_the_program_compiled_once():
@@ -131,23 +136,19 @@ def test_counts_come_from_the_program_compiled_once():
     program = circuit.program
     assert circuit.program is program  # cached on the circuit
     assert len(program.ops) == len(circuit.gates)
-    assert circuit.and_gate_count == program.and_gate_count == 8 + 7 + 7
-    assert program.binary_gate_count == sum(g.gate_type != GateType.NOT for g in circuit.gates)
+    assert circuit.and_gate_count == program.and_gate_count == 8
     histogram = circuit.gate_histogram()
     histogram["AND"] = -1  # a copy: the program's own counts are not exposed to mutation
-    assert circuit.gate_histogram()["AND"] == 15
-    # Table positions: consecutive among binary gates / among AND+OR gates.
-    binary = [op.slot for op in program.ops if op.truth]
-    non_free = [
+    assert circuit.gate_histogram()["AND"] == 8
+    # Table positions: consecutive among AND gates.
+    and_slots = [
         op.and_slot
         for op, gate in zip(program.ops, circuit.gates)
-        if gate.gate_type in (GateType.AND, GateType.OR)
+        if gate.gate_type == GateType.AND
     ]
-    assert binary == list(range(program.binary_gate_count))
-    assert non_free == list(range(program.and_gate_count))
+    assert and_slots == list(range(program.and_gate_count))
     for index, op in enumerate(program.ops):
-        assert (op.tag, op.tweak_g, op.tweak_e) == (
-            index.to_bytes(4, "big"),
+        assert (op.tweak_g, op.tweak_e) == (
             (2 * index).to_bytes(8, "big"),
             (2 * index + 1).to_bytes(8, "big"),
         )
@@ -183,11 +184,16 @@ def test_builders_reject_zero_width():
         build_adder_circuit(0)
 
 
+@pytest.mark.parametrize("bit_width", [32, 64])
 @settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2**32 - 1))
-def test_comparator_property_32bit(a, b):
-    circuit = build_greater_than_circuit(32)
-    assert circuit.evaluate(int_to_bits(a, 32), int_to_bits(b, 32))[0] == int(a > b)
+@given(data=st.data())
+def test_comparator_property(bit_width, data):
+    top = (1 << bit_width) - 1
+    operand = st.one_of(st.integers(0, top), st.sampled_from((0, 1, top - 1, top)))
+    a = data.draw(operand)
+    b = data.draw(st.one_of(operand, st.just(a)))
+    circuit = build_greater_than_circuit(bit_width)
+    assert circuit.evaluate(int_to_bits(a, bit_width), int_to_bits(b, bit_width))[0] == int(a > b)
 
 
 @settings(max_examples=60, deadline=None)

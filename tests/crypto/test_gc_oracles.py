@@ -1,26 +1,32 @@
 """The word-wide GC/OT code against its bit- and byte-at-a-time oracles.
 
 ``gc_oracles.py`` holds the loops ``otext.derive_batch``, ``otext._xor``,
-``otext._prg`` and both garblers were written with before they went
+``otext._prg`` and the garbler were written with before they went
 word-wide.  For seeded randomness the product code must reproduce the
 oracles' bytes exactly — same rows, same pads, same labels — and it must
 still simulate *both* OT parties: a broken base-OT correlation has to show
 up as mismatched pads and a fail-closed comparison, not be papered over by
-deriving the receiver's pads from the sender's.
+deriving the receiver's pads from the sender's.  The retired classic
+garbler over the retired comparator is the outcome reference.
 """
 
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gc_oracles import (
+    oracle_build_greater_than_circuit,
     oracle_derive_batch,
+    oracle_evaluate_classic,
     oracle_garble_classic,
     oracle_garble_halfgates,
     oracle_prg,
+    oracle_transfer,
+    oracle_transpose,
     oracle_xor,
 )
 from repro.chaos import tamper_prepared_comparison
@@ -30,14 +36,10 @@ from repro.crypto.circuits import (
     GateType,
     build_adder_circuit,
     build_greater_than_circuit,
+    int_to_bits,
     lower_to_xor_and,
 )
-from repro.crypto.garbled import (
-    GarblingError,
-    evaluate_garbled_circuit,
-    garble_circuit,
-    garble_circuit_halfgates,
-)
+from repro.crypto.garbled import GarblingError, evaluate_garbled_circuit, garble_circuit
 from repro.crypto.gc_pool import ComparisonError, PreparedComparison
 from repro.crypto.otext import OTExtensionError, derive_batch, establish_correlation
 
@@ -159,37 +161,64 @@ def test_derive_batch_at_the_protocol_shape(correlations):
         assert pad == pair[c] and pad != pair[1 - c]
 
 
-# -- garblers ----------------------------------------------------------------------
+def test_derive_batch_beyond_one_prg_block(correlations):
+    """Over 256 transfers a column outgrows one SHA-256 block of PRG output."""
+    batch = derive_batch(correlations[13], 300, 17, b"long", random.Random(5))
+    expected = oracle_derive_batch(correlations[13], 300, 17, b"long", random.Random(5))
+    for name, value in expected.items():
+        assert getattr(batch, name) == value, name
 
-GARBLERS = {
-    "classic": (lambda c: c, garble_circuit, oracle_garble_classic),
-    "halfgates": (lower_to_xor_and, garble_circuit_halfgates, oracle_garble_halfgates),
-}
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_matrix_transpose_matches_bit_loop(kappa):
+    """``unpackbits`` / ``packbits`` rows equal the bit-at-a-time transpose."""
+    rng = random.Random(kappa)
+    for count in (1, 7, 8, 9, 64, 70):
+        column_len = (count + 7) // 8
+        columns = [bytes(rng.getrandbits(8) for _ in range(column_len)) for _ in range(kappa)]
+        matrix = np.frombuffer(b"".join(columns), np.uint8).reshape(kappa, column_len)
+        rows = otext._rows(matrix, count)
+        assert [row.tobytes() for row in rows] == oracle_transpose(columns, count)
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 64, 65])
+def test_joined_transfer_matches_per_transfer_oracle(correlations, count):
+    """One big-int XOR per side of the OT equals the per-transfer derandomization."""
+    rng = random.Random(count)
+    batch = derive_batch(correlations[128], count, 17, b"joined", random.Random(count))
+    pairs = [(rng.randbytes(17), rng.randbytes(17)) for _ in range(count)]
+    choices = [rng.getrandbits(1) for _ in range(count)]
+    expected = oracle_transfer(
+        batch.random_choices, batch.sender_pad_pairs, batch.receiver_pads, pairs, choices
+    )
+    recovered, online_bytes = batch.transfer(pairs, choices)
+    assert recovered == expected == [pair[bit] for pair, bit in zip(pairs, choices)]
+    assert online_bytes == (count + 7) // 8 + 2 * count * 17
+
+
+# -- garbler ----------------------------------------------------------------------
 
 
 @settings(max_examples=12, deadline=None)
 @given(
-    scheme=st.sampled_from(sorted(GARBLERS)),
     build=st.sampled_from((build_greater_than_circuit, build_adder_circuit)),
     bit_width=st.sampled_from((1, 8, 64)),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-def test_seeded_garbling_matches_parent_byte_for_byte(scheme, build, bit_width, seed):
-    lower, garble, oracle = GARBLERS[scheme]
-    circuit = lower(build(bit_width))
-    out = garble(circuit, rng=random.Random(seed))
-    gate_rows, decoding, labels = oracle(circuit, random.Random(seed))
+def test_seeded_garbling_matches_parent_byte_for_byte(build, bit_width, seed):
+    circuit = lower_to_xor_and(build(bit_width))
+    out = garble_circuit(circuit, rng=random.Random(seed))
+    gate_rows, decoding, labels = oracle_garble_halfgates(circuit, random.Random(seed))
 
     assert out.garbled.tables == b"".join(map(b"".join, gate_rows))
     assert [out.garbled.rows(i) for i in range(len(circuit.gates))] == gate_rows
     assert out.garbled.output_decoding == decoding
-    assert out.garbled.scheme == scheme
     for wire, (zero, one) in labels.items():
-        pair = out.wire_labels[wire]
-        assert (pair.zero.key, pair.zero.external_bit) == zero
-        assert (pair.one.key, pair.one.external_bit) == one
-    # The seed formula: rows + 8-byte header per shipped gate + 64 B per output.
-    shipped = [rows for rows in gate_rows if rows or scheme == "classic"]
+        for bit, (key, external_bit) in enumerate((zero, one)):
+            assert out.key(wire, bit) == int.from_bytes(key, "big")
+            assert out.key(wire, bit) & 1 == external_bit
+    # The seed formula: rows + 8-byte header per AND gate + 64 B per output.
+    shipped = [rows for rows in gate_rows if rows]
     assert out.garbled.serialized_size() == (
         sum(sum(map(len, rows)) + 8 for rows in shipped) + 64 * len(circuit.output_wires)
     )
@@ -209,53 +238,40 @@ def small_circuits(draw):
     return builder.build(draw(outputs))
 
 
-def _garbled_run(draw, circuit, scheme, seed):
-    """Garble ``circuit`` under ``scheme``; draw inputs; return what evaluation needs."""
-    lower, garble, _ = GARBLERS[scheme]
-    out = garble(lower(circuit), rng=random.Random(seed))
+def _garbled_run(draw, circuit, seed):
+    """Lower and garble ``circuit``; draw inputs; return what evaluation needs."""
+    out = garble_circuit(lower_to_xor_and(circuit), rng=random.Random(seed))
     garbler_bits = [draw(st.integers(0, 1)) for _ in circuit.garbler_inputs]
     evaluator_bits = [draw(st.integers(0, 1)) for _ in circuit.evaluator_inputs]
-    evaluator_labels = [
-        out.wire_labels[wire].for_value(bit)
-        for wire, bit in zip(circuit.evaluator_inputs, evaluator_bits)
+    evaluator_keys = [
+        out.key(wire, bit) for wire, bit in zip(circuit.evaluator_inputs, evaluator_bits)
     ]
     expected = circuit.evaluate(garbler_bits, evaluator_bits)
-    return out, out.garbler_input_labels(garbler_bits), evaluator_labels, expected
+    return out, out.garbler_input_keys(garbler_bits), evaluator_keys, expected
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    circuit=small_circuits(),
-    scheme=st.sampled_from(sorted(GARBLERS)),
-    seed=st.integers(min_value=0, max_value=2**32),
-    data=st.data(),
-)
-def test_flat_garblers_match_oracles_on_random_dags(circuit, scheme, seed, data):
-    lower, _, oracle = GARBLERS[scheme]
-    out, garbler_labels, evaluator_labels, expected = _garbled_run(data.draw, circuit, scheme, seed)
-    gate_rows, decoding, labels = oracle(lower(circuit), random.Random(seed))
+@given(circuit=small_circuits(), seed=st.integers(min_value=0, max_value=2**32), data=st.data())
+def test_flat_garbler_matches_oracle_on_random_dags(circuit, seed, data):
+    out, garbler_keys, evaluator_keys, expected = _garbled_run(data.draw, circuit, seed)
+    gate_rows, decoding, labels = oracle_garble_halfgates(
+        lower_to_xor_and(circuit), random.Random(seed)
+    )
 
     assert out.garbled.tables == b"".join(map(b"".join, gate_rows))
     assert out.garbled.output_decoding == decoding
-    for wire in circuit.garbler_inputs + circuit.evaluator_inputs:
+    pairs = out.evaluator_label_pairs()
+    for wire, pair in zip(circuit.evaluator_inputs, pairs):
         (zero_key, zero_bit), (one_key, one_bit) = labels[wire]
-        assert out.wire_labels.serialized(wire) == (
-            zero_key + bytes([zero_bit]),
-            one_key + bytes([one_bit]),
-        )
-    assert evaluate_garbled_circuit(out.garbled, garbler_labels, evaluator_labels) == expected
+        assert pair == (zero_key + bytes([zero_bit]), one_key + bytes([one_bit]))
+    assert evaluate_garbled_circuit(out.garbled, garbler_keys, evaluator_keys) == expected
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    circuit=small_circuits(),
-    scheme=st.sampled_from(sorted(GARBLERS)),
-    seed=st.integers(min_value=0, max_value=2**32),
-    data=st.data(),
-)
-def test_tampered_table_buffer_never_flips_an_output(circuit, scheme, seed, data):
+@given(circuit=small_circuits(), seed=st.integers(min_value=0, max_value=2**32), data=st.data())
+def test_tampered_table_buffer_never_flips_an_output(circuit, seed, data):
     """Any single-bit flip, truncation or extension: ``GarblingError`` or the plaintext bits."""
-    out, garbler_labels, evaluator_labels, expected = _garbled_run(data.draw, circuit, scheme, seed)
+    out, garbler_keys, evaluator_keys, expected = _garbled_run(data.draw, circuit, seed)
     tables = out.garbled.tables
     kinds = ("flip", "truncate", "extend") if tables else ("extend",)
     kind = data.draw(st.sampled_from(kinds))
@@ -270,7 +286,7 @@ def test_tampered_table_buffer_never_flips_an_output(circuit, scheme, seed, data
         out.garbled.tables = tables + data.draw(st.binary(min_size=1, max_size=40))
     size_before = out.garbled.serialized_size()
     try:
-        result = evaluate_garbled_circuit(out.garbled, garbler_labels, evaluator_labels)
+        result = evaluate_garbled_circuit(out.garbled, garbler_keys, evaluator_keys)
     except GarblingError:
         pass
     else:
@@ -279,43 +295,88 @@ def test_tampered_table_buffer_never_flips_an_output(circuit, scheme, seed, data
     assert out.garbled.serialized_size() == size_before
 
 
-#: ``BENCH_crypto.json``'s ``table_bytes`` at the two benchmarked widths.
-BENCH_TABLE_BYTES = {
-    ("classic", 64): 20_308,
-    ("halfgates", 64): 7_664,
-    ("classic", 32): 10_068,
-    ("halfgates", 32): 3_824,
-}
+#: ``serialized_size`` of the garbled comparator at the two widths the
+#: protocol runs: 64 AND gates x (32 B rows + 8 B header) + 64 B of output
+#: decoding at 64 bits, 32 x 40 + 64 at 32 bits.
+PINNED_TABLE_BYTES = {64: 2_624, 32: 1_344}
 
 
-@pytest.mark.parametrize("scheme", sorted(GARBLERS))
-def test_serialized_size_equals_the_per_gate_formula(scheme):
-    """Widths 1-64: rows + an 8-byte header per shipped gate + 64 B per output."""
-    lower, garble, _ = GARBLERS[scheme]
-    for bit_width in range(1, 65):
-        circuit = lower(build_greater_than_circuit(bit_width))
-        garbled = garble(circuit, rng=random.Random(bit_width)).garbled
-        if scheme == "classic":
-            per_gate = [8 if g.gate_type == GateType.NOT else 4 * 17 + 8 for g in circuit.gates]
-        else:
-            per_gate = [2 * 16 + 8 for g in circuit.gates if g.gate_type == GateType.AND]
-        assert garbled.serialized_size() == sum(per_gate) + 64 * len(circuit.output_wires)
-        assert len(garbled.tables) == sum(per_gate) - 8 * len(per_gate)
-        if (scheme, bit_width) in BENCH_TABLE_BYTES:
-            assert garbled.serialized_size() == BENCH_TABLE_BYTES[scheme, bit_width]
+@pytest.mark.parametrize("bit_width", range(1, 65))
+def test_serialized_size_equals_the_per_gate_formula(bit_width):
+    """Rows + an 8-byte header per AND gate + 64 B per output, at every width."""
+    circuit = build_greater_than_circuit(bit_width)
+    garbled = garble_circuit(circuit, rng=random.Random(bit_width)).garbled
+    per_gate = [2 * 16 + 8 for g in circuit.gates if g.gate_type == GateType.AND]
+    assert len(per_gate) == bit_width
+    assert garbled.serialized_size() == sum(per_gate) + 64 * len(circuit.output_wires)
+    assert len(garbled.tables) == sum(per_gate) - 8 * len(per_gate)
+    if bit_width in PINNED_TABLE_BYTES:
+        assert garbled.serialized_size() == PINNED_TABLE_BYTES[bit_width]
 
 
 def test_csprng_garbling_draws_distinct_material():
     """The batched ``token_bytes`` draw: fresh labels per wire and per call."""
     circuit = build_greater_than_circuit(8)
     first, second = garble_circuit(circuit), garble_circuit(circuit)
+    assert first.delta & 1 and second.delta & 1 and first.delta != second.delta
     keys = set()
     for out in (first, second):
         for wire in list(circuit.garbler_inputs) + list(circuit.evaluator_inputs):
-            pair = out.wire_labels[wire]
-            assert {pair.zero.external_bit, pair.one.external_bit} == {0, 1}
-            keys.update((pair.zero.key, pair.one.key))
+            zero, one = out.key(wire, 0), out.key(wire, 1)
+            assert (zero ^ one) & 1 == 1  # the external bits always differ
+            keys.update((zero, one))
     assert len(keys) == 2 * 2 * 16
+
+
+# -- the retired classic garbler as outcome reference ------------------------------
+
+
+@pytest.mark.parametrize("bit_width", [1, 2, 3, 4, 5, 6])
+def test_comparator_agrees_with_the_retired_comparator_in_the_clear(bit_width):
+    """Plain evaluation, every input pair: both circuits compute ``a > b``."""
+    new = build_greater_than_circuit(bit_width)
+    old = oracle_build_greater_than_circuit(bit_width)
+    assert old.and_gate_count == 3 * bit_width - 2 and new.and_gate_count == bit_width
+    for a in range(1 << bit_width):
+        for b in range(1 << bit_width):
+            bits_a, bits_b = int_to_bits(a, bit_width), int_to_bits(b, bit_width)
+            assert new.evaluate(bits_a, bits_b) == old.evaluate(bits_a, bits_b) == [int(a > b)]
+
+
+@pytest.mark.parametrize("bit_width", [1, 2, 3, 4, 5, 6])
+def test_comparator_agrees_with_the_classic_oracle_exhaustively(bit_width):
+    """Every input pair: the new comparator under half-gates, the retired one under classic."""
+    new = build_greater_than_circuit(bit_width)
+    old = oracle_build_greater_than_circuit(bit_width)
+    out = garble_circuit(new, rng=random.Random(bit_width))
+    gate_rows, decoding, labels = oracle_garble_classic(old, random.Random(bit_width))
+    for a in range(1 << bit_width):
+        for b in range(1 << bit_width):
+            bits_a, bits_b = int_to_bits(a, bit_width), int_to_bits(b, bit_width)
+            keys_b = [out.key(w, bit) for w, bit in zip(new.evaluator_inputs, bits_b)]
+            got = evaluate_garbled_circuit(out.garbled, out.garbler_input_keys(bits_a), keys_b)
+            want = oracle_evaluate_classic(old, gate_rows, decoding, labels, bits_a, bits_b)
+            assert got == want == [int(a > b)]
+
+
+@pytest.mark.parametrize("bit_width", [32, 64])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
+def test_comparator_agrees_with_the_classic_oracle(bit_width, data, seed):
+    """Random, equal and extreme operands at the protocol widths."""
+    top = (1 << bit_width) - 1
+    operand = st.one_of(st.integers(0, top), st.sampled_from((0, 1, top - 1, top)))
+    a = data.draw(operand)
+    b = data.draw(st.one_of(operand, st.just(a)))
+    new = build_greater_than_circuit(bit_width)
+    old = oracle_build_greater_than_circuit(bit_width)
+    out = garble_circuit(new, rng=random.Random(seed))
+    gate_rows, decoding, labels = oracle_garble_classic(old, random.Random(seed))
+    bits_a, bits_b = int_to_bits(a, bit_width), int_to_bits(b, bit_width)
+    keys_b = [out.key(w, bit) for w, bit in zip(new.evaluator_inputs, bits_b)]
+    got = evaluate_garbled_circuit(out.garbled, out.garbler_input_keys(bits_a), keys_b)
+    want = oracle_evaluate_classic(old, gate_rows, decoding, labels, bits_a, bits_b)
+    assert got == want == [int(a > b)]
 
 
 # -- both parties are still simulated ----------------------------------------------
@@ -345,30 +406,31 @@ def test_broken_correlation_breaks_the_pads(ot_correlation, index):
     assert healthy.receiver_pads == batch.receiver_pads  # the receiver's side is its own
 
 
-@pytest.mark.parametrize("scheme", ["classic", "halfgates"])
-def test_comparison_on_a_broken_correlation_fails_closed(ot_correlation, scheme):
+@pytest.mark.parametrize("bit_width", [8, 32, 64])
+def test_comparison_on_a_broken_correlation_fails_closed(ot_correlation, bit_width):
     broken = _corrupt_sender_seed(ot_correlation, 3)
-    circuit = build_greater_than_circuit(64)
+    circuit = build_greater_than_circuit(bit_width)
     for seed in range(3):
-        instance = PreparedComparison(circuit, 64, broken, rng=random.Random(seed), scheme=scheme)
-        # One wrong column corrupts about half of the 64 transferred labels
+        instance = PreparedComparison(circuit, bit_width, broken, rng=random.Random(seed))
+        # One wrong column corrupts about half of the transferred labels
         # (the instance tag is fresh, so which half varies); a wrong label
         # can only abort, never decode to a bit.
         with pytest.raises((GarblingError, ComparisonError)):
-            instance.evaluate(2**63 + 5, 123)
+            instance.evaluate((1 << bit_width) - 3, 123 % (1 << bit_width))
         assert instance.used
 
 
-@pytest.mark.parametrize("scheme", ["classic", "halfgates"])
+@pytest.mark.parametrize("bit_width", [1, 8, 32, 64])
 @pytest.mark.parametrize("target", ["row", "label", "pad"])
-def test_chaos_tamper_targets_never_misevaluate(ot_correlation, scheme, target):
-    """The three chaos hooks, driven through the word-wide evaluators."""
-    circuit = build_greater_than_circuit(12)
+def test_chaos_tamper_targets_never_misevaluate(ot_correlation, bit_width, target):
+    """The three chaos hooks, driven through the word-wide evaluator."""
+    circuit = build_greater_than_circuit(bit_width)
+    top = (1 << bit_width) - 1
     aborted = 0
-    for seed, (a, b) in enumerate([(9, 4), (4, 9), (4095, 0), (0, 4095), (77, 77), (1, 0)]):
-        instance = PreparedComparison(
-            circuit, 12, ot_correlation, rng=random.Random(seed), scheme=scheme
-        )
+    operands = [(9, 4), (4, 9), (top, 0), (0, top), (77, 77), (1, 0)]
+    for seed, (a, b) in enumerate(operands):
+        a, b = min(a, top), min(b, top)
+        instance = PreparedComparison(circuit, bit_width, ot_correlation, rng=random.Random(seed))
         size_before = instance._garbler.garbled.serialized_size()
         tamper_prepared_comparison(instance, target)
         try:
@@ -376,8 +438,8 @@ def test_chaos_tamper_targets_never_misevaluate(ot_correlation, scheme, target):
         except (GarblingError, ComparisonError):
             aborted += 1
         else:
-            # Only a half-gates row the active path never consumed may survive.
-            assert (scheme, target) == ("halfgates", "row")
+            # Only a row the active path never consumed may survive.
+            assert target == "row"
             assert result == (a > b)
         assert instance._garbler.garbled.serialized_size() == size_before
-    assert aborted >= (1 if (scheme, target) == ("halfgates", "row") else 6)
+    assert aborted >= (1 if target == "row" and bit_width < 32 else len(operands))

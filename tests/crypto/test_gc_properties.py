@@ -1,13 +1,13 @@
 """Property-based harness for the garbled-comparison pipeline.
 
-Three families of guarantees must survive the offline refactor, under
-**every garbling scheme** (the module is parametrized over ``classic`` and
-``halfgates``):
+Three families of guarantees must survive the offline refactor, at **every
+comparator width** the protocol can run (the module is parametrized over
+1, 8, 32 and 64 bits):
 
-* **bit-identity** — garbled evaluation (classic and pooled/prepared)
-  matches the plaintext comparison for randomized bit widths and operands;
+* **bit-identity** — garbled evaluation (pooled/prepared) matches the
+  plaintext comparison for randomized operands, including the boundaries;
 * **sign/range discipline** — negative or oversized operands are rejected
-  on both paths with the same exception type;
+  with the same exception type;
 * **fail-closed under tampering** — corrupting garbled rows, transferred
   labels, OT masks or output-decoding tables makes evaluation raise, never
   return a wrong-but-plausible bit.  (Half-gate rows enter evaluation only
@@ -22,23 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TEST_KAPPA, small_comparison_pool
+from helpers import small_comparison_pool
 from repro.crypto.circuits import build_greater_than_circuit, int_to_bits
-from repro.crypto.garbled import (
-    GarblingError,
-    WireLabel,
-    evaluate_garbled_circuit,
-    get_scheme,
-)
+from repro.crypto.garbled import GarblingError, evaluate_garbled_circuit, garble_circuit
 from repro.crypto.gc_pool import ComparisonError, PreparedComparison
 from repro.crypto.otext import OTExtensionError, derive_batch
 from repro.crypto.secure_comparison import (
     SecureComparisonError,
     prepared_greater_than,
     prepared_less_than,
+    secure_greater_than,
 )
 
-SCHEMES = ("classic", "halfgates")
+BIT_WIDTHS = (1, 8, 32, 64)
 
 
 @pytest.fixture(scope="module")
@@ -47,70 +43,67 @@ def correlation(ot_correlation):
     return ot_correlation
 
 
-@pytest.fixture(scope="module", params=SCHEMES)
-def scheme(request):
+@pytest.fixture(scope="module", params=BIT_WIDTHS)
+def bit_width(request):
     return request.param
 
 
-def prepared(bit_width, correlation, seed, scheme="classic"):
+def prepared(bit_width, correlation, seed):
     circuit = build_greater_than_circuit(bit_width)
-    return PreparedComparison(
-        circuit, bit_width, correlation, rng=random.Random(seed), scheme=scheme
-    )
+    return PreparedComparison(circuit, bit_width, correlation, rng=random.Random(seed))
 
 
-def garble_for(scheme_name, bit_width, rng):
-    """Lower + garble a comparator under one scheme (for tamper tests)."""
-    garbling = get_scheme(scheme_name)
-    circuit = garbling.lower(build_greater_than_circuit(bit_width))
-    return circuit, garbling.garble(circuit, rng=rng)
+def garbled_with_keys(bit_width, a, b, seed):
+    """Garble a comparator and select the active keys for ``a > b``."""
+    circuit = build_greater_than_circuit(bit_width)
+    out = garble_circuit(circuit, rng=random.Random(seed))
+    garbler_keys = out.garbler_input_keys(int_to_bits(a, bit_width))
+    evaluator_keys = [
+        out.key(w, bit) for w, bit in zip(circuit.evaluator_inputs, int_to_bits(b, bit_width))
+    ]
+    return circuit, out, garbler_keys, evaluator_keys
+
+
+def operands(bit_width):
+    """Uniform operands plus the boundaries 0, 1, 2^w - 2 and 2^w - 1."""
+    top = (1 << bit_width) - 1
+    return st.one_of(st.integers(0, top), st.sampled_from(sorted({0, 1, max(top - 1, 0), top})))
 
 
 # -- bit-identity properties -----------------------------------------------------------
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    bit_width=st.integers(min_value=1, max_value=20),
-    a=st.integers(min_value=0, max_value=2**20 - 1),
-    b=st.integers(min_value=0, max_value=2**20 - 1),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-def test_prepared_evaluation_matches_plaintext(correlation, scheme, bit_width, a, b, seed):
-    a %= 1 << bit_width
-    b %= 1 << bit_width
-    instance = prepared(bit_width, correlation, seed, scheme=scheme)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
+def test_prepared_evaluation_matches_plaintext(correlation, bit_width, data, seed):
+    a = data.draw(operands(bit_width))
+    b = data.draw(st.one_of(operands(bit_width), st.just(a)))
+    instance = prepared(bit_width, correlation, seed)
     assert prepared_greater_than(instance, a, b).result == (a > b)
 
 
 @settings(max_examples=15, deadline=None)
-@given(
-    bit_width=st.integers(min_value=1, max_value=16),
-    a=st.integers(min_value=0, max_value=2**16 - 1),
-    b=st.integers(min_value=0, max_value=2**16 - 1),
-)
-def test_prepared_less_than_matches_plaintext(correlation, scheme, bit_width, a, b):
-    a %= 1 << bit_width
-    b %= 1 << bit_width
-    instance = prepared(bit_width, correlation, seed=a ^ (b << 1), scheme=scheme)
+@given(data=st.data())
+def test_prepared_less_than_matches_plaintext(correlation, bit_width, data):
+    a = data.draw(operands(bit_width))
+    b = data.draw(st.one_of(operands(bit_width), st.just(a)))
+    instance = prepared(bit_width, correlation, seed=a ^ (b << 1))
     result = prepared_less_than(instance, a, b)
     assert result.result == (a < b)
     assert result.pooled is True
 
 
-def test_pool_draws_match_plaintext_over_random_widths(correlation, scheme):
-    rng = random.Random(77)
-    for bit_width in (1, 2, 7, 13, 64):
-        pool = small_comparison_pool(bit_width, scheme=scheme)
-        assert pool.scheme == scheme
-        pool.warm(3)
-        for _ in range(3):
-            a = rng.randrange(0, 1 << bit_width)
-            b = rng.randrange(0, 1 << bit_width)
-            instance = pool.take()
-            assert instance is not None
-            assert instance.evaluate(a, b).result == (a > b)
-        assert pool.fallback_count == 0
+def test_pool_draws_match_plaintext(bit_width):
+    rng = random.Random(77 + bit_width)
+    pool = small_comparison_pool(bit_width)
+    pool.warm(3)
+    for _ in range(3):
+        a = rng.randrange(0, 1 << bit_width)
+        b = rng.randrange(0, 1 << bit_width)
+        instance = pool.take()
+        assert instance is not None
+        assert instance.evaluate(a, b).result == (a > b)
+    assert pool.fallback_count == 0
 
 
 def test_non_positive_counts_are_noops():
@@ -124,55 +117,69 @@ def test_non_positive_counts_are_noops():
     assert pool.available == pool.reservoir_available == 0
 
 
-def test_boundary_operands(correlation, scheme):
-    for bit_width in (1, 8, 64):
-        top = (1 << bit_width) - 1
-        for a, b in ((0, 0), (top, top), (0, top), (top, 0)):
-            instance = prepared(bit_width, correlation, seed=a + b + bit_width, scheme=scheme)
-            assert instance.evaluate(a, b).result == (a > b)
+def test_boundary_operands(correlation, bit_width):
+    top = (1 << bit_width) - 1
+    for a, b in ((0, 0), (top, top), (0, top), (top, 0)):
+        instance = prepared(bit_width, correlation, seed=a + b + bit_width)
+        assert instance.evaluate(a, b).result == (a > b)
 
 
-def test_halfgates_tables_are_smaller(correlation):
-    """The point of the scheme: fewer garbled-table bytes per instance."""
-    classic = prepared(64, correlation, seed=5, scheme="classic")
-    halfgates = prepared(64, correlation, seed=5, scheme="halfgates")
-    assert halfgates.offline_bytes < classic.offline_bytes
-    # Identical OT batches and accounting shape; only the tables shrink.
-    assert halfgates.and_gate_count == classic.and_gate_count
-    assert halfgates.evaluate(2**63, 2**62).result is True
+def test_offline_bytes_are_tables_plus_correction_columns(correlation, bit_width):
+    """One AND gate per bit: 40 B of table each, 64 B of output decoding."""
+    instance = prepared(bit_width, correlation, seed=5)
+    assert instance.and_gate_count == bit_width
+    extension = correlation.kappa * ((bit_width + 7) // 8)
+    assert instance.offline_bytes == 40 * bit_width + 64 + extension
+
+
+def test_pooled_and_inline_paths_agree_on_result_and_tables(correlation, bit_width):
+    """The same garbler on both paths: same outcome, same table bytes.
+
+    The pooled garbler ships its tables, its ``bit_width`` 17-byte input
+    labels and both masked labels of every derandomized OT.
+    """
+    top = (1 << bit_width) - 1
+    a, b = top, top >> 1
+    pooled = prepared_greater_than(prepared(bit_width, correlation, seed=9), a, b)
+    inline = secure_greater_than(a, b, bit_width=bit_width, rng=random.Random(9))
+    assert pooled.result is inline.result is (a > b)
+    assert pooled.and_gate_count == inline.and_gate_count == bit_width
+    tables = 40 * bit_width + 64
+    assert pooled.garbler_bytes_sent == tables + 17 * bit_width + 2 * 17 * bit_width
+    assert inline.garbler_bytes_sent > tables + 17 * bit_width
 
 
 # -- operand sign / range discipline ---------------------------------------------------
 
 
-@pytest.mark.parametrize("bad_pair", [(-1, 3), (3, -1), (-5, -2)])
-def test_negative_operands_rejected(bad_pair, correlation, scheme):
-    instance = prepared(8, correlation, seed=1, scheme=scheme)
+@pytest.mark.parametrize("bad_pair", [(-1, 0), (0, -1), (-5, -2)])
+def test_negative_operands_rejected(bad_pair, correlation, bit_width):
+    instance = prepared(bit_width, correlation, seed=1)
     with pytest.raises(SecureComparisonError):
         prepared_greater_than(instance, *bad_pair)
     # Rejection happens before evaluation, so the instance is still fresh.
     assert not instance.used
-    assert instance.evaluate(4, 2).result is True
+    assert instance.evaluate(1, 0).result is True
 
 
-def test_oversized_operands_rejected(correlation, scheme):
-    instance = prepared(8, correlation, seed=2, scheme=scheme)
+def test_oversized_operands_rejected(correlation, bit_width):
+    instance = prepared(bit_width, correlation, seed=2)
     with pytest.raises(SecureComparisonError):
-        prepared_greater_than(instance, 256, 3)
+        prepared_greater_than(instance, 1 << bit_width, 0)
     with pytest.raises(SecureComparisonError):
-        prepared_greater_than(instance, 3, 1 << 12)
+        prepared_greater_than(instance, 0, 1 << (bit_width + 4))
 
 
-def test_one_shot_reuse_rejected(correlation, scheme):
-    instance = prepared(8, correlation, seed=3, scheme=scheme)
-    assert instance.evaluate(9, 4).result is True
+def test_one_shot_reuse_rejected(correlation, bit_width):
+    instance = prepared(bit_width, correlation, seed=3)
+    assert instance.evaluate(1, 0).result is True
     with pytest.raises(ComparisonError):
-        instance.evaluate(9, 4)
+        instance.evaluate(1, 0)
     # And through the secure_comparison wrapper the error is translated.
-    other = prepared(8, correlation, seed=4, scheme=scheme)
-    prepared_greater_than(other, 1, 2)
+    other = prepared(bit_width, correlation, seed=4)
+    prepared_greater_than(other, 0, 1)
     with pytest.raises(SecureComparisonError):
-        prepared_greater_than(other, 1, 2)
+        prepared_greater_than(other, 0, 1)
 
 
 # -- adversarial tampering fails closed ------------------------------------------------
@@ -183,83 +190,55 @@ def _flip_bit(data: bytes, bit: int = 0) -> bytes:
 
 
 @settings(max_examples=12, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=12),
-    st.integers(min_value=0, max_value=2**12 - 1),
-    st.integers(min_value=0, max_value=2**12 - 1),
-    st.integers(min_value=0, max_value=2**16),
-)
-def test_tampered_rows_fail_closed(scheme, bit_width, a, b, seed):
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**16))
+def test_tampered_rows_fail_closed(bit_width, data, seed):
     """Corrupting every garbled row must never mis-evaluate.
 
-    Classic evaluation decrypts one row per binary gate, so tampering every
-    row always aborts.  A half-gate row is folded in only when its select
-    bit is 1; when an evaluation's active path happens to consume no
-    tampered row it legitimately decodes — to the *correct* bit.
+    A half-gate row is folded in only when its select bit is 1; when an
+    evaluation's active path happens to consume no tampered row it
+    legitimately decodes — to the *correct* bit.
     """
-    a %= 1 << bit_width
-    b %= 1 << bit_width
-    rng = random.Random(seed)
-    circuit, out = garble_for(scheme, bit_width, rng)
+    a = data.draw(operands(bit_width))
+    b = data.draw(operands(bit_width))
+    _, out, garbler_keys, evaluator_keys = garbled_with_keys(bit_width, a, b, seed)
     tables = bytearray(out.garbled.tables)
-    for start in range(0, len(tables), out.garbled.row_bytes):
+    for start in range(0, len(tables), 16):
         tables[start] ^= 1 << (seed % 8)
     out.garbled.tables = bytes(tables)
-    garbler_labels = out.garbler_input_labels(int_to_bits(a, bit_width))
-    evaluator_labels = [
-        out.wire_labels[w].for_value(bit)
-        for w, bit in zip(circuit.evaluator_inputs, int_to_bits(b, bit_width))
-    ]
-    if scheme == "classic":
-        with pytest.raises(GarblingError):
-            evaluate_garbled_circuit(out.garbled, garbler_labels, evaluator_labels)
+    try:
+        result = evaluate_garbled_circuit(out.garbled, garbler_keys, evaluator_keys)
+    except GarblingError:
+        pass
     else:
-        try:
-            result = evaluate_garbled_circuit(out.garbled, garbler_labels, evaluator_labels)
-        except GarblingError:
-            pass
-        else:
-            assert result == [int(a > b)]
+        assert result == [int(a > b)]
 
 
-def test_tampered_output_decoding_fails_closed(scheme):
-    circuit, out = garble_for(scheme, 4, random.Random(5))
+def test_tampered_output_decoding_fails_closed(bit_width):
+    a, b = (1 << bit_width) - 1, 0
+    circuit, out, garbler_keys, evaluator_keys = garbled_with_keys(bit_width, a, b, 5)
     wire = circuit.output_wires[0]
     zero_digest, one_digest = out.garbled.output_decoding[wire]
     out.garbled.output_decoding[wire] = (_flip_bit(zero_digest), _flip_bit(one_digest))
-    garbler_labels = out.garbler_input_labels(int_to_bits(9, 4))
-    evaluator_labels = [
-        out.wire_labels[w].for_value(bit)
-        for w, bit in zip(circuit.evaluator_inputs, int_to_bits(3, 4))
-    ]
     with pytest.raises(GarblingError):
-        evaluate_garbled_circuit(out.garbled, garbler_labels, evaluator_labels)
+        evaluate_garbled_circuit(out.garbled, garbler_keys, evaluator_keys)
 
 
-def test_tampered_wire_label_fails_closed(scheme):
-    circuit, out = garble_for(scheme, 4, random.Random(6))
-    garbler_labels = out.garbler_input_labels(int_to_bits(5, 4))
-    forged = [
-        WireLabel(key=_flip_bit(label.key), external_bit=label.external_bit)
-        for label in garbler_labels
-    ]
-    evaluator_labels = [
-        out.wire_labels[w].for_value(bit)
-        for w, bit in zip(circuit.evaluator_inputs, int_to_bits(11, 4))
-    ]
+def test_tampered_wire_label_fails_closed(bit_width):
+    _, out, garbler_keys, evaluator_keys = garbled_with_keys(bit_width, 1, 0, 6)
+    forged = [key ^ (1 << 127) for key in garbler_keys]
     with pytest.raises(GarblingError):
-        evaluate_garbled_circuit(out.garbled, forged, evaluator_labels)
+        evaluate_garbled_circuit(out.garbled, forged, evaluator_keys)
 
 
-def test_tampered_ot_masks_fail_closed(correlation, scheme):
+def test_tampered_ot_masks_fail_closed(correlation, bit_width):
     """Flipping bits in the prepared OT pads corrupts the transferred label."""
-    instance = prepared(6, correlation, seed=8, scheme=scheme)
+    instance = prepared(bit_width, correlation, seed=8)
     batch = instance._ot_batch
     batch.sender_pad_pairs = tuple(
         (_flip_bit(p0), _flip_bit(p1)) for p0, p1 in batch.sender_pad_pairs
     )
     with pytest.raises((ComparisonError, GarblingError)):
-        instance.evaluate(33, 17)
+        instance.evaluate(1, 0)
 
 
 def test_ot_batch_one_shot_and_length_checks(correlation):

@@ -2,8 +2,8 @@
 
 ``docs/ARCHITECTURE.md`` §4.5 argues from the number of hashes a 64-bit
 comparator at κ = 128 costs.  This pins that number exactly, per phase and
-per scheme, so a later change cannot add a hash (or drop one of the two
-simulated OT parties' hashes) unnoticed.  Finalized digests are counted,
+per comparator width, so a later change cannot add a hash (or drop one of
+the two simulated OT parties' hashes) unnoticed.  Finalized digests are counted,
 not constructor calls: half-gates hashes start from a copied pre-absorbed
 state.
 """
@@ -17,22 +17,24 @@ from repro.crypto import garbled
 from repro.crypto.circuits import build_greater_than_circuit
 from repro.crypto.gc_pool import PreparedComparison
 
-BIT_WIDTH = 64
 KAPPA = 128
 
-#: Around the garbling itself, both schemes pay the same OT extension:
-#: 3 x κ PRG columns, 3 x 64 pads of two hashes each.
-OT_EXTENSION = 3 * KAPPA + 3 * BIT_WIDTH * 2
+#: The 64-bit comparator at κ = 128: 4 x 64 garbling hashes + the OT
+#: extension's 3 x 128 PRG columns and 3 x 64 pads of two hashes each + both
+#: output labels to build; 2 x 64 + the active output label to evaluate.
+PINNED_64 = (4 * 64 + 768 + 2, 2 * 64 + 1)
 
-BINARY_GATES = 253  # 64 + 3 * 63: the comparator's AND + XOR + OR gates
-AND_GATES = 190  # 64 + 2 * 63: AND + OR, i.e. the ANDs of the lowered circuit
 
-#: scheme -> (digests to build, digests to evaluate).  Building also hashes
-#: both labels of the one output wire; evaluating hashes the active one.
-BUDGET = {
-    "classic": (4 * BINARY_GATES + OT_EXTENSION + 2, BINARY_GATES + 1),
-    "halfgates": (4 * AND_GATES + OT_EXTENSION + 2, 2 * AND_GATES + 1),
-}
+def budget(bit_width):
+    """``(digests to build, digests to evaluate)`` of one prepared comparison.
+
+    Building garbles ``bit_width`` AND gates at four hashes each, pays the
+    OT extension (3 x κ PRG columns, 3 x ``bit_width`` pads of two hashes
+    each) and hashes both labels of the one output wire; evaluating hashes
+    twice per AND gate and the active output label once.
+    """
+    ot_extension = 3 * KAPPA + 3 * bit_width * 2
+    return 4 * bit_width + ot_extension + 2, 2 * bit_width + 1
 
 
 class _CountingSha256:
@@ -57,19 +59,21 @@ class _CountingSha256:
 _REAL_SHA256 = hashlib.sha256
 
 
-@pytest.mark.parametrize("scheme", sorted(BUDGET))
-def test_one_comparison_costs_exactly_its_hash_budget(monkeypatch, scheme):
+#: Widths on both sides of the IKNP column-byte boundaries (1, 8, 9, 64, 65
+#: transfers give 1, 1, 2, 8, 9 bytes a column); the budget is linear in all.
+@pytest.mark.parametrize("bit_width", [1, 7, 8, 9, 32, 63, 64, 65])
+def test_one_comparison_costs_exactly_its_hash_budget(monkeypatch, bit_width):
     correlation = shared_correlation(KAPPA)
-    circuit = build_greater_than_circuit(BIT_WIDTH)
-    assert (circuit.program.binary_gate_count, circuit.and_gate_count) == (BINARY_GATES, AND_GATES)
+    circuit = build_greater_than_circuit(bit_width)
+    assert circuit.and_gate_count == bit_width
     monkeypatch.setattr(hashlib, "sha256", _CountingSha256)
     monkeypatch.setattr(garbled, "_HG_BASE", _CountingSha256(b"halfgates"))
     monkeypatch.setattr(_CountingSha256, "digests", 0)
 
-    instance = PreparedComparison(circuit, BIT_WIDTH, correlation, scheme=scheme)
+    instance = PreparedComparison(circuit, bit_width, correlation)
     built = _CountingSha256.digests
-    assert instance.evaluate(2**63 + 5, 123).result is True
+    assert instance.evaluate((1 << bit_width) - 1, 0).result is True
     evaluated = _CountingSha256.digests - built
 
-    assert (built, evaluated) == BUDGET[scheme]
-    assert BUDGET["classic"] == (1_782, 254) and sum(BUDGET["halfgates"]) == 1_911
+    assert (built, evaluated) == budget(bit_width)
+    assert budget(64) == PINNED_64 == (1_026, 129)

@@ -60,11 +60,9 @@ def shared_correlation(kappa: int = TEST_KAPPA, seed: int = 2024) -> BaseOTCorre
     return establish_correlation(kappa, rng=random.Random(seed))
 
 
-def small_comparison_pool(
-    bit_width: int, kappa: int = TEST_KAPPA, scheme: str = "classic"
-) -> ComparisonPool:
+def small_comparison_pool(bit_width: int, kappa: int = TEST_KAPPA) -> ComparisonPool:
     """A fresh small-kappa comparison pool (pools are stateful — not cached)."""
-    return ComparisonPool(bit_width, kappa=kappa, scheme=scheme)
+    return ComparisonPool(bit_width, kappa=kappa)
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,7 @@ def test_worse_links_never_shrink_planner_day_cost(extra_latency, bw_divisor):
     )
     knobs = dict(
         key_size=1024, topology="tree:4", session_scope="day",
-        transport="socket", garbling_scheme="halfgates", workers=2,
+        transport="socket", workers=2,
         pipeline=True,
     )
     base_total, _ = candidate_day_seconds(

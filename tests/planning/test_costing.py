@@ -26,7 +26,7 @@ from repro.planning import (
 )
 from repro.planning.cli import main as plan_main
 from repro.planning.costing import aggregation_online_seconds, _ciphertext_bytes
-from repro.planning.search import CandidateConfig
+from repro.planning.search import AXES, CandidateConfig
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +118,13 @@ def test_socket_transport_charges_an_extra_ack_per_hop():
     )
 
 
-def test_halfgates_tables_smaller_same_gate_count():
-    classic = comparator_profile(64, "classic")
-    halfgates = comparator_profile(64, "halfgates")
-    # Gate accounting is scheme-independent (engine convention) ...
-    assert classic.and_gate_count == halfgates.and_gate_count
-    # ... only the serialized tables shrink (two rows instead of four+).
-    assert halfgates.table_bytes < classic.table_bytes
+@pytest.mark.parametrize("bits, tables", [(32, 1_344), (64, 2_624)])
+def test_comparator_profile_is_one_and_gate_per_bit(bits, tables):
+    # The engine charges comparisons per AND gate; the tables are 40 B per
+    # AND gate plus 64 B of output decoding.
+    profile = comparator_profile(bits)
+    assert profile.and_gate_count == bits
+    assert profile.table_bytes == tables == 40 * bits + 64
 
 
 def test_day_scope_never_dearer_than_window_scope():
@@ -285,5 +285,14 @@ def test_executed_engine_runs_at_the_fleet_comparison_width(bits):
     engine = _planner_engine(spec, candidate, crypto_key_size=128)
     assert engine.config.comparison_bits == bits
     assert engine.config.key_size == 128
-    assert engine.config.garbling_scheme == candidate.garbling_scheme
     assert engine.cost_model.crypto.key_size == candidate.key_size
+
+
+def test_garbling_is_not_a_search_axis():
+    """One garbling scheme: no axis, no candidate field, the config's default."""
+    spec = FleetSpec(hosts=1, cores_per_host=2, agent_count=8, windows_per_day=2)
+    assert "garbling_scheme" not in AXES
+    candidate = next(iter_candidates(spec))
+    assert "garbling_scheme" not in candidate.to_dict()
+    assert candidate.protocol_config().garbling_scheme == "halfgates"
+    assert "halfgates" not in candidate.describe()

@@ -61,25 +61,25 @@ def test_plan_is_the_canonical_argmin(spec):
 # that moves any of them must say so.
 PINNED_PLANS = [
     ("lan_single_host", dict(hosts=1, cores_per_host=4, agent_count=12, windows_per_day=6),
-     (1024, "tree:4", "day", True, "local", "halfgates", 3), 0.80548832, 192),
+     (1024, "tree:4", "day", True, "local", 3), 0.80241392, 96),
     ("lan_cluster", dict(hosts=4, cores_per_host=4, agent_count=64, windows_per_day=12),
-     (1024, "tree:8", "window", False, "socket", "halfgates", 12), 1.2329998400000002, 288),
+     (1024, "tree:8", "window", False, "socket", 12), 1.23042944, 144),
     ("wan_homes", dict(hosts=16, cores_per_host=1, link=WAN_PROFILE, agent_count=32,
                        windows_per_day=8),
-     (1024, "tree:8", "window", False, "socket", "halfgates", 8), 1.1346152, 192),
+     (1024, "tree:8", "window", False, "socket", 8), 1.1318432, 96),
     ("ci_smoke", dict(hosts=2, cores_per_host=2, agent_count=8, windows_per_day=3),
-     (1024, "tree:8", "window", False, "socket", "halfgates", 3), 0.77138864, 72),
+     (1024, "tree:8", "window", False, "socket", 3), 0.76881824, 36),
     ("readme_example", dict(hosts=4, cores_per_host=2, link=WAN_PROFILE, agent_count=32,
                             windows_per_day=8),
-     (1024, "tree:8", "window", False, "socket", "halfgates", 8), 1.1346152, 192),
+     (1024, "tree:8", "window", False, "socket", 8), 1.1318432, 96),
     ("defaults", dict(),
-     (1024, "tree:4", "day", True, "local", "halfgates", 1), 1.2029318400000002, 48),
+     (1024, "tree:4", "day", True, "local", 1), 1.1915918399999998, 24),
     ("wan_single_host", dict(hosts=1, cores_per_host=2, link=WAN_PROFILE, agent_count=16,
                              windows_per_day=4),
-     (1024, "tree:4", "day", True, "local", "halfgates", 2), 0.9371192, 96),
+     (1024, "tree:4", "day", True, "local", 2), 0.9338432, 48),
     ("three_key_sizes", dict(hosts=2, cores_per_host=3, agent_count=24, windows_per_day=5,
                              key_size_candidates=(512, 2048)),
-     (512, "tree:8", "window", False, "socket", "halfgates", 5), 0.7352193599999999, 360),
+     (512, "tree:8", "window", False, "socket", 5), 0.7326489599999999, 180),
 ]
 
 
@@ -108,12 +108,12 @@ def test_pinned_fleets_plan_as_recorded(fields, knobs, day_seconds, space_size):
 )
 def test_space_size_is_the_feasible_product(fields):
     # Every feasible combination is enumerated exactly once: 4 topologies
-    # x 3 (scope, pipeline) pairs x transports x 2 schemes x worker counts
+    # x 3 (scope, pipeline) pairs x transports x worker counts
     # x key sizes, with one transport on a multi-host fleet.
     spec = FleetSpec(agent_count=8, **fields)
     transports = 2 if spec.hosts == 1 else 1
     workers = min(spec.total_cores, spec.windows_per_day)
-    expected = len(spec.key_sizes) * 4 * 3 * transports * 2 * workers
+    expected = len(spec.key_sizes) * 4 * 3 * transports * workers
     candidates = list(iter_candidates(spec))
     assert len(set(candidates)) == len(candidates) == expected
     assert plan(spec).space_size == expected
@@ -129,7 +129,6 @@ def test_plan_converts_to_runtime_types():
     assert config.aggregation_topology == chosen.topology
     assert config.session_scope == chosen.session_scope
     assert config.transport == chosen.transport
-    assert config.garbling_scheme == chosen.garbling_scheme
     execution = deployment.execution_plan(range(300, 306))
     assert execution.pipeline == chosen.pipeline
     assert execution.strategy == "stride"

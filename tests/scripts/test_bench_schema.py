@@ -116,7 +116,7 @@ def test_every_declared_gate_is_mutated():
     assert mutated["undercut"] == {
         id(leaf) for leaf in leaves if leaf.floor is not None or leaf.budget
     }
-    assert len(mutated["flipped"]) + len(mutated["undercut"]) > 30
+    assert len(mutated["flipped"]) + len(mutated["undercut"]) >= 27
 
 
 @pytest.mark.parametrize(
@@ -162,7 +162,7 @@ def test_undeclared_key_is_reported():
     [
         ("comparison.32", 5),
         ("chaos.matrix.local/day/workers=1", []),
-        ("garbling.shard_invariance.classic", "x"),
+        ("aggregation_topology.shard_invariance.chain", "x"),
         ("parallel_runner", [1]),
     ],
 )

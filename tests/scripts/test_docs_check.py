@@ -72,7 +72,7 @@ def test_bench_doc_names_every_declared_key_and_floor():
         ("`measured_speedup` >\n1.0", "`measured_speedup` ≥\n1.0", "states `measured_speedup` ≥ 1.0"),
         ("when `windows_executed` ≥ 6", "when `windows_executed` ≥ 4", "states `windows_executed` ≥ 4"),
         ("`retry_overhead` ≤ `max_attempts` − 1", "`retry_overhead` ≤ `max_attempts`", "does not state the floor `retry_overhead`"),
-        ("`gc_fallbacks`", "the GC fallback count", "does not name the declared key `gc_fallbacks`"),
+        ("`worker_losses`", "the worker loss count", "does not name the declared key `worker_losses`"),
         ("`stddev_s`", "the deviation", "'## Top-level keys' does not name the declared key `stddev_s`"),
     ],
 )
