@@ -19,10 +19,11 @@ Two implementations are provided:
 * :class:`SocketTransport` — length-prefixed frames over a real loopback
   TCP connection.  Every message is encoded once into its versioned binary
   frame (:meth:`Message.encode`, ``docs/WIRE.md``), shipped through the
-  kernel's TCP stack and decoded by a receiver thread that parses every
-  complete frame out of each buffer it reads; a frame that does
-  not decode is a :class:`FrameError`, never arbitrary code or an
-  arbitrary exception.  Acknowledgements are
+  kernel's TCP stack and decoded by the receiving end, which parses every
+  complete frame out of each buffer it reads; a frame that does not
+  decode is a :class:`FrameError`, never arbitrary code or an arbitrary
+  exception.  Both ends run on the calling thread, pumped by the sender
+  whenever it writes; the module starts no thread.  Acknowledgements are
   *windowed*: :meth:`Transport.deliver` only queues the run's frames, and
   :meth:`Transport.flush` — called by every inbox read and once at the end
   of a window — writes what is queued and waits for **one** cumulative
@@ -43,9 +44,9 @@ acknowledgement.
 
 from __future__ import annotations
 
+import selectors
 import socket
 import struct
-import threading
 from typing import Callable, Dict, Iterable, Optional, Type
 
 from .errors import AckTimeoutError, ConnectionLostError, FrameError, TransportError
@@ -78,13 +79,12 @@ _HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Sender-side frames are queued until this many bytes are pending, then
-#: written out in one ``sendall`` (the receiver reads through a buffer of
-#: the same size).  Caps the memory a burst can hold on the sender.
+#: pumped out (the receiving end reads through a buffer of the same size).
+#: Caps the memory a burst can hold on the sender.
 _SEND_BUFFER_BYTES = 64 * 1024
 
-#: Deadline, in seconds, on the socket transport's blocking waits: the
-#: cumulative-ack read in :meth:`SocketTransport.flush` and any write the
-#: receiver has stopped draining.
+#: Deadline, in seconds, on the socket transport's one wait: the selector
+#: wait of a pump pass that found nothing to send, read or acknowledge.
 _ACK_TIMEOUT_S = 30.0
 
 #: A delivery sink: the recipient-side callable a transport hands each
@@ -258,106 +258,103 @@ class LocalTransport(Transport):
 class SocketTransport(Transport):
     """Length-prefixed TCP delivery over a real loopback connection.
 
-    One listener socket and one persistent sender connection are opened at
-    construction; a daemon receiver thread reads the connection a buffer
-    at a time and dispatches each decoded message to the
-    recipient's sink.  :meth:`deliver` takes a run under one lock
-    acquisition, frames it into a bounded sender-side buffer (written out
-    whenever it fills) and returns; :meth:`flush` writes the buffer plus a
-    zero-length sync frame and blocks — under a deadline — for the one
-    cumulative acknowledgement that covers every frame since the last.
-    Frames travel one FIFO connection, so the order sinks see is the order
-    the messages were accepted in: the property that makes socket runs
-    bit-identical to local ones.
+    Construction connects a sending socket to a receiving one over
+    loopback; both ends then run on the calling thread.  :meth:`deliver`
+    frames a run into a bounded sender-side buffer.  When it fills, and at
+    :meth:`flush` (which appends a zero-length sync frame), one pump
+    alternates a non-blocking ``send`` with the receiving end's read, which
+    dispatches every complete frame to its recipient's sink and answers a
+    sync frame with the cumulative acknowledgement; a flush returns once it
+    has read that ack back.  A pass with nothing to do waits on a selector,
+    under one deadline.  Frames travel one FIFO connection, so the order
+    sinks see is the order the messages were accepted in: the property
+    that makes socket runs bit-identical to local ones.
 
-    The receiver fails closed: after a frame fails (the sink raised, the
-    frame did not decode) it delivers nothing further until the sync
+    The receiving end fails closed: after a frame fails (the sink raised,
+    the frame did not decode) it delivers nothing further until the sync
     frame, whose acknowledgement names that first failed frame — sender,
     recipient, ordinal and kind, as plain fields.  The exception itself
-    never crosses the socket: the receiver thread leaves it on the
-    transport and :meth:`flush` re-raises that very object in the sender,
-    chained ``from`` the :class:`FrameError` the ack described — the same
-    exception type :class:`LocalTransport` raises.  A lost connection or
-    an overdue acknowledgement raises :class:`ConnectionLostError` /
-    :class:`AckTimeoutError` naming the oldest unacknowledged frame, and
-    shuts the transport.
+    never crosses the socket: the receiving end keeps it, and
+    :meth:`flush` re-raises that very object, chained ``from`` the
+    :class:`FrameError` the ack described — the same exception type
+    :class:`LocalTransport` raises.  A sink may not :meth:`deliver` or
+    :meth:`flush` while the pump is dispatching to it: the call raises
+    :class:`TransportError`, which fails that frame like any other sink
+    error.  A lost connection or an overdue acknowledgement raises
+    :class:`ConnectionLostError` / :class:`AckTimeoutError` naming the
+    oldest unacknowledged frame, and shuts the transport.
     """
 
     def __init__(self, host: str = "127.0.0.1") -> None:
         self._sinks: Dict[str, Sink] = {}
         self._closed = False
-        #: What the first failed frame since the last sync raised: left by
-        #: the receiver thread before it acks, taken by :meth:`flush` after.
-        self._failure: Optional[Exception] = None
         self._frames_sent = 0
         self._pending = bytearray()
         #: :class:`FrameError` context of the oldest frame no acknowledgement
         #: covers yet; ``None`` when everything is acked.
         self._oldest_unacked: Optional[Dict[str, object]] = None
-        # Re-entrant: a lazy run is pulled under the lock, and what it runs
-        # (a message hook, say) may flush or send on this same thread.
-        self._lock = threading.RLock()
-        self._listener = socket.create_server((host, 0))
-        port = self._listener.getsockname()[1]
-        self._receiver = threading.Thread(
-            target=self._serve, name="socket-transport-recv", daemon=True
-        )
-        self._receiver.start()
-        self._sender = socket.create_connection((host, port))
-        self._sender.settimeout(_ACK_TIMEOUT_S)
+        # The receiving end reads into one buffer that is only ever extended
+        # for a frame longer than itself; ``_filled`` bytes of it are
+        # unparsed input.
+        self._inbound = bytearray(_SEND_BUFFER_BYTES)
+        self._filled = 0
+        self._received = 0
+        #: The first frame that failed since the last sync frame, and what
+        #: it raised (re-raised by :meth:`flush`).
+        self._where: Optional[FrameError] = None
+        self._failure: Optional[Exception] = None
+        self._dispatching = False
+        with socket.create_server((host, 0)) as listener:
+            self._sender = socket.create_connection((host, listener.getsockname()[1]))
+            self._receiver, _ = listener.accept()
+        self._selector = selectors.DefaultSelector()
+        for sock in (self._sender, self._receiver):
+            sock.setblocking(False)
+            self._selector.register(sock, selectors.EVENT_READ)
 
-    # -- receiver side ---------------------------------------------------------
+    # -- receiving end ---------------------------------------------------------
 
     def _serve(self) -> None:
+        """Read what has arrived; dispatch each complete frame, ack each sync frame."""
+        buffer = self._inbound
+        if self._filled == len(buffer):
+            buffer += bytes(len(buffer))
         try:
-            conn, _ = self._listener.accept()
-        except OSError:  # listener closed before the sender connected
+            with memoryview(buffer) as view:
+                count = self._receiver.recv_into(view[self._filled:])
+        except OSError:  # nothing has arrived yet, or this end has hung up
             return
-        with conn:
-            # Read into one buffer that is only ever extended for a frame
-            # longer than itself; ``filled`` bytes of it are unparsed input.
-            buffer = bytearray(_SEND_BUFFER_BYTES)
-            filled = 0
-            ordinal = 0
-            where: Optional[FrameError] = None  # first failure since the last sync frame
-            while True:
-                if filled == len(buffer):
-                    buffer += bytes(len(buffer))
-                try:
-                    with memoryview(buffer) as view:
-                        count = conn.recv_into(view[filled:])
-                except OSError:
-                    return
-                if not count:
-                    return
-                filled += count
-                # Every complete frame the buffer holds; a frame's tail (or
-                # half a length prefix) waits for the next read.
-                start = 0
-                while filled - start >= _HEADER.size:
-                    (length,) = _HEADER.unpack_from(buffer, start)
-                    if length > MAX_FRAME_BYTES:
-                        # An over-long frame leaves the stream out of step:
-                        # hang up, and the sender's flush sees the connection lost.
-                        return
-                    body = start + _HEADER.size
-                    end = body + length
-                    if end > filled:
-                        break
-                    start = end
-                    if length:
-                        if where is None:
-                            where = self._dispatch(bytes(buffer[body:end]), ordinal)
-                        ordinal += 1
-                        continue
-                    try:
-                        send_frame(conn, _encode_ack(where))
-                    except OSError:
-                        return
-                    where = None
-                if start:
-                    buffer[: filled - start] = buffer[start:filled]
-                    filled -= start
+        if not count:
+            return self._hang_up()
+        filled = self._filled + count
+        # Every complete frame the buffer holds; a frame's tail (or half a
+        # length prefix) waits for the next read.
+        start = 0
+        while filled - start >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(buffer, start)
+            if length > MAX_FRAME_BYTES:
+                # An over-long frame leaves the stream out of step: hang up,
+                # and the sender's flush sees the connection lost.
+                return self._hang_up()
+            body = start + _HEADER.size
+            end = body + length
+            if end > filled:
+                break
+            start = end
+            if length:
+                if self._where is None:
+                    self._where = self._dispatch(bytes(buffer[body:end]), self._received)
+                self._received += 1
+                continue
+            try:
+                send_frame(self._receiver, _encode_ack(self._where))
+            except OSError:
+                return self._hang_up()
+            self._where = None
+        if start:
+            buffer[: filled - start] = buffer[start:filled]
+            filled -= start
+        self._filled = filled
 
     def _dispatch(self, frame: bytes, ordinal: int) -> Optional[FrameError]:
         """Hand one frame to its sink; which frame failed, if that raised."""
@@ -378,109 +375,135 @@ class SocketTransport(Transport):
             )
             self._failure = where
             return where
+        self._dispatching = True
         try:
             sink(message)
-        except Exception as exc:  # re-raised by the sender's flush()
+        except Exception as exc:  # re-raised by flush()
             self._failure = exc
             return FrameError(
                 "frame failed at the receiver", ordinal=ordinal, **_frame_context(message)
             )
+        finally:
+            self._dispatching = False
         return None
 
-    # -- sender side -----------------------------------------------------------
+    def _hang_up(self) -> None:
+        """Close the receiving end; the sending end then sees the connection lost."""
+        if self._receiver.fileno() != -1:
+            self._selector.unregister(self._receiver)
+            self._receiver.close()
+
+    # -- sending end -----------------------------------------------------------
+
+    def _refuse_reentry(self) -> None:
+        if self._dispatching:
+            raise TransportError("a sink may not deliver or flush while it is being delivered to")
 
     def register(self, party_id: str, sink: Sink) -> None:
-        with self._lock:
-            if party_id in self._sinks:
-                raise TransportError(f"endpoint {party_id!r} already registered")
-            # The receiver thread reads the sink table while it dispatches:
-            # drain it first, so it is parked on an empty connection (and
-            # deliver() is locked out) while the table changes.
-            self._flush_locked()
-            self._sinks[party_id] = sink
+        if party_id in self._sinks:
+            raise TransportError(f"endpoint {party_id!r} already registered")
+        self._sinks[party_id] = sink
 
     def deliver(self, run: Iterable[Message]) -> None:
-        with self._lock:
-            sinks, pending = self._sinks, self._pending
-            for message in run:
-                if self._closed:
-                    raise TransportError("transport is closed")
-                if message.recipient not in sinks:
-                    raise TransportError(f"no endpoint registered for {message.recipient!r}")
-                frame = message.encode()
-                header = _HEADER.pack(_frame_length(len(frame)))
-                if self._oldest_unacked is None:
-                    self._oldest_unacked = dict(
-                        _frame_context(message), ordinal=self._frames_sent
-                    )
-                self._frames_sent += 1
-                pending += header
-                pending += frame
-                if len(pending) >= _SEND_BUFFER_BYTES:
-                    self._write_pending()
+        self._refuse_reentry()
+        sinks, pending = self._sinks, self._pending
+        for message in run:
+            if self._closed:
+                raise TransportError("transport is closed")
+            if message.recipient not in sinks:
+                raise TransportError(f"no endpoint registered for {message.recipient!r}")
+            frame = message.encode()
+            header = _HEADER.pack(_frame_length(len(frame)))
+            if self._oldest_unacked is None:
+                self._oldest_unacked = dict(_frame_context(message), ordinal=self._frames_sent)
+            self._frames_sent += 1
+            pending += header
+            pending += frame
+            if len(pending) >= _SEND_BUFFER_BYTES:
+                self._pump(sync=False)
 
     def flush(self) -> None:
-        with self._lock:
-            self._flush_locked()
-
-    def _flush_locked(self) -> None:
+        self._refuse_reentry()
         if self._oldest_unacked is None:
             return
         if self._closed:
             raise TransportError("transport is closed")
         self._pending += _HEADER.pack(0)
-        self._write_pending()
+        reply = self._pump(sync=True)
         try:
-            reply = recv_frame(self._sender)
-            where = None if reply is None else _decode_ack(reply)
-        except socket.timeout:
-            raise self._shut(
-                AckTimeoutError, f"no cumulative ack within {_ACK_TIMEOUT_S} s"
-            ) from None
-        except OSError:
-            reply = None
+            where = _decode_ack(reply)
         except FrameError as exc:
             raise self._shut(FrameError, f"unreadable cumulative ack: {exc.detail}") from None
-        if reply is None:
-            raise self._shut(
-                ConnectionLostError, "socket transport connection lost awaiting ack"
-            )
         self._oldest_unacked = None
         if where is not None:
             failure, self._failure = self._failure, None
             raise failure from where
 
-    def _write_pending(self) -> None:
+    def _pump(self, sync: bool) -> bytes:
+        """Run both ends until the pending bytes are written — with ``sync``,
+        until the ack they end in is read back, and return that ack."""
+        sender, reply = self._sender, bytearray()
+        while True:
+            if self._pending:
+                try:
+                    del self._pending[: sender.send(self._pending)]
+                except BlockingIOError:
+                    pass
+                except OSError:
+                    raise self._shut(
+                        ConnectionLostError, "socket transport connection lost mid-write"
+                    ) from None
+            self._serve()
+            if not self._pending:
+                if not sync:
+                    return b""
+                ack = self._read_ack(reply)
+                if ack is not None:
+                    return ack
+            writing = selectors.EVENT_WRITE if self._pending else 0
+            self._selector.modify(sender, selectors.EVENT_READ | writing)
+            if not self._selector.select(_ACK_TIMEOUT_S):
+                stalled = "receiver stopped draining for" if writing else "no cumulative ack within"
+                raise self._shut(AckTimeoutError, f"{stalled} {_ACK_TIMEOUT_S} s")
+
+    def _read_ack(self, reply: bytearray) -> Optional[bytes]:
+        """Read into ``reply``: the cumulative ack once all of it is there, else ``None``."""
         try:
-            self._sender.sendall(self._pending)
-        except socket.timeout:
-            raise self._shut(
-                AckTimeoutError, f"receiver stopped draining for {_ACK_TIMEOUT_S} s"
-            ) from None
+            chunk = self._sender.recv(_SEND_BUFFER_BYTES)
+        except BlockingIOError:
+            return None
         except OSError:
+            chunk = b""
+        if not chunk:
             raise self._shut(
-                ConnectionLostError, "socket transport connection lost mid-write"
-            ) from None
-        del self._pending[:]
+                ConnectionLostError, "socket transport connection lost awaiting ack"
+            )
+        reply += chunk
+        if len(reply) < _HEADER.size:
+            return None
+        (length,) = _HEADER.unpack_from(reply)
+        if length > MAX_FRAME_BYTES:
+            raise self._shut(FrameError, f"unreadable cumulative ack of {length} bytes")
+        end = _HEADER.size + length
+        if len(reply) < end:
+            return None
+        return bytes(reply[_HEADER.size:end])
 
     def _shut(self, error: Type[FrameError], detail: str) -> FrameError:
         """Tear the broken connection down; the error naming the oldest unacked frame."""
-        self._close_locked()
+        self.close()
         return error(detail, **self._oldest_unacked)
 
-    def _close_locked(self) -> None:
+    def close(self) -> None:
+        if self._closed:
+            return
         self._closed = True
-        for sock in (self._sender, self._listener):
+        self._selector.close()
+        for sock in (self._sender, self._receiver):
             try:
                 sock.close()
             except OSError:  # pragma: no cover - best-effort teardown
                 pass
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self._close_locked()
-        self._receiver.join(timeout=5)
 
 
 def make_transport(name: str) -> Transport:

@@ -2,9 +2,9 @@
 
 The engine parses each module once, walks the tree once, and dispatches
 every node to the rules that subscribed to its type (``Rule.node_types``).
-Rules are stateless between modules; whole-module analyses (e.g. the
-lock-discipline rule's per-class reachability) subscribe to the enclosing
-node (``ast.ClassDef``) and walk their own subtree.
+Rules are stateless between modules; scope-wide analyses (e.g. the
+frozen-mutation rule's per-scope bindings) subscribe to the enclosing
+node (``ast.Module`` / ``ast.FunctionDef``) and walk their own subtree.
 
 Suppressions are inline comments::
 

@@ -12,7 +12,7 @@ suppressions handle the seams where an invariant is waived on purpose.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .engine import (
     BAD_SUPPRESSION,
@@ -229,147 +229,36 @@ Everything else under src/repro/ is simulation-pure and scanned."""
             )
 
 
-class LockDisciplineRule(Rule):
-    id = "lock-discipline"
-    summary = "thread-shared attribute mutations must hold the lock"
+class NoThreadRule(Rule):
+    id = "no-thread"
+    summary = "src/repro starts no thread"
     rationale = """\
-The refiller bug class: the since-deleted BackgroundRefiller's
-total_stocked was read-modify-written both on the refiller thread and from
-prefill() on the caller thread with no lock — a lost-update race that survived two releases
-because nothing scanned for the *pattern*.
+ROADMAP invariant: no thread in src/repro.  Offline material is staged
+inline and SocketTransport pumps both ends of its connection on the
+calling thread (delivery is promised only at flush(), so nothing needs
+receipt to run concurrently).  With no second thread there is no
+thread-shared state to guard, which is what the former lock-discipline
+rule checked: an attribute mutated both on a thread target and on the
+main thread had to be mutated under a lock on both sides (the refiller
+lost-update race).
 
-In any class that spawns a threading.Thread on one of its own methods
-(target=self._loop), every attribute assigned both inside the
-thread-reachable methods (the target plus everything it calls on self) and
-in the class's other methods must be assigned under `with self.<lock>:`
-(any context manager attribute whose name contains "lock").  __init__ is
-exempt — the thread cannot be running before construction finishes.
-Single-side mutations (main-thread-only lifecycle handles like
-self._thread) are not flagged."""
-    node_types = (ast.ClassDef,)
+Flags any threading.Thread(...) construction under src/repro/.  If a
+thread is ever needed again, restore the lock-discipline rule from git
+history in the same change and hold the new thread's shared state to it."""
+    node_types = (ast.Call,)
+
+    def applies_to(self, ctx: ModuleContext) -> bool:
+        return ctx.in_dir("src/repro/")
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Finding]:
-        assert isinstance(node, ast.ClassDef)
-        methods: Dict[str, ast.FunctionDef] = {
-            stmt.name: stmt
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        targets = self._thread_targets(node, ctx)
-        if not targets:
-            return
-        reachable = self._reachable(targets, methods)
-        mutations = {
-            name: self._mutations(method) for name, method in methods.items()
-        }
-        thread_attrs: Set[str] = set()
-        for name in reachable:
-            thread_attrs.update(attr for attr, _, _ in mutations.get(name, []))
-        main_attrs: Set[str] = set()
-        for name, sites in mutations.items():
-            if name in reachable or name == "__init__":
-                continue
-            main_attrs.update(attr for attr, _, _ in sites)
-        shared = {
-            attr
-            for attr in thread_attrs & main_attrs
-            if "lock" not in attr.lower()
-        }
-        if not shared:
-            return
-        for name, sites in mutations.items():
-            if name == "__init__":
-                continue
-            for attr, site, guarded in sites:
-                if attr in shared and not guarded:
-                    side = "thread-target" if name in reachable else "public"
-                    yield ctx.finding(
-                        self,
-                        site,
-                        f"self.{attr} is mutated on both the thread target and "
-                        f"the main thread, but this {side} write in {name}() "
-                        "does not hold the lock (PR 8 refiller bug class)",
-                    )
-
-    @staticmethod
-    def _thread_targets(node: ast.ClassDef, ctx: ModuleContext) -> Set[str]:
-        targets: Set[str] = set()
-        for child in ast.walk(node):
-            if not isinstance(child, ast.Call):
-                continue
-            if ctx.qualname(child.func) != "threading.Thread":
-                continue
-            for keyword in child.keywords:
-                if (
-                    keyword.arg == "target"
-                    and isinstance(keyword.value, ast.Attribute)
-                    and isinstance(keyword.value.value, ast.Name)
-                    and keyword.value.value.id == "self"
-                ):
-                    targets.add(keyword.value.attr)
-        return targets
-
-    @staticmethod
-    def _reachable(targets: Set[str], methods: Dict[str, ast.FunctionDef]) -> Set[str]:
-        reachable = set()
-        frontier = [name for name in targets if name in methods]
-        while frontier:
-            name = frontier.pop()
-            if name in reachable:
-                continue
-            reachable.add(name)
-            for child in ast.walk(methods[name]):
-                if (
-                    isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id == "self"
-                    and child.func.attr in methods
-                ):
-                    frontier.append(child.func.attr)
-        return reachable
-
-    @classmethod
-    def _mutations(
-        cls, method: ast.FunctionDef
-    ) -> List[Tuple[str, ast.AST, bool]]:
-        """(attr, node, guarded-by-lock) for every ``self.X = ...`` site."""
-        sites: List[Tuple[str, ast.AST, bool]] = []
-
-        def walk(node: ast.AST, under_lock: bool) -> None:
-            if isinstance(node, ast.With):
-                holds = under_lock or any(
-                    cls._is_lock_expr(item.context_expr) for item in node.items
-                )
-                for child in ast.iter_child_nodes(node):
-                    walk(child, holds)
-                return
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        sites.append((target.attr, node, under_lock))
-            for child in ast.iter_child_nodes(node):
-                walk(child, under_lock)
-
-        for stmt in method.body:
-            walk(stmt, False)
-        return sites
-
-    @staticmethod
-    def _is_lock_expr(expr: ast.AST) -> bool:
-        if isinstance(expr, ast.Call):
-            expr = expr.func
-        name = expr.attr if isinstance(expr, ast.Attribute) else (
-            expr.id if isinstance(expr, ast.Name) else ""
-        )
-        return "lock" in name.lower()
+        assert isinstance(node, ast.Call)
+        if ctx.qualname(node.func) == "threading.Thread":
+            yield ctx.finding(
+                self,
+                node,
+                "threading.Thread in src/repro: restore the lock-discipline rule "
+                "from git history before adding a thread",
+            )
 
 
 class SilentExceptRule(Rule):
@@ -788,7 +677,7 @@ skips are exactly the failure mode this linter exists to kill)."""
 DEFAULT_RULES: Tuple[type, ...] = (
     CsprngDefaultRule,
     WallclockPurityRule,
-    LockDisciplineRule,
+    NoThreadRule,
     SilentExceptRule,
     FrozenMutationRule,
     HashSeedDeterminismRule,

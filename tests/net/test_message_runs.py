@@ -372,7 +372,7 @@ def test_an_empty_run_touches_nothing_even_on_a_closed_transport():
 
 
 def test_a_hook_may_flush_and_send_while_the_socket_run_is_being_pulled():
-    """The run is pulled under the transport's lock, which is re-entrant."""
+    """A hook runs as the run is pulled, outside the pump: it may flush and send."""
     network = SimulatedNetwork(transport=make_transport("socket"))
     try:
         alice, bob = network.register("alice"), network.register("bob")

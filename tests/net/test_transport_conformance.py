@@ -22,8 +22,6 @@ order, and a run that fails at message *k* has accepted exactly *k* —
 """
 
 import pickle
-import sys
-import threading
 import time
 
 import pytest
@@ -374,59 +372,43 @@ def test_close_with_unflushed_frames_returns_promptly():
         transport.close()
 
 
-def test_socket_register_mid_burst_drains_the_receiver_first():
+def test_socket_registering_mid_burst_loses_nothing():
     transport = make_transport("socket")
     try:
         bob, carol = [], []
         transport.register("bob", bob.append)
         for index in range(500):
             transport.deliver([_generic(index.to_bytes(2, "big"))])
-        # The receiver thread reads the sink table as it dispatches, so
-        # register() is a barrier: the burst is delivered before it returns.
         transport.register("carol", carol.append)
-        assert [message.payload for message in bob] == [
-            index.to_bytes(2, "big") for index in range(500)
-        ]
         transport.deliver([_generic(b"c", recipient="carol")])
         transport.deliver([_generic(b"b")])
         transport.flush()
+        assert [message.payload for message in bob] == [
+            index.to_bytes(2, "big") for index in range(500)
+        ] + [b"b"]
         assert [message.payload for message in carol] == [b"c"]
-        assert bob[-1].payload == b"b"
     finally:
         transport.close()
 
 
-def test_socket_concurrent_senders_and_registrations_lose_and_reorder_nothing():
-    """More sender threads than cores, preempted often, registering as they go."""
-    senders, frames = 6, 400
+def test_socket_round_robin_senders_and_registrations_lose_and_reorder_nothing():
+    """Six interleaved streams, each registering its recipient as it starts."""
+    frames, stagger = 400, 50
+    sinks = {f"home-{index}": [] for index in range(6)}
     transport = make_transport("socket")
-    sinks = {f"home-{index}": [] for index in range(senders)}
-    failures = []
-
-    def run(name):
-        try:
-            transport.register(name, sinks[name].append)
-            for index in range(frames):
-                transport.deliver([_generic(index.to_bytes(2, "big"), recipient=name)])
-                if index % 97 == 0:
-                    transport.flush()
-        except Exception as exc:  # reported by the assertion below
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=run, args=(name,)) for name in sinks]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
+        for step in range(frames + stagger * (len(sinks) - 1)):
+            for offset, (name, received) in enumerate(sinks.items()):
+                index = step - stagger * offset
+                if index == 0:
+                    transport.register(name, received.append)
+                if 0 <= index < frames:
+                    transport.deliver([_generic(index.to_bytes(2, "big"), recipient=name)])
+                    if index % 97 == 0:
+                        transport.flush()
         transport.flush()
     finally:
-        sys.setswitchinterval(interval)
         transport.close()
-    assert failures == []
     for name, received in sinks.items():
         assert [message.payload for message in received] == [
             index.to_bytes(2, "big") for index in range(frames)
@@ -435,13 +417,16 @@ def test_socket_concurrent_senders_and_registrations_lose_and_reorder_nothing():
 
 def test_socket_ack_wait_has_a_deadline(monkeypatch):
     monkeypatch.setattr(transport_module, "_ACK_TIMEOUT_S", 0.2)
+    # The receiving end still dispatches, but never writes its ack.
+    monkeypatch.setattr(transport_module, "send_frame", lambda sock, payload: None)
     transport = make_transport("socket")
-    release = threading.Event()
     try:
-        transport.register("bob", lambda message: release.wait(10))
+        delivered = []
+        transport.register("bob", delivered.append)
         transport.deliver([_generic(b"stuck")])
         with pytest.raises(AckTimeoutError) as excinfo:
             transport.flush()
+        assert [message.payload for message in delivered] == [b"stuck"]
         for error in (excinfo.value, pickle.loads(pickle.dumps(excinfo.value))):
             assert error.fault == "ack-timeout"
             assert (error.sender, error.recipient, error.ordinal, error.kind) == (
@@ -451,7 +436,39 @@ def test_socket_ack_wait_has_a_deadline(monkeypatch):
         with pytest.raises(TransportError):
             transport.deliver([_generic(b"next")])
     finally:
-        release.set()
+        transport.close()
+
+
+@pytest.mark.parametrize("reentry", ("flush", "deliver"))
+def test_a_sink_cannot_reenter_the_socket_pump(reentry):
+    """Refused at once and failed closed, not left to the ack deadline."""
+    transport = make_transport("socket")
+    try:
+        delivered = []
+
+        def sink(message):
+            if message.payload == b"\x03":
+                if reentry == "flush":
+                    transport.flush()
+                else:
+                    transport.deliver([_generic(b"from the sink")])
+            delivered.append(message.payload)
+
+        transport.register("bob", sink)
+        transport.deliver(_generic(bytes([index])) for index in range(6))
+        started = time.perf_counter()
+        with pytest.raises(TransportError, match="may not deliver or flush") as excinfo:
+            transport.flush()
+        assert time.perf_counter() - started < 2.0
+        assert type(excinfo.value) is TransportError
+        where = excinfo.value.__cause__
+        assert isinstance(where, FrameError)
+        assert (where.recipient, where.ordinal) == ("bob", 3)
+        assert delivered == [bytes([index]) for index in range(3)]
+        transport.deliver([_generic(b"after")])
+        transport.flush()
+        assert delivered[-1] == b"after" and len(delivered) == 4
+    finally:
         transport.close()
 
 

@@ -498,8 +498,7 @@ def test_receiver_hangs_up_on_an_over_long_length_prefix():
         delivered = []
         transport.register("bob", delivered.append)
         transport.deliver([Message("alice", "bob", MessageKind.GENERIC, payload=b"first")])
-        with transport._lock:
-            transport._pending += struct.pack(">I", MAX_FRAME_BYTES + 1)
+        transport._pending += struct.pack(">I", MAX_FRAME_BYTES + 1)
         with pytest.raises(ConnectionLostError) as excinfo:
             transport.flush()
         assert (excinfo.value.sender, excinfo.value.recipient, excinfo.value.ordinal) == (
@@ -570,8 +569,7 @@ def test_frame_for_an_endpoint_the_receiver_does_not_know_is_a_frame_error():
     try:
         transport.register("bob", lambda message: None)
         frame = Message("alice", "mallory", MessageKind.GENERIC).encode()
-        with transport._lock:
-            transport._pending += struct.pack(">I", len(frame)) + frame
+        transport._pending += struct.pack(">I", len(frame)) + frame
         transport.deliver([Message("alice", "bob", MessageKind.GENERIC)])
         with pytest.raises(FrameError, match="unregistered endpoint") as excinfo:
             transport.flush()

@@ -147,9 +147,9 @@ def test_no_baseline_flag_reports_pinned_findings(mini_repo: Path):
 
 
 def test_explain_prints_rationale(capsys):
-    assert main(["--explain", "lock-discipline"]) == EXIT_CLEAN
+    assert main(["--explain", "no-thread"]) == EXIT_CLEAN
     out = capsys.readouterr().out
-    assert "lock-discipline" in out
+    assert "no-thread" in out
     assert len(out.splitlines()) > 2  # summary + rationale body
 
 
@@ -159,7 +159,7 @@ def test_list_rules_covers_all_six(capsys):
     for rule_id in (
         "csprng-default",
         "wallclock-purity",
-        "lock-discipline",
+        "no-thread",
         "silent-except",
         "frozen-mutation",
         "hash-seed-determinism",

@@ -71,7 +71,7 @@ def test_every_rule_has_violating_and_clean_fixture():
     for stem_rule in (
         "csprng-default",
         "wallclock-purity",
-        "lock-discipline",
+        "no-thread",
         "silent-except",
         "frozen-mutation",
         "hash-seed",
@@ -110,16 +110,3 @@ def test_frozen_registry_seeds_config_contracts():
     )
     report = scan_source(source, "src/repro/core/example.py", default_rules())
     assert {f.rule for f in report.findings} == {"frozen-mutation"}
-
-
-def test_lock_discipline_ignores_init_writes():
-    """Construction-time writes happen before the thread exists."""
-    _, _, source = load_fixture(FIXTURE_DIR / "lock_discipline_violation.py")
-    report = scan_source(source, "src/repro/runtime/example.py", default_rules())
-    lines = {f.line for f in report.findings}
-    init_lines = {
-        i + 1
-        for i, text in enumerate(source.splitlines())
-        if "self.total_stocked = 0" in text
-    }
-    assert lines and not (lines & init_lines)
