@@ -119,6 +119,8 @@ def check_wire_format(text: str, problems: list) -> None:
         "length prefix": (r"\| length \| `([^`]+)` \|", transport._HEADER.format),
         "version": (r"`WIRE_VERSION` = (\d+)", str(message.WIRE_VERSION)),
         "frame cap": (r"`MAX_FRAME_BYTES` = (\d+)", str(transport.MAX_FRAME_BYTES)),
+        "energy_route payload": (r"\| `energy_route` \| `([^`]+)`", message.LEG_AMOUNT_FORMAT),
+        "payment payload": (r"\| `payment` \| `([^`]+)`", message.LEG_AMOUNT_FORMAT),
     }
     for label, (pattern, actual) in documented.items():
         found = re.search(pattern, text)

@@ -5,33 +5,38 @@ A speedup claim in this repo is a paired measurement (ROADMAP, "A perf
 claim is a paired measurement"): the parent commit and the change, each in
 a pycache-free copy, alternate ``python -m perfbench`` runs on one workload
 and the change must win at least nine tenths of the pairs by more than the
-parent's own quartile spread, with ``bytes_per_window`` identical per seed.
+parent's own quartile spread, with ``bytes_per_window`` identical per seed
+(unless ``bytes_per_window`` is itself the claimed metric).
 This script is that protocol as one command, claim and controls together::
 
     python scripts/perf_pair.py --workload live_gc_128 --pairs 10 \\
         --seeds 11,12,13,14,15,16,17,18,19,20
     python scripts/perf_pair.py --workload all --claim live_socket_128 \\
         --pairs 10 --control-pairs 4
+    python scripts/perf_pair.py --workload all --claim live_socket_128 \\
+        --metric bytes_per_window --pairs 4
 
 ``--workload`` takes one name, a comma-separated list or ``all`` (every
 workload ``BENCHMARK.json`` declares); each workload gets its own series
 of alternating pairs and its own table, and a final verdict line reads the
-claim off ``--claim`` (default: the first workload listed) and holds every
-workload, the claimed one included, to its ``BENCHMARK.json`` bounds — a
-metric whose parent runs spread wider than its bound reads ``unresolved``
-unless every change run beats every parent run — and to a failed-window
-share no larger than the parent's.
+claim on ``--metric`` (any end-to-end metric ``BENCHMARK.json`` declares;
+default ``windows_per_s``) off ``--claim`` (default: the first workload
+listed) and holds every workload, the claimed one included, to its
+``BENCHMARK.json`` bounds — a metric whose parent runs spread wider than
+its bound reads ``unresolved`` unless every change run beats every parent
+run — and to a failed-window share no larger than the parent's.
 
 It exports ``--parent`` (default ``HEAD~1``; use ``HEAD`` to compare an
 uncommitted working tree against its base) with ``git archive`` and copies
 the working tree's tracked and untracked-but-not-ignored files into two
 temporary directories, runs the benchmark in each — alternating which side
 goes first — and prints every run, then per-side median and quartiles,
-pairs won and the per-seed ``bytes_per_window`` match for each end-to-end
-metric.  A traced pair (``--trace 1``) reports per-layer metrics instead;
-for every count ``perfbench/workloads.py`` declares ``exact`` it prints
-``exact counts equal per seed: yes`` or the metrics and seeds that differ.
-It only *calls* perfbench: nothing is recorded
+pairs won for each end-to-end metric, and the per-seed ``bytes_per_window``
+match — or, when that is the claimed metric, its change per seed.  A traced
+pair (``--trace 1``) reports per-layer metrics instead; for every count
+``perfbench/workloads.py`` declares ``exact`` it prints ``exact counts
+equal per seed: yes`` or the metrics and seeds that differ.  It only
+*calls* perfbench: nothing is recorded
 (``perfbench/history.jsonl`` is never written; each copy's
 ``perfbench/out/`` dies with its temporary directory).
 """
@@ -54,8 +59,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The metric whose per-seed equality certifies "same protocol, same bytes".
 BYTES_METRIC = "bytes_per_window"
 
-#: The metric a claim is made on (every perfbench claim so far).
-CLAIM_METRIC = "windows_per_s"
+#: The metric a claim is made on unless ``--metric`` names another.
+DEFAULT_METRIC = "windows_per_s"
 
 
 def export_parent(rev: str, target: Path) -> None:
@@ -143,6 +148,33 @@ def bytes_mismatches(runs: List[Dict[str, dict]]) -> List[int]:
             if run["parent"]["metrics"][BYTES_METRIC] != run["change"]["metrics"][BYTES_METRIC]
         }
     )
+
+
+def bytes_deltas(runs: List[Dict[str, dict]]) -> List[Tuple[int, float]]:
+    """``(seed, change - parent bytes_per_window)`` of every pair, by seed, without repeats."""
+    return sorted(
+        {
+            (
+                run["seed"],
+                run["change"]["metrics"][BYTES_METRIC]["value"]
+                - run["parent"]["metrics"][BYTES_METRIC]["value"],
+            )
+            for run in runs
+        }
+    )
+
+
+def _spell_deltas(runs: List[Dict[str, dict]]) -> str:
+    """``seed delta, ...``, e.g. ``81 -19579.6, 82 -19580.2``."""
+    return ", ".join(f"{seed} {delta:+.6g}" for seed, delta in bytes_deltas(runs))
+
+
+def describe_bytes(runs: List[Dict[str, dict]], claimed: bool) -> str:
+    """The per-seed bytes line: identity, or (a bytes claim) the change per seed."""
+    if claimed:
+        return f"{BYTES_METRIC} change per seed: {_spell_deltas(runs)}"
+    seeds_off = bytes_mismatches(runs)
+    return f"{BYTES_METRIC} identical per seed: " + (f"NO, seeds {seeds_off}" if seeds_off else "yes")
 
 
 def exact_metric_names() -> List[str]:
@@ -247,13 +279,15 @@ def verdict(
 
     The claim rule judges only ``metric`` on ``claim``; every workload, the
     claimed one included, is held to its end-to-end bounds and must not
-    fail a larger share of its windows than the parent.
+    fail a larger share of its windows than the parent.  Bytes must be
+    identical per seed, unless ``metric`` is ``bytes_per_window``: then
+    each workload's per-seed change is reported instead.
     """
     direction = next(
         (m["better"] for m in declared["end_to_end"] if m["name"] == metric), "lower"
     )
     _, claimed = claim_verdict(runs[claim], metric, direction)
-    bounded, mismatched, failing = [], [], []
+    bounded, mismatched, changed, failing = [], [], [], []
     for workload, series in runs.items():
         statuses = bound_statuses(series, declared["end_to_end"])
         notes = [
@@ -262,17 +296,24 @@ def verdict(
             if status in statuses.values()
         ]
         bounded.append(f"{workload} {' '.join(notes) or 'yes'}")
-        seeds_off = BYTES_METRIC in series[0]["parent"]["metrics"] and bytes_mismatches(series)
-        if seeds_off:
-            mismatched.append(f"{workload} seeds {seeds_off}")
+        if BYTES_METRIC in series[0]["parent"]["metrics"]:
+            if metric == BYTES_METRIC:
+                changed.append(f"{workload} {_spell_deltas(series)}")
+            elif seeds_off := bytes_mismatches(series):
+                mismatched.append(f"{workload} seeds {seeds_off}")
         parent_share, change_share = failed_shares(series)
         if change_share > parent_share:
             failing.append(f"{workload} {parent_share:.2%} -> {change_share:.2%}")
+    if metric == BYTES_METRIC:
+        per_seed = f"{BYTES_METRIC} change per seed: {'; '.join(changed)}"
+    else:
+        per_seed = f"{BYTES_METRIC} identical per seed: " + (
+            "NO, " + "; ".join(mismatched) if mismatched else "yes"
+        )
     return (
         f"verdict: claim {claim} {claimed}; "
         f"inside bound: {', '.join(bounded)}; "
-        f"{BYTES_METRIC} identical per seed: "
-        f"{'NO, ' + '; '.join(mismatched) if mismatched else 'yes'}; "
+        f"{per_seed}; "
         f"failed-window share no larger: "
         f"{'NO, ' + '; '.join(failing) if failing else 'yes'}"
     )
@@ -289,6 +330,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--workload", required=True, help="a name, a comma-separated list, or 'all'"
     )
     parser.add_argument("--claim", help="the claimed workload (default: the first listed)")
+    parser.add_argument(
+        "--metric",
+        default=DEFAULT_METRIC,
+        help=f"the claimed end-to-end metric (default: {DEFAULT_METRIC})",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument(
         "--control-pairs", type=int, help="pairs on the other workloads (default: --pairs)"
@@ -316,6 +362,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     claim = args.claim or workloads[0]
     if claim not in workloads:
         parser.error(f"--claim {claim} is not among the workloads {workloads}")
+    declared_metrics = [m["name"] for m in declared["end_to_end"]]
+    if args.metric not in declared_metrics:
+        parser.error(f"--metric {args.metric} is not an end-to-end metric {declared_metrics}")
 
     runs: Dict[str, List[Dict[str, dict]]] = {workload: [] for workload in workloads}
     with tempfile.TemporaryDirectory(prefix="perf_pair.") as scratch:
@@ -345,11 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             print("\n".join(summarize(series, better)))
             if BYTES_METRIC in series[0]["parent"]["metrics"]:
-                seeds_off = bytes_mismatches(series)
-                print(
-                    f"{BYTES_METRIC} identical per seed: "
-                    f"{'yes' if not seeds_off else f'NO, seeds {seeds_off}'}"
-                )
+                print(describe_bytes(series, args.metric == BYTES_METRIC))
             exact = [name for name in exact_names if name in series[0]["parent"]["metrics"]]
             if exact:  # per-layer metrics: a traced pair
                 print(describe_exact(series, exact))
@@ -359,8 +404,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"runs failing the correctness gate: {sum(not r['correct'] for r in sides)}"
             )
 
-    if CLAIM_METRIC in runs[claim][0]["parent"]["metrics"]:  # a traced pair has no end-to-end metrics
-        print("\n" + verdict(runs, claim, CLAIM_METRIC, declared))
+    if args.metric in runs[claim][0]["parent"]["metrics"]:  # a traced pair has no end-to-end metrics
+        print("\n" + verdict(runs, claim, args.metric, declared))
     if args.out:
         args.out.write_text(json.dumps(runs, indent=1) + "\n")
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 __all__ = ["SettlementTransaction", "Block", "GENESIS_PREVIOUS_HASH"]
 
@@ -74,6 +74,9 @@ class Block:
         proposer_id: the validator that proposed the block.
         transactions: the ordered settlement transactions.
         votes: validator ids that endorsed the block.
+        recorded_root: the Merkle root of ``transactions`` recorded when
+            the block is built — the header's commitment to its contents,
+            which :meth:`block_hash` covers.
     """
 
     index: int
@@ -81,6 +84,10 @@ class Block:
     proposer_id: str
     transactions: List[SettlementTransaction] = field(default_factory=list)
     votes: List[str] = field(default_factory=list)
+    recorded_root: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.recorded_root = self.merkle_root()
 
     def merkle_root(self) -> str:
         """Merkle root of the transaction ids (pairwise SHA-256)."""
@@ -97,12 +104,17 @@ class Block:
         return layer[0]
 
     def block_hash(self) -> str:
+        """Hash of the header: index, links, proposer and the recorded root.
+
+        Hashing the head to extend the chain does not rehash its
+        transactions.
+        """
         header = json.dumps(
             {
                 "index": self.index,
                 "previous_hash": self.previous_hash,
                 "proposer": self.proposer_id,
-                "merkle_root": self.merkle_root(),
+                "merkle_root": self.recorded_root,
             },
             sort_keys=True,
         )

@@ -62,7 +62,13 @@ class ConsortiumChain:
     # -- verification ---------------------------------------------------------------
 
     def verify(self) -> bool:
-        """Verify hash links, quorum votes and transaction consistency."""
+        """Verify hash links, recorded roots, quorum votes and transaction consistency.
+
+        Each block's transactions must hash to the Merkle root recorded
+        when it was built, and each header (which covers that root) to
+        the next block's ``previous_hash`` — so a change to any block's
+        contents is caught, the head's included.
+        """
         previous_hash = GENESIS_PREVIOUS_HASH
         for index, block in enumerate(self.blocks):
             if block.index != index:
@@ -70,6 +76,8 @@ class ConsortiumChain:
             if block.previous_hash != previous_hash:
                 return False
             if index > 0 and len(block.votes) < self.consensus.quorum_size:
+                return False
+            if block.merkle_root() != block.recorded_root:
                 return False
             if not all(tx.is_consistent() for tx in block.transactions):
                 return False

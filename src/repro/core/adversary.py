@@ -31,8 +31,10 @@ from .agent import AgentWindowState
 
 __all__ = ["PartyView", "TranscriptCollector", "PrivacyFinding", "PrivacyAuditor"]
 
-#: Message kinds whose metadata is public by design (prices, market case,
-#: ratios, energy routing and payments are the protocol outputs).
+#: Message kinds whose contents are public by design (prices, market case,
+#: ratios, energy routing and payments are the protocol outputs).  The
+#: auditor reads only metadata; the trade legs' amounts ride in their
+#: fixed-width payloads and their metadata is the window alone.
 PUBLIC_OUTPUT_KINDS = {
     MessageKind.MARKET_RESULT,
     MessageKind.PRICE_BROADCAST,

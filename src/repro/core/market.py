@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .coalition import Coalitions
 from .params import MarketParameters
@@ -35,9 +35,12 @@ class MarketCase(str, Enum):
     NO_MARKET = "no_market"
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     """One pairwise energy transfer.
+
+    An immutable record.  A window holds one per trading pair, so it is a
+    tuple rather than a frozen dataclass: half the construction time and
+    under half the memory.
 
     Attributes:
         seller_id / buyer_id: the trading pair.

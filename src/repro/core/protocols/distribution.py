@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
 from ...crypto.paillier import PaillierCiphertext
-from ...net.message import Message, MessageKind
+from ...net.message import Message, MessageKind, encode_metadata
 from ...net.network import NetworkError
 from ..market import MarketCase, MarketClearing, Trade
 from .aggregation import aggregate
@@ -224,9 +224,15 @@ def run_private_distribution(
                     yield seller_id, buyer_id, demand * ratios[seller_id]
 
     def exchange() -> Iterator[Message]:
-        """The phase's messages: each trade's energy route, then its payment."""
-        window = coalitions.window
+        """The phase's messages: each trade's energy route, then its payment.
+
+        Every leg carries its exact amount as a fixed-width payload and the
+        same ``{"window": w}`` metadata, encoded once for the whole phase.
+        """
+        metadata = {"window": coalitions.window}
+        metadata_json = encode_metadata(metadata)
         trades = clearing.trades
+        leg = Message.trade_leg
         energy_route, payment_kind = MessageKind.ENERGY_ROUTE, MessageKind.PAYMENT
         for seller_id, buyer_id, energy in allocations():
             if energy <= 0:
@@ -235,13 +241,8 @@ def run_private_distribution(
             trades.append(Trade(seller_id, buyer_id, energy, payment))
             sold_totals[seller_id] = sold_totals.get(seller_id, 0.0) + energy
             bought_totals[buyer_id] = bought_totals.get(buyer_id, 0.0) + energy
-            # Positional: a keyword call costs the constructor twice over.
-            yield Message(
-                seller_id, buyer_id, energy_route, b"", {"window": window, "kwh": round(energy, 9)}
-            )
-            yield Message(
-                buyer_id, seller_id, payment_kind, b"", {"window": window, "amount": round(payment, 6)}
-            )
+            yield leg(seller_id, buyer_id, energy_route, energy, metadata, metadata_json)
+            yield leg(buyer_id, seller_id, payment_kind, payment, metadata, metadata_json)
 
     # One run for the whole seller x buyer phase; the network pulls it
     # message by message, so ids, accounting and hooks keep trade order.

@@ -26,6 +26,7 @@ __all__ = [
     "encode_metadata",
     "WIRE_VERSION",
     "WIRE_HEADER_FORMAT",
+    "LEG_AMOUNT_FORMAT",
 ]
 
 _MESSAGE_COUNTER = itertools.count(1)
@@ -66,6 +67,12 @@ WIRE_VERSION = 1
 #: payload is whatever follows them, so its length is the frame's.
 WIRE_HEADER_FORMAT = ">BBQHHI"
 _WIRE_HEADER = struct.Struct(WIRE_HEADER_FORMAT)
+
+#: Payload of a trade leg (``ENERGY_ROUTE`` kWh, ``PAYMENT`` cents): the
+#: exact amount as one big-endian IEEE-754 double, so every leg of a
+#: window has the same length whatever it carries (``docs/WIRE.md``).
+LEG_AMOUNT_FORMAT = ">d"
+_pack_amount = struct.Struct(LEG_AMOUNT_FORMAT).pack
 
 
 class MessageKind(str, Enum):
@@ -147,6 +154,27 @@ class Message:
             message = cls(sender, recipient, kind, payload, metadata or {})
             message._metadata_json = encoded
             yield message
+
+    @classmethod
+    def trade_leg(
+        cls,
+        sender: str,
+        recipient: str,
+        kind: MessageKind,
+        amount: float,
+        metadata: Dict[str, Any],
+        metadata_json: bytes,
+    ) -> "Message":
+        """One leg of a trade: an energy route or a payment carrying ``amount``.
+
+        The payload is ``amount`` packed as :data:`LEG_AMOUNT_FORMAT`.
+        ``metadata_json`` must be ``encode_metadata(metadata)``: a phase
+        encodes its legs' shared metadata once and hands it to every leg.
+        """
+        # Positional: a keyword call costs the constructor twice over.
+        message = cls(sender, recipient, kind, _pack_amount(amount), metadata)
+        message._metadata_json = metadata_json
+        return message
 
     def _metadata_bytes(self) -> bytes:
         """The sorted-key metadata JSON (empty for no metadata), encoded once.

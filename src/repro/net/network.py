@@ -49,14 +49,11 @@ class Party:
     def __init__(self, party_id: str, network: "SimulatedNetwork") -> None:
         self.party_id = party_id
         # Weak: the network owns its parties.  A strong back-reference
-        # would make every dropped window network (and each message its
-        # parties logged) cyclic garbage only a full collection frees.
+        # would make every dropped window network (and each message left
+        # in its parties' inboxes) cyclic garbage only a full collection
+        # frees.
         self._network = weakref.proxy(network)
         self._inbox: Deque[Message] = deque()
-        #: full log of messages this party received (its protocol "view").
-        self.received_log: List[Message] = []
-        #: full log of messages this party sent.
-        self.sent_log: List[Message] = []
 
     # -- sending ---------------------------------------------------------------
 
@@ -82,17 +79,24 @@ class Party:
         """Send the same message to every party in ``recipients`` (except self).
 
         One run: the metadata is encoded once, whatever the audience.
+        Returns the copies the transport accepted.
         """
-        already_sent = len(self.sent_log)
         others = (recipient for recipient in recipients if recipient != self.party_id)
-        self._network.deliver(Message.to_each(self.party_id, others, kind, payload, metadata))
-        return self.sent_log[already_sent:]
+        accepted: List[Message] = []
+
+        def run() -> Iterator[Message]:
+            for message in Message.to_each(self.party_id, others, kind, payload, metadata):
+                yield message
+                # Resumed: the transport took it and asked for the next.
+                accepted.append(message)
+
+        self._network.deliver(run())
+        return accepted
 
     # -- receiving -------------------------------------------------------------
 
     def _enqueue(self, message: Message) -> None:
         self._inbox.append(message)
-        self.received_log.append(message)
 
     def receive(self, kind: Optional[MessageKind] = None) -> Message:
         """Pop the next message from the inbox, optionally filtered by kind.
@@ -205,8 +209,10 @@ class SimulatedNetwork:
         The run may be lazy: each message is pulled, validated, accounted,
         shown to the hooks and framed before the next one exists, so a run
         that fails at message *k* leaves exactly what *k* sequential sends
-        would have: *k* messages in the senders' ``sent_log``, message *k*
+        would have: *k* messages accepted by the transport, message *k*
         accounted if it got as far as the transport, nothing of the rest.
+        The network keeps no message itself: once the transport has framed
+        a message (or handed it to its sink), nothing here refers to it.
 
         Bandwidth is charged per message; *time* is charged explicitly by
         the protocols through :meth:`charge_crypto_time`, because the
@@ -222,7 +228,10 @@ class SimulatedNetwork:
             accounted.close()
 
     def _accounted(self, run: Iterable[Message]) -> Iterator[Message]:
-        """``run``, each message validated, accounted and hooked as it is pulled."""
+        """``run``, each message validated, accounted and hooked as it is pulled.
+
+        Holds each message only until the transport pulls the next one.
+        """
         parties = self._parties
         hooks = self._message_hooks
         stats = self.stats
@@ -231,8 +240,7 @@ class SimulatedNetwork:
         messages = volume = 0
         try:
             for message in run:
-                sender = parties.get(message.sender)
-                if sender is None:
+                if message.sender not in parties:
                     raise NetworkError(f"unknown sender {message.sender!r}")
                 if message.recipient not in parties:
                     raise NetworkError(f"unknown recipient {message.recipient!r}")
@@ -249,8 +257,6 @@ class SimulatedNetwork:
                 for hook in hooks:
                     hook(message)
                 yield message
-                # Resumed: the transport took it and asked for the next.
-                sender.sent_log.append(message)
         finally:
             stats.total_messages += messages
             stats.total_bytes += volume

@@ -134,6 +134,44 @@ def test_verify_detects_tampering():
     assert not chain.verify()
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda head: head.transactions.__setitem__(0, tx(window=2, energy=0.7)),
+        lambda head: head.transactions.clear(),
+        lambda head: head.transactions.append(tx(window=2, buyer="b9")),
+        lambda head: head.transactions.reverse(),
+    ],
+    ids=["replaced", "emptied", "extended", "reordered"],
+)
+def test_verify_detects_tampering_in_the_head_block(tamper):
+    """The head has no later block whose link covers it: its recorded root does."""
+    chain = make_chain()
+    chain.append_transactions([tx(window=1)])
+    chain.append_transactions([tx(window=2), tx(window=2, buyer="b2")])
+    assert chain.verify()
+    tamper(chain.head)
+    assert all(t.is_consistent() for t in chain.head.transactions)  # still valid one by one
+    assert not chain.verify()
+
+
+def test_every_block_records_its_merkle_root():
+    chain = make_chain()
+    first = chain.append_transactions([tx(window=1)])
+    second = chain.append_transactions([])
+    assert chain.blocks[0].recorded_root == chain.blocks[0].merkle_root()
+    assert first.recorded_root == first.merkle_root() != second.recorded_root
+    # The next block links to the header over the recorded root.
+    assert second.previous_hash == first.block_hash()
+    first.transactions.append(tx(window=1, buyer="b2"))
+    assert first.block_hash() == second.previous_hash  # the header did not move ...
+    assert not chain.verify()  # ... but its contents no longer match it
+    # A forged replacement block records its own root: its header no longer links.
+    forged = [tx(window=1), tx(window=1, buyer="b2")]
+    chain.blocks[1] = Block(1, first.previous_hash, first.proposer_id, forged, first.votes)
+    assert chain.blocks[1].block_hash() != second.previous_hash and not chain.verify()
+
+
 def test_balances_and_queries():
     chain = make_chain()
     chain.append_transactions([tx(window=1, seller="alice", buyer="bob", energy=1.0, price=100.0)])

@@ -116,3 +116,53 @@ def test_clearing_conservation_property(supplies, demands, price):
         )
     # Payments equal price times traded energy.
     assert clearing.total_payments == pytest.approx(price * traded, rel=1e-6)
+
+
+# -- the Trade record ------------------------------------------------------------------
+
+
+def test_trade_keeps_its_fields_repr_and_immutability():
+    from repro.core.market import Trade
+
+    trade = Trade("s1", "b1", 0.25, 23.75)
+    assert Trade._fields == ("seller_id", "buyer_id", "energy_kwh", "payment")
+    assert trade == Trade(seller_id="s1", buyer_id="b1", energy_kwh=0.25, payment=23.75)
+    assert (trade.seller_id, trade.buyer_id, trade.energy_kwh, trade.payment) == (
+        "s1", "b1", 0.25, 23.75
+    )  # fmt: skip
+    assert repr(trade) == "Trade(seller_id='s1', buyer_id='b1', energy_kwh=0.25, payment=23.75)"
+    with pytest.raises(AttributeError):
+        trade.payment = 0.0
+    assert trade._replace(payment=0.0) == Trade("s1", "b1", 0.25, 0.0) != trade
+
+
+def test_trade_equality_hashing_and_pickling():
+    import pickle
+
+    from repro.core.market import Trade
+
+    trade = Trade("s1", "b1", 0.1 + 0.2, 95.0 * (0.1 + 0.2))
+    twin = Trade("s1", "b1", 0.1 + 0.2, 95.0 * (0.1 + 0.2))
+    assert trade == twin and hash(trade) == hash(twin) and len({trade, twin}) == 1
+    assert trade != Trade("s1", "b1", 0.3, 95.0 * 0.3)  # 0.1 + 0.2 != 0.3: exact floats
+    restored = pickle.loads(pickle.dumps(trade))
+    assert type(restored) is Trade and restored == trade
+    assert restored.energy_kwh.hex() == trade.energy_kwh.hex()
+
+
+def test_shard_outcomes_pickle_and_identical_to_reads_every_trade():
+    """A report's trades survive the pickling shard outcomes go through, bit for bit."""
+    import pickle
+
+    import helpers
+
+    report = helpers.tiny_market_serial_report()
+    assert any(trace.result.clearing and trace.result.clearing.trades for trace in report.traces)
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy.identical_to(report) and report.identical_to(copy)
+    clearing = next(trace.result.clearing for trace in copy.traces if trace.result.clearing)
+    first = clearing.trades[0]
+    clearing.trades[0] = first._replace(payment=first.payment + 1e-9)
+    assert not copy.identical_to(report)
+    clearing.trades[0] = first
+    assert copy.identical_to(report)

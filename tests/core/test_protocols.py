@@ -195,8 +195,10 @@ def test_private_distribution_payment_messages_flow():
     from repro.net import MessageKind
 
     context, coalitions, network = make_context(GENERAL_STATES)
+    received = []
+    network.add_message_hook(received.append)
     run_private_distribution(context, MarketCase.GENERAL, 95.0)
-    kinds = [m.kind for party in network.party_ids for m in network.party(party).received_log]
+    kinds = [m.kind for m in received]
     assert MessageKind.ENERGY_ROUTE in kinds
     assert MessageKind.PAYMENT in kinds
     assert MessageKind.RATIO_BROADCAST in kinds

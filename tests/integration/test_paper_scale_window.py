@@ -1,19 +1,21 @@
 """Paper-scale windows (200 homes) at toy key size, on both transports.
 
 The paper's Fig. 5 / Table I run 200-300 homes; at that size Protocol 4's
-seller x buyer phase is ~20 000 empty-payload messages submitted to the
+seller x buyer phase is ~20 000 fixed-width trade legs submitted to the
 network as **one run**.  One general-market and one extreme-market window
 of a seeded 200-home day are driven through it here with 128-bit keys:
 
 * the private result equals the plaintext engine's;
 * ``TrafficStats`` equals a per-message reference — every message counted
   by a hook as it passes, and the settlement kinds recomputed from the
-  clearing alone (two messages per ``Trade``, each ``len(json) + 64``);
+  clearing alone (two legs per ``Trade``, each an 8-byte amount plus
+  ``len('{"window": w}') + 64``, whatever the amount);
 * the ``local`` and ``socket`` reports are ``identical_to`` each other.
 """
 
 import collections
 import json
+import struct
 
 import pytest
 
@@ -129,14 +131,13 @@ def test_traffic_stats_equal_a_per_message_reference(runs, transport):
     ]
     kinds = collections.Counter(message.kind.value for message in messages)
     assert kinds["energy_route"] == kinds["payment"] == len(trades) > 19_000
-    assert stats.bytes_by_kind["energy_route"] == sum(
-        len(json.dumps({"window": window, "kwh": round(trade.energy_kwh, 9)}, sort_keys=True)) + 64
-        for window, trade in trades
-    )
-    assert stats.bytes_by_kind["payment"] == sum(
-        len(json.dumps({"window": window, "amount": round(trade.payment, 6)}, sort_keys=True)) + 64
-        for window, trade in trades
-    )
+    leg_bytes = sum(8 + len(json.dumps({"window": window})) + 64 for window, _ in trades)
+    assert stats.bytes_by_kind["energy_route"] == stats.bytes_by_kind["payment"] == leg_bytes
+    # Each leg carries its trade's exact amount, route then payment.
+    legs = [m for m in messages if m.kind.value in ("energy_route", "payment")]
+    assert [struct.unpack(">d", m.payload)[0] for m in legs] == [
+        amount for _, trade in trades for amount in (trade.energy_kwh, trade.payment)
+    ]
     # In trade order, ids ascending: route then payment for each trade.
     settlement = [m for m in seen[0] if m.kind.value in ("energy_route", "payment")]
     first_window_trades = report.traces[0].result.clearing.trades

@@ -11,7 +11,9 @@ at a time and stopping at the first exception —
 * the exact sequence of message-hook calls, including a real
   ``ChaosController`` pool drain scheduled a few messages past the failure
   (it must not fire) and one scheduled before it (it must);
-* every party's ``sent_log``, ``received_log`` and inbox, in order;
+* the messages the transport accepted (pulled the next one after, or
+  returned normally for), what each recipient's sink was handed, and
+  every party's inbox, in order;
 * message ids, and the next id a later message takes (a failed run has
   used none past the failure);
 * the exception type and, for a ``FrameError``, its sender / recipient /
@@ -41,7 +43,7 @@ from repro.net import (
     TransportError,
     make_transport,
 )
-from repro.net.transport import FrameError
+from repro.net.transport import FrameError, Transport
 
 TRANSPORTS = ("local", "socket")
 _PARTIES = ("alice", "bob", "carol", "dave")
@@ -69,6 +71,35 @@ class _FaultAt:
 class _NoPools:
     randomizer_pools = ()
     comparison_pools = ()
+
+
+class _AcceptingTransport(Transport):
+    """Wraps a transport; records each message once it asks for the next.
+
+    Those are the messages the transport accepted: a run that fails at
+    message *k* accepted exactly *k*, and a send that returned normally
+    accepted its one.
+    """
+
+    def __init__(self, inner, accepted):
+        self.inner, self.accepted = inner, accepted
+
+    def register(self, party_id, sink):
+        self.inner.register(party_id, sink)
+
+    def deliver(self, run):
+        self.inner.deliver(self._accepting(run))
+
+    def _accepting(self, run):
+        for message in run:
+            yield message
+            self.accepted.append(message)
+
+    def flush(self):
+        self.inner.flush()
+
+    def close(self):
+        self.inner.close()
 
 
 _specs = st.lists(
@@ -103,7 +134,10 @@ class _World:
     def __init__(self, transport_name, fault=None, poisoned=None, close_at=None, drains=()):
         inner = make_transport(transport_name)
         self.faulty = FaultyTransport(inner, fault) if fault is not None else None
-        self.network = SimulatedNetwork(transport=self.faulty or inner)
+        self.accepted = []
+        self.network = SimulatedNetwork(
+            transport=_AcceptingTransport(self.faulty or inner, self.accepted)
+        )
         # Burn one id so both worlds can speak of ids relative to their own start.
         self.base = Message("x", "y", MessageKind.GENERIC).message_id
         self.parties = [self.network.register(name) for name in _PARTIES]
@@ -120,11 +154,22 @@ class _World:
             self.network.add_message_hook(
                 lambda message: message.payload[0] == close_at and self.network.close()
             )
-        if poisoned is not None:
-            sinks = inner._sinks
-            for name, sink in list(sinks.items()):
-                sinks[name] = self._poisoned_sink(sink, poisoned)
+        # What each sink was handed, in order: a party's received messages.
+        self.received = {name: [] for name in _PARTIES}
+        sinks = inner._sinks
+        for name, sink in list(sinks.items()):
+            sinks[name] = self._recording_sink(sink, self.received[name])
+            if poisoned is not None:
+                sinks[name] = self._poisoned_sink(sinks[name], poisoned)
         self.errors = []
+
+    @staticmethod
+    def _recording_sink(sink, received):
+        def recording_sink(message):
+            sink(message)
+            received.append(message)
+
+        return recording_sink
 
     @staticmethod
     def _poisoned_sink(sink, poisoned):
@@ -173,11 +218,11 @@ class _World:
             "drains": [fault.detail for fault in self.controller.injected],
             "faults": list(self.faulty.injected) if self.faulty else [],
             "next_id": Message("x", "y", MessageKind.GENERIC).message_id - self.base,
+            "accepted": [self._seen(m) for m in self.accepted],
         }
         for party in self.parties:
             observed[party.party_id] = {
-                "sent": [self._seen(m) for m in party.sent_log],
-                "received": [self._seen(m) for m in party.received_log],
+                "received": [self._seen(m) for m in self.received[party.party_id]],
                 "inbox": [self._seen(m) for m in party._inbox],
             }
         self.network.close()
@@ -207,7 +252,7 @@ def _assert_equivalent(transport_name, specs, overrides=None, **world_options):
 
 
 def _sent_count(state):
-    return sum(len(state[name]["sent"]) for name in _PARTIES)
+    return len(state["accepted"])
 
 
 # -- the property, one failure mode at a time --------------------------------------
@@ -236,7 +281,7 @@ def test_sink_failure_at_k(transport_name, specs, data):
     received = [seen[4][0] for name in _PARTIES for seen in state[name]["received"]]
     assert sorted(received) == list(range(k))  # fail closed: nothing from k on
     if transport_name == "local":
-        # Raised out of deliver at k: k accounted and hooked, not logged as sent.
+        # Raised out of deliver at k: k accounted and hooked, not accepted.
         assert state["totals"][0] == k + 1 == len(state["hooked"])
         assert _sent_count(state) == k
         assert state["next_id"] == k + 2
@@ -293,7 +338,7 @@ def test_frame_fault_at_k(transport_name, fault, specs, data):
     pulled = k + 1 if fault != "reorder" or last else k + 2
     assert state["totals"][0] == pulled == len(state["hooked"])
     assert state["next_id"] == pulled + 1
-    # Logged as sent: what deliver returned normally for (a held frame counts).
+    # Accepted: what deliver returned normally for (a held frame counts).
     assert _sent_count(state) == (k + 1 if fault == "reorder" else k)
     assert len(state["drains"]) == 1  # k + 4 is always past the last message pulled
 
@@ -380,7 +425,7 @@ def test_a_hook_may_flush_and_send_while_the_socket_run_is_being_pulled():
         def nosy(message):
             if message.kind is MessageKind.GENERIC and message.payload == b"\x01":
                 network.flush()
-                assert [m.payload for m in bob.received_log] == [b"\x00"]
+                assert [m.payload for m in bob._inbox] == [b"\x00"]
                 bob.send("alice", MessageKind.PAYMENT, b"from the hook")
 
         network.add_message_hook(nosy)
@@ -398,10 +443,12 @@ def test_a_hook_may_flush_and_send_while_the_socket_run_is_being_pulled():
 
 
 def _fail_a_run(transport_name, mode):
-    """A network whose 8-message run failed at message 5, and what was raised."""
+    """A network whose 8-message run failed at message 5, what was raised and
+    the messages the transport accepted."""
     inner = make_transport(transport_name)
     transport = FaultyTransport(inner, _FaultAt("drop", 5)) if mode == "drop" else inner
-    network = SimulatedNetwork(transport=transport)
+    accepted = []
+    network = SimulatedNetwork(transport=_AcceptingTransport(transport, accepted))
     for name in _PARTIES:
         network.register(name)
     if mode == "sink":
@@ -414,7 +461,7 @@ def _fail_a_run(transport_name, mode):
         raised = type(exc).__name__
     else:
         raised = None
-    return network, raised
+    return network, raised, accepted
 
 
 @pytest.mark.parametrize(
@@ -433,14 +480,14 @@ def test_a_failed_run_leaves_no_reference_cycle(transport_name, mode, expected):
     gc.collect()
     gc.disable()
     try:
-        network, raised = _fail_a_run(transport_name, mode)
+        network, raised, accepted = _fail_a_run(transport_name, mode)
         assert raised == expected
         assert network.stats.total_messages == {"ghost": 5, "clean": 8}.get(mode, 6)
         network.close()
         dropped = weakref.ref(network)
-        logged = [weakref.ref(m) for m in network.party("alice").sent_log]
+        logged = [weakref.ref(m) for m in accepted]
         assert len(logged) == (8 if mode == "clean" else 5)
-        del network
+        del network, accepted
         assert dropped() is None
         assert all(message() is None for message in logged)
     finally:

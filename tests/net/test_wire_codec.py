@@ -330,6 +330,8 @@ def test_a_broadcast_encodes_its_metadata_once_however_many_recipients(
     try:
         alice = network.register("alice")
         others = [network.register(f"home-{index}") for index in range(audience)]
+        hooked = []
+        network.add_message_hook(hooked.append)
         metadata = {"window": 3, "price": 0.25}
         sent = alice.broadcast(
             ["alice"] + [party.party_id for party in others],
@@ -342,7 +344,7 @@ def test_a_broadcast_encodes_its_metadata_once_however_many_recipients(
         network.close()
     assert calls == [metadata]
     assert [m.recipient for m in sent] == [party.party_id for party in others]
-    assert sent == alice.sent_log and [m.metadata for m in received] == [metadata] * audience
+    assert sent == hooked and [m.metadata for m in received] == [metadata] * audience
     assert len({m.message_id for m in sent}) == audience
     assert [m.byte_size() for m in sent] == [_spelled_out_size(m) for m in sent]
     assert network.stats.total_bytes == sum(_spelled_out_size(m) for m in sent)

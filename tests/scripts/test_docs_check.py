@@ -39,6 +39,8 @@ def test_wire_doc_states_the_codecs_formats():
         ("`WIRE_VERSION` = 1", "`WIRE_VERSION` = 2", "version"),
         ("`MAX_FRAME_BYTES` = 67108864", "`MAX_FRAME_BYTES` = 4294967295", "frame cap"),
         ("| length | `>I` |", "| length | `<I` |", "length prefix"),
+        ("| `energy_route` | `>d`", "| `energy_route` | `<d`", "energy_route payload"),
+        ("| `payment` | `>d`", "| `payment` | `>f`", "payment payload"),
     ],
 )
 def test_a_documented_format_that_drifts_from_the_code_is_a_problem(documented, drifted, label):

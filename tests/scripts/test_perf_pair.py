@@ -9,6 +9,8 @@ export of a pycache-free working tree, and that nothing is recorded.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _spec = importlib.util.spec_from_file_location(
@@ -281,3 +283,63 @@ def test_working_tree_export_is_pycache_free_and_complete(tmp_path):
 def test_the_script_never_asks_perfbench_to_record():
     source = (REPO_ROOT / "scripts" / "perf_pair.py").read_text()
     assert '"--record"' not in source
+
+
+def test_a_bytes_claim_reports_the_change_per_seed_instead_of_a_mismatch():
+    # Seeds 81..84, each run twice: 8 % fewer bytes on every pair.
+    smaller = [
+        _run(seed, 30.0, 33.0, bytes_parent=1000.0 + seed, bytes_change=920.0 + seed)
+        for seed in (81, 82, 83, 84) * 2
+    ]
+    assert perf_pair.bytes_deltas(smaller) == [(81, -80.0), (82, -80.0), (83, -80.0), (84, -80.0)]
+    assert perf_pair.describe_bytes(smaller, claimed=True) == (
+        "bytes_per_window change per seed: 81 -80, 82 -80, 83 -80, 84 -80"
+    )
+    assert perf_pair.describe_bytes(smaller, claimed=False) == (
+        "bytes_per_window identical per seed: NO, seeds [81, 82, 83, 84]"
+    )
+    level = [_run(seed, 60.0, 60.0) for seed in (11, 12)]
+    assert perf_pair.describe_bytes(level, claimed=False) == "bytes_per_window identical per seed: yes"
+    runs = {"live_socket_128": smaller, "live_gc_128": level}
+    line = perf_pair.verdict(runs, "live_socket_128", "bytes_per_window", _DECLARED)
+    assert line.startswith("verdict: claim live_socket_128 bytes_per_window won 8/8, ")
+    assert ": met; inside bound: live_socket_128 yes, live_gc_128 yes; " in line
+    assert (
+        "; bytes_per_window change per seed: live_socket_128 81 -80, 82 -80, 83 -80, 84 -80; "
+        "live_gc_128 11 +0, 12 +0; failed-window share no larger: yes"
+    ) in line
+    assert "identical per seed" not in line
+    # The same runs read as a throughput claim still flag the bytes.
+    line = perf_pair.verdict(runs, "live_socket_128", "windows_per_s", _DECLARED)
+    assert "; bytes_per_window identical per seed: NO, live_socket_128 seeds [81, 82, 83, 84]; " in line
+
+
+def test_metric_flag_picks_the_claimed_metric_and_defaults_to_throughput(monkeypatch, capsys):
+    monkeypatch.setattr(perf_pair, "export_parent", lambda rev, target: None)
+    monkeypatch.setattr(perf_pair, "export_working_tree", lambda target: None)
+
+    def fake_benchmark(tree, workload, seed, seconds, trace):
+        run = _run(seed, 20.0, 21.0, bytes_parent=500.0, bytes_change=460.0)
+        return run["change" if tree.name == "change" else "parent"]
+
+    monkeypatch.setattr(perf_pair, "run_benchmark", fake_benchmark)
+    args = ["--workload", "live_socket_128", "--pairs", "2", "--seeds", "81,82"]
+    assert perf_pair.main(args + ["--metric", "bytes_per_window"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert "bytes_per_window change per seed: 81 -40, 82 -40" in out
+    assert out[-1].startswith("verdict: claim live_socket_128 bytes_per_window won 2/2")
+    assert "bytes_per_window change per seed: live_socket_128 81 -40, 82 -40;" in out[-1]
+    assert perf_pair.main(args) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert "bytes_per_window identical per seed: NO, seeds [81, 82]" in out
+    assert out[-1].startswith("verdict: claim live_socket_128 windows_per_s won 2/2")
+
+
+def test_metric_flag_accepts_only_a_declared_end_to_end_metric(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(perf_pair, "export_parent", lambda rev, target: ran.append(rev))
+    for name in ("bytes", "net.bytes"):  # unknown; per-layer, not end-to-end
+        with pytest.raises(SystemExit):
+            perf_pair.main(["--workload", "live_socket_128", "--metric", name])
+        assert f"--metric {name} is not an end-to-end metric" in capsys.readouterr().err
+    assert ran == []
