@@ -35,15 +35,21 @@ pairs won for each end-to-end metric, and the per-seed ``bytes_per_window``
 match — or, when that is the claimed metric, its change per seed.  A traced
 pair (``--trace 1``) reports per-layer metrics instead; for every count
 ``perfbench/workloads.py`` declares ``exact`` it prints ``exact counts
-equal per seed: yes`` or the metrics and seeds that differ.  It only
-*calls* perfbench: nothing is recorded
-(``perfbench/history.jsonl`` is never written; each copy's
-``perfbench/out/`` dies with its temporary directory).
+equal per seed: yes`` or the metrics and seeds that differ.
+
+``--record`` appends one JSON line per workload series to the root-level
+ledger ``BENCH_history.jsonl`` (:func:`ledger_line` documents the fields);
+it needs the tier-1 count and wall of the change (``--tier1-passed``,
+``--tier1-wall-s``), which the line carries.  perfbench itself is only
+*called*, never asked to record: ``perfbench/history.jsonl`` is never
+written, and each copy's ``perfbench/out/`` dies with its temporary
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import os
 import shutil
@@ -52,7 +58,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,6 +67,21 @@ BYTES_METRIC = "bytes_per_window"
 
 #: The metric a claim is made on unless ``--metric`` names another.
 DEFAULT_METRIC = "windows_per_s"
+
+#: The per-layer count a traced pair's bytes are read from.
+TRACED_BYTES_METRIC = "net.bytes"
+
+#: The run ledger ``--record`` appends to, one JSON line per paired series.
+LEDGER_PATH = REPO_ROOT / "BENCH_history.jsonl"
+
+#: The perfbench ``detail`` fields that say what state the host was in.
+HOST_FIELDS = ("host_reference_s", "host_slowdown_share")
+
+#: What a series whose two sides put the same bytes and counts on the wire records.
+IDENTICAL = "bytes and exact counts identical"
+
+#: The prefix of the line perfbench prints its run's ``detail`` on.
+DETAIL_PREFIX = "detail "
 
 
 def export_parent(rev: str, target: Path) -> None:
@@ -89,7 +110,7 @@ def export_working_tree(target: Path) -> None:
 
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``python -m perfbench`` run in ``tree``; returns its JSON last line."""
+    """One ``python -m perfbench`` run in ``tree``: its JSON last line plus its ``detail``."""
     command = [
         sys.executable, "-m", "perfbench", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -100,7 +121,10 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: i
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"perfbench failed in {tree} (exit {done.returncode}):\n{done.stdout}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    details = [line[len(DETAIL_PREFIX):] for line in lines if line.startswith(DETAIL_PREFIX)]
+    result["detail"] = json.loads(details[-1]) if details else {}
+    return result
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -150,14 +174,16 @@ def bytes_mismatches(runs: List[Dict[str, dict]]) -> List[int]:
     )
 
 
-def bytes_deltas(runs: List[Dict[str, dict]]) -> List[Tuple[int, float]]:
-    """``(seed, change - parent bytes_per_window)`` of every pair, by seed, without repeats."""
+def bytes_deltas(
+    runs: List[Dict[str, dict]], metric: str = BYTES_METRIC
+) -> List[Tuple[int, float]]:
+    """``(seed, change - parent metric)`` of every pair, by seed, without repeats."""
     return sorted(
         {
             (
                 run["seed"],
-                run["change"]["metrics"][BYTES_METRIC]["value"]
-                - run["parent"]["metrics"][BYTES_METRIC]["value"],
+                run["change"]["metrics"][metric]["value"]
+                - run["parent"]["metrics"][metric]["value"],
             )
             for run in runs
         }
@@ -319,6 +345,110 @@ def verdict(
     )
 
 
+def git_revision(rev: str) -> str:
+    """The short hash of ``rev``."""
+    done = subprocess.run(
+        ["git", "rev-parse", "--short", rev], cwd=REPO_ROOT, check=True,
+        stdout=subprocess.PIPE, text=True,
+    )  # fmt: skip
+    return done.stdout.strip()
+
+
+def working_tree_dirty() -> bool:
+    """Whether tracked files differ from ``HEAD`` (the change side is then uncommitted)."""
+    done = subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=no"], cwd=REPO_ROOT,
+        check=True, stdout=subprocess.PIPE, text=True,
+    )  # fmt: skip
+    return bool(done.stdout.strip())
+
+
+def _host_state(runs: List[Dict[str, dict]], side: str) -> Dict[str, Optional[float]]:
+    """Median of each host field over one side's runs (``None`` where none reported it)."""
+    state: Dict[str, Optional[float]] = {}
+    for name in HOST_FIELDS:
+        values = [run[side].get("detail", {}).get(name) for run in runs]
+        present = [value for value in values if value is not None]
+        state[name] = statistics.median(present) if present else None
+    return state
+
+
+def identity(runs: List[Dict[str, dict]], exact_names: Sequence[str]):
+    """:data:`IDENTICAL`, or the per-seed byte change and the exact counts that differ.
+
+    The bytes are ``bytes_per_window`` on an end-to-end series and
+    ``net.bytes`` on a traced one.
+    """
+    metrics = runs[0]["parent"]["metrics"]
+    bytes_metric = BYTES_METRIC if BYTES_METRIC in metrics else TRACED_BYTES_METRIC
+    deltas = bytes_deltas(runs, bytes_metric) if bytes_metric in metrics else []
+    differing = exact_mismatches(
+        runs, [name for name in exact_names if name in metrics and name != bytes_metric]
+    )
+    if not differing and all(delta == 0 for _, delta in deltas):
+        return IDENTICAL
+    return {
+        "bytes_metric": bytes_metric,
+        "bytes_delta_per_seed": {str(seed): delta for seed, delta in deltas},
+        "exact_counts_differing": differing,
+    }
+
+
+def ledger_line(
+    workload: str,
+    runs: List[Dict[str, dict]],
+    *,
+    role: str,
+    metric: str,
+    better: Dict[str, str],
+    exact_names: Sequence[str],
+    revisions: Dict[str, object],
+    seconds: float,
+    trace: int,
+    tier1: Dict[str, float],
+) -> dict:
+    """One ``BENCH_history.jsonl`` line: a paired series, as data.
+
+    Fields: ``date``; ``commit`` / ``dirty`` / ``parent`` (short hashes;
+    ``dirty`` means the change side is the working tree on top of
+    ``commit``); ``workload``, ``role`` (``claim`` or ``control``), the
+    claimed ``metric``, ``seeds`` (one per pair, in order), ``seconds`` and
+    ``trace``; per metric, both sides' ``median`` and ``iqr`` and the pairs
+    ``won`` / ``tied``; ``identity`` (:func:`identity`); ``host``, each
+    side's median :data:`HOST_FIELDS`; ``failed_share`` per side; and
+    ``tier1``, the change's ``passed`` count and ``wall_s``.
+    """
+    table = {}
+    for name in runs[0]["parent"]["metrics"]:
+        sides = {
+            side: [run[side]["metrics"][name]["value"] for run in runs]
+            for side in ("parent", "change")
+        }
+        won, tied = pairs_won(sides["parent"], sides["change"], better.get(name, "lower"))
+        entry: Dict[str, float] = {}
+        for side, values in sides.items():
+            q1, median, q3 = quartiles(values)
+            entry[f"{side}_median"] = median
+            entry[f"{side}_iqr"] = q3 - q1
+        table[name] = {**entry, "won": won, "tied": tied}
+    parent_share, change_share = failed_shares(runs)
+    return {
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        **revisions,
+        "workload": workload,
+        "role": role,
+        "metric": metric,
+        "seeds": [run["seed"] for run in runs],
+        "seconds": seconds,
+        "trace": trace,
+        "metrics": table,
+        "identity": identity(runs, exact_names),
+        "host": {side: _host_state(runs, side) for side in ("parent", "change")},
+        "failed_share": {"parent": parent_share, "change": change_share},
+        "tier1": tier1,
+    }
+
+
 def _describe(result: dict) -> str:
     rate = result["metrics"].get("windows_per_s", {}).get("value", float("nan"))
     return f"{rate:.2f} w/s ({result['failed']}/{result['attempted']} failed)"
@@ -348,7 +478,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, help="also write every run's JSON here")
+    parser.add_argument(
+        "--record", action="store_true",
+        help=f"append one line per workload series to {LEDGER_PATH.name}",
+    )  # fmt: skip
+    parser.add_argument("--tier1-passed", type=int, help="the change's tier-1 pass count (--record)")
+    parser.add_argument("--tier1-wall-s", type=float, help="the change's tier-1 wall (--record)")
     args = parser.parse_args(argv)
+    if args.record and (args.tier1_passed is None or args.tier1_wall_s is None):
+        parser.error("--record needs --tier1-passed and --tier1-wall-s")
     seeds = [int(s) for s in args.seeds.split(",") if s] or list(range(11, 11 + args.pairs))
 
     declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
@@ -408,6 +546,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("\n" + verdict(runs, claim, args.metric, declared))
     if args.out:
         args.out.write_text(json.dumps(runs, indent=1) + "\n")
+    if args.record:
+        revisions = {
+            "commit": git_revision("HEAD"),
+            "dirty": working_tree_dirty(),
+            "parent": git_revision(args.parent),
+        }
+        tier1 = {"passed": args.tier1_passed, "wall_s": args.tier1_wall_s}
+        with LEDGER_PATH.open("a") as ledger:
+            for workload, series in runs.items():
+                line = ledger_line(
+                    workload, series,
+                    role="claim" if workload == claim else "control", metric=args.metric,
+                    better=better, exact_names=exact_names, revisions=revisions,
+                    seconds=args.seconds, trace=args.trace, tier1=tier1,
+                )  # fmt: skip
+                ledger.write(json.dumps(line, sort_keys=True) + "\n")
+        print(f"recorded {len(runs)} lines in {LEDGER_PATH.name}")
     return 0
 
 

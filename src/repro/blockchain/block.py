@@ -41,15 +41,19 @@ class SettlementTransaction:
     price: float
 
     def canonical(self) -> str:
-        """Deterministic JSON encoding used for hashing."""
+        """Deterministic JSON encoding used for hashing.
+
+        Amounts are committed as their exact bit patterns (``float.hex``),
+        never rounded: a transaction altered in any digit gets another id.
+        """
         return json.dumps(
             {
                 "window": self.window,
                 "seller": self.seller_id,
                 "buyer": self.buyer_id,
-                "energy_kwh": round(self.energy_kwh, 9),
-                "payment": round(self.payment, 6),
-                "price": round(self.price, 6),
+                "energy_kwh": float(self.energy_kwh).hex(),
+                "payment": float(self.payment).hex(),
+                "price": float(self.price).hex(),
             },
             sort_keys=True,
         )

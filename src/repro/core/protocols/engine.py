@@ -349,13 +349,15 @@ class PrivateTradingEngine:
             pool.begin_session()
             network.record_session_established()
             # The session's base-OT wire traffic is accounted here, at
-            # establishment, attributed to the day-long OT-extension
-            # channel itself (window scope attributes it to the window's
-            # evaluation leader — a per-window identity no worker shard
-            # could reconstruct for a day-long session).
-            network.charge_extra_traffic(
-                "/".join(_COMPARISON_SESSION), sent=pool.session_wire_bytes()
-            )
+            # establishment, attributed to the two ends of the day-long
+            # OT-extension channel, each charged what it sends (window
+            # scope attributes them to the window's evaluation leaders —
+            # per-window identities no worker shard could reconstruct for
+            # a day-long session).
+            channel = "/".join(_COMPARISON_SESSION)
+            garbler_bytes, evaluator_bytes = pool.session_wire_bytes()
+            network.charge_extra_traffic(f"{channel}/garbler", sent=garbler_bytes)
+            network.charge_extra_traffic(f"{channel}/evaluator", sent=evaluator_bytes)
             if model is not None:
                 network.charge_gc_offline_time(
                     model.comparison_session_cost(self.config.ot_extension_kappa)

@@ -17,7 +17,7 @@ Python standard library:
 * :mod:`repro.crypto.fixedpoint` — fixed-point encoding of reals for
   encryption.
 * :mod:`repro.crypto.circuits` — boolean circuit builders (comparator, adder).
-* :mod:`repro.crypto.ot` — 1-out-of-2 oblivious transfer (Bellare--Micali).
+* :mod:`repro.crypto.ot` — batched 1-out-of-2 oblivious transfer (Naor--Pinkas).
 * :mod:`repro.crypto.otext` — IKNP-style OT extension (constant base OTs,
   symmetric-key transfers thereafter).
 * :mod:`repro.crypto.garbled` — Yao garbled circuits (free-XOR labels and

@@ -335,9 +335,10 @@ class TwoPartyComputationResult:
     """Result of an in-process two-party garbled-circuit execution."""
 
     output_bits: List[int]
-    #: bytes the garbler sent (garbled tables + its input labels + OT traffic).
+    #: bytes the garbler sent (garbled tables + its input labels + the OT
+    #: sender's ``C``, ``g^r`` and masked label pairs).
     garbler_bytes_sent: int
-    #: bytes the evaluator sent (OT choice messages).
+    #: bytes the evaluator sent (the OT receiver's keys).
     evaluator_bytes_sent: int
 
 
@@ -359,7 +360,7 @@ def run_two_party_computation(
     garbler_out = garble_circuit(circuit, rng=rng)
     garbler_keys = garbler_out.garbler_input_keys(garbler_bits)
 
-    recovered, ot_bytes = run_oblivious_transfer(
+    recovered, ot_sender_bytes, ot_receiver_bytes = run_oblivious_transfer(
         garbler_out.evaluator_label_pairs(),
         [int(b) & 1 for b in evaluator_bits],
         rng=rng,
@@ -370,12 +371,12 @@ def run_two_party_computation(
     output_bits = evaluate_garbled_circuit(garbler_out.garbled, garbler_keys, evaluator_keys)
 
     garbler_bytes = (
-        garbler_out.garbled.serialized_size() + len(garbler_keys) * ROW_BYTES + ot_bytes
+        garbler_out.garbled.serialized_size()
+        + len(garbler_keys) * ROW_BYTES
+        + ot_sender_bytes
     )
-    group = ot_group if ot_group is not None else OTGroup.default()
-    evaluator_bytes = len(evaluator_bits) * ((group.p.bit_length() + 7) // 8)
     return TwoPartyComputationResult(
         output_bits=output_bits,
         garbler_bytes_sent=garbler_bytes,
-        evaluator_bytes_sent=evaluator_bytes,
+        evaluator_bytes_sent=ot_receiver_bytes,
     )

@@ -68,9 +68,9 @@ from .ot import OTGroup
 from .otext import (
     DEFAULT_KAPPA,
     BaseOTCorrelation,
-    correlation_wire_bytes,
     derive_batch,
     fresh_instance_tag,
+    session_wire_bytes,
     shared_correlation,
 )
 
@@ -89,10 +89,12 @@ class PreparedComparisonRun:
         result: the boolean ``garbler_value > evaluator_value``.
         garbler_bytes_sent: online + offline bytes attributed to the
             garbler side (garbled tables, its input labels, the masked
-            label pairs of the derandomized OTs).
+            label pairs of the derandomized OTs and — for the first
+            comparison of a session — its base-OT keys).
         evaluator_bytes_sent: bytes attributed to the evaluator side (OT
             correction bits, the extension's ``u`` columns and — for the
-            first comparison of a session — the base-OT messages).
+            first comparison of a session — the base-OT ``C``, ``g^r``
+            and masked seeds).
         and_gate_count: non-free gates of the circuit (cost indicator).
         ot_count: number of (extended) oblivious transfers.
         session_fresh: whether this run carried a new OT-extension
@@ -138,9 +140,10 @@ class PreparedComparison:
         self.offline_bytes = (
             self._garbler.garbled.serialized_size() + self._ot_batch.extension_bytes
         )
-        #: set by the pool when this instance opens a new per-window
-        #: OT-extension session and must carry its base-OT traffic.
-        self.session_bytes = 0
+        #: ``(garbler, evaluator)`` base-OT bytes, set by the pool when this
+        #: instance opens a new per-window OT-extension session and must
+        #: carry its traffic.
+        self.session_bytes: Tuple[int, int] = (0, 0)
         self._used = False
 
     @property
@@ -181,17 +184,21 @@ class PreparedComparison:
 
         # Byte attribution mirrors run_two_party_computation: the garbler
         # ships tables, its own labels and the masked OT replies; the
-        # evaluator ships corrections, extension columns and (for a fresh
-        # session) the base-OT messages.
+        # evaluator ships corrections and extension columns.  A fresh
+        # session's base OTs run the other way round — the evaluator (the
+        # extension receiver) is their sender — and each side is charged
+        # the base-OT messages it sends.
         correction_bytes = (self.bit_width + 7) // 8
         masked_pair_bytes = ot_online_bytes - correction_bytes
+        session_garbler, session_evaluator = self.session_bytes
         garbler_bytes = (
             self._garbler.garbled.serialized_size()
             + len(garbler_keys) * ROW_BYTES
             + masked_pair_bytes
+            + session_garbler
         )
         evaluator_bytes = (
-            correction_bytes + self._ot_batch.extension_bytes + self.session_bytes
+            correction_bytes + self._ot_batch.extension_bytes + session_evaluator
         )
         return PreparedComparisonRun(
             result=bool(output_bits[0]),
@@ -199,7 +206,7 @@ class PreparedComparison:
             evaluator_bytes_sent=evaluator_bytes,
             and_gate_count=self.circuit.and_gate_count,
             ot_count=self.bit_width,
-            session_fresh=self.session_bytes > 0,
+            session_fresh=self.session_bytes != (0, 0),
         )
 
 
@@ -273,9 +280,9 @@ class ComparisonPool:
         """Non-free gates per instance (what offline garbling costs)."""
         return self.circuit.and_gate_count
 
-    def session_wire_bytes(self) -> int:
-        """Deterministic base-OT wire bytes of one extension session."""
-        return correlation_wire_bytes(self.kappa, self._group)
+    def session_wire_bytes(self) -> Tuple[int, int]:
+        """Deterministic ``(garbler, evaluator)`` base-OT wire bytes of one session."""
+        return session_wire_bytes(self.kappa, self._group)
 
     def _build(self, rng: Optional[random.Random]) -> PreparedComparison:
         correlation = shared_correlation(self.kappa, self._group)

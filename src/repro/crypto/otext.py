@@ -1,6 +1,6 @@
 """IKNP-style 1-out-of-2 oblivious-transfer extension.
 
-The Bellare--Micali OT of :mod:`repro.crypto.ot` costs several modular
+The public-key OT of :mod:`repro.crypto.ot` costs modular
 exponentiations per transferred wire label, which is why the garbled
 comparison of Protocol 2 used to dominate the online critical path: a
 ``w``-bit comparison needs ``w`` OTs, i.e. ``O(w)`` public-key operations
@@ -16,8 +16,9 @@ precomputation trick the *online* phase of each transfer is pure XOR:
    idle time): the extension *receiver* plays base-OT **sender** with
    ``kappa`` random seed pairs ``(k_i^0, k_i^1)``; the extension *sender*
    plays base-OT **receiver** with a secret choice vector ``s`` and learns
-   ``k_i^{s_i}``.  This standing :class:`BaseOTCorrelation` can be extended
-   arbitrarily often — that is the whole point of IKNP.
+   ``k_i^{s_i}`` — all ``kappa`` transfers in one Naor--Pinkas batch
+   (:mod:`repro.crypto.ot`).  This standing :class:`BaseOTCorrelation`
+   can be extended arbitrarily often — that is the whole point of IKNP.
 2. **Extension phase** (:func:`derive_batch`, symmetric, also off the
    critical path): for a batch of ``n`` transfers the receiver PRG-expands
    the seed pairs into an ``n x kappa`` bit matrix and sends the correction
@@ -61,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ot import OTGroup, run_oblivious_transfer
+from .ot import OTGroup, batch_wire_bytes, run_oblivious_transfer
 
 __all__ = [
     "DEFAULT_KAPPA",
@@ -70,6 +71,7 @@ __all__ = [
     "PreparedOTBatch",
     "establish_correlation",
     "correlation_wire_bytes",
+    "session_wire_bytes",
     "derive_batch",
     "shared_correlation",
     "fresh_instance_tag",
@@ -146,8 +148,8 @@ class BaseOTCorrelation:
         sender_choice: the extension sender's secret vector ``s``.
         sender_seeds: the seeds ``k_i^{s_i}`` the sender obtained.
         receiver_seed_pairs: the receiver's seed pairs ``(k_i^0, k_i^1)``.
-        base_ot_bytes: bytes the base OTs put on the wire (public-key
-            ciphertexts and group elements — the *offline* session cost).
+        base_ot_bytes: bytes the base OTs put on the wire, both sides
+            (group elements and masked seeds — the *offline* session cost).
     """
 
     kappa: int
@@ -192,7 +194,7 @@ def establish_correlation(
             for _ in range(kappa)
         ]
         choice = tuple(rng.getrandbits(1) for _ in range(kappa))
-    recovered, transferred = run_oblivious_transfer(
+    recovered, sender_bytes, receiver_bytes = run_oblivious_transfer(
         seed_pairs, list(choice), rng=rng, group=group
     )
     return BaseOTCorrelation(
@@ -200,20 +202,27 @@ def establish_correlation(
         sender_choice=choice,
         sender_seeds=tuple(recovered),
         receiver_seed_pairs=tuple((a, b) for a, b in seed_pairs),
-        base_ot_bytes=transferred,
+        base_ot_bytes=sender_bytes + receiver_bytes,
     )
 
 
-def correlation_wire_bytes(kappa: int, group: Optional[OTGroup] = None) -> int:
-    """Deterministic wire size of a ``kappa``-base-OT session.
+def session_wire_bytes(kappa: int, group: Optional[OTGroup] = None) -> Tuple[int, int]:
+    """``(extension sender, extension receiver)`` bytes of a ``kappa``-base-OT session.
 
-    Used by the cost accounting instead of the measured bytes of whichever
-    correlation happened to serve a window, so byte counts are a pure
-    function of the protocol parameters (shard-invariant by construction).
+    The extension sender is the base-OT *receiver*: it sends the ``kappa``
+    keys.  The extension receiver is the base-OT *sender*: it sends ``C``,
+    ``g^r`` and the ``2 kappa`` masked seeds.  Used by the cost accounting
+    instead of the measured bytes of whichever correlation happened to
+    serve a window, so byte counts are a pure function of the protocol
+    parameters (shard-invariant by construction).
     """
-    group = group or OTGroup.default()
-    element_len = (group.p.bit_length() + 7) // 8
-    return kappa * (element_len * 3 + 2 * SEED_BYTES)
+    base_sender, base_receiver = batch_wire_bytes(kappa, SEED_BYTES, group)
+    return base_receiver, base_sender
+
+
+def correlation_wire_bytes(kappa: int, group: Optional[OTGroup] = None) -> int:
+    """Deterministic wire size of a ``kappa``-base-OT session, both sides."""
+    return sum(session_wire_bytes(kappa, group))
 
 
 @dataclass

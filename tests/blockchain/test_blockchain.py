@@ -1,6 +1,10 @@
 """Tests for the consortium settlement chain (blocks, consensus, ledger)."""
 
+import struct
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.blockchain import (
     Block,
@@ -152,6 +156,64 @@ def test_verify_detects_tampering_in_the_head_block(tamper):
     assert chain.verify()
     tamper(chain.head)
     assert all(t.is_consistent() for t in chain.head.transactions)  # still valid one by one
+    assert not chain.verify()
+
+
+def test_a_change_below_the_old_rounding_changes_the_id_and_fails_verify():
+    """Amounts are committed exactly: ``round(e, 9)`` / ``round(m, 6)`` hid these."""
+    exact = tx(window=2, energy=0.5, price=95.0, payment=47.5)
+    nudged = tx(window=2, energy=0.5 + 4e-10, price=95.0 + 4e-7, payment=47.5 + 3e-7)
+    assert nudged.is_consistent()
+    assert nudged.transaction_id() != exact.transaction_id()
+    chain = make_chain()
+    chain.append_transactions([tx(window=1)])
+    chain.append_transactions([exact])
+    assert chain.verify()
+    chain.head.transactions[0] = nudged
+    assert chain.head.merkle_root() != chain.head.recorded_root
+    assert not chain.verify()
+
+
+_amount = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_FIELDS = {
+    "window": st.integers(0, 10_000),
+    "seller_id": st.text(max_size=8),
+    "buyer_id": st.text(max_size=8),
+    "energy_kwh": _amount,
+    "payment": _amount,
+    "price": _amount,
+}
+
+
+def _bits(value):
+    return struct.pack(">d", value) if isinstance(value, float) else value
+
+
+_trade_amount = st.floats(0.0, 1e6, allow_nan=False)
+
+
+@given(
+    base=st.fixed_dictionaries(
+        {name: _FIELDS[name] for name in ("window", "seller_id", "buyer_id")},
+        optional={"energy_kwh": _trade_amount, "price": _trade_amount},
+    ),
+    field=st.sampled_from(sorted(_FIELDS)),
+    data=st.data(),
+)
+def test_changing_any_field_changes_the_id_and_fails_verify(base, field, data):
+    # NaN is left out: HomeTrace refuses it at the boundary, so no trade
+    # amount can carry one, and float.hex spells every NaN the same way.
+    base = {"energy_kwh": 0.5, "price": 95.0, **base}
+    base["payment"] = base["price"] * base["energy_kwh"]  # the validators' rule
+    value = data.draw(_FIELDS[field].filter(lambda v: _bits(v) != _bits(base[field])))
+    original = SettlementTransaction(**base)
+    changed = SettlementTransaction(**{**base, field: value})
+    assert changed.transaction_id() != original.transaction_id()
+    chain = make_chain()
+    chain.append_transactions([original])
+    assert chain.verify()
+    chain.head.transactions[0] = changed
+    assert chain.head.merkle_root() != chain.head.recorded_root
     assert not chain.verify()
 
 

@@ -382,10 +382,11 @@ def test_comparator_agrees_with_the_classic_oracle(bit_width, data, seed):
 # -- both parties are still simulated ----------------------------------------------
 
 
-def _corrupt_sender_seed(correlation, index):
-    """The extension sender recovered the wrong seed from base OT ``index``."""
+def _corrupt_sender_seed(correlation, *indices):
+    """The extension sender recovered the wrong seed from each base OT in ``indices``."""
     seeds = list(correlation.sender_seeds)
-    seeds[index] = bytes(b ^ 0xFF for b in seeds[index])
+    for index in indices:
+        seeds[index] = bytes(b ^ 0xFF for b in seeds[index])
     return dataclasses.replace(correlation, sender_seeds=tuple(seeds))
 
 
@@ -408,15 +409,38 @@ def test_broken_correlation_breaks_the_pads(ot_correlation, index):
 
 @pytest.mark.parametrize("bit_width", [8, 32, 64])
 def test_comparison_on_a_broken_correlation_fails_closed(ot_correlation, bit_width):
-    broken = _corrupt_sender_seed(ot_correlation, 3)
     circuit = build_greater_than_circuit(bit_width)
+    a, b = (1 << bit_width) - 3, 123 % (1 << bit_width)
+    # One wrong column corrupts about half of the transferred labels, and
+    # the instance's fresh CSPRNG tag decides which half: at 8 bits all
+    # eight miss it about once in 2^8 instances.  Whatever the draw, an
+    # instance aborts exactly when a transferred label is wrong (a wrong
+    # label can only abort, never decode to a bit) and otherwise returns
+    # the healthy result.
+    one_column = _corrupt_sender_seed(ot_correlation, 3)
     for seed in range(3):
-        instance = PreparedComparison(circuit, bit_width, broken, rng=random.Random(seed))
-        # One wrong column corrupts about half of the transferred labels
-        # (the instance tag is fresh, so which half varies); a wrong label
-        # can only abort, never decode to a bit.
+        instance = PreparedComparison(circuit, bit_width, one_column, rng=random.Random(seed))
+        batch = instance._ot_batch
+        label_wrong = any(
+            pad != pair[c]
+            for c, pad, pair in zip(
+                batch.random_choices, batch.receiver_pads, batch.sender_pad_pairs
+            )
+        )
+        if label_wrong:
+            with pytest.raises((GarblingError, ComparisonError)):
+                instance.evaluate(a, b)
+        else:
+            assert instance.evaluate(a, b).result == (a > b)
+        assert instance.used
+    # Every column wrong: a transferred label survives only if all kappa
+    # bits of its row happen to match, 2^-128 per label, so every instance
+    # aborts (failure chance below 3 * 64 * 2^-128 a run).
+    every_column = _corrupt_sender_seed(ot_correlation, *range(ot_correlation.kappa))
+    for seed in range(3):
+        instance = PreparedComparison(circuit, bit_width, every_column, rng=random.Random(seed))
         with pytest.raises((GarblingError, ComparisonError)):
-            instance.evaluate((1 << bit_width) - 3, 123 % (1 << bit_width))
+            instance.evaluate(a, b)
         assert instance.used
 
 
@@ -442,4 +466,10 @@ def test_chaos_tamper_targets_never_misevaluate(ot_correlation, bit_width, targe
             assert target == "row"
             assert result == (a > b)
         assert instance._garbler.garbled.serialized_size() == size_before
+    # Which rows the active path consumes depends only on the seeded labels,
+    # Δ and OT choice bits (the CSPRNG instance tag picks pads that cancel),
+    # so below 32 bits the "row" count is a fixed function of the seeds —
+    # 4 of 6 at 1 bit, 6 of 6 at 8 — and the floor holds for every draw.
+    # At 32 bits and above an instance skips every flipped row with
+    # probability 4^-bit_width: the full count fails below 6 * 2^-64 a run.
     assert aborted >= (1 if target == "row" and bit_width < 32 else len(operands))

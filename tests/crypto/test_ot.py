@@ -1,17 +1,46 @@
-"""Unit tests for the 1-out-of-2 oblivious transfer."""
+"""Unit tests for the batched 1-out-of-2 oblivious transfer and its byte accounting."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.crypto.bigint import powmod
+from repro.crypto.circuits import build_greater_than_circuit, int_to_bits
+from repro.crypto.garbled import ROW_BYTES, garble_circuit, run_two_party_computation
+from repro.crypto.gc_pool import ComparisonPool
 from repro.crypto.ot import (
     OTError,
     OTGroup,
     OTReceiver,
+    OTReceiverChoice,
     OTSender,
+    _hash_to_pad,
+    batch_wire_bytes,
     run_oblivious_transfer,
 )
+from repro.crypto.otext import (
+    DEFAULT_KAPPA,
+    SEED_BYTES,
+    correlation_wire_bytes,
+    establish_correlation,
+    session_wire_bytes,
+)
 from repro.crypto.primes import is_probable_prime
+
+
+def _xor(a, b):
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _batch(pairs, choices, rng=None, group=None):
+    """One batch by hand: ``(sender, receiver, setup, choice, ciphertexts)``."""
+    sender = OTSender(pairs, group=group, rng=rng)
+    receiver = OTReceiver(choices, rng=rng)
+    setup = sender.setup()
+    choice = receiver.choose(setup)
+    return sender, receiver, setup, choice, sender.respond(choice)
 
 
 def test_default_group_is_safe_prime_subgroup():
@@ -26,72 +55,75 @@ def test_default_group_is_safe_prime_subgroup():
 def test_receiver_gets_chosen_message():
     rng = random.Random(1)
     for choice in (0, 1):
-        sender = OTSender(b"message-zero!!!!", b"message-one!!!!!", rng=rng)
-        receiver = OTReceiver(choice, rng=rng)
-        setup = sender.setup()
-        pair = sender.respond(receiver.choose(setup))
-        recovered = receiver.recover(pair)
+        _, receiver, _, _, ciphertexts = _batch(
+            [(b"message-zero!!!!", b"message-one!!!!!")], [choice], rng=rng
+        )
+        recovered = receiver.recover(ciphertexts)
         expected = b"message-zero!!!!" if choice == 0 else b"message-one!!!!!"
-        assert recovered == expected
+        assert recovered == [expected]
 
 
 def test_receiver_does_not_get_other_message():
     rng = random.Random(2)
-    sender = OTSender(b"A" * 17, b"B" * 17, rng=rng)
-    receiver = OTReceiver(0, rng=rng)
-    setup = sender.setup()
-    pair = sender.respond(receiver.choose(setup))
-    assert receiver.recover(pair) == b"A" * 17
-    # Decrypting the other ciphertext with the receiver's secret must not
+    _, receiver, _, _, ciphertexts = _batch([(b"A" * 17, b"B" * 17)], [0], rng=rng)
+    assert receiver.recover(ciphertexts) == [b"A" * 17]
+    # Decrypting the other ciphertext with the receiver's pad must not
     # yield the other message (the pads are keyed to different public keys).
-    other_pad_guess = bytes(
-        x ^ y for x, y in zip(pair.ciphertext_one, receiver.recover(pair))
-    )
+    other_pad_guess = _xor(ciphertexts.pairs[0][1], receiver.recover(ciphertexts)[0])
     assert other_pad_guess != b"B" * 17
 
 
 def test_messages_must_have_equal_length():
     with pytest.raises(OTError):
-        OTSender(b"short", b"a bit longer")
+        OTSender([(b"short", b"a bit longer")])
+    with pytest.raises(OTError):  # any transfer of the batch
+        OTSender([(b"x" * 8, b"y" * 8), (b"short", b"a bit longer")])
 
 
 def test_invalid_choice_bit_rejected():
     with pytest.raises(OTError):
-        OTReceiver(2)
+        OTReceiver([2])
+    with pytest.raises(OTError):
+        OTReceiver([0, 1, 2])
 
 
 def test_respond_requires_setup():
-    sender = OTSender(b"x" * 8, b"y" * 8)
-    receiver = OTReceiver(1)
-    other = OTSender(b"x" * 8, b"y" * 8)
+    sender = OTSender([(b"x" * 8, b"y" * 8)])
+    receiver = OTReceiver([1])
+    other = OTSender([(b"x" * 8, b"y" * 8)])
     setup = other.setup()
     with pytest.raises(OTError):
         sender.respond(receiver.choose(setup))
 
 
 def test_recover_requires_choose():
-    receiver = OTReceiver(0)
-    sender = OTSender(b"x" * 8, b"y" * 8)
+    receiver = OTReceiver([0])
+    sender = OTSender([(b"x" * 8, b"y" * 8)])
     setup = sender.setup()
-    helper = OTReceiver(0)
-    pair = sender.respond(helper.choose(setup))
+    helper = OTReceiver([0])
+    ciphertexts = sender.respond(helper.choose(setup))
     with pytest.raises(OTError):
-        receiver.recover(pair)
+        receiver.recover(ciphertexts)
 
 
 def test_batch_transfer_and_byte_accounting():
     rng = random.Random(3)
     pairs = [(bytes([i] * 17), bytes([i + 100] * 17)) for i in range(6)]
     choices = [0, 1, 0, 1, 1, 0]
-    recovered, transferred = run_oblivious_transfer(pairs, choices, rng=rng)
+    recovered, sender_bytes, receiver_bytes = run_oblivious_transfer(pairs, choices, rng=rng)
     for (m0, m1), choice, got in zip(pairs, choices, recovered):
         assert got == (m1 if choice else m0)
-    assert transferred > 0
+    assert sender_bytes > 0 and receiver_bytes > 0
+    assert (sender_bytes, receiver_bytes) == batch_wire_bytes(6, 17)
+    assert (sender_bytes, receiver_bytes) == (2 * 64 + 6 * 2 * 17, 6 * 64)
 
 
 def test_batch_transfer_length_mismatch():
     with pytest.raises(OTError):
         run_oblivious_transfer([(b"a" * 4, b"b" * 4)], [0, 1])
+    with pytest.raises(OTError):  # the sender checks the keys message too
+        sender = OTSender([(b"a" * 4, b"b" * 4)] * 2)
+        sender.respond(OTReceiver([0]).choose(sender.setup()))
 
 
 def test_fresh_group_generation():
@@ -107,25 +139,15 @@ def _seeded_transcript(seed: int):
     """Full wire transcript of a seeded 3-transfer batch + group generation."""
     group = OTGroup.generate(bits=64, rng=random.Random(seed))
     rng = random.Random(seed + 1)
-    transcript = []
-    for index, choice in enumerate((0, 1, 1)):
-        sender = OTSender(bytes([index] * 16), bytes([index + 7] * 16), group=group, rng=rng)
-        receiver = OTReceiver(choice, rng=rng)
-        setup = sender.setup()
-        pick = receiver.choose(setup)
-        pair = sender.respond(pick)
-        transcript.append(
-            (
-                setup.c,
-                pick.pk_for_zero,
-                pair.ephemeral_zero,
-                pair.ciphertext_zero,
-                pair.ephemeral_one,
-                pair.ciphertext_one,
-                receiver.recover(pair),
-            )
-        )
-    return group.p, transcript
+    pairs = [(bytes([index] * 16), bytes([index + 7] * 16)) for index in range(3)]
+    _, receiver, setup, pick, ciphertexts = _batch(pairs, [0, 1, 1], rng=rng, group=group)
+    return group.p, (
+        setup.c,
+        setup.ephemeral,
+        pick.pks_for_zero,
+        ciphertexts.pairs,
+        tuple(receiver.recover(ciphertexts)),
+    )
 
 
 def test_seeded_runs_are_reproducible():
@@ -156,3 +178,136 @@ def test_seeded_path_leaves_module_rng_untouched():
         [(b"a" * 16, b"b" * 16)], [1], rng=random.Random(6), group=OTGroup.default()
     )
     assert random.getstate() == before
+
+
+# -- the batch: correctness, index separation, degenerate keys, the receiver's view ----
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    choices=st.lists(st.integers(0, 1), min_size=1, max_size=DEFAULT_KAPPA),
+    width=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_receiver_recovers_exactly_its_chosen_message(choices, width, seed):
+    rng = random.Random(seed)
+    pairs = [
+        (rng.randbytes(width), rng.randbytes(width)) for _ in choices
+    ]
+    recovered, sender_bytes, receiver_bytes = run_oblivious_transfer(pairs, choices)
+    assert recovered == [pair[bit] for pair, bit in zip(pairs, choices)]
+    assert (sender_bytes, receiver_bytes) == batch_wire_bytes(len(choices), width)
+
+
+def test_identical_transfers_in_one_batch_get_distinct_ciphertexts():
+    # Even with the same pair, the same choice *and* the same key in every
+    # transfer, the index hashed into each pad keeps the ciphertexts apart.
+    pairs = [(b"\x00" * 16, b"\xff" * 16)] * 8
+    sender = OTSender(pairs)
+    setup = sender.setup()
+    key = OTReceiver([0]).choose(setup).pks_for_zero[0]
+    ciphertexts = sender.respond(OTReceiverChoice(pks_for_zero=(key,) * 8))
+    for bit in (0, 1):
+        assert len({pair[bit] for pair in ciphertexts.pairs}) == 8
+    # The ordinary flow too (fresh keys per transfer).
+    _, receiver, _, _, fresh = _batch(pairs, [1] * 8)
+    assert len({pair[1] for pair in fresh.pairs}) == 8
+    assert receiver.recover(fresh) == [b"\xff" * 16] * 8
+
+
+def test_a_degenerate_key_is_rejected():
+    group = OTGroup.default()
+    for index in range(2):
+        sender = OTSender([(b"x" * 8, b"y" * 8)] * 2, group=group)
+        setup = sender.setup()
+        good = OTReceiver([0, 1]).choose(setup).pks_for_zero
+        for bad in (0, 1, group.p, group.p + 1, setup.c):
+            keys = list(good)
+            keys[index] = bad
+            with pytest.raises(OTError, match=f"degenerate \\(transfer {index}\\)"):
+                sender.respond(OTReceiverChoice(pks_for_zero=tuple(keys)))
+
+
+def test_the_key_for_choice_one_is_c_over_g_to_the_k():
+    group = OTGroup.default()
+    sender = OTSender([(b"x" * 8, b"y" * 8)] * 3, group=group)
+    setup = sender.setup()
+    receiver = OTReceiver([1, 0, 1])
+    keys = receiver.choose(setup).pks_for_zero
+    for bit, secret, key in zip([1, 0, 1], receiver._secrets, keys):
+        mine = powmod(group.g, secret, group.p)
+        assert key == (mine if bit == 0 else setup.c * pow(mine, -1, group.p) % group.p)
+
+
+def test_the_receivers_view_does_not_open_the_unchosen_pad():
+    group = OTGroup.default()
+    pairs = [(bytes([i]) * 16, bytes([i + 128]) * 16) for i in range(16)]
+    choices = [i % 2 for i in range(16)]
+    _, receiver, setup, _, ciphertexts = _batch(pairs, choices, group=group)
+    assert receiver.recover(ciphertexts) == [p[b] for p, b in zip(pairs, choices)]
+    # Everything the receiver holds: g^r, C, its secrets.  Every pad it can
+    # form from them, under either bit and any index, leaves the unchosen
+    # ciphertext masked.
+    for index, (bit, secret) in enumerate(zip(choices, receiver._secrets)):
+        unchosen = ciphertexts.pairs[index][1 - bit]
+        candidates = (
+            powmod(setup.ephemeral, secret, group.p),
+            setup.c,
+            setup.ephemeral,
+            powmod(setup.c, secret, group.p),
+        )
+        for element in candidates:
+            for pad_bit in (0, 1):
+                for pad_index in range(16):
+                    pad = _hash_to_pad(group, element, pad_index, pad_bit, 16)
+                    assert _xor(unchosen, pad) != pairs[index][1 - bit]
+
+
+# -- accounted bytes equal encoded bytes, side by side ---------------------------------
+
+
+@pytest.mark.parametrize("kappa", [1, 8, 128])
+def test_base_ot_bytes_equal_the_encoded_messages_side_by_side(kappa):
+    group = OTGroup.default()
+    correlation = establish_correlation(kappa)
+    assert correlation.base_ot_bytes == correlation_wire_bytes(kappa)
+    seeds = [(bytes(SEED_BYTES), bytes([1]) * SEED_BYTES)] * kappa
+    _, _, setup, choice, ciphertexts = _batch(seeds, [i % 2 for i in range(kappa)])
+    sent_by_base_sender = len(setup.encode()) + len(ciphertexts.encode())
+    sent_by_base_receiver = len(choice.encode(group))
+    # The extension sender (garbler) is the base-OT receiver and vice versa.
+    assert session_wire_bytes(kappa) == (sent_by_base_receiver, sent_by_base_sender)
+    assert session_wire_bytes(kappa) == (
+        kappa * group.element_len,
+        2 * group.element_len + 2 * kappa * SEED_BYTES,
+    )
+    assert correlation_wire_bytes(kappa) == sent_by_base_sender + sent_by_base_receiver
+    if kappa == 128:
+        assert correlation_wire_bytes(kappa) == 12_416
+
+
+def test_a_fresh_session_charges_each_side_what_it_sends():
+    group = OTGroup.default()
+    pool = ComparisonPool(8, kappa=DEFAULT_KAPPA, group=group)
+    pool.warm(2)
+    first, second = pool.take(), pool.take()
+    fresh, reused = first.evaluate(200, 100), second.evaluate(200, 100)
+    assert fresh.session_fresh and not reused.session_fresh
+    assert fresh.garbler_bytes_sent - reused.garbler_bytes_sent == (
+        DEFAULT_KAPPA * group.element_len
+    )
+    assert fresh.evaluator_bytes_sent - reused.evaluator_bytes_sent == (
+        2 * group.element_len + 2 * DEFAULT_KAPPA * SEED_BYTES
+    )
+
+
+def test_the_inline_protocol_charges_each_side_what_it_sends():
+    circuit = build_greater_than_circuit(8)
+    result = run_two_party_computation(
+        circuit, int_to_bits(200, 8), int_to_bits(100, 8), rng=random.Random(9)
+    )
+    assert result.output_bits == [1]
+    tables = garble_circuit(circuit, rng=random.Random(9)).garbled.serialized_size()
+    ot_sender, ot_receiver = batch_wire_bytes(8, ROW_BYTES)
+    assert result.garbler_bytes_sent == tables + 8 * ROW_BYTES + ot_sender
+    assert result.evaluator_bytes_sent == ot_receiver == 8 * OTGroup.default().element_len

@@ -96,7 +96,7 @@ def test_day_scope_preserves_economics(window_report, day_report):
 def test_day_scope_first_comparison_alone_carries_session_bytes(
     window_report, day_report
 ):
-    session_bytes = helpers.small_comparison_pool(64).session_wire_bytes()
+    session_bytes = sum(helpers.small_comparison_pool(64).session_wire_bytes())
     for index, (w, d) in enumerate(zip(window_report.traces, day_report.traces)):
         saved = w.protocol_bandwidth_bytes - d.protocol_bandwidth_bytes
         assert saved == (0 if index == 0 else session_bytes)
@@ -120,7 +120,7 @@ def test_day_scope_with_no_market_anchor_window():
     assert anchor_trace.simulated_runtime_seconds == pytest.approx(SETUP_SECONDS)
     assert anchor_trace.gc_offline_seconds == pytest.approx(SESSION_OT_SECONDS)
     # The day session's base-OT wire traffic lands at the anchor too.
-    session_bytes = helpers.small_comparison_pool(64).session_wire_bytes()
+    session_bytes = sum(helpers.small_comparison_pool(64).session_wire_bytes())
     assert anchor_trace.bandwidth_bytes == session_bytes
     assert serial.stats.sessions_established == SESSIONS_PER_DAY
     for workers in (2, 3):

@@ -7,6 +7,7 @@ export of a pycache-free working tree, and that nothing is recorded.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -280,9 +281,27 @@ def test_working_tree_export_is_pycache_free_and_complete(tmp_path):
     assert not (target / ".git").exists()
 
 
-def test_the_script_never_asks_perfbench_to_record():
-    source = (REPO_ROOT / "scripts" / "perf_pair.py").read_text()
-    assert '"--record"' not in source
+def test_the_script_never_asks_perfbench_to_record(monkeypatch, tmp_path):
+    """``--record`` writes the script's own ledger; perfbench is only ever called."""
+    commands = []
+    printed = "\n".join(
+        [
+            "live_gc_128 seed 7 trace 0: 4 windows attempted, 0 failed",
+            'detail {"host_reference_s": 0.0019, "host_slowdown_share": 0.1}',
+            '{"correct": true, "attempted": 4, "failed": 0, "metrics": {}}',
+        ]
+    )
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        return perf_pair.subprocess.CompletedProcess(command, 0, stdout=printed)
+
+    monkeypatch.setattr(perf_pair.subprocess, "run", fake_run)
+    result = perf_pair.run_benchmark(tmp_path, "live_gc_128", 7, 20.0, 0)
+    assert commands and "--record" not in commands[0]
+    assert commands[0][1:3] == ["-m", "perfbench"]
+    assert result["detail"] == {"host_reference_s": 0.0019, "host_slowdown_share": 0.1}
+    assert result["attempted"] == 4
 
 
 def test_a_bytes_claim_reports_the_change_per_seed_instead_of_a_mismatch():
@@ -343,3 +362,107 @@ def test_metric_flag_accepts_only_a_declared_end_to_end_metric(monkeypatch, caps
             perf_pair.main(["--workload", "live_socket_128", "--metric", name])
         assert f"--metric {name} is not an end-to-end metric" in capsys.readouterr().err
     assert ran == []
+
+
+# -- the ledger: --record ---------------------------------------------------------------
+
+
+def _with_host(run, parent_reference, change_reference):
+    run["parent"]["detail"] = {"host_reference_s": parent_reference, "host_slowdown_share": 0.0}
+    run["change"]["detail"] = {"host_reference_s": change_reference, "host_slowdown_share": 0.5}
+    return run
+
+
+_REVISIONS = {"commit": "abc1234", "dirty": True, "parent": "abc1234"}
+_TIER1 = {"passed": 2240, "wall_s": 250.0}
+
+
+def _line(workload, runs, **overrides):
+    arguments = dict(
+        role="claim", metric="bytes_per_window",
+        better={"windows_per_s": "higher", "window_p50_s": "lower", "bytes_per_window": "lower"},
+        exact_names=["net.bytes", "net.messages"], revisions=_REVISIONS,
+        seconds=20.0, trace=0, tier1=_TIER1,
+    )  # fmt: skip
+    arguments.update(overrides)
+    return perf_pair.ledger_line(workload, runs, **arguments)
+
+
+def test_a_ledger_line_holds_the_series_as_data():
+    runs = [
+        _with_host(_run(41, 400.0, 420.0, bytes_parent=43294.9, bytes_change=27038.9), 0.002, 0.003),
+        _with_host(_run(42, 410.0, 430.0, bytes_parent=43300.9, bytes_change=27044.9), 0.004, 0.005),
+    ]
+    line = _line("live_gc_128", runs)
+    assert set(line) == {
+        "date", "commit", "dirty", "parent", "workload", "role", "metric", "seeds",
+        "seconds", "trace", "metrics", "identity", "host", "failed_share", "tier1",
+    }  # fmt: skip
+    assert (line["commit"], line["dirty"], line["parent"]) == ("abc1234", True, "abc1234")
+    assert (line["workload"], line["role"], line["metric"]) == ("live_gc_128", "claim", "bytes_per_window")
+    assert line["seeds"] == [41, 42] and line["tier1"] == _TIER1
+    rate = line["metrics"]["windows_per_s"]
+    assert rate == {
+        "parent_median": 405.0, "parent_iqr": 5.0, "change_median": 425.0, "change_iqr": 5.0,
+        "won": 2, "tied": 0,
+    }  # fmt: skip
+    assert line["metrics"]["bytes_per_window"]["won"] == 2
+    assert line["identity"] == {
+        "bytes_metric": "bytes_per_window",
+        "bytes_delta_per_seed": {"41": pytest.approx(-16256.0), "42": pytest.approx(-16256.0)},
+        "exact_counts_differing": {},
+    }
+    assert line["host"] == {
+        "parent": {"host_reference_s": 0.003, "host_slowdown_share": 0.0},
+        "change": {"host_reference_s": 0.004, "host_slowdown_share": 0.5},
+    }
+    assert line["failed_share"] == {"parent": 0.0, "change": 0.0}
+    json.loads(json.dumps(line))  # one JSON line, as written
+
+
+def test_a_ledger_line_reads_identical_bytes_and_counts_as_one_phrase():
+    level = [_run(seed, 60.0, 61.0) for seed in (11, 12)]
+    line = _line("live_socket_128", level, role="control")
+    assert line["identity"] == "bytes and exact counts identical"
+    assert line["host"]["parent"] == {"host_reference_s": None, "host_slowdown_share": None}
+    # A traced pair reads its bytes off net.bytes and names each exact count that moved.
+    counts = {"net.bytes": 9000.0, "net.messages": 2092.5}
+    same = [_traced(7, counts, dict(counts))]
+    assert _line("live_gc_128", same, trace=1)["identity"] == "bytes and exact counts identical"
+    moved = [_traced(7, counts, {"net.bytes": 8000.0, "net.messages": 2093.0})]
+    assert _line("live_gc_128", moved, trace=1)["identity"] == {
+        "bytes_metric": "net.bytes",
+        "bytes_delta_per_seed": {"7": -1000.0},
+        "exact_counts_differing": {"net.messages": [7]},
+    }
+
+
+def test_record_appends_one_line_per_workload_and_needs_the_tier1_figures(
+    monkeypatch, tmp_path, capsys
+):
+    ledger = tmp_path / "BENCH_history.jsonl"
+    ledger.write_text('{"earlier": true}\n')
+    monkeypatch.setattr(perf_pair, "LEDGER_PATH", ledger)
+    monkeypatch.setattr(perf_pair, "export_parent", lambda rev, target: None)
+    monkeypatch.setattr(perf_pair, "export_working_tree", lambda target: None)
+    monkeypatch.setattr(perf_pair, "git_revision", lambda rev: {"HEAD": "c0ffee1"}.get(rev, "beef002"))
+    monkeypatch.setattr(perf_pair, "working_tree_dirty", lambda: False)
+    monkeypatch.setattr(
+        perf_pair, "run_benchmark",
+        lambda tree, workload, seed, *rest: _run(seed, 20.0, 26.0)[tree.name],
+    )  # fmt: skip
+    args = ["--workload", "live_gc_128,live_socket_128", "--claim", "live_socket_128",
+            "--pairs", "2", "--parent", "HEAD~1", "--record"]  # fmt: skip
+    with pytest.raises(SystemExit):
+        perf_pair.main(args)
+    assert "--record needs --tier1-passed and --tier1-wall-s" in capsys.readouterr().err
+    assert perf_pair.main(args + ["--tier1-passed", "2240", "--tier1-wall-s", "251.5"]) == 0
+    lines = [json.loads(text) for text in ledger.read_text().splitlines()]
+    assert lines[0] == {"earlier": True}  # appended, never rewritten
+    assert [(line["workload"], line["role"]) for line in lines[1:]] == [
+        ("live_gc_128", "control"), ("live_socket_128", "claim")
+    ]
+    assert all(line["commit"] == "c0ffee1" and line["parent"] == "beef002" for line in lines[1:])
+    assert lines[2]["tier1"] == {"passed": 2240, "wall_s": 251.5}
+    assert lines[2]["metric"] == "windows_per_s"
+    assert "recorded 2 lines in BENCH_history.jsonl" in capsys.readouterr().out
