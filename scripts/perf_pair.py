@@ -57,6 +57,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -174,6 +175,27 @@ def bytes_mismatches(runs: List[Dict[str, dict]]) -> List[int]:
     )
 
 
+def _exact_value(result: dict, metric: str) -> Fraction:
+    """A run's ``metric`` as an exact number.
+
+    Both byte metrics are a whole byte total over a count of windows:
+    ``bytes_per_window`` over the windows attempted, a traced run's
+    ``net.bytes`` over its traced passes times the windows of one pass.
+    They are rebuilt as that quotient, since subtracting two printed means
+    records an exact −16 256 B as ``-16255.999999999996``.
+    """
+    value = result["metrics"][metric]["value"]
+    windows = None
+    if metric == BYTES_METRIC:
+        windows = result["attempted"]
+    elif metric == TRACED_BYTES_METRIC and result.get("detail", {}).get("traced_passes"):
+        passes = result["detail"]["traced_passes"]
+        windows = passes * max(1, result["detail"]["traced_windows"] // passes)
+    if not windows:
+        return Fraction(value)
+    return Fraction(round(value * windows), windows)
+
+
 def bytes_deltas(
     runs: List[Dict[str, dict]], metric: str = BYTES_METRIC
 ) -> List[Tuple[int, float]]:
@@ -182,8 +204,7 @@ def bytes_deltas(
         {
             (
                 run["seed"],
-                run["change"]["metrics"][metric]["value"]
-                - run["parent"]["metrics"][metric]["value"],
+                float(_exact_value(run["change"], metric) - _exact_value(run["parent"], metric)),
             )
             for run in runs
         }

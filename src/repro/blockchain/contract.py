@@ -5,40 +5,19 @@ Bridges the trading engine and the consortium chain: given a cleared window
 pairwise trade into a :class:`SettlementTransaction`, enforces the contract
 rules (payment equals price × energy, price inside the announced PEM band,
 no duplicate settlement of a window), and commits the batch as one block.
-
-When the contract is given an *audit key* (a Paillier public key, typically
-a regulator's), every settled window additionally produces an encrypted
-payment commitment: each trade's payment is encrypted through the
-acceleration layer (pooled obfuscators + batched homomorphic sum) and the
-resulting ciphertext — an encryption of the window's total payment volume —
-is retained alongside the block.  The regulator can later decrypt and
-reconcile the total without the contract ever exposing individual payments
-in the clear on-chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..core.market import MarketClearing
 from ..core.params import MarketParameters, PAPER_PARAMETERS
-from ..crypto.accel import RandomizerPool
-from ..crypto.paillier import (
-    PaillierCiphertext,
-    PaillierPrivateKey,
-    PaillierPublicKey,
-    homomorphic_sum,
-)
 from .block import Block, SettlementTransaction
 from .chain import ConsortiumChain
 
-__all__ = ["ContractViolation", "SettlementContract", "AUDIT_PAYMENT_SCALE"]
-
-#: Fixed-point scale used when encrypting payment amounts for the audit
-#: commitment (micro-cent resolution, far below the contract's own
-#: consistency tolerance).
-AUDIT_PAYMENT_SCALE = 10**6
+__all__ = ["ContractViolation", "SettlementContract"]
 
 
 class ContractViolation(Exception):
@@ -52,21 +31,11 @@ class SettlementContract:
     Attributes:
         chain: the consortium ledger the contract writes to.
         params: the market parameters the contract enforces (price band).
-        audit_key: optional Paillier public key; when set, each settled
-            window stores an encrypted total-payment commitment computed
-            via the pooled/batched crypto APIs.
     """
 
     chain: ConsortiumChain
     params: MarketParameters = PAPER_PARAMETERS
-    audit_key: Optional[PaillierPublicKey] = None
     _settled_windows: Set[int] = field(default_factory=set)
-    _audit_commitments: Dict[int, PaillierCiphertext] = field(default_factory=dict)
-    _audit_pool: Optional[RandomizerPool] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.audit_key is not None and self._audit_pool is None:
-            self._audit_pool = RandomizerPool(self.audit_key)
 
     def settle_window(self, clearing: MarketClearing) -> Optional[Block]:
         """Validate and commit all trades of one cleared window.
@@ -83,13 +52,9 @@ class SettlementContract:
         transactions = self._validated_transactions(clearing)
         if not transactions:
             self._settled_windows.add(clearing.window)
-            if self.audit_key is not None:
-                self._commit_audit(clearing)
             return None
         block = self.chain.append_transactions(transactions)
         self._settled_windows.add(clearing.window)
-        if self.audit_key is not None:
-            self._commit_audit(clearing)
         return block
 
     def _validated_transactions(
@@ -126,13 +91,8 @@ class SettlementContract:
         The whole batch is validated (contract rules plus duplicate
         windows, within the batch and against history) *before* anything
         commits, so a rejected batch leaves no window settled and can be
-        retried after correction.  The audit pool is then filled for the
-        full batch upfront (one obfuscator per trade), modelling the
-        regulator precomputing its obfuscators between settlement batches;
-        in this single-process simulation the fill runs synchronously —
-        the batch API separates the phases for accounting, it is not
-        faster than per-window settlement.  Returns the committed blocks
-        (windows with no trades produce no block).
+        retried after correction.  Returns the committed blocks (windows
+        with no trades produce no block).
         """
         batch = list(clearings)
         seen: Set[int] = set()
@@ -143,8 +103,6 @@ class SettlementContract:
                 )
             seen.add(clearing.window)
             self._validated_transactions(clearing)
-        if self.audit_key is not None and self._audit_pool is not None:
-            self._audit_pool.warm(sum(len(c.trades) for c in batch))
         blocks: List[Block] = []
         for clearing in batch:
             block = self.settle_window(clearing)
@@ -152,48 +110,5 @@ class SettlementContract:
                 blocks.append(block)
         return blocks
 
-    # -- encrypted payment auditing --------------------------------------------
-
-    def _commit_audit(self, clearing: MarketClearing) -> None:
-        assert self._audit_pool is not None
-        encoded = [
-            round(trade.payment * AUDIT_PAYMENT_SCALE) for trade in clearing.trades
-        ]
-        ciphertexts = self._audit_pool.encrypt_many(encoded)
-        self._audit_commitments[clearing.window] = homomorphic_sum(
-            ciphertexts, self.audit_key
-        )
-
-    def audit_commitment(self, window: int) -> Optional[PaillierCiphertext]:
-        """The encrypted total-payment commitment of one settled window."""
-        return self._audit_commitments.get(window)
-
-    def verify_audit_total(
-        self,
-        window: int,
-        private_key: PaillierPrivateKey,
-        tolerance: float = 1e-3,
-    ) -> bool:
-        """Regulator-side check: decrypt the commitment, compare on-chain.
-
-        Returns True when the decrypted committed total matches the sum of
-        the window's on-chain payments within ``tolerance``.
-        """
-        commitment = self._audit_commitments.get(window)
-        if commitment is None:
-            raise ContractViolation(f"window {window} has no audit commitment")
-        committed = private_key.decrypt(commitment) / AUDIT_PAYMENT_SCALE
-        on_chain = self.window_totals(window)["payments"]
-        return abs(committed - on_chain) <= tolerance
-
     def settled_windows(self) -> Set[int]:
         return set(self._settled_windows)
-
-    def window_totals(self, window: int) -> Dict[str, float]:
-        """Aggregate on-chain totals of one settled window (for reconciliation)."""
-        transactions = self.chain.transactions_for_window(window)
-        return {
-            "energy_kwh": sum(tx.energy_kwh for tx in transactions),
-            "payments": sum(tx.payment for tx in transactions),
-            "trade_count": float(len(transactions)),
-        }

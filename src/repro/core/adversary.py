@@ -21,9 +21,8 @@ value placed in message metadata) whenever the protocols are modified.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Sequence
 
 from ..net.message import Message, MessageKind
 from ..net.network import SimulatedNetwork
@@ -52,15 +51,6 @@ class PartyView:
 
     party_id: str
     received: List[Message] = field(default_factory=list)
-
-    def metadata_values(self) -> List[float]:
-        """All numeric values appearing in received (non-output) metadata."""
-        values: List[float] = []
-        for message in self.received:
-            if message.kind in PUBLIC_OUTPUT_KINDS:
-                continue
-            values.extend(_numeric_leaves(message.metadata))
-        return values
 
     def payload_bytes(self) -> int:
         return sum(len(m.payload) for m in self.received)

@@ -7,16 +7,16 @@ substituting the sellers' best responses) is strictly convex in the price,
 the game has a unique equilibrium whose price is given in closed form by
 Eq. 13, clamped to the PEM band by Eq. 14.
 
-This module implements those formulas plus numerical checks of the
-equilibrium properties (best response, convexity, uniqueness) that are used
-by the test suite and the incentive analysis.
+This module implements those formulas; the numerical checks of the
+equilibrium properties (best response, convexity) live with the test suite
+(``tests/core/equilibrium_oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from .agent import AgentWindowState
 from .coalition import Coalitions
@@ -30,7 +30,6 @@ __all__ = [
     "unconstrained_optimal_price",
     "StackelbergOutcome",
     "solve_stackelberg",
-    "best_response_load",
 ]
 
 
@@ -123,34 +122,6 @@ def optimal_load_profile(
     return max(0.0, analytic)
 
 
-def best_response_load(
-    state: AgentWindowState, price: float, grid_points: int = 2001, max_load: float | None = None
-) -> float:
-    """Numerically search the seller's best-response load.
-
-    Used only by tests/analyses to confirm that the closed form of Eq. 10 is
-    indeed the argmax of Eq. 4 — i.e. that the implementation reproduces the
-    paper's Lemma 1 reasoning rather than assuming it.
-    """
-    upper = max_load if max_load is not None else max(
-        4.0 * state.load_rate_kw + 10.0, 2.0 * state.preference_k / max(price, 1e-9)
-    )
-    best_load, best_value = 0.0, -math.inf
-    for i in range(grid_points):
-        candidate = upper * i / (grid_points - 1)
-        value = seller_utility(
-            state.preference_k,
-            candidate,
-            state.generation_rate_kw,
-            state.battery_rate_kw,
-            state.battery_loss_coefficient,
-            price,
-        )
-        if value > best_value:
-            best_value, best_load = value, candidate
-    return best_load
-
-
 def unconstrained_optimal_price(
     seller_states: Sequence[AgentWindowState], retail_price: float
 ) -> float:
@@ -217,27 +188,3 @@ def solve_stackelberg(
         seller_loads=loads,
     )
 
-
-def total_cost_curve(
-    coalitions: Coalitions, params: MarketParameters, prices: Iterable[float]
-) -> List[float]:
-    """Evaluate the leader's total-cost objective along a price grid.
-
-    Substitutes each seller's best response (Eq. 10) into Eq. 5 and sums,
-    which is the function the paper proves strictly convex (Eq. 11).  Used
-    by tests to verify convexity and that Eq. 13 is its minimizer.
-    """
-    costs = []
-    for price in prices:
-        supply = 0.0
-        for seller in coalitions.sellers:
-            load = optimal_load_profile(
-                seller.preference_k,
-                seller.battery_rate_kw,
-                seller.battery_loss_coefficient,
-                price,
-            )
-            supply += seller.generation_rate_kw - load - seller.battery_rate_kw
-        demand = sum(b.load_rate_kw + b.battery_rate_kw - b.generation_rate_kw for b in coalitions.buyers)
-        costs.append(price * supply + params.retail_price * (demand - supply))
-    return costs

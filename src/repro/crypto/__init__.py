@@ -16,7 +16,7 @@ Python standard library:
   the fixed-base comb table).
 * :mod:`repro.crypto.fixedpoint` — fixed-point encoding of reals for
   encryption.
-* :mod:`repro.crypto.circuits` — boolean circuit builders (comparator, adder).
+* :mod:`repro.crypto.circuits` — boolean circuits and the comparator's builder.
 * :mod:`repro.crypto.ot` — batched 1-out-of-2 oblivious transfer (Naor--Pinkas).
 * :mod:`repro.crypto.otext` — IKNP-style OT extension (constant base OTs,
   symmetric-key transfers thereafter).

@@ -97,7 +97,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional
 
 from .bigint import backend, powmod, set_backend
 from .paillier import (
@@ -439,7 +439,3 @@ class RandomizerPool:
     def encrypt(self, plaintext: int) -> PaillierCiphertext:
         """Encrypt using one pooled obfuscator (single online mulmod)."""
         return self.public_key.raw_encrypt(plaintext, self.take())
-
-    def encrypt_many(self, plaintexts: Sequence[int]) -> List[PaillierCiphertext]:
-        """Encrypt a batch of plaintexts, one pooled obfuscator each."""
-        return [self.public_key.raw_encrypt(m, self.take()) for m in plaintexts]

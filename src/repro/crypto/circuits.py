@@ -4,9 +4,9 @@ The Private Market Evaluation protocol (Protocol 2 in the paper) ends with a
 Fairplay-style secure comparison of the two blinded aggregates ``R_b`` and
 ``R_s``.  We implement that comparison as a Yao garbled circuit over a
 boolean comparator circuit.  This module defines the plain (ungarbled)
-circuit representation — wires, gates, topological evaluation — and circuit
-builders for the comparator and an adder, plus helpers to convert integers
-to/from little-endian bit vectors.
+circuit representation — wires, gates, topological evaluation — the
+comparator's builder, and the conversion of integers to little-endian bit
+vectors.
 
 The garbling itself lives in :mod:`repro.crypto.garbled`.
 """
@@ -25,10 +25,7 @@ __all__ = [
     "CircuitProgram",
     "CircuitBuilder",
     "build_greater_than_circuit",
-    "build_adder_circuit",
-    "lower_to_xor_and",
     "int_to_bits",
-    "bits_to_int",
 ]
 
 
@@ -270,12 +267,6 @@ class CircuitBuilder:
     def gate_not(self, a: int) -> int:
         return self._gate(GateType.NOT, a)
 
-    def gate_mux(self, selector: int, when_one: int, when_zero: int) -> int:
-        """Return ``when_one`` if selector == 1 else ``when_zero``."""
-        picked_one = self.gate_and(selector, when_one)
-        picked_zero = self.gate_and(self.gate_not(selector), when_zero)
-        return self.gate_or(picked_one, picked_zero)
-
     def build(self, output_wires: Sequence[int]) -> Circuit:
         return Circuit(
             garbler_inputs=list(self._garbler_inputs),
@@ -318,77 +309,6 @@ def build_greater_than_circuit(bit_width: int) -> Circuit:
     return builder.build([carry])
 
 
-def build_adder_circuit(bit_width: int) -> Circuit:
-    """Build a ripple-carry adder: output = (garbler + evaluator) mod 2^bit_width.
-
-    Included both as a second non-trivial circuit for exercising the garbling
-    machinery and as the building block for future extensions (e.g. secure
-    aggregation entirely inside garbled circuits).
-    """
-    if bit_width < 1:
-        raise ValueError(f"bit width must be >= 1, got {bit_width}")
-    builder = CircuitBuilder()
-    a_bits = [builder.garbler_input() for _ in range(bit_width)]
-    b_bits = [builder.evaluator_input() for _ in range(bit_width)]
-
-    outputs: List[int] = []
-    carry: int | None = None
-    for i in range(bit_width):
-        a_i, b_i = a_bits[i], b_bits[i]
-        partial = builder.gate_xor(a_i, b_i)
-        if carry is None:
-            outputs.append(partial)
-            carry = builder.gate_and(a_i, b_i)
-        else:
-            outputs.append(builder.gate_xor(partial, carry))
-            carry_from_ab = builder.gate_and(a_i, b_i)
-            carry_from_partial = builder.gate_and(partial, carry)
-            carry = builder.gate_or(carry_from_ab, carry_from_partial)
-    return builder.build(outputs)
-
-
-def lower_to_xor_and(circuit: Circuit) -> Circuit:
-    """Rewrite every OR gate as ``(a XOR b) XOR (a AND b)``.
-
-    The free-XOR garbler only knows how to garble XOR/AND/NOT, so a circuit
-    with OR gates (the adder) is lowered before garbling.  The rewrite is exact (``a OR b ==
-    (a XOR b) XOR (a AND b)``), allocates fresh intermediate wires past
-    ``wire_count`` and keeps the original output wire of each OR, so
-    downstream gate references and ``output_wires`` are untouched.
-
-    A circuit without OR gates is returned unchanged (same object), which
-    makes the pass idempotent.
-    """
-    if "OR" not in circuit.program.histogram:
-        return circuit
-    gates: List[Gate] = []
-    next_wire = circuit.wire_count
-    for gate in circuit.gates:
-        if gate.gate_type != GateType.OR:
-            gates.append(gate)
-            continue
-        a, b = gate.input_wires
-        xor_wire = next_wire
-        and_wire = next_wire + 1
-        next_wire += 2
-        gates.append(Gate(gate_type=GateType.XOR, input_wires=(a, b), output_wire=xor_wire))
-        gates.append(Gate(gate_type=GateType.AND, input_wires=(a, b), output_wire=and_wire))
-        gates.append(
-            Gate(
-                gate_type=GateType.XOR,
-                input_wires=(xor_wire, and_wire),
-                output_wire=gate.output_wire,
-            )
-        )
-    return Circuit(
-        garbler_inputs=list(circuit.garbler_inputs),
-        evaluator_inputs=list(circuit.evaluator_inputs),
-        gates=gates,
-        output_wires=list(circuit.output_wires),
-        wire_count=next_wire,
-    )
-
-
 def int_to_bits(value: int, bit_width: int) -> List[int]:
     """Convert a non-negative integer to a little-endian bit list."""
     if value < 0:
@@ -397,7 +317,3 @@ def int_to_bits(value: int, bit_width: int) -> List[int]:
         raise ValueError(f"value {value} does not fit in {bit_width} bits")
     return [(value >> i) & 1 for i in range(bit_width)]
 
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Convert a little-endian bit list back to an integer."""
-    return sum((int(b) & 1) << i for i, b in enumerate(bits))

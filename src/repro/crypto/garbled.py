@@ -12,8 +12,8 @@ the input zero-labels; the evaluator XORs active keys), NOT is free, and
 each AND gate ships exactly two rows ``(T_G, T_E)`` via the half-gates
 construction (Zahur–Rosulek–Evans, EUROCRYPT'15) — the generator half
 computes ``a AND π_b`` and the evaluator half ``a AND (b XOR π_b)``.  OR
-gates must be lowered first (:func:`repro.crypto.circuits.lower_to_xor_and`);
-the comparator has none.
+gates are refused: a circuit with one must be rewritten first, each
+``a OR b`` as ``(a XOR b) XOR (a AND b)``; the comparator has none.
 
 The evaluator obtains the garbler's input labels directly and its own input
 labels through 1-out-of-2 oblivious transfer (:mod:`repro.crypto.ot`), so
@@ -192,7 +192,7 @@ def garble_circuit(circuit: Circuit, rng: Optional[random.Random] = None) -> Gar
     """
     program = circuit.program
     if "OR" in program.histogram:
-        raise GarblingError("garbling requires a lowered circuit (run lower_to_xor_and first)")
+        raise GarblingError("garbling requires a lowered circuit (no OR gates)")
     inputs = list(circuit.garbler_inputs) + list(circuit.evaluator_inputs)
     from_bytes = int.from_bytes
     if rng is None:

@@ -196,10 +196,6 @@ class PaillierPublicKey:
             out.append(self.encrypt(value, rng=rng, obfuscator=obf))
         return out
 
-    def encrypt_zero(self, rng: Optional[random.Random] = None) -> "PaillierCiphertext":
-        """Encrypt zero — useful for re-randomizing ciphertexts."""
-        return self.encrypt(0, rng=rng)
-
     def _encode(self, plaintext: int) -> int:
         limit = self.max_plaintext
         if plaintext > limit or plaintext < -limit:
@@ -339,9 +335,8 @@ class PaillierCiphertext:
 
     Supports the homomorphic operations PEM needs:
 
-    * ``c1 + c2`` — ciphertext of the plaintext sum,
-    * ``c + k`` for an ``int`` — ciphertext of ``m + k``,
-    * ``c * k`` for an ``int`` — ciphertext of ``m * k``.
+    * :meth:`add_ciphertext` — ciphertext of the plaintext sum,
+    * :meth:`multiply_plaintext` — ciphertext of ``m * k`` for an ``int``.
     """
 
     __slots__ = ("value", "public_key")
@@ -359,46 +354,12 @@ class PaillierCiphertext:
         n_sq = self.public_key.n_squared
         return PaillierCiphertext((self.value * other.value) % n_sq, self.public_key)
 
-    def add_plaintext(self, scalar: int) -> "PaillierCiphertext":
-        """Homomorphically add a plaintext integer."""
-        n = self.public_key.n
-        n_sq = self.public_key.n_squared
-        encoded = scalar % n
-        g_to_k = (1 + encoded * n) % n_sq
-        return PaillierCiphertext((self.value * g_to_k) % n_sq, self.public_key)
-
     def multiply_plaintext(self, scalar: int) -> "PaillierCiphertext":
         """Homomorphically multiply the plaintext by an integer scalar."""
         n = self.public_key.n
         n_sq = self.public_key.n_squared
         encoded = scalar % n
         return PaillierCiphertext(powmod(self.value, encoded, n_sq), self.public_key)
-
-    def __add__(self, other):
-        if isinstance(other, PaillierCiphertext):
-            return self.add_ciphertext(other)
-        if isinstance(other, int):
-            return self.add_plaintext(other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.multiply_plaintext(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PaillierCiphertext":
-        return self.multiply_plaintext(-1)
-
-    def __sub__(self, other):
-        if isinstance(other, PaillierCiphertext):
-            return self.add_ciphertext(-other)
-        if isinstance(other, int):
-            return self.add_plaintext(-other)
-        return NotImplemented
 
     # -- serialization ---------------------------------------------------------
 

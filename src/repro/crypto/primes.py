@@ -19,7 +19,6 @@ __all__ = [
     "is_probable_prime",
     "generate_prime",
     "generate_safe_prime",
-    "next_prime",
     "SMALL_PRIMES",
 ]
 
@@ -143,12 +142,3 @@ def generate_safe_prime(bits: int, rng: Optional[random.Random] = None) -> int:
         if p.bit_length() == bits and is_probable_prime(p, rng=rng):
             return p
 
-
-def next_prime(n: int) -> int:
-    """Return the smallest prime strictly greater than ``n``."""
-    candidate = max(n + 1, 2)
-    if candidate % 2 == 0 and candidate != 2:
-        candidate += 1
-    while not is_probable_prime(candidate):
-        candidate += 2 if candidate != 2 else 1
-    return candidate

@@ -22,7 +22,7 @@ sequential and round-based anyway).
 from __future__ import annotations
 
 import weakref
-from collections import defaultdict, deque
+from collections import deque
 from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
 
 from .costmodel import CostModel
@@ -41,7 +41,7 @@ class Party:
     """A network endpoint owned by one agent (or the grid operator).
 
     Parties never share Python object references for private state; all
-    inter-party communication goes through :meth:`send` / :meth:`receive`,
+    inter-party communication goes through :meth:`send` / :meth:`receive_all`,
     which is what makes the transcript collected by the adversary model an
     accurate record of each party's view.
     """
@@ -98,32 +98,6 @@ class Party:
     def _enqueue(self, message: Message) -> None:
         self._inbox.append(message)
 
-    def receive(self, kind: Optional[MessageKind] = None) -> Message:
-        """Pop the next message from the inbox, optionally filtered by kind.
-
-        Like every inbox read, flushes the network first.  The
-        kind-filtered path uses the same kept-deque pattern as
-        :meth:`receive_all`: messages scanned before the match are popped
-        into a holding deque and spliced back afterwards, so one call
-        costs O(match position) instead of the O(inbox) a positional
-        ``del`` on a deque would — repeated filtered drains stay linear
-        overall rather than quadratic.
-        """
-        self._network.flush()
-        if kind is None:
-            if not self._inbox:
-                raise NetworkError(f"{self.party_id}: inbox empty")
-            return self._inbox.popleft()
-        kept: Deque[Message] = deque()
-        while self._inbox:
-            message = self._inbox.popleft()
-            if message.kind == kind:
-                self._inbox.extendleft(reversed(kept))
-                return message
-            kept.append(message)
-        self._inbox = kept
-        raise NetworkError(f"{self.party_id}: no pending message of kind {kind.value}")
-
     def receive_all(self, kind: Optional[MessageKind] = None) -> List[Message]:
         """Pop all pending messages (optionally of one kind)."""
         self._network.flush()
@@ -141,10 +115,6 @@ class Party:
                 kept.append(message)
         self._inbox = kept
         return drained
-
-    def pending_count(self) -> int:
-        self._network.flush()
-        return len(self._inbox)
 
 
 class SimulatedNetwork:
@@ -188,10 +158,6 @@ class SimulatedNetwork:
             return self._parties[party_id]
         except KeyError:
             raise NetworkError(f"unknown party {party_id!r}") from None
-
-    @property
-    def party_ids(self) -> List[str]:
-        return list(self._parties)
 
     def add_message_hook(self, hook: Callable[[Message], None]) -> None:
         """Register a callback invoked for every delivered message.
@@ -354,9 +320,3 @@ class SimulatedNetwork:
     def charge_extra_traffic(self, party_id: str, sent: int = 0, received: int = 0) -> None:
         """Charge out-of-band traffic (garbled circuit / OT bytes) to a party."""
         self.stats.record_extra_bytes(party_id, sent=sent, received=received)
-
-    def reset_stats(self) -> TrafficStats:
-        """Swap in a fresh stats object and return the old one."""
-        old = self.stats
-        self.stats = TrafficStats()
-        return old

@@ -45,9 +45,9 @@ def test_settle_window_commits_all_trades():
     block = contract.settle_window(clearing)
     assert block is not None
     assert len(block.transactions) == len(clearing.trades)
-    totals = contract.window_totals(3)
-    assert totals["energy_kwh"] == pytest.approx(clearing.traded_energy_kwh)
-    assert totals["payments"] == pytest.approx(clearing.total_payments)
+    on_chain = contract.chain.transactions_for_window(3)
+    assert sum(tx.energy_kwh for tx in on_chain) == pytest.approx(clearing.traded_energy_kwh)
+    assert sum(tx.payment for tx in on_chain) == pytest.approx(clearing.total_payments)
     assert contract.chain.verify()
 
 
@@ -99,35 +99,6 @@ def test_settle_day_batches_multiple_windows():
     assert contract.settled_windows() == {3, 4}
 
 
-def test_audit_commitment_matches_on_chain_totals():
-    import random
-
-    from repro.crypto import generate_keypair
-
-    audit = generate_keypair(128, random.Random(31))
-    chain = ConsortiumChain(
-        consensus=RoundRobinConsensus(validators=[Validator(f"v{i}") for i in range(4)])
-    )
-    contract = SettlementContract(
-        chain=chain, params=PAPER_PARAMETERS, audit_key=audit.public_key
-    )
-    clearing = make_clearing()
-    contract.settle_day([clearing])
-    commitment = contract.audit_commitment(3)
-    assert commitment is not None
-    assert contract.verify_audit_total(3, audit.private_key)
-    # The ciphertext is not the plaintext total — the chain never sees it.
-    assert commitment.value != round(clearing.total_payments)
-
-
-def test_audit_commitment_absent_without_audit_key():
-    contract = make_contract()
-    contract.settle_window(make_clearing())
-    assert contract.audit_commitment(3) is None
-    with pytest.raises(ContractViolation):
-        contract.verify_audit_total(3, None)
-
-
 def test_settle_day_rejects_whole_batch_before_committing():
     contract = make_contract()
     good = make_clearing()
@@ -142,22 +113,3 @@ def test_settle_day_rejects_whole_batch_before_committing():
     # Nothing committed: the corrected batch can be retried cleanly.
     assert contract.settled_windows() == set()
     assert contract.settle_day([good]) != []
-
-
-def test_audit_commitment_covers_trade_less_windows():
-    import random
-
-    from repro.crypto import generate_keypair
-
-    audit = generate_keypair(128, random.Random(41))
-    chain = ConsortiumChain(
-        consensus=RoundRobinConsensus(validators=[Validator(f"v{i}") for i in range(4)])
-    )
-    contract = SettlementContract(
-        chain=chain, params=PAPER_PARAMETERS, audit_key=audit.public_key
-    )
-    empty = MarketClearing(window=7, case=MarketCase.GENERAL, clearing_price=95.0)
-    contract.settle_day([empty])
-    # A settled window always has a commitment — an encryption of zero here.
-    assert contract.audit_commitment(7) is not None
-    assert contract.verify_audit_total(7, audit.private_key)

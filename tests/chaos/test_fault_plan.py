@@ -111,19 +111,19 @@ def test_drop_raises_with_attribution_and_ledger():
     assert err.fault == "drop"
     assert err.sender == "alice" and err.recipient == "bob"
     assert err.ordinal == 0 and err.kind == MessageKind.GENERIC.value
-    assert bob.pending_count() == 0  # the frame really was lost
+    assert bob.receive_all() == []  # the frame really was lost
     ledger = net.transport.injected
     assert [f.kind for f in ledger] == ["drop"]
     assert ledger[0].window == 5 and ledger[0].ordinal == 0
     # Budget spent: the next frame passes through untouched.
     alice.send("bob", MessageKind.GENERIC, payload=b"y")
-    assert bob.receive().payload == b"y"
+    assert [m.payload for m in bob.receive_all()] == [b"y"]
 
 
 def test_reorder_holds_frame_then_rejects_it_stale():
     net, alice, bob = _chaos_pair(FaultPlan(seed=1, reorder_rate=1.0))
     alice.send("bob", MessageKind.GENERIC, payload=b"first")  # held back
-    assert bob.pending_count() == 0
+    assert bob.receive_all() == []
     with pytest.raises(FrameReorderError) as excinfo:
         alice.send("bob", MessageKind.GENERIC, payload=b"second")
     assert excinfo.value.ordinal == 0  # the *stale* frame is the rejected one
@@ -145,7 +145,7 @@ def test_corruption_is_caught_by_digest_before_delivery():
     with pytest.raises(FrameCorruptionError) as excinfo:
         alice.send("bob", MessageKind.GENERIC, payload=b"payload")
     assert "digest mismatch" in str(excinfo.value)
-    assert bob.pending_count() == 0  # unverified bytes are never delivered
+    assert bob.receive_all() == []  # unverified bytes are never delivered
     assert [f.kind for f in net.transport.injected] == ["corrupt"]
 
 

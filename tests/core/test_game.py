@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equilibrium_oracles import best_response_load, total_cost_curve
 from repro.core import PAPER_PARAMETERS
 from repro.core.agent import AgentWindowState
 from repro.core.coalition import form_coalitions
 from repro.core.game import (
-    best_response_load,
     buyer_coalition_total_cost,
     buyer_cost,
     optimal_load_profile,
     seller_utility,
     solve_stackelberg,
-    total_cost_curve,
     unconstrained_optimal_price,
 )
 

@@ -9,17 +9,19 @@ for byte (``test_gc_oracles.py``).
 The classic point-and-permute garbler (four rows per binary gate) and the
 three-AND-per-bit comparator it garbled are no longer product code; they
 stay here, with a classic evaluator, as an independent reference the
-half-gates comparator must agree with on every input.  Nothing outside the
-test suite may import this module.
+half-gates comparator must agree with on every input.  So do the circuits
+only tests build — the ripple-carry adder, a multiplexer — with the pass
+that lowers their OR gates for the half-gates garbler and the bits-to-int
+decoder.  Nothing outside the test suite may import this module.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.crypto.circuits import TRUTH_TABLES, Circuit, CircuitBuilder, GateType
+from repro.crypto.circuits import TRUTH_TABLES, Circuit, CircuitBuilder, Gate, GateType
 from repro.crypto.garbled import LABEL_BYTES
 from repro.crypto.otext import BaseOTCorrelation
 
@@ -171,6 +173,89 @@ def oracle_build_greater_than_circuit(bit_width: int) -> Circuit:
             carry_up = builder.gate_and(equal_here, gt_so_far)
             gt_so_far = builder.gate_or(a_gt_b, carry_up)
     return builder.build([gt_so_far])
+
+
+def build_adder_circuit(bit_width: int) -> Circuit:
+    """A ripple-carry adder: output = (garbler + evaluator) mod 2^bit_width.
+
+    A second non-trivial circuit for the garbling machinery, and the one
+    with OR gates (one per bit above the lsb) that :func:`lower_to_xor_and`
+    is exercised on.
+    """
+    if bit_width < 1:
+        raise ValueError(f"bit width must be >= 1, got {bit_width}")
+    builder = CircuitBuilder()
+    a_bits = [builder.garbler_input() for _ in range(bit_width)]
+    b_bits = [builder.evaluator_input() for _ in range(bit_width)]
+
+    outputs: List[int] = []
+    carry: int | None = None
+    for i in range(bit_width):
+        a_i, b_i = a_bits[i], b_bits[i]
+        partial = builder.gate_xor(a_i, b_i)
+        if carry is None:
+            outputs.append(partial)
+            carry = builder.gate_and(a_i, b_i)
+        else:
+            outputs.append(builder.gate_xor(partial, carry))
+            carry_from_ab = builder.gate_and(a_i, b_i)
+            carry_from_partial = builder.gate_and(partial, carry)
+            carry = builder.gate_or(carry_from_ab, carry_from_partial)
+    return builder.build(outputs)
+
+
+def gate_mux(builder: CircuitBuilder, selector: int, when_one: int, when_zero: int) -> int:
+    """Add a multiplexer to ``builder``: ``when_one`` if selector == 1 else ``when_zero``."""
+    picked_one = builder.gate_and(selector, when_one)
+    picked_zero = builder.gate_and(builder.gate_not(selector), when_zero)
+    return builder.gate_or(picked_one, picked_zero)
+
+
+def lower_to_xor_and(circuit: Circuit) -> Circuit:
+    """Rewrite every OR gate as ``(a XOR b) XOR (a AND b)``.
+
+    The half-gates garbler only garbles XOR/AND/NOT, so a circuit with OR
+    gates (the adder, the retired comparator) is lowered before garbling.
+    The rewrite is exact, allocates fresh intermediate wires past
+    ``wire_count`` and keeps the original output wire of each OR, so
+    downstream gate references and ``output_wires`` are untouched.
+
+    A circuit without OR gates is returned unchanged (same object), which
+    makes the pass idempotent.
+    """
+    if "OR" not in circuit.program.histogram:
+        return circuit
+    gates: List[Gate] = []
+    next_wire = circuit.wire_count
+    for gate in circuit.gates:
+        if gate.gate_type != GateType.OR:
+            gates.append(gate)
+            continue
+        a, b = gate.input_wires
+        xor_wire = next_wire
+        and_wire = next_wire + 1
+        next_wire += 2
+        gates.append(Gate(gate_type=GateType.XOR, input_wires=(a, b), output_wire=xor_wire))
+        gates.append(Gate(gate_type=GateType.AND, input_wires=(a, b), output_wire=and_wire))
+        gates.append(
+            Gate(
+                gate_type=GateType.XOR,
+                input_wires=(xor_wire, and_wire),
+                output_wire=gate.output_wire,
+            )
+        )
+    return Circuit(
+        garbler_inputs=list(circuit.garbler_inputs),
+        evaluator_inputs=list(circuit.evaluator_inputs),
+        gates=gates,
+        output_wires=list(circuit.output_wires),
+        wire_count=next_wire,
+    )
+
+
+def bits_to_int(bits: Sequence[int]) -> int:
+    """Convert a little-endian bit list back to an integer."""
+    return sum((int(b) & 1) << i for i, b in enumerate(bits))
 
 
 # -- garbling ----------------------------------------------------------------------

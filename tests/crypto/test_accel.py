@@ -115,9 +115,10 @@ def test_encrypt_many_uses_one_obfuscator_each(pool_keypair):
     pool = RandomizerPool(public, random.Random(6), private_key=private)
     pool.warm(4)
     values = [1, 2, 3, 4]
-    ciphertexts = pool.encrypt_many(values)
+    ciphertexts = public.encrypt_many(values, obfuscators=pool.take_many(len(values)))
     assert private.decrypt_many(ciphertexts) == values
     assert pool.available == 0
+    assert pool.fallback_count == 0
 
 
 def test_batched_homomorphic_sum_matches_sequential(pool_keypair):

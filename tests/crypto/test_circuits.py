@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gc_oracles import bits_to_int, build_adder_circuit, gate_mux, lower_to_xor_and
 from repro.crypto.circuits import (
     Circuit,
     CircuitBuilder,
     Gate,
     GateType,
-    bits_to_int,
-    build_adder_circuit,
     build_greater_than_circuit,
     int_to_bits,
-    lower_to_xor_and,
 )
 
 
@@ -57,7 +55,7 @@ def test_mux_gate():
     sel = builder.garbler_input()
     x = builder.evaluator_input()
     y = builder.evaluator_input()
-    circuit = builder.build([builder.gate_mux(sel, x, y)])
+    circuit = builder.build([gate_mux(builder, sel, x, y)])
     assert circuit.evaluate([1], [1, 0]) == [1]
     assert circuit.evaluate([0], [1, 0]) == [0]
     assert circuit.evaluate([0], [0, 1]) == [1]

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.circuits import (
-    CircuitBuilder,
-    bits_to_int,
-    build_adder_circuit,
-    build_greater_than_circuit,
-    int_to_bits,
-    lower_to_xor_and,
-)
+from gc_oracles import bits_to_int, build_adder_circuit, lower_to_xor_and
+from repro.crypto.circuits import CircuitBuilder, build_greater_than_circuit, int_to_bits
 from repro.crypto.garbled import (
     GarbledCircuit,
     GarblingError,

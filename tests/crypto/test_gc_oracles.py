@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gc_oracles import (
+    build_adder_circuit,
+    lower_to_xor_and,
     oracle_build_greater_than_circuit,
     oracle_derive_batch,
     oracle_evaluate_classic,
@@ -31,14 +33,7 @@ from gc_oracles import (
 )
 from repro.chaos import tamper_prepared_comparison
 from repro.crypto import otext
-from repro.crypto.circuits import (
-    CircuitBuilder,
-    GateType,
-    build_adder_circuit,
-    build_greater_than_circuit,
-    int_to_bits,
-    lower_to_xor_and,
-)
+from repro.crypto.circuits import CircuitBuilder, GateType, build_greater_than_circuit, int_to_bits
 from repro.crypto.garbled import GarblingError, evaluate_garbled_circuit, garble_circuit
 from repro.crypto.gc_pool import ComparisonError, PreparedComparison
 from repro.crypto.otext import OTExtensionError, derive_batch, establish_correlation

@@ -31,28 +31,30 @@ def test_encryption_is_randomized(keypair):
 
 
 def test_homomorphic_addition(keypair):
-    c = keypair.public_key.encrypt(100) + keypair.public_key.encrypt(-30)
+    c = keypair.public_key.encrypt(100).add_ciphertext(keypair.public_key.encrypt(-30))
     assert keypair.private_key.decrypt(c) == 70
 
 
 def test_homomorphic_plaintext_addition(keypair):
-    c = keypair.public_key.encrypt(100) + 23
+    # A known plaintext enters as its deterministic encoding g^k (obfuscator 1).
+    public = keypair.public_key
+    c = public.encrypt(100).add_ciphertext(public.raw_encrypt(23, 1))
     assert keypair.private_key.decrypt(c) == 123
 
 
 def test_homomorphic_scalar_multiplication(keypair):
-    c = keypair.public_key.encrypt(12) * 5
+    c = keypair.public_key.encrypt(12).multiply_plaintext(5)
     assert keypair.private_key.decrypt(c) == 60
-    c = 3 * keypair.public_key.encrypt(-7)
+    c = keypair.public_key.encrypt(-7).multiply_plaintext(3)
     assert keypair.private_key.decrypt(c) == -21
 
 
 def test_homomorphic_subtraction_and_negation(keypair):
     a = keypair.public_key.encrypt(50)
     b = keypair.public_key.encrypt(8)
-    assert keypair.private_key.decrypt(a - b) == 42
-    assert keypair.private_key.decrypt(a - 10) == 40
-    assert keypair.private_key.decrypt(-a) == -50
+    assert keypair.private_key.decrypt(a.add_ciphertext(b.multiply_plaintext(-1))) == 42
+    assert keypair.private_key.decrypt(a.add_ciphertext(keypair.public_key.raw_encrypt(-10, 1))) == 40
+    assert keypair.private_key.decrypt(a.multiply_plaintext(-1)) == -50
 
 
 def test_plaintext_out_of_range_rejected(keypair):
@@ -66,7 +68,7 @@ def test_plaintext_out_of_range_rejected(keypair):
 def test_overflow_detection(keypair):
     limit = keypair.public_key.max_plaintext
     big = keypair.public_key.encrypt(limit)
-    overflowed = big + keypair.public_key.encrypt(limit)
+    overflowed = big.add_ciphertext(keypair.public_key.encrypt(limit))
     with pytest.raises(PaillierError):
         keypair.private_key.decrypt(overflowed)
 
@@ -89,7 +91,7 @@ def test_cross_key_operations_rejected(keypair):
     a = keypair.public_key.encrypt(1)
     b = other.public_key.encrypt(2)
     with pytest.raises(PaillierError):
-        _ = a + b
+        a.add_ciphertext(b)
     with pytest.raises(PaillierError):
         other.private_key.decrypt(a)
 
@@ -176,6 +178,8 @@ def test_homomorphic_sum_chunking_equivalence(keypair):
 
 def test_encrypt_zero_rerandomizes(keypair):
     c = keypair.public_key.encrypt(5)
-    rerandomized = c + keypair.public_key.encrypt_zero()
+    # r -> r^n is injective on Z_n*, so only r = 1 leaves c unchanged:
+    # chance 1/n, below 2^-126 for the 128-bit test modulus.
+    rerandomized = c.add_ciphertext(keypair.public_key.encrypt(0))
     assert rerandomized.value != c.value
     assert keypair.private_key.decrypt(rerandomized) == 5

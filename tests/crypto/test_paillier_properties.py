@@ -40,7 +40,7 @@ def test_encrypt_decrypt_roundtrip(value):
 @settings(max_examples=40, deadline=None)
 @given(values, values)
 def test_homomorphic_addition_property(a, b):
-    ct = _KEYPAIR.public_key.encrypt(a) + _KEYPAIR.public_key.encrypt(b)
+    ct = _KEYPAIR.public_key.encrypt(a).add_ciphertext(_KEYPAIR.public_key.encrypt(b))
     assert _KEYPAIR.private_key.decrypt(ct) == a + b
 
 
@@ -48,15 +48,15 @@ def test_homomorphic_addition_property(a, b):
 @given(st.integers(min_value=-(_LIMIT // 2000), max_value=_LIMIT // 2000), scalars)
 def test_homomorphic_scalar_property(a, k):
     # |a * k| stays within the representable plaintext range by construction.
-    ct = _KEYPAIR.public_key.encrypt(a) * k
+    ct = _KEYPAIR.public_key.encrypt(a).multiply_plaintext(k)
     assert _KEYPAIR.private_key.decrypt(ct) == a * k
 
 
 @settings(max_examples=40, deadline=None)
 @given(values, values)
 def test_homomorphic_addition_commutes(a, b):
-    ct_ab = _KEYPAIR.public_key.encrypt(a) + _KEYPAIR.public_key.encrypt(b)
-    ct_ba = _KEYPAIR.public_key.encrypt(b) + _KEYPAIR.public_key.encrypt(a)
+    ct_ab = _KEYPAIR.public_key.encrypt(a).add_ciphertext(_KEYPAIR.public_key.encrypt(b))
+    ct_ba = _KEYPAIR.public_key.encrypt(b).add_ciphertext(_KEYPAIR.public_key.encrypt(a))
     assert _KEYPAIR.private_key.decrypt(ct_ab) == _KEYPAIR.private_key.decrypt(ct_ba)
 
 
@@ -149,6 +149,6 @@ def test_encrypted_fixedpoint_aggregation_matches_float_sum(values_list):
     total = None
     for value in values_list:
         ct = _KEYPAIR.public_key.encrypt(codec.encode(value))
-        total = ct if total is None else total + ct
+        total = ct if total is None else total.add_ciphertext(ct)
     decrypted = codec.decode(_KEYPAIR.private_key.decrypt(total))
     assert abs(decrypted - sum(values_list)) <= len(values_list) * codec.resolution()

@@ -11,7 +11,6 @@ from repro.crypto.primes import (
     generate_prime,
     generate_safe_prime,
     is_probable_prime,
-    next_prime,
 )
 
 
@@ -68,14 +67,6 @@ def test_generate_safe_prime_structure():
 def test_generate_safe_prime_rejects_tiny_sizes():
     with pytest.raises(ValueError):
         generate_safe_prime(8)
-
-
-def test_next_prime():
-    assert next_prime(1) == 2
-    assert next_prime(2) == 3
-    assert next_prime(14) == 17
-    assert next_prime(104729) > 104729
-    assert is_probable_prime(next_prime(10**6))
 
 
 @settings(max_examples=50, deadline=None)

@@ -51,10 +51,11 @@ def test_chain_verifies_and_matches_market_totals(pipeline_run):
         clearing = trace.result.clearing
         if clearing is None:
             continue
-        totals = contract.window_totals(trace.result.window)
-        assert totals["energy_kwh"] == pytest.approx(clearing.traded_energy_kwh, rel=1e-9)
-        assert totals["payments"] == pytest.approx(clearing.total_payments, rel=1e-9)
-        assert totals["trade_count"] == len(clearing.trades)
+        on_chain = contract.chain.transactions_for_window(trace.result.window)
+        energy = sum(tx.energy_kwh for tx in on_chain)
+        assert energy == pytest.approx(clearing.traded_energy_kwh, rel=1e-9)
+        assert sum(tx.payment for tx in on_chain) == pytest.approx(clearing.total_payments, rel=1e-9)
+        assert len(on_chain) == len(clearing.trades)
 
 
 def test_on_chain_balances_match_engine_payments(pipeline_run):

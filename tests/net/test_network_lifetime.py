@@ -46,8 +46,8 @@ def test_closed_window_network_is_freed_without_the_cycle_collector(transport):
         # ... and every message still waiting in an inbox (the recipient's copy).
         logged += [
             weakref.ref(message)
-            for party_id in network.party_ids
-            for message in network.party(party_id)._inbox
+            for party in network._parties.values()
+            for message in party._inbox
         ]
         del network
         assert dropped() is None
@@ -69,7 +69,7 @@ def test_closed_window_network_is_freed_without_the_cycle_collector(transport):
 def test_party_that_outlives_its_network_fails_loudly():
     party = SimulatedNetwork().register("alice")
     with pytest.raises(ReferenceError):
-        party.pending_count()
+        party.receive_all()
 
 
 def test_a_sent_message_is_freed_once_the_socket_transport_framed_it():

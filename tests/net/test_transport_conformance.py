@@ -87,7 +87,7 @@ def test_delivery_order_preserved(network):
     bob = network.register("bob")
     for i in range(8):
         alice.send("bob", MessageKind.GENERIC, payload=bytes([i]))
-    received = [bob.receive().payload for _ in range(8)]
+    received = [message.payload for message in bob.receive_all()]
     assert received == [bytes([i]) for i in range(8)]
 
 
@@ -98,7 +98,7 @@ def test_inbox_discipline_kind_filtering(network):
     alice.send("bob", MessageKind.PAYMENT, metadata={"amount": 5})
     alice.send("bob", MessageKind.GENERIC, payload=b"g2")
 
-    payment = bob.receive(MessageKind.PAYMENT)
+    (payment,) = bob.receive_all(MessageKind.PAYMENT)
     assert payment.kind == MessageKind.PAYMENT
     assert payment.metadata == {"amount": 5}
     # The filtered pop must preserve the order of everything else.
@@ -110,9 +110,7 @@ def test_receive_missing_kind_leaves_inbox_intact(network):
     bob = network.register("bob")
     alice.send("bob", MessageKind.GENERIC, payload=b"a")
     alice.send("bob", MessageKind.GENERIC, payload=b"b")
-    with pytest.raises(NetworkError):
-        bob.receive(MessageKind.PAYMENT)
-    assert bob.pending_count() == 2
+    assert bob.receive_all(MessageKind.PAYMENT) == []
     assert [m.payload for m in bob.receive_all()] == [b"a", b"b"]
 
 
@@ -135,7 +133,7 @@ def test_message_round_trip_is_byte_identical(network):
     payload = bytes(range(256)) * 3
     metadata = {"window": 42, "role": "seller", "values": [1, 2, 3]}
     sent = alice.send("bob", MessageKind.MARKET_AGGREGATE, payload=payload, metadata=metadata)
-    received = bob.receive()
+    (received,) = bob.receive_all()
     assert received.sender == sent.sender
     assert received.recipient == sent.recipient
     assert received.kind == sent.kind
@@ -153,7 +151,7 @@ def _run_script(network):
     alice.broadcast(["bob", "carol"], MessageKind.ROLE_ANNOUNCE, metadata={"role": "seller"})
     bob.send("alice", MessageKind.MARKET_AGGREGATE, payload=b"c" * 129)
     carol.send("alice", MessageKind.PAYMENT, metadata={"amount": 7})
-    alice.receive(MessageKind.PAYMENT)
+    alice.receive_all(MessageKind.PAYMENT)
     alice.receive_all()
     return network.stats
 
@@ -481,9 +479,7 @@ _operations = st.lists(
         st.tuples(
             st.just("send"), _party, _party, st.sampled_from(_KINDS), st.binary(max_size=24)
         ),
-        st.tuples(st.just("receive"), _party, _kind_filter),
         st.tuples(st.just("receive_all"), _party, _kind_filter),
-        st.tuples(st.just("pending_count"), _party),
     ),
     max_size=40,
 )
@@ -504,15 +500,8 @@ def _observe(transport_name, operations):
             if operation == "send":
                 recipient, kind, payload = rest
                 party.send(_PARTIES[recipient], kind, payload, {"n": len(observed)})
-            elif operation == "receive":
-                try:
-                    observed.append(seen(party.receive(*rest)))
-                except NetworkError:
-                    observed.append("nothing to receive")
-            elif operation == "receive_all":
-                observed.append([seen(message) for message in party.receive_all(*rest)])
             else:
-                observed.append(party.pending_count())
+                observed.append([seen(message) for message in party.receive_all(*rest)])
         leftovers = [[seen(message) for message in party.receive_all()] for party in parties]
         return observed, leftovers, network.stats.snapshot()
     finally:

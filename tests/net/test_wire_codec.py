@@ -339,7 +339,7 @@ def test_a_broadcast_encodes_its_metadata_once_however_many_recipients(
             payload=b"p",
             metadata=metadata,
         )
-        received = [party.receive() for party in others]
+        received = [message for party in others for message in party.receive_all()]
     finally:
         network.close()
     assert calls == [metadata]

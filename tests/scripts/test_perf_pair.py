@@ -271,14 +271,29 @@ def test_a_traced_pair_prints_the_exact_count_line(monkeypatch, capsys):
     assert "exact counts equal per seed: yes" in capsys.readouterr().out
 
 
-def test_working_tree_export_is_pycache_free_and_complete(tmp_path):
+def test_working_tree_export_is_pycache_free_and_complete(monkeypatch, tmp_path):
+    """Exported from a throwaway repository, so the test needs no checkout around it."""
+    repo = tmp_path / "repo"
+    (repo / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\nignored.log\n")
+    (repo / "src" / "pkg" / "tracked.py").write_text("TRACKED = 1\n")
+    (repo / "src" / "pkg" / "__pycache__" / "tracked.cpython-311.pyc").write_bytes(b"\0")
+    (repo / "untracked.py").write_text("UNTRACKED = 1\n")
+    (repo / "ignored.log").write_text("build output\n")
+
+    def git(*args):
+        perf_pair.subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", ".gitignore", "src/pkg/tracked.py")
+    monkeypatch.setattr(perf_pair, "REPO_ROOT", repo)
     target = tmp_path / "change"
     perf_pair.export_working_tree(target)
-    assert (target / "perfbench" / "__main__.py").is_file()
-    assert (target / "src" / "repro" / "crypto" / "otext.py").is_file()
-    assert (target / "scripts" / "perf_pair.py").is_file()
+    assert (target / "src" / "pkg" / "tracked.py").read_text() == "TRACKED = 1\n"
+    assert (target / "untracked.py").read_text() == "UNTRACKED = 1\n"
     assert not list(target.rglob("__pycache__"))
     assert not (target / ".git").exists()
+    assert not (target / "ignored.log").exists()
 
 
 def test_the_script_never_asks_perfbench_to_record(monkeypatch, tmp_path):
@@ -331,6 +346,34 @@ def test_a_bytes_claim_reports_the_change_per_seed_instead_of_a_mismatch():
     # The same runs read as a throughput claim still flag the bytes.
     line = perf_pair.verdict(runs, "live_socket_128", "windows_per_s", _DECLARED)
     assert "; bytes_per_window identical per seed: NO, live_socket_128 seeds [81, 82, 83, 84]; " in line
+
+
+def test_a_bytes_delta_is_the_exact_change_not_a_difference_of_rounded_means():
+    """Recorded from whole byte totals: −16 256 B reads ``-16256.0``, not ``-16255.999999999996``."""
+
+    def side(value, attempted, detail=None, metric="bytes_per_window"):
+        return {
+            "attempted": attempted,
+            "metrics": {metric: {"value": value, "unit": "B"}},
+            "detail": detail or {},
+        }
+
+    def pair(seed, parent, change, **kwargs):
+        return {"seed": seed, "parent": side(parent, **kwargs), "change": side(change, **kwargs)}
+
+    # 30 windows a run: the printed means of two live_gc_128 series.
+    assert perf_pair.bytes_deltas([pair(1, 43278.433333333334, 27022.433333333334, attempted=30)]) == [
+        (1, -16256.0)
+    ]
+    assert perf_pair.bytes_deltas([pair(2, 43365.63333333333, 27109.633333333335, attempted=30)]) == [
+        (2, -16256.0)
+    ]
+    # 5 windows a run on the socket workload.
+    assert perf_pair.bytes_deltas([pair(3, 211566.8, 209941.2, attempted=5)]) == [(3, -1625.6)]
+    # A traced pair: ``net.bytes`` is per window of one of its passes.
+    traced = {"traced_passes": 2, "traced_windows": 60}
+    runs = [pair(7, 43248.76666666667, 26992.766666666666, attempted=60, detail=traced, metric="net.bytes")]
+    assert perf_pair.bytes_deltas(runs, "net.bytes") == [(7, -16256.0)]
 
 
 def test_metric_flag_picks_the_claimed_metric_and_defaults_to_throughput(monkeypatch, capsys):
