@@ -45,7 +45,13 @@
 #                      must run a real day economically identical to the
 #                      naive default, on at least one market window); the
 #                      bench and all three day runs exit non-zero on any
-#                      identity or determinism regression
+#                      identity or determinism regression; last, the
+#                      reachability gate (scripts/reachability.py, ~50 s:
+#                      reruns the steps above minus the tests under a
+#                      profiling hook and fails on any src/repro def none
+#                      of them enters that reachability_allow.json does
+#                      not list with its consumer, and on any entry that
+#                      names no def)
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -92,3 +98,4 @@ ci: lint test-fast docs-check
 		--chaos-seed 23 --transport socket
 	$(PYTHON) scripts/repro_plan.py --hosts 2 --cores-per-host 2 --agents 8 \
 		--windows 3 --execute 2 --execute-homes 8
+	$(PYTHON) scripts/reachability.py

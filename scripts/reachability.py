@@ -16,6 +16,15 @@ its line count, and ends with the total::
 
     python scripts/reachability.py
 
+It then holds the unreached defs to ``reachability_allow.json`` at the
+repo root, which maps ``path::qualname`` (``src/repro/x.py::Class.method``)
+to the def's consumer and the reason it stays, e.g. ``"figure:
+benchmarks/test_fig5_runtime.py"`` or ``"fault path: drained-pool
+fallback"``.  The script exits 1 when an unreached def is not listed or an
+entry names no def.  A listed def that was entered is printed as removable
+from the list and does not fail the run: a fault path may be entered on
+some runs and not on others.  ``make ci`` runs it last.
+
 A def is entered once its code object is called; methods and nested defs
 are defs of their own, while lambdas, comprehensions and class bodies are
 not counted.  A decorated def starts at its first decorator, as its code
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import shlex
 import subprocess
@@ -37,6 +47,7 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+ALLOW_LIST = REPO_ROOT / "reachability_allow.json"
 
 #: ``(absolute file, first line)`` of one entered code object.
 Entered = Set[Tuple[str, int]]
@@ -162,14 +173,77 @@ def report(defs: Dict[str, List[Def]], missing: Dict[str, List[Def]], root: Path
     return "\n".join(out)
 
 
+class Gate(NamedTuple):
+    """The unreached defs held to the allow-list, each as ``path::qualname``."""
+
+    unlisted: List[str]  #: unreached and not listed: fails the run
+    stale: List[str]  #: listed, but no such def exists: fails the run
+    removable: List[str]  #: listed, but entered on this run: printed only
+
+    @property
+    def passed(self) -> bool:
+        return not (self.unlisted or self.stale)
+
+
+def def_key(path: str, qualname: str, root: Path) -> str:
+    """The allow-list key of one def: ``path::qualname``, path from ``root``."""
+    return f"{Path(os.path.relpath(path, root)).as_posix()}::{qualname}"
+
+
+def load_allow_list(path: Path = ALLOW_LIST) -> Dict[str, str]:
+    """The committed allow-list: ``path::qualname`` to its consumer and reason."""
+    entries = json.loads(path.read_text())
+    for key, why in entries.items():
+        if not (isinstance(why, str) and why.strip()):
+            raise SystemExit(f"reachability: {path.name}: {key} names no consumer")
+    return entries
+
+
+def gate(
+    defs: Dict[str, List[Def]],
+    missing: Dict[str, List[Def]],
+    allowed: Dict[str, str],
+    root: Path,
+) -> Gate:
+    """Hold the unreached defs to the allow-list."""
+    every = {def_key(path, d.qualname, root) for path, found in defs.items() for d in found}
+    unreached_keys = {
+        def_key(path, d.qualname, root) for path, found in missing.items() for d in found
+    }
+    return Gate(
+        unlisted=sorted(unreached_keys - set(allowed)),
+        stale=sorted(set(allowed) - every),
+        removable=sorted(set(allowed) & (every - unreached_keys)),
+    )
+
+
+def gate_report(result: Gate, listed: int) -> str:
+    """One line per finding, then the verdict."""
+    out = [f"reachability: not listed: {key}" for key in result.unlisted]
+    out += [f"reachability: stale entry, no such def: {key}" for key in result.stale]
+    out += [f"reachability: listed but reached, removable: {key}" for key in result.removable]
+    verdict = "ok" if result.passed else "FAILED"
+    out.append(
+        f"reachability: {verdict}: {len(result.unlisted)} unlisted, "
+        f"{len(result.stale)} stale, {len(result.removable)} removable "
+        f"of {listed} listed in {ALLOW_LIST.name}"
+    )
+    return "\n".join(out)
+
+
 def ci_commands(python: str, bench_output: Path) -> List[str]:
-    """``make ci``'s commands, one shell command each, pytest runs left out."""
+    """``make ci``'s commands, one shell command each, pytest runs and this
+    script's own step left out."""
     dry = subprocess.run(
         ["make", "-s", "-n", "ci", f"PYTHON={python}", f"CI_BENCH_OUTPUT={bench_output}"],
         cwd=REPO_ROOT, check=True, stdout=subprocess.PIPE, text=True,
     )  # fmt: skip
     commands = dry.stdout.replace("\\\n", " ").splitlines()
-    return [c for c in commands if c.strip() and "-m pytest" not in c]
+    return [
+        c
+        for c in commands
+        if c.strip() and "-m pytest" not in c and "scripts/reachability.py" not in c
+    ]
 
 
 def other_examples(python: str, commands: Iterable[str]) -> List[str]:
@@ -201,6 +275,7 @@ def run_all(commands: Sequence[str], dump_dir: Path, hook_dir: Path) -> Entered:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
+    allowed = load_allow_list()
     with tempfile.TemporaryDirectory(prefix="reachability-") as scratch:
         scratch_dir = Path(scratch)
         commands = ci_commands(sys.executable, scratch_dir / "BENCH_crypto.json")
@@ -209,8 +284,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         dump_dir.mkdir()
         entered = run_all(commands, dump_dir, scratch_dir)
     defs = package_defs()
-    print(report(defs, unreached(defs, entered), REPO_ROOT))
-    return 0
+    missing = unreached(defs, entered)
+    result = gate(defs, missing, allowed, REPO_ROOT)
+    print(report(defs, missing, REPO_ROOT))
+    print(gate_report(result, len(allowed)))
+    return 0 if result.passed else 1
 
 
 if __name__ == "__main__":

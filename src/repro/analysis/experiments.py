@@ -20,8 +20,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ..core.market import MarketCase
 from ..core.params import PAPER_PARAMETERS, MarketParameters
 from ..core.pem import PlainTradingEngine
 from ..core.protocols import PrivateTradingEngine, ProtocolConfig
@@ -50,6 +51,9 @@ from .metrics import (
     price_series,
     seller_utility_comparison,
 )
+
+if TYPE_CHECKING:
+    from ..chaos import FaultPlan
 
 __all__ = [
     "default_dataset",
@@ -82,6 +86,7 @@ __all__ = [
     "experiment_planner_execution",
     "experiment_planner_sweep",
     "sample_market_windows",
+    "spread_market_windows",
 ]
 
 #: Dataset seed used throughout the evaluation (arbitrary but fixed).
@@ -101,26 +106,40 @@ def _bench(**declaration):
     return field(metadata=declaration)
 
 
-@lru_cache(maxsize=8)
 def default_dataset(home_count: int = 300, window_count: int = FULL_DAY_WINDOWS,
                     seed: int = DEFAULT_SEED) -> TraceDataset:
-    """The synthetic Smart*-like dataset used by all experiments (cached)."""
+    """The synthetic Smart*-like dataset used by all experiments (cached).
+
+    A shared, read-only dataset: one per ``(home_count, window_count, seed)``
+    however the arguments are spelled.
+    """
+    return _dataset(home_count, window_count, seed)
+
+
+@lru_cache(maxsize=8)
+def _dataset(home_count: int, window_count: int, seed: int) -> TraceDataset:
     return generate_dataset(
         TraceConfig(home_count=home_count, window_count=window_count, seed=seed)
     )
 
 
-@lru_cache(maxsize=16)
 def run_plain_day(
     home_count: int = 200,
     window_count: int = FULL_DAY_WINDOWS,
     seed: int = DEFAULT_SEED,
 ) -> TradingDayResult:
-    """Run the plaintext engine over a full day (cached across experiments)."""
-    dataset = default_dataset(max(home_count, 300) if home_count <= 300 else home_count,
-                              window_count, seed)
-    engine = PlainTradingEngine(PAPER_PARAMETERS)
-    return engine.run_day(dataset, home_count=home_count)
+    """Run the plaintext engine over a full day (cached across experiments).
+
+    A shared, read-only result: one per ``(home_count, window_count, seed)``
+    however the arguments are spelled.
+    """
+    return _plain_day(home_count, window_count, seed)
+
+
+@lru_cache(maxsize=16)
+def _plain_day(home_count: int, window_count: int, seed: int) -> TradingDayResult:
+    dataset = default_dataset(max(home_count, 300), window_count, seed)
+    return PlainTradingEngine(PAPER_PARAMETERS).run_day(dataset, home_count=home_count)
 
 
 # ---------------------------------------------------------------------------
@@ -200,33 +219,65 @@ def experiment_fig6d_grid_interaction(
 # ---------------------------------------------------------------------------
 
 
-def sample_market_windows(
-    dataset: TraceDataset,
-    home_count: int,
-    sample_count: int,
-    require_market: bool = True,
-) -> List[int]:
-    """Pick ``sample_count`` windows spread across the day.
+def spread_market_windows(day: TradingDayResult, sample_count: int) -> List[int]:
+    """``sample_count`` of ``day``'s market windows, spread evenly across it.
 
-    When ``require_market`` is set, only windows in which a PEM market forms
-    are eligible (the protocol has nothing to do otherwise); the plaintext
-    engine is used to find them cheaply.  ``sample_count`` must be at
-    least 1.
+    Only windows in which a PEM market forms are eligible (the protocol has
+    nothing to do otherwise); all of them when there are no more than
+    ``sample_count``.  ``sample_count`` must be at least 1.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count}")
-    day = PlainTradingEngine(PAPER_PARAMETERS).run_day(dataset, home_count=home_count)
-    eligible = [
-        w.window
-        for w in day.windows
-        if not require_market or w.case.value != "no_market"
-    ]
-    if not eligible:
-        return []
+    eligible = [w.window for w in day.windows if w.case is not MarketCase.NO_MARKET]
     if len(eligible) <= sample_count:
         return eligible
     step = len(eligible) / sample_count
     return [eligible[int(i * step)] for i in range(sample_count)]
+
+
+def sample_market_windows(
+    dataset: TraceDataset, home_count: int, sample_count: int
+) -> List[int]:
+    """Pick ``sample_count`` market windows of ``dataset`` spread across the day.
+
+    The plaintext engine finds them cheaply over the first ``home_count``
+    homes; see :func:`spread_market_windows`.
+    """
+    day = PlainTradingEngine(PAPER_PARAMETERS).run_day(dataset, home_count=home_count)
+    return spread_market_windows(day, sample_count)
+
+
+def _sampled_market_day(
+    home_count: int, sample_count: int, window_count: int, seed: int
+) -> Tuple[TraceDataset, List[int]]:
+    """The experiments' dataset and ``sample_count`` of its market windows.
+
+    The windows are read off the cached :func:`run_plain_day`, so every
+    experiment over the same homes shares one plaintext day.
+    """
+    dataset = default_dataset(max(home_count, 300), window_count, seed)
+    day = run_plain_day(home_count, window_count, seed)
+    return dataset, spread_market_windows(day, sample_count)
+
+
+def _frame_fault_plan(chaos_seed: int, windows: Sequence[int]) -> "FaultPlan":
+    """The seeded frame-fault plan of the chaos and pipelining experiments.
+
+    Rates are chosen so a small sampled day sees a handful of faults; the
+    first window's pools are drained so the fallback paths run.
+    """
+    from ..chaos import FaultPlan, PoolDrain
+
+    return FaultPlan(
+        seed=chaos_seed,
+        drop_rate=0.01,
+        reorder_rate=0.005,
+        duplicate_rate=0.005,
+        corrupt_rate=0.01,
+        max_faults_per_window=2,
+        max_attempts=4,
+        pool_drains=(PoolDrain(window=windows[0]),) if windows else (),
+    )
 
 
 @dataclass(frozen=True)
@@ -283,9 +334,8 @@ def experiment_fig5_runtime(
             only the host wall-clock changes).
     """
     observations: List[RuntimeObservation] = []
-    dataset = default_dataset(max(max(home_counts), 300), window_count, seed)
     for home_count in home_counts:
-        windows = sample_market_windows(dataset, home_count, sample_count)
+        dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
         for key_size in key_sizes:
             engine = PrivateTradingEngine(
                 params=PAPER_PARAMETERS,
@@ -389,8 +439,7 @@ def experiment_parallel_day(
             cost_model=CostModel.for_key_size(key_size),
         )
 
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
+    dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
     # Like with like: the once-per-process base OTs (~0.6 s at kappa 128)
     # happen before either wall is timed.  Left lazy, a cold process would
     # charge them to the serial side only — the sharded side's workers
@@ -620,8 +669,7 @@ def experiment_topology_shard_invariance(
             cost_model=CostModel.for_key_size(key_size),
         )
 
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
+    dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
     results: Dict[str, TopologyShardInvariance] = {}
     for topology in topologies:
         baseline = build_engine(topology).run_windows_report(
@@ -730,8 +778,7 @@ def experiment_session_reuse(
             cost_model=CostModel.for_key_size(key_size),
         )
 
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
+    dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
 
     window_scope = build_engine("window").run_windows_report(
         dataset, windows, home_count=home_count, workers=1
@@ -815,11 +862,12 @@ def experiment_table1_bandwidth(
     flat rows of Table I).
     """
     samples_per_key_size = samples_per_key_size or {512: 3, 1024: 2, 2048: 1}
-    dataset = default_dataset(max(home_count, 300), FULL_DAY_WINDOWS, seed)
     observations: List[BandwidthObservation] = []
     for key_size in key_sizes:
         sample_count = samples_per_key_size.get(key_size, 2)
-        windows = sample_market_windows(dataset, home_count, sample_count)
+        dataset, windows = _sampled_market_day(
+            home_count, sample_count, FULL_DAY_WINDOWS, seed
+        )
         engine = PrivateTradingEngine(
             params=PAPER_PARAMETERS,
             config=ProtocolConfig(key_size=key_size, key_pool_size=2, seed=7),
@@ -942,7 +990,7 @@ def experiment_chaos_matrix(
     supervisor must abort with an attributable ``integrity_violation``,
     never return a result.  See ``docs/CHAOS.md``.
     """
-    from ..chaos import FaultPlan, GcTamper, PoolDrain
+    from ..chaos import FaultPlan, GcTamper
     from ..runtime.supervisor import WindowAbortError
     from dataclasses import replace as dc_replace
 
@@ -960,19 +1008,9 @@ def experiment_chaos_matrix(
             cost_model=CostModel.for_key_size(key_size),
         )
 
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
+    dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
 
-    base_plan = FaultPlan(
-        seed=chaos_seed,
-        drop_rate=0.01,
-        reorder_rate=0.005,
-        duplicate_rate=0.005,
-        corrupt_rate=0.01,
-        max_faults_per_window=2,
-        max_attempts=4,
-        pool_drains=(PoolDrain(window=windows[0]),) if windows else (),
-    )
+    base_plan = _frame_fault_plan(chaos_seed, windows)
 
     baselines = {
         scope: build_engine(scope, "local").run_windows_report(
@@ -1150,8 +1188,6 @@ def experiment_window_pipelining(
     (offline and online clocks), so it is read off the *baseline* report —
     any of the bit-identical runs would give the same number.
     """
-    from ..chaos import FaultPlan, PoolDrain
-
     def build_engine(
         transport: str = "local", topology: str = "chain", fault_plan=None
     ) -> PrivateTradingEngine:
@@ -1169,8 +1205,7 @@ def experiment_window_pipelining(
             cost_model=CostModel.for_wan_profile(key_size),
         )
 
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
+    dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
 
     baseline = build_engine().run_windows_report(
         dataset, windows, home_count=home_count, workers=1
@@ -1199,17 +1234,7 @@ def experiment_window_pipelining(
     )
     tree_identical = tree_baseline.identical_to(tree_pipelined)
 
-    chaos_plan = FaultPlan(
-        seed=chaos_seed,
-        drop_rate=0.01,
-        reorder_rate=0.005,
-        duplicate_rate=0.005,
-        corrupt_rate=0.01,
-        max_faults_per_window=2,
-        max_attempts=4,
-        pool_drains=(PoolDrain(window=windows[0]),) if windows else (),
-    )
-    chaos = build_engine(fault_plan=chaos_plan).run_windows_report(
+    chaos = build_engine(fault_plan=_frame_fault_plan(chaos_seed, windows)).run_windows_report(
         dataset, windows, home_count=home_count, workers=2, pipeline=True
     )
 
@@ -1323,8 +1348,7 @@ def experiment_planner_execution(
     economically window by window and reports both day clocks (the
     pipelined one for a pipelined plan).
     """
-    dataset = default_dataset(max(home_count, 300), window_count, seed)
-    windows = sample_market_windows(dataset, home_count, sample_count)
+    dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
 
     def run(candidate):
         return _planner_engine(spec, candidate, crypto_key_size).run_windows_report(

@@ -124,5 +124,3 @@ class Block:
         )
         return hashlib.sha256(header.encode()).hexdigest()
 
-    def contains(self, transaction_id: str) -> bool:
-        return any(tx.transaction_id() == transaction_id for tx in self.transactions)

@@ -101,7 +101,3 @@ class ConsortiumChain:
             if tx.buyer_id == agent_id:
                 balance -= tx.payment
         return balance
-
-    def energy_delivered_to(self, agent_id: str) -> float:
-        """Total energy recorded as delivered to an agent (kWh)."""
-        return sum(tx.energy_kwh for tx in self.all_transactions() if tx.buyer_id == agent_id)

@@ -109,6 +109,3 @@ class SettlementContract:
             if block is not None:
                 blocks.append(block)
         return blocks
-
-    def settled_windows(self) -> Set[int]:
-        return set(self._settled_windows)

@@ -195,18 +195,6 @@ class FaultPlan:
 
     # -- introspection -----------------------------------------------------------
 
-    @property
-    def is_idle(self) -> bool:
-        """True when the plan injects nothing (a zero-fault plan)."""
-        return (
-            self.drop_rate == 0.0
-            and self.reorder_rate == 0.0
-            and self.duplicate_rate == 0.0
-            and self.corrupt_rate == 0.0
-            and not self.pool_drains
-            and not self.tampers
-            and not self.kill_shards
-        )
 
     # -- decisions ---------------------------------------------------------------
 

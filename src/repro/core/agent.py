@@ -195,10 +195,6 @@ class SmartHomeAgent:
         )
         self.state_of_charge_kwh = profile.battery_capacity_kwh * initial_charge_fraction
 
-    @property
-    def agent_id(self) -> str:
-        return self.profile.home_id
-
     def observe_window(
         self, window: int, generation_kwh: float, load_kwh: float
     ) -> AgentWindowState:

@@ -31,14 +31,6 @@ class GridOnlyOutcome:
     #: total energy flowing through the grid connection (kWh): exports + imports.
     grid_interaction_kwh: float = 0.0
 
-    @property
-    def buyer_total_cost(self) -> float:
-        return sum(self.buyer_cost.values())
-
-    @property
-    def seller_total_revenue(self) -> float:
-        return sum(self.seller_revenue.values())
-
 
 def grid_only_window(coalitions: Coalitions, params: MarketParameters) -> GridOnlyOutcome:
     """Compute the grid-only baseline for one trading window.

@@ -11,7 +11,7 @@ roles.  The coalition object also exposes the aggregate market supply
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from .agent import AgentRole, AgentWindowState
 
@@ -74,30 +74,6 @@ class Coalitions:
     def has_market(self) -> bool:
         """A trade can only happen when both coalitions are non-empty."""
         return self.has_sellers and self.has_buyers
-
-    def seller_state(self, agent_id: str) -> AgentWindowState:
-        return self._find(self.sellers, agent_id)
-
-    def buyer_state(self, agent_id: str) -> AgentWindowState:
-        return self._find(self.buyers, agent_id)
-
-    @staticmethod
-    def _find(states: List[AgentWindowState], agent_id: str) -> AgentWindowState:
-        for state in states:
-            if state.agent_id == agent_id:
-                return state
-        raise KeyError(f"agent {agent_id!r} not in this coalition")
-
-    def summary(self) -> Dict[str, float]:
-        """Small plain-dict summary used by reports and tests."""
-        return {
-            "window": self.window,
-            "sellers": len(self.sellers),
-            "buyers": len(self.buyers),
-            "off_market": len(self.off_market),
-            "supply_kwh": self.market_supply_kwh,
-            "demand_kwh": self.market_demand_kwh,
-        }
 
 
 def form_coalitions(window: int, states: Iterable[AgentWindowState]) -> Coalitions:

@@ -409,7 +409,6 @@ class ProtocolContext:
 
         self.sellers: List[AgentRuntime] = []
         self.buyers: List[AgentRuntime] = []
-        self._by_id: Dict[str, AgentRuntime] = {}
         self._register_agents()
         if config.use_randomizer_pools:
             self.warm_pools()
@@ -436,7 +435,6 @@ class ProtocolContext:
                 keypair=self.keyring.keypair_for(party_id),
                 nonce=self.rng.getrandbits(NONCE_BITS),
             )
-            self._by_id[party_id] = runtime
             if party_id in seller_ids:
                 self.sellers.append(runtime)
             else:
@@ -536,8 +534,6 @@ class ProtocolContext:
 
     # -- lookup ------------------------------------------------------------------
 
-    def runtime(self, agent_id: str) -> AgentRuntime:
-        return self._by_id[agent_id]
 
     @property
     def all_agents(self) -> List[AgentRuntime]:

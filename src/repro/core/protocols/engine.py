@@ -65,7 +65,7 @@ from ..pem import (
     build_agents,
     states_for_window,
 )
-from ..results import TradingDayResult, WindowResult
+from ..results import WindowResult
 from .context import KeyRing, ProtocolConfig, ProtocolContext
 from .distribution import run_private_distribution
 from .market_evaluation import run_market_evaluation
@@ -607,32 +607,3 @@ class PrivateTradingEngine:
             battery_policy=battery_policy,
             reuse_network=reuse_network,
         )
-
-    def run_day(
-        self,
-        dataset: TraceDataset,
-        home_count: Optional[int] = None,
-        windows: Optional[Iterable[int]] = None,
-        battery_policy: Optional[BatteryPolicy] = None,
-        workers: int = 1,
-    ) -> TradingDayResult:
-        """Run selected (default: all) windows and return a TradingDayResult.
-
-        Mirrors :meth:`repro.core.pem.PlainTradingEngine.run_day` so the two
-        engines are drop-in replacements for each other in the experiment
-        runner; ``workers`` shards the day across processes.
-        """
-        window_indices = (
-            list(windows) if windows is not None else list(range(dataset.window_count))
-        )
-        traces = self.run_windows(
-            dataset,
-            window_indices,
-            home_count=home_count,
-            battery_policy=battery_policy,
-            workers=workers,
-        )
-        day = TradingDayResult()
-        for trace in traces:
-            day.append(trace.result)
-        return day

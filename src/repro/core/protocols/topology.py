@@ -99,8 +99,8 @@ class AggregationSchedule:
 
         Each layer costs one message time (its hops are concurrent); the
         trailing ``+ 1`` is the delivery of the root's product to its
-        consumer.  For the chain this equals ``contributor_count``, exactly
-        what the seed's ``chain_cost`` charged.
+        consumer.  For the chain this equals ``contributor_count``: one
+        sequential message time per contributor.
         """
         return len(self.layers) + 1
 
@@ -136,10 +136,6 @@ class AggregationTopology:
     def schedule(self, contributor_count: int) -> AggregationSchedule:
         raise NotImplementedError
 
-    def critical_path_depth(self, contributor_count: int) -> int:
-        """Depth without building the full schedule (cost-model queries)."""
-        return self.schedule(contributor_count).critical_path_depth
-
 
 class ChainTopology(AggregationTopology):
     """The paper's serial chain: contributor ``i`` forwards to ``i + 1``.
@@ -161,9 +157,6 @@ class ChainTopology(AggregationTopology):
             layers=layers,
             root=max(contributor_count - 1, 0),
         )
-
-    def critical_path_depth(self, contributor_count: int) -> int:
-        return max(contributor_count, 1)
 
 
 class TreeTopology(AggregationTopology):
@@ -203,17 +196,6 @@ class TreeTopology(AggregationTopology):
             layers=tuple(layers),
             root=active[0] if active else 0,
         )
-
-    def critical_path_depth(self, contributor_count: int) -> int:
-        # Integer ceil-division per layer: float math.log overestimates at
-        # exact arity powers (math.log(125, 5) > 3.0), which would charge
-        # one spurious message time per aggregation.
-        depth = 1  # the delivery hop
-        remaining = max(contributor_count, 1)
-        while remaining > 1:
-            remaining = -(-remaining // self.arity)
-            depth += 1
-        return depth
 
 
 #: Topology names accepted by :func:`resolve_topology` (``tree:<k>`` for

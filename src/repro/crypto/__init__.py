@@ -45,7 +45,7 @@ from .paillier import (
     generate_keypair,
     homomorphic_sum,
 )
-from .primes import generate_prime, generate_safe_prime, is_probable_prime
+from .primes import generate_prime, is_probable_prime
 from .secure_comparison import (
     SecureComparisonResult,
     prepared_greater_than,
@@ -71,7 +71,6 @@ __all__ = [
     "generate_keypair",
     "homomorphic_sum",
     "generate_prime",
-    "generate_safe_prime",
     "is_probable_prime",
     "SecureComparisonResult",
     "secure_greater_than",

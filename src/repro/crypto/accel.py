@@ -304,9 +304,6 @@ class RandomizerPool:
         #: pipelining) — unaccounted wall-clock work.
         self.reserved = 0
 
-    def __len__(self) -> int:
-        return len(self._pool)
-
     @property
     def available(self) -> int:
         """Number of precomputed obfuscators currently in the pool."""

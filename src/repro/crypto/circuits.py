@@ -209,15 +209,6 @@ class Circuit:
         """Number of AND/OR gates (the expensive ones under garbling)."""
         return self.program.and_gate_count
 
-    def gate_histogram(self) -> Dict[str, int]:
-        """Gate counts by type, e.g. ``{"AND": 10, "XOR": 7, "NOT": 12}``.
-
-        Used by the bench to *measure* the free-XOR claim (what fraction of
-        the comparator is XOR-family and therefore table-free under
-        half-gates) instead of asserting it.
-        """
-        return dict(self.program.histogram)
-
 
 class CircuitBuilder:
     """Incrementally build a :class:`Circuit`.

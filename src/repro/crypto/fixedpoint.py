@@ -48,15 +48,3 @@ class FixedPointCodec:
     def decode(self, encoded: int) -> float:
         """Decode a scaled integer back to a float."""
         return encoded / self.scale
-
-    def encode_many(self, values) -> list[int]:
-        """Encode an iterable of reals."""
-        return [self.encode(v) for v in values]
-
-    def decode_many(self, encoded) -> list[float]:
-        """Decode an iterable of scaled integers."""
-        return [self.decode(e) for e in encoded]
-
-    def resolution(self) -> float:
-        """Smallest representable increment."""
-        return 1.0 / self.scale

@@ -262,9 +262,6 @@ class ComparisonPool:
         #: protocol layer charges ``kappa`` base OTs per session.
         self.sessions_started = 0
 
-    def __len__(self) -> int:
-        return len(self._pool)
-
     @property
     def available(self) -> int:
         """Prepared comparisons currently in the accounted pool."""

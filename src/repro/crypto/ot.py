@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .bigint import powmod
-from .primes import generate_safe_prime, is_probable_prime
+from .primes import is_probable_prime
 
 __all__ = [
     "OTGroup",
@@ -68,7 +68,7 @@ class OTError(Exception):
 
 # A fixed 512-bit safe-prime group used by default so that unit tests and the
 # PEM protocols do not pay safe-prime generation cost on every comparison.
-# (Generated once with generate_safe_prime(512); primality is asserted below.)
+# (Generated once as a 512-bit safe prime; primality is checked on first use.)
 _DEFAULT_P = int(
     "0xfb24ffe35ec891c4f28df4a929fcbb232d8a5b47afa66a507b2077d9c1c9a8af"
     "5edcf65d5b1f18a811162f86d89304d1a4d943f512717cea423bf0bad1af6f97",
@@ -79,19 +79,14 @@ _DEFAULT_P = int(
 def _find_default_group() -> Tuple[int, int, int]:
     """Return (p, q, g) for the default OT group.
 
-    The hard-coded constant above is validated; if it is not a safe prime
-    (e.g. because of transcription), a fresh 256-bit safe prime is generated
-    as a fallback so the module always works.
+    The hard-coded constant above is validated: a modulus that is not a
+    safe prime (e.g. because of transcription) raises rather than running
+    the transfers in a group without a prime-order subgroup.
     """
     p = _DEFAULT_P
     q = (p - 1) // 2
     if not (is_probable_prime(p) and is_probable_prime(q)):
-        # staticcheck: ignore[csprng-default] -- group parameters (p, q, g)
-        # are public protocol constants, not secret material: every party
-        # must derive the *same* fallback group, so the draw is seeded.
-        rng = random.Random(0xC0FFEE)
-        p = generate_safe_prime(256, rng)
-        q = (p - 1) // 2
+        raise RuntimeError("the default OT modulus is not a safe prime")
     # 4 = 2^2 is always a quadratic residue, hence a generator of the order-q subgroup.
     g = 4
     return p, q, g
@@ -122,12 +117,6 @@ class OTGroup:
             _DEFAULT_GROUP_CACHE = _find_default_group()
         p, q, g = _DEFAULT_GROUP_CACHE
         return cls(p=p, q=q, g=g)
-
-    @classmethod
-    def generate(cls, bits: int = 256, rng: Optional[random.Random] = None) -> "OTGroup":
-        """Generate a fresh group with a ``bits``-bit safe prime."""
-        p = generate_safe_prime(bits, rng)
-        return cls(p=p, q=(p - 1) // 2, g=4)
 
     @property
     def element_len(self) -> int:

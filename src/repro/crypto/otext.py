@@ -70,7 +70,6 @@ __all__ = [
     "BaseOTCorrelation",
     "PreparedOTBatch",
     "establish_correlation",
-    "correlation_wire_bytes",
     "session_wire_bytes",
     "derive_batch",
     "shared_correlation",
@@ -218,11 +217,6 @@ def session_wire_bytes(kappa: int, group: Optional[OTGroup] = None) -> Tuple[int
     """
     base_sender, base_receiver = batch_wire_bytes(kappa, SEED_BYTES, group)
     return base_receiver, base_sender
-
-
-def correlation_wire_bytes(kappa: int, group: Optional[OTGroup] = None) -> int:
-    """Deterministic wire size of a ``kappa``-base-OT session, both sides."""
-    return sum(session_wire_bytes(kappa, group))
 
 
 @dataclass

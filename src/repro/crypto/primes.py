@@ -1,11 +1,11 @@
 """Prime number generation and primality testing.
 
-The Paillier cryptosystem (:mod:`repro.crypto.paillier`) and the oblivious
-transfer group setup (:mod:`repro.crypto.ot`) both need large random primes.
-This module provides a deterministic Miller--Rabin primality test for small
-inputs, a probabilistic Miller--Rabin test for large inputs, and random prime
-generation with a caller-supplied random source so that key generation can be
-made reproducible in tests.
+The Paillier cryptosystem (:mod:`repro.crypto.paillier`) needs large random
+primes, and the oblivious transfer group setup (:mod:`repro.crypto.ot`) checks
+that its fixed modulus is a safe prime.  This module provides a deterministic
+Miller--Rabin primality test for small inputs, a probabilistic Miller--Rabin
+test for large inputs, and random prime generation with a caller-supplied
+random source so that key generation can be made reproducible in tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .bigint import powmod
 __all__ = [
     "is_probable_prime",
     "generate_prime",
-    "generate_safe_prime",
     "SMALL_PRIMES",
 ]
 
@@ -115,30 +114,3 @@ def generate_prime(bits: int, rng: Optional[random.Random] = None) -> int:
         candidate |= (1 << (bits - 1)) | (1 << (bits - 2)) | 1
         if is_probable_prime(candidate, rng=rng):
             return candidate
-
-
-def generate_safe_prime(bits: int, rng: Optional[random.Random] = None) -> int:
-    """Generate a safe prime ``p = 2q + 1`` with ``q`` prime.
-
-    Safe primes give a prime-order subgroup for the Diffie--Hellman based
-    oblivious transfer.  Because safe-prime generation is slow, callers that
-    only need tests to run quickly should use small bit sizes (e.g. 128).
-
-    Args:
-        bits: bit length of the safe prime ``p``.
-        rng: optional random source.
-
-    Returns:
-        a safe prime of the requested bit length.
-    """
-    if bits < 16:
-        raise ValueError(f"safe prime bit length must be >= 16, got {bits}")
-    rng = rng or random.SystemRandom()
-    while True:
-        q = generate_prime(bits - 1, rng)
-        p = 2 * q + 1
-        # The caller's rng is threaded through so a seeded run stays fully
-        # reproducible and never touches the module-level generator.
-        if p.bit_length() == bits and is_probable_prime(p, rng=rng):
-            return p
-

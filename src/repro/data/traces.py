@@ -127,23 +127,6 @@ class TraceDataset:
     def window_count(self) -> int:
         return self.config.window_count
 
-    def window_hour(self, window: int) -> float:
-        """Hour-of-day (e.g. 12.5 = 12:30 PM) at which a window starts."""
-        return TRADING_START_HOUR + window / 60.0
-
-    def subset(self, home_count: int) -> "TraceDataset":
-        """Return a dataset restricted to the first ``home_count`` homes."""
-        if home_count > self.home_count:
-            raise ValueError(
-                f"requested {home_count} homes but dataset has {self.home_count}"
-            )
-        return TraceDataset(config=self.config, homes=self.homes[:home_count])
-
-    def total_generation(self, window: int) -> float:
-        return float(sum(h.generation_kwh[window] for h in self.homes))
-
-    def total_load(self, window: int) -> float:
-        return float(sum(h.load_kwh[window] for h in self.homes))
 
 
 def _solar_shape(hour: float) -> float:

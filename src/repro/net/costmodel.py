@@ -31,7 +31,7 @@ Communication is charged with a *latency-hiding* model: hops that are
 independent of each other (one layer of an aggregation-topology schedule,
 a broadcast, the pairwise routing round) cost the ``max`` over the layer's
 hops — one message time — while layers themselves are sequential
-(:meth:`CostModel.layered_aggregation_cost` / :meth:`CostModel.layered_cost`).
+(:meth:`CostModel.layered_aggregation_cost`).
 The serial chain is the degenerate one-hop-per-layer case; tree topologies
 (:mod:`repro.core.protocols.topology`) cut the aggregation critical path
 from O(n) to O(log n) layers without changing a byte on the wire.
@@ -228,20 +228,6 @@ class CostModel:
         """Cost of ``count`` homomorphic ciphertext multiplications."""
         return count * self.crypto.homomorphic_op_seconds
 
-    def message_cost(self, size_bytes: int) -> float:
-        """Cost of transmitting one message."""
-        return self.network.message_seconds(size_bytes)
-
-    def chain_cost(self, hop_count: int, bytes_per_hop: int) -> float:
-        """Critical-path cost of a sequential chain of ``hop_count`` messages.
-
-        The serial chain topology is inherently sequential: each agent must
-        receive the running ciphertext before it can fold in its own
-        contribution and forward it.  Equivalent to
-        :meth:`layered_aggregation_cost` with one hop per layer.
-        """
-        return hop_count * self.network.message_seconds(bytes_per_hop)
-
     def layered_aggregation_cost(self, depth: int, bytes_per_hop: int) -> float:
         """Critical-path cost of a layered (latency-hiding) aggregation.
 
@@ -250,28 +236,12 @@ class CostModel:
         ``max`` over its hops — one message time when hops carry equally
         sized ciphertexts — rather than their sum.  ``depth`` is the
         schedule's critical-path depth (merge layers plus the delivery
-        hop); a chain of ``n`` contributors has depth ``n`` and this
-        degenerates to :meth:`chain_cost`, a k-ary tree has depth
+        hop); a chain of ``n`` contributors has depth ``n`` and is charged
+        ``n`` sequential message times, a k-ary tree has depth
         ``ceil(log_k n) + 1`` — the O(n / log n) online win the tree
         topologies exist for.
         """
         return depth * self.network.message_seconds(bytes_per_hop)
-
-    def layered_cost(self, layer_hop_bytes) -> float:
-        """General latency-hiding cost: ``sum over layers of max over hops``.
-
-        ``layer_hop_bytes`` is an iterable of layers, each an iterable of
-        per-hop byte sizes.  Layers execute sequentially; hops within a
-        layer concurrently, so each layer costs its slowest hop.  Used when
-        hop sizes differ; the uniform-ciphertext case is the cheaper
-        :meth:`layered_aggregation_cost`.
-        """
-        total = 0.0
-        for layer in layer_hop_bytes:
-            sizes = list(layer)
-            if sizes:
-                total += max(self.network.message_seconds(size) for size in sizes)
-        return total
 
     def round_cost(self, bytes_per_message: int) -> float:
         """Critical-path cost of one *parallel* communication round.
@@ -352,10 +322,10 @@ def pipelined_day_cost(phases: Sequence[Tuple[float, float]]) -> float:
     W's online phase runs (day-scoped sessions keep the material valid
     across the boundary), so each pipeline slot is charged
     ``max(online_W, offline_W+1)`` instead of their sum — the same
-    sum-of-max shape :meth:`CostModel.layered_cost` uses for concurrent
-    hops within a tree layer.  The edges stay serial: the first window's
-    offline phase has nothing to hide behind, and the last window's online
-    phase nothing left to hide.
+    sum-of-max shape :meth:`CostModel.layered_aggregation_cost` charges
+    for concurrent hops within a tree layer.  The edges stay serial: the
+    first window's offline phase has nothing to hide behind, and the last
+    window's online phase nothing left to hide.
 
     ``phases`` is one ``(offline_seconds, online_seconds)`` pair per window
     in execution order; the result is never larger than

@@ -279,8 +279,6 @@ class Message:
                 )
         return cls(sender, recipient, kind, frame[payload_start:], metadata, message_id)
 
-    def is_broadcast(self) -> bool:
-        return self.recipient == "*"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

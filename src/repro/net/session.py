@@ -167,16 +167,3 @@ class SessionManager:
         )
         self._sessions[key] = record
         return SessionLease(record=record, fresh=True, counts_as_established=accounted)
-
-    # -- introspection -----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    def session(self, a: str, b: str) -> Optional[SessionRecord]:
-        return self._sessions.get(_pair_key(a, b))
-
-    @property
-    def established_count(self) -> int:
-        """Sessions this process accounted as established."""
-        return sum(1 for record in self._sessions.values() if record.accounted)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict
 
 __all__ = ["PartyTraffic", "TrafficStats"]
 
@@ -164,19 +164,6 @@ class TrafficStats:
         self.sessions_established += other.sessions_established
         self.sessions_reused += other.sessions_reused
         self.pipeline_overlap_seconds += other.pipeline_overlap_seconds
-
-    def average_bytes_per_party(self, parties: Iterable[str] | None = None) -> float:
-        """Average total traffic (sent + received) across parties, in bytes.
-
-        Args:
-            parties: restrict the average to these party ids; default is all
-                parties that appear in the counters.
-        """
-        ids = list(parties) if parties is not None else list(self.per_party)
-        if not ids:
-            return 0.0
-        total = sum(self.per_party[p].total_bytes for p in ids if p in self.per_party)
-        return total / len(ids)
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """Return a plain-dict snapshot (for reporting / JSON output)."""

@@ -26,9 +26,10 @@ Two planner-level refinements make the search axes *real tradeoffs*
 rather than foregone conclusions:
 
 * **fan-in bandwidth** — a merge layer of a ``tree:k`` schedule hides
-  *latency* across its concurrent hops (the engine's ``layered_cost``
-  model) but the ``k`` child ciphertexts still serialize on the parent's
-  ingress link, so a layer is charged ``latency + k * bytes / bandwidth``.
+  *latency* across its concurrent hops (the engine's
+  ``layered_aggregation_cost`` model) but the ``k`` child ciphertexts still
+  serialize on the parent's ingress link, so a layer is charged
+  ``latency + k * bytes / bandwidth``.
   Higher arity buys fewer layers at the price of wider layers; the optimal
   arity depends on the link's latency/bandwidth ratio.
 * **shard dispatch** — fanning a day out to ``w`` workers ships each

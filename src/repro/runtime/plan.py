@@ -135,13 +135,6 @@ class ExecutionPlan:
             shards = tuple(shards_list)
         return cls(shards=shards, strategy=strategy, pipeline=pipeline)
 
-    def shard_for(self, window: int) -> int:
-        """Index of the shard that executes ``window`` (ValueError if absent)."""
-        for index, shard in enumerate(self.shards):
-            if window in shard:
-                return index
-        raise ValueError(f"window {window} is not part of this plan")
-
     def describe(self) -> str:
         """One-line human-readable summary (used by examples/benchmarks)."""
         sizes = ", ".join(str(len(shard)) for shard in self.shards)

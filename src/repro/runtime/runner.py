@@ -349,7 +349,7 @@ class RunReport:
         ``offline_0 + sum(max(online_i, offline_i+1)) + online_last``
         (:func:`repro.net.costmodel.pipelined_day_cost`): each pipeline
         slot is charged the max of the two overlapped phases instead of
-        their sum, mirroring ``layered_cost``.
+        their sum, as ``layered_aggregation_cost`` charges a tree layer.
         """
         per_shard = self.shard_phase_seconds()
         return max((pipelined_day_cost(phases) for phases in per_shard), default=0.0)

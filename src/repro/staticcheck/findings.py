@@ -43,16 +43,6 @@ class Finding:
             "snippet": self.snippet,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            rule=str(payload["rule"]),
-            message=str(payload["message"]),
-            snippet=str(payload["snippet"]),
-        )
-
     def render(self) -> str:
         """The CLI's one-finding format: ``path:line: [rule] message``."""
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}\n    {self.snippet}"

@@ -1,8 +1,14 @@
 """Tests for the experiment runners (small configurations for speed)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.experiments import (
+    DEFAULT_SEED,
+    _frame_fault_plan,
+    _sampled_market_day,
+    default_dataset,
     experiment_fig4_coalitions,
     experiment_fig5_runtime,
     experiment_fig6a_price,
@@ -11,8 +17,12 @@ from repro.analysis.experiments import (
     experiment_fig6d_grid_interaction,
     experiment_session_reuse,
     experiment_table1_bandwidth,
+    run_plain_day,
     sample_market_windows,
+    spread_market_windows,
 )
+from repro.chaos import PoolDrain
+from repro.core.market import MarketCase
 from repro.core.params import PAPER_PARAMETERS
 from repro.core.pem import PlainTradingEngine
 from repro.data import TraceConfig, generate_dataset
@@ -73,12 +83,9 @@ def test_sample_market_windows_picks_only_market_windows(count):
     assert windows == sorted(set(windows))
 
 
-def test_sample_market_windows_without_market_requirement():
+def test_sample_market_windows_is_empty_without_a_market():
     dataset = generate_dataset(TraceConfig(home_count=1, window_count=40, seed=3))
     assert sample_market_windows(dataset, home_count=1, sample_count=4) == []
-    assert len(
-        sample_market_windows(dataset, home_count=1, sample_count=4, require_market=False)
-    ) == 4
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -86,6 +93,64 @@ def test_sample_market_windows_rejects_non_positive_counts(count):
     dataset = generate_dataset(TraceConfig(home_count=4, window_count=4, seed=3))
     with pytest.raises(ValueError, match="sample_count"):
         sample_market_windows(dataset, home_count=4, sample_count=count)
+
+
+def _day(cases):
+    """A trading day reduced to what the window choice reads: index and case."""
+    return SimpleNamespace(
+        windows=[SimpleNamespace(window=i, case=case) for i, case in enumerate(cases)]
+    )
+
+
+#: Twelve windows, a market in every odd one: eligible 1, 3, 5, 7, 9, 11.
+ALTERNATING = _day([MarketCase.NO_MARKET, MarketCase.GENERAL] * 5
+                   + [MarketCase.NO_MARKET, MarketCase.EXTREME])
+
+
+def test_spread_market_windows_skips_no_market_windows_and_spreads_evenly():
+    assert spread_market_windows(ALTERNATING, 1) == [1]
+    assert spread_market_windows(ALTERNATING, 3) == [1, 5, 9]
+    assert spread_market_windows(ALTERNATING, 4) == [1, 3, 7, 9]
+
+
+def test_spread_market_windows_returns_every_market_window_when_there_are_few():
+    for count in (6, 7, 100):
+        assert spread_market_windows(ALTERNATING, count) == [1, 3, 5, 7, 9, 11]
+    assert spread_market_windows(_day([MarketCase.NO_MARKET] * 5), 3) == []
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_spread_market_windows_rejects_non_positive_counts(count):
+    with pytest.raises(ValueError, match="sample_count"):
+        spread_market_windows(ALTERNATING, count)
+
+
+def test_default_dataset_is_cached_however_its_arguments_are_spelled():
+    first = default_dataset(300, WINDOWS)
+    assert default_dataset(300, WINDOWS, DEFAULT_SEED) is first
+    assert default_dataset(home_count=300, window_count=WINDOWS) is first
+
+
+def test_frame_fault_plan_drains_the_first_sampled_window_only():
+    plan = _frame_fault_plan(7, [3, 9])
+    assert plan.seed == 7
+    assert plan.pool_drains == (PoolDrain(window=3),)
+    idle = _frame_fault_plan(7, [])
+    assert idle.pool_drains == ()
+    assert idle.drop_rate == plan.drop_rate and idle.corrupt_rate == plan.corrupt_rate
+
+
+def test_run_plain_day_is_cached_however_its_arguments_are_spelled():
+    first = run_plain_day(12, WINDOWS)
+    assert run_plain_day(12, WINDOWS, DEFAULT_SEED) is first
+    assert run_plain_day(home_count=12, window_count=WINDOWS) is first
+
+
+def test_sampled_days_read_the_cached_plain_day():
+    dataset, windows = _sampled_market_day(12, 4, WINDOWS, DEFAULT_SEED)
+    assert dataset is default_dataset(300, WINDOWS, DEFAULT_SEED)
+    assert windows == spread_market_windows(run_plain_day(12, WINDOWS), 4)
+    assert windows == sample_market_windows(dataset, home_count=12, sample_count=4)
 
 
 def test_fig5_runtime_experiment_tiny():

@@ -57,13 +57,6 @@ def test_merkle_root_changes_with_contents():
     assert a.block_hash() != b.block_hash()
 
 
-def test_block_contains():
-    transaction = tx()
-    block = Block(index=1, previous_hash="x", proposer_id="v0", transactions=[transaction])
-    assert block.contains(transaction.transaction_id())
-    assert not block.contains("missing")
-
-
 # -- consensus --------------------------------------------------------------------
 
 
@@ -240,6 +233,5 @@ def test_balances_and_queries():
     chain.append_transactions([tx(window=2, seller="carol", buyer="alice", energy=0.5, price=90.0)])
     assert chain.balance_of("alice") == pytest.approx(100.0 - 45.0)
     assert chain.balance_of("bob") == pytest.approx(-100.0)
-    assert chain.energy_delivered_to("alice") == pytest.approx(0.5)
     assert len(chain.transactions_for_window(1)) == 1
     assert len(chain.all_transactions()) == 2

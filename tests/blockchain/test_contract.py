@@ -76,7 +76,8 @@ def test_settle_empty_window_returns_none():
     contract = make_contract()
     empty = MarketClearing(window=7, case=MarketCase.NO_MARKET, clearing_price=120.0)
     assert contract.settle_window(empty) is None
-    assert 7 in contract.settled_windows()
+    with pytest.raises(ContractViolation, match="already settled"):
+        contract.settle_window(empty)
 
 
 def test_balances_match_market_payments():
@@ -96,7 +97,9 @@ def test_settle_day_batches_multiple_windows():
     blocks = contract.settle_day([c3, c4])
     # Window 4 has no trades: settled but produces no block.
     assert len(blocks) == 1
-    assert contract.settled_windows() == {3, 4}
+    for clearing in (c3, c4):
+        with pytest.raises(ContractViolation, match="already settled"):
+            contract.settle_window(clearing)
 
 
 def test_settle_day_rejects_whole_batch_before_committing():
@@ -111,5 +114,7 @@ def test_settle_day_rejects_whole_batch_before_committing():
     with pytest.raises(ContractViolation):
         contract.settle_day([good, bad])
     # Nothing committed: the corrected batch can be retried cleanly.
-    assert contract.settled_windows() == set()
     assert contract.settle_day([good]) != []
+    assert contract.settle_window(
+        MarketClearing(window=9, case=MarketCase.NO_MARKET, clearing_price=120.0)
+    ) is None

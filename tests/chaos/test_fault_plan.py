@@ -75,8 +75,6 @@ def test_plan_validation():
         PoolDrain(window=0, pool="entropy")
     with pytest.raises(ValueError):
         GcTamper(window=0, target="everything")
-    assert FaultPlan().is_idle
-    assert not FaultPlan(tampers=(GcTamper(window=3),)).is_idle
 
 
 def test_plan_schedules_filter_by_window_and_attempt():

@@ -29,8 +29,7 @@ def test_seller_revenue_at_feed_in_price():
 def test_buyer_cost_at_retail_price():
     coalitions = form_coalitions(0, [state("s1", 0.5), state("b1", -0.2)])
     outcome = grid_only_window(coalitions, PAPER_PARAMETERS)
-    assert outcome.buyer_cost["b1"] == pytest.approx(120.0 * 0.2)
-    assert outcome.buyer_total_cost == pytest.approx(120.0 * 0.2)
+    assert outcome.buyer_cost == {"b1": pytest.approx(120.0 * 0.2)}
 
 
 def test_grid_interaction_counts_both_directions():
@@ -43,5 +42,4 @@ def test_empty_window():
     coalitions = form_coalitions(0, [])
     outcome = grid_only_window(coalitions, PAPER_PARAMETERS)
     assert outcome.grid_interaction_kwh == 0.0
-    assert outcome.buyer_total_cost == 0.0
-    assert outcome.seller_total_revenue == 0.0
+    assert outcome.buyer_cost == {} and outcome.seller_revenue == {}

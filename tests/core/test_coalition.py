@@ -59,23 +59,6 @@ def test_window_mismatch_rejected():
         form_coalitions(1, [make_state("s1", 0.3, window=0)])
 
 
-def test_lookup_helpers():
-    coalitions = form_coalitions(0, [make_state("s1", 0.3), make_state("b1", -0.2)])
-    assert coalitions.seller_state("s1").net_energy_kwh == pytest.approx(0.3)
-    assert coalitions.buyer_state("b1").net_energy_kwh == pytest.approx(-0.2)
-    with pytest.raises(KeyError):
-        coalitions.seller_state("b1")
-
-
-def test_summary():
-    coalitions = form_coalitions(3, [make_state("s1", 0.3, 3), make_state("b1", -0.2, 3)])
-    summary = coalitions.summary()
-    assert summary["window"] == 3
-    assert summary["sellers"] == 1
-    assert summary["buyers"] == 1
-    assert summary["supply_kwh"] == pytest.approx(0.3)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

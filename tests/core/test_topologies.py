@@ -74,12 +74,15 @@ def test_kary_tree_allows_shared_receiver_within_layer():
 )
 @settings(max_examples=60, deadline=None)
 def test_schedule_invariants_hold_for_random_shapes(count, arity):
-    for topology in (ChainTopology(), TreeTopology(arity)):
+    for topology, depth in (
+        (ChainTopology(), count),
+        (TreeTopology(arity), _expected_tree_depth(count, arity)),
+    ):
         schedule = topology.schedule(count)
         schedule.validate()
         # Bandwidth invariance: one merge hop per non-root contributor.
         assert schedule.merge_hop_count == count - 1
-        assert schedule.critical_path_depth == topology.critical_path_depth(count)
+        assert schedule.critical_path_depth == depth
 
 
 def _expected_tree_depth(count: int, arity: int) -> int:

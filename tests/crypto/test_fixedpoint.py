@@ -31,17 +31,6 @@ def test_encode_rounding():
     assert codec.encode(2.6) == 3
 
 
-def test_encode_many_decode_many():
-    codec = FixedPointCodec(precision=4)
-    values = [0.0, 1.5, -2.25, 100.0001]
-    assert codec.decode_many(codec.encode_many(values)) == pytest.approx(values, abs=1e-4)
-
-
-def test_resolution():
-    assert FixedPointCodec(precision=4).resolution() == pytest.approx(1e-4)
-    assert FixedPointCodec(precision=0).resolution() == 1.0
-
-
 def test_invalid_precision_rejected():
     with pytest.raises(ValueError):
         FixedPointCodec(precision=-1)

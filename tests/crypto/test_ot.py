@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import safe_prime_group
+from repro.crypto import ot as ot_module
 from repro.crypto.bigint import powmod
 from repro.crypto.circuits import build_greater_than_circuit, int_to_bits
 from repro.crypto.garbled import ROW_BYTES, garble_circuit, run_two_party_computation
@@ -23,7 +25,6 @@ from repro.crypto.ot import (
 from repro.crypto.otext import (
     DEFAULT_KAPPA,
     SEED_BYTES,
-    correlation_wire_bytes,
     establish_correlation,
     session_wire_bytes,
 )
@@ -126,9 +127,19 @@ def test_batch_transfer_length_mismatch():
         sender.respond(OTReceiver([0]).choose(sender.setup()))
 
 
+@pytest.mark.parametrize("modulus", [13, 15], ids=["composite_q", "composite_p"])
+def test_a_default_modulus_that_is_not_a_safe_prime_raises(monkeypatch, modulus):
+    # A transcription slip in the constant must stop the transfers, not run
+    # them in a group without a prime-order subgroup.
+    monkeypatch.setattr(ot_module, "_DEFAULT_P", modulus)
+    with pytest.raises(RuntimeError, match="not a safe prime"):
+        ot_module._find_default_group()
+
+
 def test_fresh_group_generation():
-    group = OTGroup.generate(bits=32, rng=random.Random(4))
+    group = safe_prime_group(32, random.Random(4))
     assert is_probable_prime(group.p)
+    assert is_probable_prime(group.q) and group.p == 2 * group.q + 1
     assert group.p.bit_length() == 32
 
 
@@ -137,7 +148,7 @@ def test_fresh_group_generation():
 
 def _seeded_transcript(seed: int):
     """Full wire transcript of a seeded 3-transfer batch + group generation."""
-    group = OTGroup.generate(bits=64, rng=random.Random(seed))
+    group = safe_prime_group(64, random.Random(seed))
     rng = random.Random(seed + 1)
     pairs = [(bytes([index] * 16), bytes([index + 7] * 16)) for index in range(3)]
     _, receiver, setup, pick, ciphertexts = _batch(pairs, [0, 1, 1], rng=rng, group=group)
@@ -170,10 +181,10 @@ def test_seeded_batch_transfer_is_reproducible():
 def test_seeded_path_leaves_module_rng_untouched():
     # Regression: primality testing used to fall back to the module-level
     # ``random`` generator for Miller--Rabin witnesses, so a seeded
-    # OTGroup.generate() perturbed global state other seeded code relies on.
+    # group generation perturbed global state other seeded code relies on.
     random.seed(1234)
     before = random.getstate()
-    OTGroup.generate(bits=64, rng=random.Random(5))
+    safe_prime_group(64, random.Random(5))
     run_oblivious_transfer(
         [(b"a" * 16, b"b" * 16)], [1], rng=random.Random(6), group=OTGroup.default()
     )
@@ -270,7 +281,7 @@ def test_the_receivers_view_does_not_open_the_unchosen_pad():
 def test_base_ot_bytes_equal_the_encoded_messages_side_by_side(kappa):
     group = OTGroup.default()
     correlation = establish_correlation(kappa)
-    assert correlation.base_ot_bytes == correlation_wire_bytes(kappa)
+    assert correlation.base_ot_bytes == sum(session_wire_bytes(kappa))
     seeds = [(bytes(SEED_BYTES), bytes([1]) * SEED_BYTES)] * kappa
     _, _, setup, choice, ciphertexts = _batch(seeds, [i % 2 for i in range(kappa)])
     sent_by_base_sender = len(setup.encode()) + len(ciphertexts.encode())
@@ -281,9 +292,9 @@ def test_base_ot_bytes_equal_the_encoded_messages_side_by_side(kappa):
         kappa * group.element_len,
         2 * group.element_len + 2 * kappa * SEED_BYTES,
     )
-    assert correlation_wire_bytes(kappa) == sent_by_base_sender + sent_by_base_receiver
+    assert correlation.base_ot_bytes == sent_by_base_sender + sent_by_base_receiver
     if kappa == 128:
-        assert correlation_wire_bytes(kappa) == 12_416
+        assert correlation.base_ot_bytes == 12_416
 
 
 def test_a_fresh_session_charges_each_side_what_it_sends():

@@ -122,7 +122,7 @@ def test_pooled_encrypt_edge_plaintexts(bits):
 def test_fixedpoint_roundtrip_within_resolution(value):
     codec = FixedPointCodec(precision=4)
     decoded = codec.decode(codec.encode(value))
-    assert abs(decoded - value) <= codec.resolution() / 2 + 1e-12
+    assert abs(decoded - value) <= 0.5 / codec.scale + 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +133,7 @@ def test_fixedpoint_roundtrip_within_resolution(value):
 def test_fixedpoint_addition_compatible_with_encoding(a, b):
     codec = FixedPointCodec(precision=4)
     encoded_sum = codec.encode(a) + codec.encode(b)
-    assert abs(codec.decode(encoded_sum) - (a + b)) <= codec.resolution() + 1e-12
+    assert abs(codec.decode(encoded_sum) - (a + b)) <= 1 / codec.scale + 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -151,4 +151,4 @@ def test_encrypted_fixedpoint_aggregation_matches_float_sum(values_list):
         ct = _KEYPAIR.public_key.encrypt(codec.encode(value))
         total = ct if total is None else total.add_ciphertext(ct)
     decrypted = codec.decode(_KEYPAIR.private_key.decrypt(total))
-    assert abs(decrypted - sum(values_list)) <= len(values_list) * codec.resolution()
+    assert abs(decrypted - sum(values_list)) <= len(values_list) * (1 / codec.scale)

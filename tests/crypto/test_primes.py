@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.crypto.primes import (
     SMALL_PRIMES,
     generate_prime,
-    generate_safe_prime,
     is_probable_prime,
 )
 
@@ -54,19 +53,6 @@ def test_generate_prime_rejects_tiny_sizes():
 
 def test_generate_prime_deterministic_with_seed():
     assert generate_prime(48, random.Random(5)) == generate_prime(48, random.Random(5))
-
-
-def test_generate_safe_prime_structure():
-    p = generate_safe_prime(48, random.Random(9))
-    q = (p - 1) // 2
-    assert is_probable_prime(p)
-    assert is_probable_prime(q)
-    assert p.bit_length() == 48
-
-
-def test_generate_safe_prime_rejects_tiny_sizes():
-    with pytest.raises(ValueError):
-        generate_safe_prime(8)
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import shared_correlation
+from helpers import safe_prime_group, shared_correlation
 from repro.crypto.circuits import build_greater_than_circuit, int_to_bits
 from repro.crypto.garbled import run_two_party_computation
 from repro.crypto.gc_pool import PreparedComparison
-from repro.crypto.ot import OTGroup
 from repro.crypto.secure_comparison import (
     SecureComparisonError,
     prepared_greater_than,
@@ -76,7 +75,7 @@ def test_secure_comparison_property(a, b):
 @lru_cache(maxsize=None)
 def _small_ot_group():
     """A 128-bit OT group: the inline path's public-key OTs, fast enough to run exhaustively."""
-    return OTGroup.generate(128, random.Random(1))
+    return safe_prime_group(128, random.Random(1))
 
 
 def _plain(bit_width, a, b, seed):
@@ -130,7 +129,7 @@ def test_comparator_at_protocol_widths(path, bit_width, data):
 @pytest.mark.parametrize("bit_width", [1, 2, 8, 16, 32, 63, 64])
 def test_comparator_spends_one_and_gate_per_bit(bit_width):
     circuit = build_greater_than_circuit(bit_width)
-    histogram = circuit.gate_histogram()
+    histogram = circuit.program.histogram
     assert circuit.and_gate_count == histogram["AND"] == bit_width
     assert histogram.get("XOR", 0) == 3 * (bit_width - 1)
     assert histogram["NOT"] == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import TraceConfig, generate_dataset
+from repro.data import TraceConfig, TraceDataset, generate_dataset
 from repro.data.loader import iter_windows, load_dataset_csv, save_dataset_csv
 
 
@@ -66,7 +66,7 @@ def test_iter_windows_rows_are_python_floats_equal_to_the_series(small_dataset):
 
 def test_iter_windows_over_an_empty_range_or_no_homes(small_dataset):
     assert list(iter_windows(small_dataset, start=7, stop=7)) == []
-    empty = small_dataset.subset(0)
+    empty = TraceDataset(config=small_dataset.config, homes=[])
     slices = list(iter_windows(empty, stop=2))
     assert [(s.window, s.home_ids, s.generation_kwh, s.load_kwh) for s in slices] == [
         (0, [], [], []),

@@ -7,7 +7,6 @@ import pytest
 
 from repro.data.profiles import ProfilePopulation
 from repro.data.traces import (
-    TRADING_START_HOUR,
     WINDOWS_PER_DAY,
     HomeTrace,
     TraceConfig,
@@ -48,35 +47,24 @@ def test_different_seeds_differ():
     assert not np.allclose(a.homes[0].load_kwh, b.homes[0].load_kwh)
 
 
+def _total(dataset, series: str, window: int) -> float:
+    """The neighbourhood's ``series`` (``"generation_kwh"`` / ``"load_kwh"``) in one window."""
+    return float(sum(getattr(home, series)[window] for home in dataset.homes))
+
+
 def test_no_generation_at_start_and_end_of_trading_day():
     """The paper's traces have ~zero PV output at 7 AM and 7 PM."""
     dataset = generate_dataset(TraceConfig(home_count=20, window_count=WINDOWS_PER_DAY, seed=3))
-    assert dataset.total_generation(0) < 0.05 * dataset.total_load(0)
-    assert dataset.total_generation(WINDOWS_PER_DAY - 1) < 0.10 * dataset.total_load(
-        WINDOWS_PER_DAY - 1
-    )
+    last = WINDOWS_PER_DAY - 1
+    assert _total(dataset, "generation_kwh", 0) < 0.05 * _total(dataset, "load_kwh", 0)
+    assert _total(dataset, "generation_kwh", last) < 0.10 * _total(dataset, "load_kwh", last)
 
 
 def test_midday_generation_peaks():
     dataset = generate_dataset(TraceConfig(home_count=20, window_count=WINDOWS_PER_DAY, seed=3))
-    midday = dataset.total_generation(360)  # 1:00 PM
-    morning = dataset.total_generation(30)
+    midday = _total(dataset, "generation_kwh", 360)  # 1:00 PM
+    morning = _total(dataset, "generation_kwh", 30)
     assert midday > 5 * max(morning, 1e-9)
-
-
-def test_window_hour_mapping():
-    dataset = generate_dataset(TraceConfig(home_count=2, window_count=120, seed=1))
-    assert dataset.window_hour(0) == TRADING_START_HOUR
-    assert dataset.window_hour(60) == TRADING_START_HOUR + 1
-
-
-def test_subset():
-    dataset = generate_dataset(TraceConfig(home_count=10, window_count=30, seed=5))
-    subset = dataset.subset(4)
-    assert subset.home_count == 4
-    assert subset.homes[0].profile.home_id == dataset.homes[0].profile.home_id
-    with pytest.raises(ValueError):
-        dataset.subset(11)
 
 
 def test_homes_without_pv_never_generate():
@@ -94,8 +82,8 @@ def test_cloud_variability_zero_gives_smooth_series():
         TraceConfig(home_count=5, window_count=300, seed=10, cloud_variability=1.0)
     )
     # Clouds can only lower generation relative to the clear-sky baseline.
-    assert sum(cloudy.total_generation(w) for w in range(300)) <= sum(
-        smooth.total_generation(w) for w in range(300)
+    assert sum(_total(cloudy, "generation_kwh", w) for w in range(300)) <= sum(
+        _total(smooth, "generation_kwh", w) for w in range(300)
     ) + 1e-9
 
 

@@ -10,6 +10,8 @@ is memoized per process and computed on first use:
   whole session instead of once per module.
 * :func:`shared_correlation` / :func:`small_comparison_pool` — small-kappa
   OT-extension material for garbled-circuit tests.
+* :func:`safe_prime_group` — a seeded OT group smaller than the product's
+  fixed 512-bit one (not cached: it is the thing some tests measure).
 * :func:`tiny_market` — the canonical small seeded trading day (12 homes,
   720 windows, 4 market windows) plus an engine factory, shared by the
   runtime determinism suites.
@@ -31,8 +33,9 @@ from typing import Callable, Tuple
 
 from repro.core import PAPER_PARAMETERS
 from repro.core.protocols import PrivateTradingEngine, ProtocolConfig
-from repro.crypto import generate_keypair
+from repro.crypto import generate_keypair, generate_prime, is_probable_prime
 from repro.crypto.gc_pool import ComparisonPool
+from repro.crypto.ot import OTGroup
 from repro.crypto.otext import BaseOTCorrelation, establish_correlation
 from repro.data import TraceConfig, generate_dataset
 
@@ -63,6 +66,19 @@ def shared_correlation(kappa: int = TEST_KAPPA, seed: int = 2024) -> BaseOTCorre
 def small_comparison_pool(bit_width: int, kappa: int = TEST_KAPPA) -> ComparisonPool:
     """A fresh small-kappa comparison pool (pools are stateful — not cached)."""
     return ComparisonPool(bit_width, kappa=kappa)
+
+
+def safe_prime_group(bits: int, rng: random.Random) -> OTGroup:
+    """An OT group over a fresh ``bits``-bit safe prime ``p = 2q + 1``.
+
+    Every draw comes from ``rng``, so a seeded group is reproducible.
+    ``g = 4`` is a square, hence a generator of the order-``q`` subgroup.
+    """
+    while True:
+        q = generate_prime(bits - 1, rng)
+        p = 2 * q + 1
+        if p.bit_length() == bits and is_probable_prime(p, rng=rng):
+            return OTGroup(p=p, q=q, g=4)
 
 
 @dataclass(frozen=True)

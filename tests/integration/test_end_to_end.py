@@ -40,7 +40,7 @@ def test_all_market_windows_settled(pipeline_run):
     _, traces, contract, blocks = pipeline_run
     market_windows = [t.result.window for t in traces if t.result.clearing is not None]
     assert market_windows, "expected at least one market window in the sample"
-    assert contract.settled_windows() >= set(market_windows)
+    assert {tx.window for tx in contract.chain.all_transactions()} == set(market_windows)
     assert all(block is not None for block in blocks)
 
 
@@ -76,16 +76,19 @@ def test_on_chain_balances_match_engine_payments(pipeline_run):
         assert contract.chain.balance_of(agent_id) == pytest.approx(expected, rel=1e-9)
 
 
-def test_private_engine_day_interface_matches_plain_series(pipeline_run):
+def test_private_engine_windows_match_plain_series(pipeline_run):
     dataset, _, _, _ = pipeline_run
     windows = [300, 360]
-    private_day = PrivateTradingEngine(
-        params=PAPER_PARAMETERS,
-        config=ProtocolConfig(key_size=128, key_pool_size=4, seed=2),
-    ).run_day(dataset, windows=windows)
+    private_windows = [
+        trace.result
+        for trace in PrivateTradingEngine(
+            params=PAPER_PARAMETERS,
+            config=ProtocolConfig(key_size=128, key_pool_size=4, seed=2),
+        ).run_windows(dataset, windows)
+    ]
     plain_day = PlainTradingEngine(PAPER_PARAMETERS).run_day(dataset, windows=windows)
-    assert len(private_day) == len(plain_day) == 2
-    for private_window, plain_window in zip(private_day.windows, plain_day.windows):
+    assert len(private_windows) == len(plain_day) == 2
+    for private_window, plain_window in zip(private_windows, plain_day.windows):
         assert private_window.clearing_price == pytest.approx(
             plain_window.clearing_price, abs=1e-2
         )

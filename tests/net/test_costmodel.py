@@ -23,19 +23,13 @@ def test_pipelined_crypto_removes_enc_dec_from_critical_path():
     assert pipelined.aggregation_cost(100) > 0.0
 
 
-def test_chain_cost_linear_in_hops():
-    model = CostModel.for_key_size(512)
-    one = model.chain_cost(1, 128)
-    hundred = model.chain_cost(100, 128)
-    assert hundred == pytest.approx(one * 100)
-
-
-def test_layered_aggregation_cost_degenerates_to_chain_cost():
+def test_layered_aggregation_cost_is_depth_message_times():
     # The serial chain is the one-hop-per-layer case: charging n layers
-    # must be bit-identical to the pre-topology chain charge.
+    # must be bit-identical to n sequential message times.
     model = CostModel.for_key_size(512)
     for hops in (1, 7, 128):
-        assert model.layered_aggregation_cost(hops, 128) == model.chain_cost(hops, 128)
+        charged = model.layered_aggregation_cost(hops, 128)
+        assert charged == hops * model.network.message_seconds(128)
 
 
 def test_layered_aggregation_cost_scales_with_depth_not_hops():
@@ -47,27 +41,14 @@ def test_layered_aggregation_cost_scales_with_depth_not_hops():
     assert chain == pytest.approx(tree * 16)
 
 
-def test_layered_cost_charges_max_per_layer():
-    model = CostModel.for_key_size(512)
-    # Two layers: the first's slowest hop dominates it, hop count doesn't.
-    layered = model.layered_cost([[100, 5000, 100], [200]])
-    expected = model.network.message_seconds(5000) + model.network.message_seconds(200)
-    assert layered == pytest.approx(expected)
-    # Uniform hop sizes reduce to depth * message time.
-    assert model.layered_cost([[64, 64], [64]]) == pytest.approx(
-        model.layered_aggregation_cost(2, 64)
-    )
-    assert model.layered_cost([]) == 0.0
-
-
 def test_round_cost_independent_of_pair_count():
     model = CostModel.for_key_size(512)
     assert model.round_cost(128) == model.network.message_seconds(128)
 
 
-def test_message_cost_increases_with_size():
-    model = CostModel.for_key_size(512)
-    assert model.message_cost(10_000_000) > model.message_cost(100)
+def test_message_seconds_increase_with_size():
+    network = CostModel.for_key_size(512).network
+    assert network.message_seconds(10_000_000) > network.message_seconds(100)
 
 
 def test_window_setup_cost_positive():
@@ -91,7 +72,7 @@ def test_runtime_roughly_key_size_independent_when_pipelined():
         # structure the private engine charges for one trading window.
         return (
             model.window_setup_cost()
-            + model.chain_cost(200, ciphertext) * 2
+            + model.layered_aggregation_cost(200, ciphertext) * 2
             + model.comparison_cost(400, 64)
             + model.round_cost(96) * 4
             + model.aggregation_cost(400)
@@ -183,14 +164,11 @@ def test_worse_links_never_cheaper(link, extra_latency, bw_divisor, hops, size):
     latency, bandwidth = link
     better = _model_for_link(latency, bandwidth)
     worse = _model_for_link(latency + extra_latency, bandwidth / bw_divisor)
-    assert worse.chain_cost(hops, size) >= better.chain_cost(hops, size)
     assert worse.layered_aggregation_cost(hops, size) >= (
         better.layered_aggregation_cost(hops, size)
     )
     assert worse.round_cost(size) >= better.round_cost(size)
-    assert worse.message_cost(size) >= better.message_cost(size)
-    layers = [[size] * 3, [size * 2]]
-    assert worse.layered_cost(layers) >= better.layered_cost(layers)
+    assert worse.network.message_seconds(size) >= better.network.message_seconds(size)
 
 
 @settings(max_examples=50, deadline=None)
@@ -260,28 +238,13 @@ def test_pipelining_gains_nothing_without_successor_offline_work(phases, anchor)
     assert pipelined_day_cost(degenerate) == unpipelined_day_cost(degenerate)
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=64),
-    st.integers(min_value=1, max_value=10_000),
-)
-def test_layered_cost_chain_shape_matches_chain_cost(hops, size):
-    # A chain is the degenerate layering with one hop per layer.  The two
-    # charges group the float additions differently (sum of per-layer
-    # maxima vs. hops * message_seconds), hence approx, not ==.
-    model = CostModel.for_key_size(512)
-    assert model.layered_cost([[size]] * hops) == pytest.approx(
-        model.chain_cost(hops, size)
-    )
-
-
 def test_wan_profile_dominates_lan_on_message_costs():
     lan = CostModel.for_key_size(1024)
     wan = CostModel.for_wan_profile(1024)
     for size in (0, 64, 4096, 10**6):
-        assert wan.message_cost(size) > lan.message_cost(size)
+        assert wan.network.message_seconds(size) > lan.network.message_seconds(size)
         assert wan.round_cost(size) > lan.round_cost(size)
-        assert wan.chain_cost(16, size) > lan.chain_cost(16, size)
+        assert wan.layered_aggregation_cost(16, size) > lan.layered_aggregation_cost(16, size)
     # Compute-side charges are link-independent.
     assert wan.aggregation_cost(100) == lan.aggregation_cost(100)
     assert wan.comparison_offline_cost(190) == lan.comparison_offline_cost(190)

@@ -58,11 +58,6 @@ def test_message_ids_increase():
     assert second.message_id > first.message_id
 
 
-def test_broadcast_flag():
-    assert Message(sender="a", recipient="*", kind=MessageKind.GENERIC).is_broadcast()
-    assert not Message(sender="a", recipient="b", kind=MessageKind.GENERIC).is_broadcast()
-
-
 def test_message_kinds_cover_protocol_phases():
     values = {kind.value for kind in MessageKind}
     for expected in (

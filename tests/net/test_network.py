@@ -124,7 +124,6 @@ def test_traffic_accounting():
     assert stats.total_bytes == 100
     assert stats.per_party["alice"].bytes_sent == 100
     assert stats.per_party["bob"].bytes_received == 100
-    assert stats.average_bytes_per_party() == 100.0
 
 
 def test_extra_traffic_charging():

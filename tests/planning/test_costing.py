@@ -2,7 +2,7 @@
 
 The predictor must stay consistent with the calibrated
 :class:`~repro.net.costmodel.CostModel` (a chain aggregation over local
-pipes *is* ``chain_cost``, bit-equal), the feasibility constraints must
+pipes *is* ``layered_aggregation_cost`` at depth n, bit-equal), the feasibility constraints must
 hold for every enumerated candidate, and the ``repro plan`` entry point
 must round-trip through argparse/JSON without touching real crypto.
 """
@@ -98,13 +98,13 @@ def test_planned_never_worse_than_naive():
 # Predictor consistency with the calibrated cost model
 
 
-def test_chain_aggregation_over_pipes_is_exactly_chain_cost():
+def test_chain_aggregation_over_pipes_is_exactly_one_message_time_a_hop():
     spec = FleetSpec(hosts=1, cores_per_host=1, agent_count=10, windows_per_day=1)
     model = build_cost_model(spec, spec.key_size)
     cipher = _ciphertext_bytes(spec.key_size)
     assert aggregation_online_seconds(
         model, "chain", spec.agent_count, cipher, "local"
-    ) == model.chain_cost(spec.agent_count, cipher)
+    ) == model.layered_aggregation_cost(spec.agent_count, cipher)
 
 
 def test_socket_transport_charges_an_extra_ack_per_hop():

@@ -45,7 +45,7 @@ def serial_report():
 def _pool_contents(engine) -> int:
     """Everything an engine's pools hold: accounted, reservoir, reservations."""
     return sum(
-        len(pool) + pool.reservoir_available + len(pool._reservations)
+        pool.available + pool.reservoir_available + len(pool._reservations)
         for pool in engine.keyring.offline_pools
     )
 

@@ -64,14 +64,6 @@ def test_unsorted_and_empty_shards_rejected():
         ExecutionPlan(shards=((1,), ()))
 
 
-def test_shard_for_locates_window():
-    plan = ExecutionPlan.for_windows(range(6), 2)
-    assert plan.shard_for(0) == 0
-    assert plan.shard_for(1) == 1
-    with pytest.raises(ValueError):
-        plan.shard_for(99)
-
-
 def test_describe_mentions_sizes():
     text = ExecutionPlan.for_windows(range(5), 2).describe()
     assert "5 windows" in text and "2 worker(s)" in text
@@ -104,8 +96,6 @@ def test_zero_windows_plan_is_inert():
     assert plan.window_count == 0
     assert plan.windows == ()
     assert plan.pipeline is True  # the flag survives even an empty plan
-    with pytest.raises(ValueError):
-        plan.shard_for(0)
     assert "0 windows" in plan.describe()
 
 

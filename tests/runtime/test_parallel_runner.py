@@ -154,9 +154,3 @@ def test_pool_randomizers_unique_across_worker_keyrings():
     pool_a.warm(8)
     pool_b.warm(8)
     assert set(pool_a.take_many(8)).isdisjoint(pool_b.take_many(8))
-
-
-def test_run_day_workers_matches_serial(day_dataset):
-    serial_day = build_engine().run_day(day_dataset, windows=WINDOWS[:2])
-    parallel_day = build_engine().run_day(day_dataset, windows=WINDOWS[:2], workers=2)
-    assert serial_day.windows == parallel_day.windows

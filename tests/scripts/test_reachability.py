@@ -1,16 +1,19 @@
 """Unit tests for ``scripts/reachability.py`` (which ``src/repro`` defs nothing enters).
 
-No ``make ci`` entry point is started here: the def-versus-entered diff is
-checked on a small synthetic module, and the recording hook on a child
-interpreter that imports it and forks once.
+No ``make ci`` entry point is started here: the def-versus-entered diff and
+the allow-list gate are checked on a small synthetic module, and the
+recording hook on a child interpreter that imports it and forks once.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -136,12 +139,93 @@ def test_the_hook_records_every_process_a_forked_child_leaving_through_os_exit_t
     ]  # fmt: skip
 
 
-def test_ci_commands_join_continued_lines_and_leave_the_pytest_runs_out(monkeypatch):
+def _gate(tmp_path, entered, allowed):
+    """Hold the synthetic module's unreached defs to ``allowed``."""
+    path = str(tmp_path / "pkg" / "mod.py")
+    defs = {path: reachability.defs_in(SYNTHETIC)}
+    missing = reachability.unreached(defs, {(path, line) for line in entered})
+    return reachability.gate(defs, missing, allowed, tmp_path)
+
+
+#: Every def of the synthetic module that no test below enters.
+NEVER = {
+    "pkg/mod.py::never": "paper analysis: tests/test_never.py",
+    "pkg/mod.py::never.inner": "paper analysis: tests/test_never.py",
+    "pkg/mod.py::Box.cached": "figure: benchmarks/test_box.py",
+    "pkg/mod.py::Box.waiting": "fault path: the asyncio front end",
+}
+
+
+def test_an_unlisted_unreached_def_fails_the_gate(tmp_path):
+    allowed = dict(NEVER)
+    del allowed["pkg/mod.py::Box.cached"]
+    result = _gate(tmp_path, {4, 8, 20, 23}, allowed)
+    assert result.unlisted == ["pkg/mod.py::Box.cached"]
+    assert result.stale == [] and result.removable == []
+    assert not result.passed
+    assert reachability.gate_report(result, len(allowed)).splitlines() == [
+        "reachability: not listed: pkg/mod.py::Box.cached",
+        "reachability: FAILED: 1 unlisted, 0 stale, 0 removable of 3 listed "
+        "in reachability_allow.json",
+    ]
+
+
+def test_an_entry_naming_no_def_fails_the_gate(tmp_path):
+    allowed = dict(NEVER, **{"pkg/mod.py::Box.gone": "figure: benchmarks/test_box.py"})
+    result = _gate(tmp_path, {4, 8, 20, 23}, allowed)
+    assert result.stale == ["pkg/mod.py::Box.gone"]
+    assert result.unlisted == [] and not result.passed
+    report = reachability.gate_report(result, len(allowed))
+    assert "reachability: stale entry, no such def: pkg/mod.py::Box.gone" in report
+
+
+def test_a_listed_def_that_was_entered_passes_with_a_note(tmp_path):
+    # A fault path entered on this run only: printed as removable, never a failure,
+    # so the gate does not flap between runs that do and do not enter it.
+    result = _gate(tmp_path, {4, 8, 20, 23, 31}, NEVER)
+    assert result.passed
+    assert result.removable == ["pkg/mod.py::Box.waiting"]
+    assert reachability.gate_report(result, len(NEVER)).splitlines() == [
+        "reachability: listed but reached, removable: pkg/mod.py::Box.waiting",
+        "reachability: ok: 0 unlisted, 0 stale, 1 removable of 4 listed "
+        "in reachability_allow.json",
+    ]
+
+
+def test_an_entry_without_a_consumer_is_refused(tmp_path):
+    allow_list = tmp_path / "reachability_allow.json"
+    allow_list.write_text(json.dumps({"pkg/mod.py::never": " "}))
+    with pytest.raises(SystemExit, match="pkg/mod.py::never names no consumer"):
+        reachability.load_allow_list(allow_list)
+    allow_list.write_text(json.dumps(NEVER))
+    assert reachability.load_allow_list(allow_list) == NEVER
+
+
+def test_the_committed_allow_list_names_a_consumer_for_every_entry():
+    allowed = reachability.load_allow_list()
+    assert allowed and all(key.startswith("src/repro/") for key in allowed)
+    assert list(allowed) == sorted(allowed)
+
+
+def test_every_committed_entry_names_a_def_of_the_package():
+    # The stale-entry half of the gate, with no command run: a def deleted or
+    # renamed while its entry stays fails here before the profiled run.
+    defs = reachability.package_defs()
+    allowed = reachability.load_allow_list()
+    result = reachability.gate(defs, defs, allowed, reachability.REPO_ROOT)
+    assert result.stale == []
+    assert len(result.unlisted) == sum(len(found) for found in defs.values()) - len(allowed)
+
+
+def test_ci_commands_join_continued_lines_and_leave_the_pytest_runs_and_the_gate_out(
+    monkeypatch,
+):
     printed = (
         "python -m repro.staticcheck\n"
         "python -m pytest tests -x -q\n"
         "python examples/parallel_private_day.py --homes 8 \\\n"
         "\t--transport socket\n"
+        "python scripts/reachability.py\n"
         "\n"
     )
 
@@ -158,3 +242,13 @@ def test_ci_commands_join_continued_lines_and_leave_the_pytest_runs_out(monkeypa
     others = reachability.other_examples("python", commands)
     assert "python examples/quickstart.py" in others
     assert not any("parallel_private_day" in command for command in others)
+
+
+def test_make_ci_runs_the_gate_and_ci_commands_leaves_it_out():
+    dry = subprocess.run(
+        ["make", "-s", "-n", "ci", "PYTHON=python"],
+        cwd=REPO_ROOT, check=True, stdout=subprocess.PIPE, text=True,
+    )  # fmt: skip
+    assert "python scripts/reachability.py" in dry.stdout.splitlines()
+    commands = reachability.ci_commands("python", Path("bench.json"))
+    assert commands and not any("reachability" in command for command in commands)

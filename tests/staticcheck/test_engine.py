@@ -155,7 +155,7 @@ def test_malformed_baseline_raises(tmp_path: Path, payload: str):
 
 def test_finding_json_round_trip():
     finding = _finding()
-    assert Finding.from_dict(finding.to_dict()) == finding
+    assert Finding(**finding.to_dict()) == finding
 
 
 def test_finding_sort_order_is_path_line_rule():
