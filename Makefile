@@ -22,7 +22,10 @@
 #                      package (90% floor on src/repro/planning/);
 #                      skipped cleanly when pytest-cov is not installed
 #   make ci          - the full gate: lint, then test-fast and docs-check,
-#                      then a check that the bigint seam autodetected
+#                      then the reachability gate, which runs every step
+#                      of ci-steps once under its profiling hook
+#   make ci-steps    - make ci's non-test steps: lint and docs-check, then
+#                      a check that the bigint seam autodetected
 #                      libcrypto (on any host whose own hashlib is linked
 #                      against it, so a broken loader cannot silently
 #                      run the day on the builtin-pow fallback),
@@ -45,18 +48,18 @@
 #                      must run a real day economically identical to the
 #                      naive default, on at least one market window); the
 #                      bench and all three day runs exit non-zero on any
-#                      identity or determinism regression; last, the
-#                      reachability gate (scripts/reachability.py, ~50 s:
-#                      reruns the steps above minus the tests under a
-#                      profiling hook and fails on any src/repro def none
-#                      of them enters that reachability_allow.json does
-#                      not list with its consumer, and on any entry that
-#                      names no def)
+#                      identity or determinism regression.  The
+#                      reachability gate (scripts/reachability.py, ~50 s)
+#                      runs these commands from `make -n ci-steps` and
+#                      fails on a step that exits non-zero, on any
+#                      src/repro def none of them enters that
+#                      reachability_allow.json does not list with its
+#                      consumer, and on any entry that names no def
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast lint bench-smoke docs-check coverage ci
+.PHONY: test test-fast lint bench-smoke docs-check coverage ci ci-steps
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -84,6 +87,9 @@ coverage:
 	fi
 
 ci: lint test-fast docs-check
+	$(PYTHON) scripts/reachability.py
+
+ci-steps: lint docs-check
 	@if $(PYTHON) -c "import _hashlib" 2>/dev/null; then \
 		$(PYTHON) -c "from repro.crypto.bigint import backend; assert backend().name == 'libcrypto', backend().name"; \
 	fi
@@ -98,4 +104,3 @@ ci: lint test-fast docs-check
 		--chaos-seed 23 --transport socket
 	$(PYTHON) scripts/repro_plan.py --hosts 2 --cores-per-host 2 --agents 8 \
 		--windows 3 --execute 2 --execute-homes 8
-	$(PYTHON) scripts/reachability.py

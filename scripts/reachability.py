@@ -1,15 +1,15 @@
 #!/usr/bin/env python
 """Which ``src/repro`` function defs no product path enters.
 
-Runs every non-test command of ``make ci`` (read from ``make -n ci``, so the
-list follows the Makefile) plus every example ``make ci`` does not run,
-with default arguments, each with a ``sitecustomize`` hook first on
-``PYTHONPATH``.  The hook installs ``sys.setprofile`` (and
-``threading.setprofile``) and keeps the code object of every call.  Each
-process writes the ``(file, first line)`` pairs it entered under
-``src/repro`` when it leaves: at ``atexit``, and from a wrapped
-``os._exit``, which is how forked shard workers leave.  perfbench's child
-interpreters inherit the environment, so they are counted as well.
+Runs every non-test command of ``make ci`` (read from ``make -n ci-steps``,
+so the list follows the Makefile; ``make ci`` runs them only here) plus
+every example ``make ci`` does not run, with default arguments, each with a
+``sitecustomize`` hook first on ``PYTHONPATH``.  The hook installs
+``sys.setprofile`` (and ``threading.setprofile``) and keeps the code object
+of every call.  Each process writes the ``(file, first line)`` pairs it
+entered under ``src/repro`` when it leaves: at ``atexit``, and from a
+wrapped ``os._exit``, which is how forked shard workers leave.  perfbench's
+child interpreters inherit the environment, so they are counted as well.
 
 The report lists every def that no process entered, grouped by file with
 its line count, and ends with the total::
@@ -21,9 +21,10 @@ repo root, which maps ``path::qualname`` (``src/repro/x.py::Class.method``)
 to the def's consumer and the reason it stays, e.g. ``"figure:
 benchmarks/test_fig5_runtime.py"`` or ``"fault path: drained-pool
 fallback"``.  The script exits 1 when an unreached def is not listed or an
-entry names no def.  A listed def that was entered is printed as removable
-from the list and does not fail the run: a fault path may be entered on
-some runs and not on others.  ``make ci`` runs it last.
+entry names no def, and stops at the first command that exits non-zero.  A
+listed def that was entered is printed as removable from the list and does
+not fail the run: a fault path may be entered on some runs and not on
+others.  ``make ci`` runs it last.
 
 A def is entered once its code object is called; methods and nested defs
 are defs of their own, while lambdas, comprehensions and class bodies are
@@ -232,18 +233,12 @@ def gate_report(result: Gate, listed: int) -> str:
 
 
 def ci_commands(python: str, bench_output: Path) -> List[str]:
-    """``make ci``'s commands, one shell command each, pytest runs and this
-    script's own step left out."""
+    """``make ci``'s non-test commands, one shell command each: the ``ci-steps`` target."""
     dry = subprocess.run(
-        ["make", "-s", "-n", "ci", f"PYTHON={python}", f"CI_BENCH_OUTPUT={bench_output}"],
+        ["make", "-s", "-n", "ci-steps", f"PYTHON={python}", f"CI_BENCH_OUTPUT={bench_output}"],
         cwd=REPO_ROOT, check=True, stdout=subprocess.PIPE, text=True,
     )  # fmt: skip
-    commands = dry.stdout.replace("\\\n", " ").splitlines()
-    return [
-        c
-        for c in commands
-        if c.strip() and "-m pytest" not in c and "scripts/reachability.py" not in c
-    ]
+    return [c for c in dry.stdout.replace("\\\n", " ").splitlines() if c.strip()]
 
 
 def other_examples(python: str, commands: Iterable[str]) -> List[str]:
@@ -265,9 +260,7 @@ def run_all(commands: Sequence[str], dump_dir: Path, hook_dir: Path) -> Entered:
     env[PREFIX_ENV] = str(PACKAGE_ROOT) + os.sep
     for command in commands:
         print(f"reachability: {command}", file=sys.stderr, flush=True)
-        done = subprocess.run(
-            command, shell=True, cwd=REPO_ROOT, env=env, stdout=subprocess.DEVNULL
-        )
+        done = subprocess.run(command, shell=True, cwd=REPO_ROOT, env=env)
         if done.returncode != 0:
             raise SystemExit(f"reachability: exit {done.returncode}: {command}")
     return load_entered(dump_dir)

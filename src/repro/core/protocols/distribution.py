@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
+
+import numpy as np
 
 from ...crypto.paillier import PaillierCiphertext
 from ...net.message import Message, MessageKind, encode_metadata
 from ...net.network import NetworkError
-from ..market import MarketCase, MarketClearing, Trade
+from ..market import MarketCase, MarketClearing, pairwise_book
 from .aggregation import aggregate
 from .context import AgentRuntime, ProtocolContext
 
@@ -187,41 +189,36 @@ def run_private_distribution(
         window=coalitions.window, case=case, clearing_price=clearing_price
     )
 
-    bought_totals: Dict[str, float] = {}
-    sold_totals: Dict[str, float] = {}
     # Pairwise energy routing and payments all proceed concurrently: two
     # parallel rounds on the critical path regardless of the pair count.
     context.charge_round(96)
     context.charge_round(96)
-    # ``agent_id`` is a property; the pair loops below read it ~20 000 times.
-    sellers = [(seller, seller.agent_id) for seller in context.sellers]
-    buyers = [(buyer, buyer.agent_id) for buyer in context.buyers]
+    seller_ids = [seller.agent_id for seller in context.sellers]
+    buyer_ids = [buyer.agent_id for buyer in context.buyers]
 
     if case == MarketCase.GENERAL:
         ratio_holder = context.choose_seller()
         ratios = _run_ratio_phase(context, context.buyers, ratio_holder)
+        # Every seller ships its whole surplus, split by the demand ratios:
+        # e_ij = sn_i * ratio_j, seller-major.
+        surpluses = [seller.state.net_energy_kwh for seller in context.sellers]
+        energy = np.outer(surpluses, [ratios[buyer_id] for buyer_id in buyer_ids])
+        for seller_id, surplus in zip(seller_ids, surpluses):
+            clearing.seller_sold_kwh[seller_id] = surplus
+            clearing.seller_grid_export_kwh[seller_id] = 0.0
     else:
         ratio_holder = context.choose_buyer()
         ratios = _run_ratio_phase(context, context.sellers, ratio_holder)
-
-    def allocations() -> Iterator[Tuple[str, str, float]]:
-        """``(seller id, buyer id, e_ij)`` for every seller-buyer pair, in trade order."""
-        if case == MarketCase.GENERAL:
-            # Every seller ships its whole surplus, split by the demand ratios.
-            for seller, seller_id in sellers:
-                surplus = seller.state.net_energy_kwh
-                clearing.seller_sold_kwh[seller_id] = surplus
-                clearing.seller_grid_export_kwh[seller_id] = 0.0
-                for _, buyer_id in buyers:
-                    yield seller_id, buyer_id, surplus * ratios[buyer_id]
-        else:
-            # Every buyer is fully served, split across sellers by supply ratios.
-            for buyer, buyer_id in buyers:
-                demand = -buyer.state.net_energy_kwh
-                clearing.buyer_bought_kwh[buyer_id] = demand
-                clearing.buyer_grid_import_kwh[buyer_id] = 0.0
-                for _, seller_id in sellers:
-                    yield seller_id, buyer_id, demand * ratios[seller_id]
+        # Every buyer is fully served, split across sellers by the supply
+        # ratios: e_ij = |sn_j| * ratio_i, buyer-major.
+        demands = [-buyer.state.net_energy_kwh for buyer in context.buyers]
+        energy = np.outer(demands, [ratios[seller_id] for seller_id in seller_ids])
+        for buyer_id, demand in zip(buyer_ids, demands):
+            clearing.buyer_bought_kwh[buyer_id] = demand
+            clearing.buyer_grid_import_kwh[buyer_id] = 0.0
+    book = clearing.trades = pairwise_book(
+        seller_ids, buyer_ids, energy, clearing_price, buyer_major=case == MarketCase.EXTREME
+    )
 
     def exchange() -> Iterator[Message]:
         """The phase's messages: each trade's energy route, then its payment.
@@ -231,33 +228,36 @@ def run_private_distribution(
         """
         metadata = {"window": coalitions.window}
         metadata_json = encode_metadata(metadata)
-        trades = clearing.trades
         leg = Message.trade_leg
         energy_route, payment_kind = MessageKind.ENERGY_ROUTE, MessageKind.PAYMENT
-        for seller_id, buyer_id, energy in allocations():
-            if energy <= 0:
-                continue
-            payment = clearing_price * energy
-            trades.append(Trade(seller_id, buyer_id, energy, payment))
-            sold_totals[seller_id] = sold_totals.get(seller_id, 0.0) + energy
-            bought_totals[buyer_id] = bought_totals.get(buyer_id, 0.0) + energy
-            yield leg(seller_id, buyer_id, energy_route, energy, metadata, metadata_json)
+        for seller, buyer, amount, payment in zip(
+            book.seller_index.tolist(), book.buyer_index.tolist(),
+            book.energy_kwh.tolist(), book.payment.tolist(),
+        ):  # fmt: skip
+            seller_id, buyer_id = seller_ids[seller], buyer_ids[buyer]
+            yield leg(seller_id, buyer_id, energy_route, amount, metadata, metadata_json)
             yield leg(buyer_id, seller_id, payment_kind, payment, metadata, metadata_json)
 
     # One run for the whole seller x buyer phase; the network pulls it
     # message by message, so ids, accounting and hooks keep trade order.
     context.network.deliver(exchange())
 
+    # Each buyer's (general) or seller's (extreme) total: ``bincount`` adds
+    # the amounts one by one in trade order, as a per-pair loop would (and
+    # counts in ints when there is no trade, hence the cast).
     if case == MarketCase.GENERAL:
-        for buyer, buyer_id in buyers:
+        index, parties = book.buyer_index, len(buyer_ids)
+    else:
+        index, parties = book.seller_index, len(seller_ids)
+    totals = np.bincount(index, book.energy_kwh, parties).astype(float).tolist()
+    if case == MarketCase.GENERAL:
+        for buyer, buyer_id, bought in zip(context.buyers, buyer_ids, totals):
             demand = -buyer.state.net_energy_kwh
-            bought = bought_totals.get(buyer_id, 0.0)
             clearing.buyer_bought_kwh[buyer_id] = bought
             clearing.buyer_grid_import_kwh[buyer_id] = max(0.0, demand - bought)
     else:
-        for seller, seller_id in sellers:
+        for seller, seller_id, sold in zip(context.sellers, seller_ids, totals):
             surplus = seller.state.net_energy_kwh
-            sold = sold_totals.get(seller_id, 0.0)
             clearing.seller_sold_kwh[seller_id] = sold
             clearing.seller_grid_export_kwh[seller_id] = max(0.0, surplus - sold)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import book_from_trades
 from repro.blockchain import (
     ConsortiumChain,
     ContractViolation,
@@ -47,7 +48,7 @@ def test_settle_window_commits_all_trades():
     assert len(block.transactions) == len(clearing.trades)
     on_chain = contract.chain.transactions_for_window(3)
     assert sum(tx.energy_kwh for tx in on_chain) == pytest.approx(clearing.traded_energy_kwh)
-    assert sum(tx.payment for tx in on_chain) == pytest.approx(clearing.total_payments)
+    assert sum(tx.payment for tx in on_chain) == pytest.approx(sum(clearing.trades.payment))
     assert contract.chain.verify()
 
 
@@ -66,7 +67,7 @@ def test_settle_window_rejects_out_of_band_price():
         window=9,
         case=MarketCase.GENERAL,
         clearing_price=150.0,
-        trades=list(clearing.trades),
+        trades=clearing.trades,
     )
     with pytest.raises(ContractViolation):
         contract.settle_window(bad)
@@ -87,7 +88,7 @@ def test_balances_match_market_payments():
     chain = contract.chain
     for seller_id, sold in clearing.seller_sold_kwh.items():
         assert chain.balance_of(seller_id) == pytest.approx(clearing.clearing_price * sold)
-    assert chain.balance_of("b1") == pytest.approx(-clearing.total_payments)
+    assert chain.balance_of("b1") == pytest.approx(-sum(clearing.trades.payment))
 
 
 def test_settle_day_batches_multiple_windows():
@@ -107,9 +108,12 @@ def test_settle_day_rejects_whole_batch_before_committing():
     good = make_clearing()
     from repro.core.market import Trade
 
-    bad = MarketClearing(window=9, case=MarketCase.GENERAL, clearing_price=999.0)
-    bad.trades.append(
-        Trade(seller_id="s1", buyer_id="b1", energy_kwh=0.1, payment=99.9)
+    tampered = Trade(seller_id="s1", buyer_id="b1", energy_kwh=0.1, payment=99.9)
+    bad = MarketClearing(
+        window=9,
+        case=MarketCase.GENERAL,
+        clearing_price=999.0,
+        trades=book_from_trades([tampered], ["s1"], ["b1"]),
     )
     with pytest.raises(ContractViolation):
         contract.settle_day([good, bad])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import pair_energies
 from repro.core import PAPER_PARAMETERS
 from repro.core.agent import AgentWindowState
 from repro.core.coalition import form_coalitions
@@ -151,10 +152,12 @@ def test_private_distribution_general_matches_clear_market():
     price = 95.0
     result = run_private_distribution(context, MarketCase.GENERAL, price)
     reference = clear_market(coalitions, price, PAPER_PARAMETERS)
+    private_pairs = pair_energies(result.clearing.trades)
+    reference_pairs = pair_energies(reference.trades)
     for seller_id in coalitions.seller_ids:
         for buyer_id in coalitions.buyer_ids:
-            assert result.clearing.pair_energy(seller_id, buyer_id) == pytest.approx(
-                reference.pair_energy(seller_id, buyer_id), rel=1e-3, abs=1e-9
+            assert private_pairs.get((seller_id, buyer_id), 0.0) == pytest.approx(
+                reference_pairs.get((seller_id, buyer_id), 0.0), rel=1e-3, abs=1e-9
             )
     assert result.clearing.traded_energy_kwh == pytest.approx(
         reference.traded_energy_kwh, rel=1e-3

@@ -18,6 +18,9 @@ is memoized per process and computed on first use:
 * :func:`tiny_market_serial_report` — the serial baseline ``RunReport``
   over that day.  Several modules compare sharded runs against the same
   serial run; treat it as **read-only**.
+* :func:`book_from_trades` / :func:`pair_energies` — a ``TradeBook``
+  built from explicit trades, and a book read back as a
+  ``{(seller, buyer): energy}`` dict.
 
 Cached objects are shared across modules, so tests must not mutate them;
 anything a test consumes (pool draws, prepared comparisons) must come from
@@ -29,9 +32,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.core import PAPER_PARAMETERS
+from repro.core.market import Trade, TradeBook
 from repro.core.protocols import PrivateTradingEngine, ProtocolConfig
 from repro.crypto import generate_keypair, generate_prime, is_probable_prime
 from repro.crypto.gc_pool import ComparisonPool
@@ -142,3 +146,24 @@ def tiny_market_serial_report():
     """
     market = tiny_market()
     return market.engine().run_windows_report(market.dataset, market.windows, workers=1)
+
+
+def book_from_trades(
+    trades: Sequence[Trade], seller_ids: Sequence[str], buyer_ids: Sequence[str]
+) -> TradeBook:
+    """The book holding exactly ``trades``, in their order, over the given coalitions."""
+    sellers = {seller_id: index for index, seller_id in enumerate(seller_ids)}
+    buyers = {buyer_id: index for index, buyer_id in enumerate(buyer_ids)}
+    return TradeBook(
+        seller_ids,
+        buyer_ids,
+        [sellers[trade.seller_id] for trade in trades],
+        [buyers[trade.buyer_id] for trade in trades],
+        [trade.energy_kwh for trade in trades],
+        [trade.payment for trade in trades],
+    )
+
+
+def pair_energies(book: TradeBook) -> Dict[Tuple[str, str], float]:
+    """``{(seller, buyer): energy}`` over a book's trades."""
+    return {(trade.seller_id, trade.buyer_id): trade.energy_kwh for trade in book}

@@ -54,7 +54,9 @@ def test_chain_verifies_and_matches_market_totals(pipeline_run):
         on_chain = contract.chain.transactions_for_window(trace.result.window)
         energy = sum(tx.energy_kwh for tx in on_chain)
         assert energy == pytest.approx(clearing.traded_energy_kwh, rel=1e-9)
-        assert sum(tx.payment for tx in on_chain) == pytest.approx(clearing.total_payments, rel=1e-9)
+        assert sum(tx.payment for tx in on_chain) == pytest.approx(
+            sum(clearing.trades.payment), rel=1e-9
+        )
         assert len(on_chain) == len(clearing.trades)
 
 

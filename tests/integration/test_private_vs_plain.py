@@ -9,6 +9,7 @@ up to fixed-point encoding error.
 
 import pytest
 
+from helpers import pair_energies
 from repro.core import PAPER_PARAMETERS, PlainTradingEngine
 from repro.core.market import MarketCase
 from repro.core.protocols import PrivateTradingEngine, ProtocolConfig
@@ -80,8 +81,9 @@ def test_same_pairwise_allocation(paired_results):
             continue
         private_clearing = trace.result.clearing
         reference_clearing = reference.clearing
+        private_pairs = pair_energies(private_clearing.trades)
         for trade in reference_clearing.trades:
-            assert private_clearing.pair_energy(trade.seller_id, trade.buyer_id) == pytest.approx(
+            assert private_pairs.get((trade.seller_id, trade.buyer_id), 0.0) == pytest.approx(
                 trade.energy_kwh, rel=2e-3, abs=1e-8
             )
 

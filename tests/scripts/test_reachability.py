@@ -217,20 +217,17 @@ def test_every_committed_entry_names_a_def_of_the_package():
     assert len(result.unlisted) == sum(len(found) for found in defs.values()) - len(allowed)
 
 
-def test_ci_commands_join_continued_lines_and_leave_the_pytest_runs_and_the_gate_out(
-    monkeypatch,
-):
+def test_ci_commands_read_the_ci_steps_target_and_join_continued_lines(monkeypatch):
     printed = (
         "python -m repro.staticcheck\n"
-        "python -m pytest tests -x -q\n"
         "python examples/parallel_private_day.py --homes 8 \\\n"
         "\t--transport socket\n"
-        "python scripts/reachability.py\n"
         "\n"
     )
 
     def fake_run(command, **kwargs):
-        assert command[:4] == ["make", "-s", "-n", "ci"]
+        assert command[:4] == ["make", "-s", "-n", "ci-steps"]
+        assert command[4:] == ["PYTHON=python", "CI_BENCH_OUTPUT=bench.json"]
         return subprocess.CompletedProcess(command, 0, stdout=printed)
 
     monkeypatch.setattr(reachability.subprocess, "run", fake_run)
@@ -244,11 +241,42 @@ def test_ci_commands_join_continued_lines_and_leave_the_pytest_runs_and_the_gate
     assert not any("parallel_private_day" in command for command in others)
 
 
-def test_make_ci_runs_the_gate_and_ci_commands_leaves_it_out():
-    dry = subprocess.run(
-        ["make", "-s", "-n", "ci", "PYTHON=python"],
+def _make_dry_run(target):
+    return subprocess.run(
+        ["make", "-s", "-n", target, "PYTHON=python"],
         cwd=REPO_ROOT, check=True, stdout=subprocess.PIPE, text=True,
-    )  # fmt: skip
-    assert "python scripts/reachability.py" in dry.stdout.splitlines()
+    ).stdout.splitlines()  # fmt: skip
+
+
+def test_make_ci_runs_each_non_test_step_once_under_the_gate():
     commands = reachability.ci_commands("python", Path("bench.json"))
-    assert commands and not any("reachability" in command for command in commands)
+    ci = _make_dry_run("ci")
+    # ci: lint, the tests and docs-check, then the gate, which runs ci-steps.
+    assert ci[0] == "python -m repro.staticcheck" and ci[-1] == "python scripts/reachability.py"
+    assert "python -m pytest tests -x -q" in ci
+    steps = [
+        "python -m perfbench --smoke",
+        "benchmarks/run_crypto_bench.py --scale smoke",
+        "examples/parallel_private_day.py",
+        "scripts/repro_plan.py",
+    ]
+    for step in steps:
+        assert not any(step in line for line in ci)
+        assert any(step in command for command in commands)
+    assert sum("parallel_private_day" in command for command in commands) == 3
+    assert commands[:3] == [
+        "python -m repro.staticcheck",
+        "python scripts/docs_check.py",
+        "python scripts/check_bench_schema.py",
+    ]
+    assert commands == [c for c in commands if "pytest" not in c and "reachability" not in c]
+    assert any("--output bench.json" in command for command in commands)
+
+
+def test_a_step_that_exits_non_zero_fails_the_gate(tmp_path):
+    # make ci runs its non-test steps only under the gate, so a failing step
+    # must stop the gate with its exit status, before any report.
+    dump_dir = tmp_path / "dumps"
+    dump_dir.mkdir()
+    with pytest.raises(SystemExit, match="reachability: exit 3: exit 3"):
+        reachability.run_all(["true", "exit 3", "true"], dump_dir, tmp_path)
