@@ -8,10 +8,9 @@
 #                      drift (stale pinned entries)
 #   make test-fast   - the tier-1 subset under tests/ only: small keys,
 #                      small kappa, seconds total — the inner-loop target
-#   make bench-smoke - regenerate BENCH_crypto.json at smoke scale,
-#                      including the 2-worker sharded-day experiment
-#                      (overwrites the committed default-scale file —
-#                      don't commit smoke output)
+#   make bench       - regenerate BENCH_crypto.json (certificates and
+#                      simulated-clock figures only, so a run writes the
+#                      same bytes every time; commit what it writes)
 #   make docs-check  - verify the docs' referenced files/commands/links
 #                      exist, that the source tree byte-compiles, that
 #                      docs/BENCHMARKS.md names every declared key and
@@ -34,11 +33,12 @@
 #                      the private day must equal the plaintext oracle
 #                      with zero pool/GC fallbacks; its timings mean
 #                      nothing at that length), then a
-#                      smoke bench run written to a scratch file (so the
-#                      committed BENCH_crypto.json is left untouched)
-#                      and held to the same validate — a missing or
-#                      mistyped key or a violated floor fails it, not
-#                      just a flipped certificate,
+#                      bench run written to a scratch file, held to the
+#                      same validate (a missing or mistyped key or a
+#                      violated floor fails it, not just a flipped
+#                      certificate) and diffed against the committed
+#                      BENCH_crypto.json (a change that moves any value
+#                      without regenerating the file fails),
 #                      then a tiny day-scoped trading day executed over
 #                      SocketTransport (messages + shard fan-out on real
 #                      loopback TCP), then a seeded chaos day over sockets
@@ -57,9 +57,10 @@
 #                      consumer, and on any entry that names no def
 
 PYTHON ?= python
+CI_BENCH_OUTPUT ?= /tmp/BENCH_crypto.ci.json
 export PYTHONPATH := src
 
-.PHONY: test test-fast lint bench-smoke docs-check coverage ci ci-steps
+.PHONY: test test-fast lint bench docs-check coverage ci ci-steps
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -70,8 +71,8 @@ lint:
 test-fast:
 	$(PYTHON) -m pytest tests -x -q
 
-bench-smoke:
-	$(PYTHON) benchmarks/run_crypto_bench.py --scale smoke --workers 2
+bench:
+	$(PYTHON) benchmarks/run_crypto_bench.py
 
 docs-check:
 	$(PYTHON) scripts/docs_check.py
@@ -94,8 +95,8 @@ ci-steps: lint docs-check
 		$(PYTHON) -c "from repro.crypto.bigint import backend; assert backend().name == 'libcrypto', backend().name"; \
 	fi
 	$(PYTHON) -m perfbench --smoke
-	$(PYTHON) benchmarks/run_crypto_bench.py --scale smoke --workers 2 \
-		--output $(or $(CI_BENCH_OUTPUT),/tmp/BENCH_crypto.ci.json)
+	$(PYTHON) benchmarks/run_crypto_bench.py --output $(CI_BENCH_OUTPUT)
+	diff -u BENCH_crypto.json $(CI_BENCH_OUTPUT)
 	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 2 --workers 2 \
 		--session-scope day --transport socket
 	$(PYTHON) examples/parallel_private_day.py --homes 8 --windows 6 --workers 2 \

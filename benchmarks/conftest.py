@@ -10,36 +10,23 @@ The ``REPRO_BENCH_SCALE`` environment variable selects the experiment size:
 
 * ``full``  — the paper's configuration where tractable (slow),
 * ``default`` — reduced agent counts / sampled windows (a few minutes),
-* ``quick`` — smoke-test sizes (tens of seconds),
-* ``smoke`` — CI smoke mode: the smallest configuration that still
-  exercises every benchmark path (key sizes scaled down, seconds total).
-  Falls back to the ``quick`` value unless a benchmark passes an explicit
-  ``smoke=`` configuration.
+* ``quick`` — smoke-test sizes (tens of seconds).
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
-
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "default").lower()
 
 
-def scaled(quick, default, full, smoke=None):
+def scaled(quick, default, full):
     """Pick a configuration value according to REPRO_BENCH_SCALE."""
-    if SCALE == "smoke":
-        return quick if smoke is None else smoke
     if SCALE == "quick":
         return quick
     if SCALE == "full":
         return full
     return default
-
-
-@pytest.fixture(scope="session")
-def bench_scale() -> str:
-    return SCALE
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -1,31 +1,26 @@
 #!/usr/bin/env python
-"""Run the crypto micro-benchmarks and distill them into ``BENCH_crypto.json``.
+"""Run one experiment per report section and write ``BENCH_crypto.json``.
 
-Executes ``benchmarks/test_crypto_micro.py`` under pytest-benchmark, runs
-one experiment per report section, writes the report and holds it to
+Every value in the report is an identity certificate or a figure on the
+simulated clock, so the file is a pure function of the code: two runs
+write the same bytes, and ``make ci`` diffs a fresh run against the
+committed file.  Host wall-clock is perfbench's job (``python -m
+perfbench``), not this report's.  The report is held to
 ``scripts/check_bench_schema.py``'s ``validate`` — the one place every
-identity certificate and floor is declared and tested — exiting non-zero
-with the problems it finds.  ``docs/BENCHMARKS.md`` says what each section
-measures and certifies.
+identity certificate and floor is declared and tested — and the run exits
+non-zero with the problems it finds.  ``docs/BENCHMARKS.md`` says what
+each section measures and certifies.
 
 Usage::
 
-    python benchmarks/run_crypto_bench.py [--scale smoke|quick|default|full]
-                                          [--workers N] [--skip-parallel]
-                                          [--output BENCH_crypto.json]
-
-The scale defaults to ``REPRO_BENCH_SCALE`` (or ``default``); ``smoke`` is
-the CI mode — key sizes scaled down so the whole run takes seconds.
+    python benchmarks/run_crypto_bench.py [--output BENCH_crypto.json]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -36,25 +31,10 @@ from check_bench_schema import measured_floors, project, validate  # noqa: E402
 #: worker counts of every sharding / bit-identity certificate.
 WORKER_COUNTS = (1, 2, 4)
 
-#: (home_count, sampled windows, crypto key bits) per scale for the
+#: (home_count, sampled windows, crypto key bits, workers) of the
 #: parallel-day run; kept small — the point is the sharding behavior, not
 #: the absolute crypto cost.
-PARALLEL_SCALES = {
-    "smoke": (12, 8, 128),
-    "quick": (16, 8, 128),
-    "default": (24, 12, 256),
-    "full": (48, 24, 256),
-}
-
-#: (after, before) benchmark pairs whose mean-time ratio we report.
-SPEEDUP_PAIRS = {
-    "encrypt_pooled_vs_fresh": ("test_paillier_encrypt", "test_paillier_encrypt_fresh"),
-    "decrypt_crt_vs_textbook": ("test_paillier_decrypt", "test_paillier_decrypt_textbook"),
-    "comparison_pooled_vs_classic": (
-        "test_garbled_comparison_pooled_online",
-        "test_garbled_secure_comparison",
-    ),
-}
+PARALLEL_DAY = (24, 12, 256, 4)
 
 #: comparator bit widths covered by the ``comparison`` report section.
 COMPARISON_BIT_WIDTHS = (32, 64)
@@ -75,100 +55,34 @@ TOPOLOGY_REQUESTER_COUNTS = (8, 32, 128)
 #: the identity baseline, ``tree:2`` the reported speedup topology.
 TOPOLOGY_NAMES = ("chain", "tree:2", "tree:4")
 
-#: (home_count, sampled windows) per scale for the session-reuse day; the
-#: speedup is *largest* at small samples (the fixed setup dominates), so
-#: small scales still demonstrate the effect.
-SESSION_SCALES = {
-    "smoke": (10, 4),
-    "quick": (12, 6),
-    "default": (12, 6),
-    "full": (16, 10),
-}
+#: (home_count, sampled windows) of the session-reuse day; the speedup is
+#: *largest* at small samples (the fixed setup dominates).
+SESSION_DAY = (12, 6)
 
-#: (home_count, sampled windows) per scale for the pipelined day — shares
-#: the session-reuse scales (both are day-scope experiments over the same
-#: sampled day shape).
-PIPELINE_SCALES = SESSION_SCALES
+#: (home_count, sampled windows) of the pipelined day — the session-reuse
+#: day's shape (both are day-scope experiments).
+PIPELINE_DAY = SESSION_DAY
 
-#: (home_count, sampled windows) per scale for the chaos survival matrix —
-#: every cell runs the whole sampled day, so the matrix dominates the
-#: section's cost and stays deliberately small.
-CHAOS_SCALES = {
-    "smoke": (8, 2),
-    "quick": (10, 2),
-    "default": (10, 3),
-    "full": (12, 4),
-}
+#: (home_count, sampled windows) of the chaos survival matrix — every cell
+#: runs the whole sampled day, so the matrix dominates the section's cost
+#: and stays deliberately small.
+CHAOS_DAY = (10, 3)
 #: the chaos section's fault-plan seed (fixed: the report must be
 #: reproducible run over run).
 CHAOS_SEED = 20
 
-#: (home_count, sample_count) of the planner section's executed day —
+#: (home_count, sampled windows) of the planner section's executed day —
 #: the planned vs. naive end-to-end economics-identity certificate.
-PLANNER_SCALES = {
-    "smoke": (8, 2),
-    "quick": (10, 3),
-    "default": (10, 4),
-    "full": (12, 6),
-}
+PLANNER_DAY = (10, 4)
 
 
-def run_benchmarks(scale: str, json_path: Path) -> None:
-    env = dict(os.environ)
-    env["REPRO_BENCH_SCALE"] = scale
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    command = [
-        sys.executable,
-        "-m",
-        "pytest",
-        str(REPO_ROOT / "benchmarks" / "test_crypto_micro.py"),
-        "-q",
-        "--benchmark-only",
-        f"--benchmark-json={json_path}",
-    ]
-    subprocess.run(command, check=True, env=env, cwd=REPO_ROOT / "benchmarks")
-
-
-def distill(raw: dict, scale: str) -> dict:
-    benches: dict = {}
-    for entry in raw.get("benchmarks", []):
-        group = entry["name"].split("[")[0]
-        param = str(entry.get("param", ""))
-        benches.setdefault(group, {})[param] = {
-            "mean_s": entry["stats"]["mean"],
-            "stddev_s": entry["stats"]["stddev"],
-            "rounds": entry["stats"]["rounds"],
-        }
-    speedups: dict = {}
-    for label, (after, before) in SPEEDUP_PAIRS.items():
-        per_param = {}
-        for param, before_stats in benches.get(before, {}).items():
-            after_stats = benches.get(after, {}).get(param)
-            if after_stats and after_stats["mean_s"] > 0:
-                per_param[param] = round(
-                    before_stats["mean_s"] / after_stats["mean_s"], 2
-                )
-        if per_param:
-            speedups[label] = per_param
-    return {
-        "scale": scale,
-        "machine": raw.get("machine_info", {}).get("node", "unknown"),
-        "datetime": raw.get("datetime"),
-        "benchmarks": benches,
-        "speedups": speedups,
-    }
-
-
-def run_comparison_section(benches: dict) -> dict:
+def run_comparison_section() -> dict:
     """Build the ``comparison`` report section.
 
     Simulated seconds come from the calibrated cost model (the repo's
-    canonical runtime metric); wall times from the distilled micro
-    benchmarks; the outcome certificate records whether, over random
-    operand pairs, the pooled path, the inline path and the plaintext
-    comparison all agreed.
+    canonical runtime metric); the outcome certificate records whether,
+    over random operand pairs, the pooled path, the inline path and the
+    plaintext comparison all agreed.
     """
     import random
 
@@ -201,7 +115,7 @@ def run_comparison_section(benches: dict) -> dict:
                 matches = False
                 break
 
-        entry = {
+        section[str(bit_width)] = {
             "and_gate_count": gates,
             "ot_count": bit_width,
             "base_ot_count": DEFAULT_KAPPA,
@@ -217,76 +131,37 @@ def run_comparison_section(benches: dict) -> dict:
             "outcomes_match": matches,
             "samples": COMPARISON_SAMPLES,
         }
-        param = str(bit_width)
-        pooled_wall = benches.get("test_garbled_comparison_pooled_online", {}).get(param)
-        inline_wall = benches.get("test_garbled_secure_comparison", {}).get(param)
-        if pooled_wall and inline_wall and pooled_wall["mean_s"] > 0:
-            entry["wall_online_seconds_before"] = inline_wall["mean_s"]
-            entry["wall_online_seconds_after"] = pooled_wall["mean_s"]
-            entry["wall_online_reduction"] = round(
-                inline_wall["mean_s"] / pooled_wall["mean_s"], 2
-            )
-        section[param] = entry
     return section
 
 
 def run_multiexp_section() -> dict:
     """Build the ``multiexp`` report section.
 
-    The fixed-base comb is certified against the builtin ``pow`` oracle
-    and timed against it.  The speedup is *recorded, not gated*: it comes
-    from amortization (the comb squares zero times per exponentiation).
-    The active bigint backend's identity is part of the report because it
-    decides every other wall-clock number in the file.
+    The fixed-base comb, its table build included, is certified against
+    the builtin ``pow`` oracle over one base raised to a batch of small
+    exponents.
     """
     import random
-    import time
 
-    from repro.crypto.accel import FixedBaseTable, backend
+    from repro.crypto.accel import FixedBaseTable
 
     rng = random.Random(0xC0FFEE)
     modulus = rng.getrandbits(MULTIEXP_MODULUS_BITS) | (
         1 << (MULTIEXP_MODULUS_BITS - 1)
     ) | 1
     base = rng.randrange(2, modulus)
-
-    def timed(thunk):
-        start = time.perf_counter()
-        result = thunk()
-        return result, time.perf_counter() - start
-
-    # Fixed-base comb, amortized over a batch of small exponents.  The
-    # table build is charged to the batch: the certificate times build +
-    # every exponentiation.
     small_exponents = [
         rng.getrandbits(MULTIEXP_SMALL_EXPONENT_BITS) for _ in range(MULTIEXP_BATCH)
     ]
-    oracle, pow_seconds = timed(
-        lambda: [pow(base, e, modulus) for e in small_exponents]
-    )
-
-    def comb_batch():
-        table = FixedBaseTable(
-            base, modulus, max_exponent_bits=MULTIEXP_SMALL_EXPONENT_BITS
-        )
-        return [table.powmod(e) for e in small_exponents]
-
-    combed, comb_seconds = timed(comb_batch)
-    fixed_base_entry = {
-        "matches_pow": combed == oracle,
-        "exponent_bits": MULTIEXP_SMALL_EXPONENT_BITS,
-        "batch": MULTIEXP_BATCH,
-        "pow_seconds": round(pow_seconds, 9),
-        "seconds": round(comb_seconds, 9),
-        "speedup_vs_pow": round(pow_seconds / comb_seconds, 2)
-        if comb_seconds > 0
-        else None,
-    }
-
+    table = FixedBaseTable(base, modulus, max_exponent_bits=MULTIEXP_SMALL_EXPONENT_BITS)
     return {
-        "backend": backend().name,
         "modulus_bits": MULTIEXP_MODULUS_BITS,
-        "fixed_base_comb": fixed_base_entry,
+        "fixed_base_comb": {
+            "matches_pow": [table.powmod(e) for e in small_exponents]
+            == [pow(base, e, modulus) for e in small_exponents],
+            "exponent_bits": MULTIEXP_SMALL_EXPONENT_BITS,
+            "batch": MULTIEXP_BATCH,
+        },
     }
 
 
@@ -342,15 +217,15 @@ def run_topology_section() -> dict:
     }
 
 
-def run_session_section(scale: str) -> dict:
+def run_session_section() -> dict:
     """Build the ``session_reuse`` report section."""
     from repro.analysis.experiments import experiment_session_reuse
 
-    homes, windows = SESSION_SCALES[scale]
+    homes, windows = SESSION_DAY
     return project(experiment_session_reuse(homes, windows, worker_counts=WORKER_COUNTS))
 
 
-def run_pipelining_section(scale: str) -> dict:
+def run_pipelining_section() -> dict:
     """Build the ``pipelining`` report section.
 
     The same day-scoped sampled day runs with and without a
@@ -363,11 +238,11 @@ def run_pipelining_section(scale: str) -> dict:
     """
     from repro.analysis.experiments import experiment_window_pipelining
 
-    homes, windows = PIPELINE_SCALES[scale]
+    homes, windows = PIPELINE_DAY
     return project(experiment_window_pipelining(homes, windows, worker_counts=WORKER_COUNTS))
 
 
-def run_chaos_section(scale: str) -> dict:
+def run_chaos_section() -> dict:
     """Build the ``chaos`` report section.
 
     A seeded deterministic fault plan (frame drops / reorders / duplicates
@@ -378,7 +253,7 @@ def run_chaos_section(scale: str) -> dict:
     """
     from repro.analysis.experiments import experiment_chaos_matrix
 
-    homes, windows = CHAOS_SCALES[scale]
+    homes, windows = CHAOS_DAY
     return project(
         experiment_chaos_matrix(
             homes, windows, worker_counts=WORKER_COUNTS, chaos_seed=CHAOS_SEED
@@ -386,7 +261,7 @@ def run_chaos_section(scale: str) -> dict:
     )
 
 
-def run_planner_section(scale: str) -> dict:
+def run_planner_section() -> dict:
     """Build the ``planner`` report section.
 
     The deployment planner plans three fleet regimes (single LAN host,
@@ -397,15 +272,15 @@ def run_planner_section(scale: str) -> dict:
     """
     from repro.analysis.experiments import experiment_planner_sweep
 
-    homes, windows = PLANNER_SCALES[scale]
+    homes, windows = PLANNER_DAY
     return project(experiment_planner_sweep(homes, windows))
 
 
-def run_parallel_day(scale: str, workers: int) -> dict:
+def run_parallel_day() -> dict:
     """Execute the sharded-day experiment and distill it for the report."""
     from repro.analysis.experiments import experiment_parallel_day
 
-    home_count, sample_count, crypto_bits = PARALLEL_SCALES[scale]
+    home_count, sample_count, crypto_bits, workers = PARALLEL_DAY
     return project(
         experiment_parallel_day(
             home_count=home_count,
@@ -419,59 +294,34 @@ def run_parallel_day(scale: str, workers: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--scale",
-        default=os.environ.get("REPRO_BENCH_SCALE", "default"),
-        choices=("smoke", "quick", "default", "full"),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker processes for the sharded-day experiment (default 4)",
-    )
-    parser.add_argument(
-        "--skip-parallel",
-        action="store_true",
-        help="skip the parallel-runner day experiment",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=REPO_ROOT / "BENCH_crypto.json",
     )
     args = parser.parse_args()
 
-    with tempfile.TemporaryDirectory() as tmp:
-        raw_path = Path(tmp) / "raw.json"
-        run_benchmarks(args.scale, raw_path)
-        raw = json.loads(raw_path.read_text())
-
-    report = distill(raw, args.scale)
+    report: dict = {}
     print("running the comparison outcome-identity check ...")
-    report["comparison"] = run_comparison_section(report["benchmarks"])
+    report["comparison"] = run_comparison_section()
     print("running the multi-exponentiation oracle certificates ...")
     report["multiexp"] = run_multiexp_section()
     print("running the aggregation-topology sweep + identity/sharding certificates ...")
     report["aggregation_topology"] = run_topology_section()
     print("running the session-reuse day (window vs. day scope, socket transport) ...")
-    report["session_reuse"] = run_session_section(args.scale)
+    report["session_reuse"] = run_session_section()
     print("running the pipelined day (offline/online overlap + certificates) ...")
-    report["pipelining"] = run_pipelining_section(args.scale)
+    report["pipelining"] = run_pipelining_section()
     print("running the chaos survival matrix + fail-closed certificates ...")
-    report["chaos"] = run_chaos_section(args.scale)
+    report["chaos"] = run_chaos_section()
     print("running the deployment-planner sweep (executed certificate) ...")
-    report["planner"] = run_planner_section(args.scale)
-    if not args.skip_parallel:
-        print(f"running the sharded-day experiment ({args.workers} workers) ...")
-        report["parallel_runner"] = run_parallel_day(args.scale, args.workers)
+    report["planner"] = run_planner_section()
+    print("running the sharded-day experiment (serial vs. sharded) ...")
+    report["parallel_runner"] = run_parallel_day()
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     args.output.write_text(text)
     written = json.loads(text)  # the gate sees exactly what the file holds
 
     print(f"wrote {args.output}")
-    for label, per_param in report["speedups"].items():
-        for param, ratio in sorted(per_param.items()):
-            print(f"  {label}[{param}]: {ratio}x")
     for line in measured_floors(written):
         print(f"  {line}")
     problems = validate(written)

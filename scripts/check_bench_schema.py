@@ -56,8 +56,6 @@ class Leaf:
     when: Optional[tuple] = None
     largest: bool = False
     budget: Optional[str] = None
-    optional: bool = False
-    nullable: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,6 @@ class Record:
     """A mapping with exactly the declared keys."""
 
     keys: Mapping[str, "Node"]
-    optional: bool = False
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,6 @@ class MapOf:
     value: "Node"
     int_keys: bool = False
     min_len: int = 1
-    optional = False
 
 
 Node = Union[Leaf, Record, MapOf]
@@ -99,12 +95,9 @@ def _field(hint, meta: Mapping) -> Node:
         if value_type is object:
             return Leaf(dict)
         return MapOf(_field(value_type, gates), key_type is int, meta.get("min_len", 1))
-    if get_origin(hint) is Union:  # Optional[...]
-        return Leaf(get_args(hint)[0], nullable=True, **gates)
     return Leaf(hint, **gates)
 
 
-_STATS = Record({"mean_s": Leaf(float), "stddev_s": Leaf(float), "rounds": Leaf(int)})
 _TOPOLOGY = Record(
     {
         "simulated_seconds": Leaf(float),
@@ -117,11 +110,6 @@ _TOPOLOGY = Record(
 #: the measured values ``docs/BENCHMARKS.md`` quotes next to them.
 REPORT = Record(
     {
-        "scale": Leaf(str),
-        "machine": Leaf(str),
-        "datetime": Leaf(str),
-        "benchmarks": MapOf(MapOf(_STATS)),
-        "speedups": MapOf(MapOf(Leaf(float))),
         "comparison": MapOf(
             Record(
                 {
@@ -135,27 +123,18 @@ REPORT = Record(
                     "simulated_offline_seconds_per_session": Leaf(float),
                     "outcomes_match": Leaf(bool, certificate=True),
                     "samples": Leaf(int),
-                    # only when the micro-benchmarks of both paths ran
-                    "wall_online_seconds_before": Leaf(float, optional=True),
-                    "wall_online_seconds_after": Leaf(float, optional=True),
-                    "wall_online_reduction": Leaf(float, optional=True),
                 }
             ),
             int_keys=True,
         ),
         "multiexp": Record(
             {
-                "backend": Leaf(str),
                 "modulus_bits": Leaf(int),
                 "fixed_base_comb": Record(
                     {
                         "matches_pow": Leaf(bool, certificate=True),
                         "exponent_bits": Leaf(int),
                         "batch": Leaf(int),
-                        "pow_seconds": Leaf(float),
-                        "seconds": Leaf(float),
-                        # the win is amortization: recorded, not gated
-                        "speedup_vs_pow": Leaf(float, nullable=True),
                     }
                 ),
             }
@@ -184,10 +163,7 @@ REPORT = Record(
         "pipelining": _observation(experiments.PipeliningObservation),
         "chaos": _observation(experiments.ChaosMatrixObservation),
         "planner": _observation(experiments.PlannerSweepObservation),
-        # absent from --skip-parallel runs
-        "parallel_runner": dataclasses.replace(
-            _observation(experiments.ParallelDayObservation), optional=True
-        ),
+        "parallel_runner": _observation(experiments.ParallelDayObservation),
     }
 )
 
@@ -305,11 +281,8 @@ _TYPE_NAMES = {
 
 def _problems(path: str, node: Node, value, siblings, largest: bool) -> Iterator[str]:
     if value is MISSING:
-        if not node.optional:
-            yield "missing"
+        yield "missing"
     elif isinstance(node, Leaf):
-        if value is None and node.nullable:
-            return
         if not _is(value, node.type):
             yield f"expected {_TYPE_NAMES[node.type]}, got {type(value).__name__}"
             return

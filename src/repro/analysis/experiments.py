@@ -17,9 +17,8 @@ per-window averages — the quantity the paper's figures are built from.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.market import MarketCase
@@ -27,7 +26,6 @@ from ..core.params import PAPER_PARAMETERS, MarketParameters
 from ..core.pem import PlainTradingEngine
 from ..core.protocols import PrivateTradingEngine, ProtocolConfig
 from ..core.results import TradingDayResult
-from ..crypto.otext import shared_correlation
 from ..data.profiles import ProfilePopulation
 from ..data.traces import TraceConfig, TraceDataset, generate_dataset
 from ..net.costmodel import CostModel
@@ -280,6 +278,17 @@ def _frame_fault_plan(chaos_seed: int, windows: Sequence[int]) -> "FaultPlan":
     )
 
 
+def _engine(crypto_key_size: int, cost_model: CostModel, **config) -> PrivateTradingEngine:
+    """The sampled-day experiments' engine: paper parameters, a 4-key pool
+    and protocol seed 7; ``config`` sets the ``ProtocolConfig`` axes under
+    test."""
+    return PrivateTradingEngine(
+        params=PAPER_PARAMETERS,
+        config=ProtocolConfig(key_size=crypto_key_size, key_pool_size=4, seed=7, **config),
+        cost_model=cost_model,
+    )
+
+
 @dataclass(frozen=True)
 class RuntimeObservation:
     """One (agent count, key size) runtime measurement.
@@ -374,7 +383,6 @@ class ParallelDayObservation:
         home_count: number of agents.
         windows_executed: how many market windows were actually run.
         workers: worker processes of the sharded run.
-        host_cpu_count: the real core count bounding ``wall_speedup``.
         results_identical: whether the sharded run reproduced the serial
             ``WindowResult``s and merged stats bit-for-bit (it must).
         pool_fallbacks: merged drained-pool fallback count (0 means the
@@ -387,23 +395,16 @@ class ParallelDayObservation:
             plan (slowest shard).
         simulated_speedup: ratio of the two (near-linear in ``workers``
             since windows are independent).
-        wall_seconds_serial / wall_seconds_parallel / wall_speedup: host
-            wall-clock of both runs and their ratio, timed with the base-OT
-            correlation already established (neither side pays for it).
     """
 
     home_count: int
     windows_executed: int
     workers: int
-    host_cpu_count: Optional[int]
     results_identical: bool = _bench(certificate=True)
     pool_fallbacks: int
     simulated_day_seconds_serial: float = _bench(digits=6)
     simulated_day_seconds_parallel: float = _bench(digits=6)
     simulated_speedup: float = _bench(digits=2)
-    wall_seconds_serial: float = _bench(digits=3)
-    wall_seconds_parallel: float = _bench(digits=3)
-    wall_speedup: Optional[float] = _bench(digits=2)
 
 
 def experiment_parallel_day(
@@ -416,59 +417,33 @@ def experiment_parallel_day(
     seed: int = DEFAULT_SEED,
     aggregation_topology: str = "chain",
 ) -> ParallelDayObservation:
-    """Run the same sampled day serially and sharded; compare and time both.
+    """Run the same sampled day serially and sharded and compare them.
 
     This is the scaling experiment behind the ``parallel_runner`` section of
     ``BENCH_crypto.json``: it certifies that sharding is result-preserving
-    and reports the day-runtime speedup on both clocks.
+    and reports the simulated day-runtime speedup.
     ``aggregation_topology`` selects the encrypted-sum collection shape
     (the sharding certificate must hold for every topology).
     """
 
-    config = ProtocolConfig(
-        key_size=crypto_key_size,
-        key_pool_size=4,
-        seed=7,
-        aggregation_topology=aggregation_topology,
-    )
-
-    def build_engine() -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=config,
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
+    cost_model = CostModel.for_key_size(key_size)
     dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
-    # Like with like: the once-per-process base OTs (~0.6 s at kappa 128)
-    # happen before either wall is timed.  Left lazy, a cold process would
-    # charge them to the serial side only — the sharded side's workers
-    # inherit the correlation through fork.
-    shared_correlation(config.ot_extension_kappa)
-    serial = build_engine().run_windows_report(
-        dataset, windows, home_count=home_count, workers=1
-    )
-    parallel = build_engine().run_windows_report(
-        dataset, windows, home_count=home_count, workers=workers
+    serial, parallel = (
+        _engine(
+            crypto_key_size, cost_model, aggregation_topology=aggregation_topology
+        ).run_windows_report(dataset, windows, home_count=home_count, workers=count)
+        for count in (1, workers)
     )
     identical = serial.identical_to(parallel)
     return ParallelDayObservation(
         home_count=home_count,
         windows_executed=len(parallel.traces),
         workers=parallel.plan.workers,
-        host_cpu_count=os.cpu_count(),
         results_identical=identical,
         pool_fallbacks=parallel.stats.pool_fallbacks,
         simulated_day_seconds_serial=parallel.serial_simulated_seconds,
         simulated_day_seconds_parallel=parallel.parallel_simulated_seconds,
         simulated_speedup=parallel.simulated_speedup,
-        wall_seconds_serial=serial.wall_seconds,
-        wall_seconds_parallel=parallel.wall_seconds,
-        wall_speedup=(
-            serial.wall_seconds / parallel.wall_seconds
-            if parallel.wall_seconds > 0
-            else None
-        ),
     )
 
 
@@ -657,27 +632,18 @@ def experiment_topology_shard_invariance(
     regression in topology/runtime interplay fails the bench run.
     """
 
-    def build_engine(topology: str) -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                aggregation_topology=topology,
-            ),
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
+    cost_model = CostModel.for_key_size(key_size)
     dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
     results: Dict[str, TopologyShardInvariance] = {}
     for topology in topologies:
-        baseline = build_engine(topology).run_windows_report(
-            dataset, windows, home_count=home_count, workers=1
-        )
+        baseline = _engine(
+            crypto_key_size, cost_model, aggregation_topology=topology
+        ).run_windows_report(dataset, windows, home_count=home_count, workers=1)
         identical: Dict[int, bool] = {}
         for workers in worker_counts:
-            report = build_engine(topology).run_windows_report(
+            report = _engine(
+                crypto_key_size, cost_model, aggregation_topology=topology
+            ).run_windows_report(
                 dataset, windows, home_count=home_count, workers=workers
             )
             identical[workers] = baseline.identical_to(report)
@@ -765,25 +731,13 @@ def experiment_session_reuse(
     multi-x.  See ``docs/SESSIONS.md``.
     """
 
-    def build_engine(scope: str, transport: str = "local") -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                session_scope=scope,
-                transport=transport,
-            ),
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
+    cost_model = CostModel.for_key_size(key_size)
     dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
 
-    window_scope = build_engine("window").run_windows_report(
+    window_scope = _engine(crypto_key_size, cost_model).run_windows_report(
         dataset, windows, home_count=home_count, workers=1
     )
-    day_scope = build_engine("day").run_windows_report(
+    day_scope = _engine(crypto_key_size, cost_model, session_scope="day").run_windows_report(
         dataset, windows, home_count=home_count, workers=1
     )
 
@@ -794,14 +748,14 @@ def experiment_session_reuse(
 
     identical_by_workers: Dict[int, bool] = {}
     for workers in worker_counts:
-        report = build_engine("day").run_windows_report(
-            dataset, windows, home_count=home_count, workers=workers
-        )
+        report = _engine(
+            crypto_key_size, cost_model, session_scope="day"
+        ).run_windows_report(dataset, windows, home_count=home_count, workers=workers)
         identical_by_workers[workers] = day_scope.identical_to(report)
 
-    socket_run = build_engine("day", transport="socket").run_windows_report(
-        dataset, windows, home_count=home_count, workers=1
-    )
+    socket_run = _engine(
+        crypto_key_size, cost_model, session_scope="day", transport="socket"
+    ).run_windows_report(dataset, windows, home_count=home_count, workers=1)
     socket_identical = day_scope.identical_to(socket_run)
 
     window_seconds = window_scope.serial_simulated_seconds
@@ -994,28 +948,15 @@ def experiment_chaos_matrix(
     from ..runtime.supervisor import WindowAbortError
     from dataclasses import replace as dc_replace
 
-    def build_engine(scope: str, transport: str, fault_plan=None) -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                session_scope=scope,
-                transport=transport,
-                fault_plan=fault_plan,
-            ),
-            cost_model=CostModel.for_key_size(key_size),
-        )
-
+    cost_model = CostModel.for_key_size(key_size)
     dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
 
     base_plan = _frame_fault_plan(chaos_seed, windows)
 
     baselines = {
-        scope: build_engine(scope, "local").run_windows_report(
-            dataset, windows, home_count=home_count, workers=1
-        )
+        scope: _engine(
+            crypto_key_size, cost_model, session_scope=scope
+        ).run_windows_report(dataset, windows, home_count=home_count, workers=1)
         for scope in session_scopes
     }
 
@@ -1029,7 +970,13 @@ def experiment_chaos_matrix(
                 plan = base_plan
                 if transport == "socket" and workers > 1:
                     plan = dc_replace(base_plan, kill_shards=(1,))
-                report = build_engine(scope, transport, plan).run_windows_report(
+                report = _engine(
+                    crypto_key_size,
+                    cost_model,
+                    session_scope=scope,
+                    transport=transport,
+                    fault_plan=plan,
+                ).run_windows_report(
                     dataset, windows, home_count=home_count, workers=workers
                 )
                 retried = len(
@@ -1064,7 +1011,7 @@ def experiment_chaos_matrix(
     tamper_fail_closed = False
     tamper_classified = False
     try:
-        build_engine("window", "local", tamper_plan).run_windows_report(
+        _engine(crypto_key_size, cost_model, fault_plan=tamper_plan).run_windows_report(
             dataset, windows, home_count=home_count, workers=1
         )
     except WindowAbortError as exc:
@@ -1188,26 +1135,13 @@ def experiment_window_pipelining(
     (offline and online clocks), so it is read off the *baseline* report —
     any of the bit-identical runs would give the same number.
     """
-    def build_engine(
-        transport: str = "local", topology: str = "chain", fault_plan=None
-    ) -> PrivateTradingEngine:
-        return PrivateTradingEngine(
-            params=PAPER_PARAMETERS,
-            config=ProtocolConfig(
-                key_size=crypto_key_size,
-                key_pool_size=4,
-                seed=7,
-                session_scope="day",
-                transport=transport,
-                aggregation_topology=topology,
-                fault_plan=fault_plan,
-            ),
-            cost_model=CostModel.for_wan_profile(key_size),
-        )
+    day_engine = partial(
+        _engine, crypto_key_size, CostModel.for_wan_profile(key_size), session_scope="day"
+    )
 
     dataset, windows = _sampled_market_day(home_count, sample_count, window_count, seed)
 
-    baseline = build_engine().run_windows_report(
+    baseline = day_engine().run_windows_report(
         dataset, windows, home_count=home_count, workers=1
     )
 
@@ -1215,26 +1149,26 @@ def experiment_window_pipelining(
     identical_by_workers: Dict[int, bool] = {}
     socket_identical_by_workers: Dict[int, bool] = {}
     for workers in worker_counts:
-        report = build_engine().run_windows_report(
+        report = day_engine().run_windows_report(
             dataset, windows, home_count=home_count, workers=workers, pipeline=True
         )
         identical_by_workers[workers] = baseline.identical_to(report)
         if workers == 1:
             pipeline_reserved = report.pipeline_reserved
-        socket_report = build_engine(transport="socket").run_windows_report(
+        socket_report = day_engine(transport="socket").run_windows_report(
             dataset, windows, home_count=home_count, workers=workers, pipeline=True
         )
         socket_identical_by_workers[workers] = baseline.identical_to(socket_report)
 
-    tree_baseline = build_engine(topology="tree").run_windows_report(
+    tree_baseline = day_engine(aggregation_topology="tree").run_windows_report(
         dataset, windows, home_count=home_count, workers=1
     )
-    tree_pipelined = build_engine(topology="tree").run_windows_report(
+    tree_pipelined = day_engine(aggregation_topology="tree").run_windows_report(
         dataset, windows, home_count=home_count, workers=2, pipeline=True
     )
     tree_identical = tree_baseline.identical_to(tree_pipelined)
 
-    chaos = build_engine(fault_plan=_frame_fault_plan(chaos_seed, windows)).run_windows_report(
+    chaos = day_engine(fault_plan=_frame_fault_plan(chaos_seed, windows)).run_windows_report(
         dataset, windows, home_count=home_count, workers=2, pipeline=True
     )
 

@@ -43,7 +43,6 @@ from .paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
     generate_keypair,
-    homomorphic_sum,
 )
 from .primes import generate_prime, is_probable_prime
 from .secure_comparison import (
@@ -69,7 +68,6 @@ __all__ = [
     "backend",
     "set_backend",
     "generate_keypair",
-    "homomorphic_sum",
     "generate_prime",
     "is_probable_prime",
     "SecureComparisonResult",

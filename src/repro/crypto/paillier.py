@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from .bigint import powmod
 from .primes import generate_prime
@@ -68,15 +68,7 @@ __all__ = [
     "PaillierCiphertext",
     "PaillierKeyPair",
     "generate_keypair",
-    "homomorphic_sum",
 ]
-
-#: Number of ciphertext factors multiplied between modular reductions in
-#: :func:`homomorphic_sum`.  Multiplying a handful of ``2k``-bit values into
-#: one integer before reducing replaces per-factor ``mod n^2`` divisions
-#: with one division per chunk, which is measurably faster for the chain
-#: aggregations the protocols run.
-_SUM_CHUNK = 8
 
 
 class PaillierError(Exception):
@@ -171,31 +163,6 @@ class PaillierPublicKey:
         c = ((1 + m * n) % n_sq) * powmod(r, n, n_sq) % n_sq
         return PaillierCiphertext(value=c, public_key=self)
 
-    def encrypt_many(
-        self,
-        plaintexts: Sequence[int],
-        rng: Optional[random.Random] = None,
-        obfuscators: Optional[Sequence[int]] = None,
-    ) -> List["PaillierCiphertext"]:
-        """Encrypt a batch of plaintexts.
-
-        Args:
-            plaintexts: the values to encrypt.
-            rng: optional random source for fresh randomizers.
-            obfuscators: optional precomputed obfuscators, one per
-                plaintext (shorter sequences fall back to fresh
-                randomizers for the tail).
-
-        Returns:
-            one ciphertext per plaintext, in order.
-        """
-        obfuscators = obfuscators or ()
-        out: List[PaillierCiphertext] = []
-        for index, value in enumerate(plaintexts):
-            obf = obfuscators[index] if index < len(obfuscators) else None
-            out.append(self.encrypt(value, rng=rng, obfuscator=obf))
-        return out
-
     def _encode(self, plaintext: int) -> int:
         limit = self.max_plaintext
         if plaintext > limit or plaintext < -limit:
@@ -281,8 +248,7 @@ class PaillierPrivateKey:
         """Reference CRT-free decryption (``L(c^lam mod n^2) * mu mod n``).
 
         Kept as the independent cross-check for the CRT fast path (the
-        equivalence is asserted by the property-test suite) and as the
-        "before" measurement of the crypto micro-benchmarks.  It stays on
+        equivalence is asserted by the property-test suite).  It stays on
         builtin ``pow`` on purpose: the oracle must not share the bigint
         library (:mod:`repro.crypto.bigint`) it cross-checks.
         """
@@ -412,36 +378,3 @@ def generate_keypair(key_size: int = 1024, rng: Optional[random.Random] = None) 
         public = PaillierPublicKey(n=n, key_size=key_size)
         private = PaillierPrivateKey(public_key=public, p=p, q=q)
         return PaillierKeyPair(public_key=public, private_key=private)
-
-
-def homomorphic_sum(
-    ciphertexts: Iterable[PaillierCiphertext],
-    public_key: PaillierPublicKey,
-    chunk_size: int = _SUM_CHUNK,
-) -> PaillierCiphertext:
-    """Homomorphically sum an iterable of ciphertexts under ``public_key``.
-
-    Ciphertext values are multiplied in chunks of ``chunk_size`` with a
-    single deferred modular reduction per chunk, which beats reducing after
-    every factor for the aggregate sizes the protocols produce.
-
-    Returns an encryption of zero when the iterable is empty.
-    """
-    n_sq = public_key.n_squared
-    acc: Optional[int] = None
-    partial = 1
-    pending = 0
-    for ct in ciphertexts:
-        if ct.public_key != public_key:
-            raise PaillierError("cannot combine ciphertexts under different keys")
-        partial *= ct.value
-        pending += 1
-        if pending >= chunk_size:
-            acc = partial % n_sq if acc is None else (acc * partial) % n_sq
-            partial = 1
-            pending = 0
-    if pending:
-        acc = partial % n_sq if acc is None else (acc * partial) % n_sq
-    if acc is None:
-        return public_key.encrypt(0)
-    return PaillierCiphertext(value=acc, public_key=public_key)

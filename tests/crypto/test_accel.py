@@ -32,7 +32,6 @@ from repro.crypto.paillier import (
     PaillierPrivateKey,
     PaillierPublicKey,
     generate_keypair,
-    homomorphic_sum,
 )
 from repro.net import CostModel, SimulatedNetwork
 
@@ -110,24 +109,16 @@ def test_pool_rejects_mismatched_private_key(pool_keypair):
         precompute_obfuscator(pool_keypair.public_key, 5, private_key=other.private_key)
 
 
-def test_encrypt_many_uses_one_obfuscator_each(pool_keypair):
+def test_taken_obfuscators_encrypt_one_value_each(pool_keypair):
     public, private = pool_keypair.public_key, pool_keypair.private_key
     pool = RandomizerPool(public, random.Random(6), private_key=private)
     pool.warm(4)
     values = [1, 2, 3, 4]
-    ciphertexts = public.encrypt_many(values, obfuscators=pool.take_many(len(values)))
+    obfuscators = pool.take_many(len(values))
+    ciphertexts = [public.encrypt(v, obfuscator=o) for v, o in zip(values, obfuscators)]
     assert private.decrypt_many(ciphertexts) == values
     assert pool.available == 0
     assert pool.fallback_count == 0
-
-
-def test_batched_homomorphic_sum_matches_sequential(pool_keypair):
-    public, private = pool_keypair.public_key, pool_keypair.private_key
-    values = list(range(-10, 25, 3))
-    ciphertexts = public.encrypt_many(values, rng=random.Random(7))
-    for chunk in (1, 2, 8, 64):
-        total = homomorphic_sum(ciphertexts, public, chunk_size=chunk)
-        assert private.decrypt(total) == sum(values)
 
 
 def test_non_positive_counts_are_noops(pool_keypair):

@@ -9,7 +9,6 @@ from repro.crypto.paillier import (
     PaillierError,
     PaillierPublicKey,
     generate_keypair,
-    homomorphic_sum,
 )
 
 
@@ -96,17 +95,6 @@ def test_cross_key_operations_rejected(keypair):
         other.private_key.decrypt(a)
 
 
-def test_homomorphic_sum_empty_is_zero(keypair):
-    total = homomorphic_sum([], keypair.public_key)
-    assert keypair.private_key.decrypt(total) == 0
-
-
-def test_homomorphic_sum_many(keypair):
-    values = [3, -1, 10, 55, -20]
-    cts = [keypair.public_key.encrypt(v) for v in values]
-    assert keypair.private_key.decrypt(homomorphic_sum(cts, keypair.public_key)) == sum(values)
-
-
 def test_keypair_generation_properties():
     kp = generate_keypair(128, random.Random(5))
     assert kp.public_key.n.bit_length() == 128
@@ -152,28 +140,12 @@ def test_encrypt_with_precomputed_obfuscator(keypair):
     assert keypair.private_key.decrypt(ct) == 777
 
 
-def test_encrypt_many_decrypt_many_roundtrip(keypair):
+def test_decrypt_many_roundtrip(keypair):
+    public = keypair.public_key
     values = [0, 1, -1, 999, -999]
-    cts = keypair.public_key.encrypt_many(values, rng=random.Random(9))
+    obfuscators = [pow(r, public.n, public.n_squared) for r in (17, 23, 29, 31, 37)]
+    cts = [public.encrypt(v, obfuscator=o) for v, o in zip(values, obfuscators)]
     assert keypair.private_key.decrypt_many(cts) == values
-
-
-def test_encrypt_many_with_partial_obfuscators(keypair):
-    n_sq = keypair.public_key.n_squared
-    obfs = [pow(r, keypair.public_key.n, n_sq) for r in (17, 23)]
-    values = [10, 20, 30]
-    cts = keypair.public_key.encrypt_many(values, obfuscators=obfs)
-    assert keypair.private_key.decrypt_many(cts) == values
-
-
-def test_homomorphic_sum_chunking_equivalence(keypair):
-    values = list(range(1, 30))
-    cts = [keypair.public_key.encrypt(v) for v in values]
-    for chunk in (1, 3, 8, 100):
-        assert (
-            keypair.private_key.decrypt(homomorphic_sum(cts, keypair.public_key, chunk_size=chunk))
-            == sum(values)
-        )
 
 
 def test_encrypt_zero_rerandomizes(keypair):

@@ -5,8 +5,10 @@ through it, CI re-runs it on the committed file — so it needs a test that
 *breaks* the report in every declared way and proves each break is caught.
 The breaks are derived from the declaration itself (``REPORT``) walked over
 the committed report: every declared key dropped and given a wrong type,
-every certificate flipped, every floor undercut.  Each must produce exactly
-one problem, and that problem must name the broken path.
+every string emptied, every certificate flipped, every floor undercut,
+every record given an undeclared key and every integer-keyed mapping a
+key that is not one.  Each must produce exactly one problem, and that
+problem must name the broken path.
 """
 
 import copy
@@ -66,13 +68,11 @@ def _just_outside(operator, limit):
 def _mutations():
     """``(kind, path, value, node)`` for every break the declaration implies."""
     for path, node, value, siblings, largest in schema.walk(schema.REPORT, COMMITTED):
-        if value is schema.MISSING:
-            continue  # an optional key the committed report does not carry
         if path:
             yield "wrong-type", path, [], node
         if isinstance(node, schema.Record):
             for key, child in node.keys.items():
-                if key in value and not child.optional:
+                if key in value:
                     yield "dropped", f"{path}.{key}".lstrip("."), DROP, child
         elif isinstance(node, schema.MapOf):
             if node.min_len > 1:
@@ -81,6 +81,8 @@ def _mutations():
         else:
             if node.type in (int, float):
                 yield "bool-for-number", path, True, node
+            if node.type is str:
+                yield "emptied", path, "", node
             if node.certificate:
                 yield "flipped", path, False, node
             floor = schema.floor_in_force(node, siblings, largest)
@@ -116,6 +118,7 @@ def test_every_declared_gate_is_mutated():
     assert mutated["undercut"] == {
         id(leaf) for leaf in leaves if leaf.floor is not None or leaf.budget
     }
+    assert mutated["emptied"] == {id(leaf) for leaf in leaves if leaf.type is str}
     assert len(mutated["flipped"]) + len(mutated["undercut"]) >= 27
 
 
@@ -155,6 +158,37 @@ def test_undeclared_key_is_reported():
     assert schema.validate(_mutated("chaos.surprise", 1)) == [
         "chaos: undeclared key 'surprise'"
     ]
+
+
+def _mappings(kind, int_keys=False):
+    """Dotted paths of every ``kind`` node the committed report carries."""
+    return [
+        path
+        for path, node, value, *_ in schema.walk(schema.REPORT, COMMITTED)
+        if isinstance(node, kind) and isinstance(value, dict)
+        and (not int_keys or node.int_keys)
+    ]
+
+
+@pytest.mark.parametrize("path", _mappings(schema.Record))
+def test_every_record_reports_an_undeclared_key(path):
+    report = _mutated(f"{path}.surprise".lstrip("."), 1)
+    assert schema.validate(report) == [f"{path or 'report'}: undeclared key 'surprise'"]
+
+
+def _value_at(report, path):
+    for key in path.split("."):
+        report = report[key]
+    return report
+
+
+@pytest.mark.parametrize("path", _mappings(schema.MapOf, int_keys=True))
+def test_every_integer_keyed_mapping_reports_a_non_integer_key(path):
+    """A copy of a valid entry under key ``many``: the key is the one problem."""
+    report = copy.deepcopy(COMMITTED)
+    entries = _value_at(report, path)
+    entries["many"] = copy.deepcopy(next(iter(entries.values())))
+    assert schema.validate(report) == [f"{path}: key 'many' is not an integer"]
 
 
 @pytest.mark.parametrize(
@@ -226,21 +260,14 @@ def test_invalid_json_is_reported(tmp_path):
 
 def test_cheap_emitters_emit_exactly_the_declared_keys():
     """The dict literals of the two cheap non-Observation sections carry
-    every key the declaration requires and none it does not declare."""
+    every key the declaration declares (a missing one is a problem) and
+    none it does not."""
     bench = _load(REPO_ROOT / "benchmarks" / "run_crypto_bench.py")
     for section, emitted in (
         ("multiexp", bench.run_multiexp_section()),
-        # no micro-benchmark stats: the optional wall_* keys stay absent
-        ("comparison", bench.run_comparison_section({})),
+        ("comparison", bench.run_comparison_section()),
     ):
-        node = schema.REPORT.keys[section]
-        assert schema.problems(node, emitted, section) == []
-        absent = [
-            path
-            for path, _, value, *_ in schema.walk(node, emitted, section)
-            if value is schema.MISSING
-        ]
-        assert all(path.rpartition(".")[2].startswith("wall_") for path in absent)
+        assert schema.problems(schema.REPORT.keys[section], emitted, section) == []
 
 
 def test_projection_rounds_recurses_and_matches_the_declaration():

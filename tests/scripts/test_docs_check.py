@@ -75,7 +75,7 @@ def test_bench_doc_names_every_declared_key_and_floor():
         ("when `windows_executed` ≥ 6", "when `windows_executed` ≥ 4", "states `windows_executed` ≥ 4"),
         ("`retry_overhead` ≤ `max_attempts` − 1", "`retry_overhead` ≤ `max_attempts`", "does not state the floor `retry_overhead`"),
         ("`worker_losses`", "the worker loss count", "does not name the declared key `worker_losses`"),
-        ("`stddev_s`", "the deviation", "'## Top-level keys' does not name the declared key `stddev_s`"),
+        ("## `multiexp`", "## The `multiexp`", "'## Top-level keys' does not name the declared key `matches_pow`"),
     ],
 )
 def test_a_bench_doc_that_drifts_from_the_declaration_is_a_problem(documented, drifted, expected):

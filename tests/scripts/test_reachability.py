@@ -256,7 +256,7 @@ def test_make_ci_runs_each_non_test_step_once_under_the_gate():
     assert "python -m pytest tests -x -q" in ci
     steps = [
         "python -m perfbench --smoke",
-        "benchmarks/run_crypto_bench.py --scale smoke",
+        "benchmarks/run_crypto_bench.py",
         "examples/parallel_private_day.py",
         "scripts/repro_plan.py",
     ]
@@ -270,7 +270,10 @@ def test_make_ci_runs_each_non_test_step_once_under_the_gate():
         "python scripts/check_bench_schema.py",
     ]
     assert commands == [c for c in commands if "pytest" not in c and "reachability" not in c]
-    assert any("--output bench.json" in command for command in commands)
+    # the report is a pure function of the code: a fresh run must equal the
+    # committed file byte for byte
+    written = commands.index("python benchmarks/run_crypto_bench.py --output bench.json")
+    assert commands[written + 1] == "diff -u BENCH_crypto.json bench.json"
 
 
 def test_a_step_that_exits_non_zero_fails_the_gate(tmp_path):
